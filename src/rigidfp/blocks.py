@@ -11,14 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fingerprint import (
-    ExtractionDiagnostic,
     FingerprintOptions,
     FingerprintResult,
     SpTrace,
-    WeylPair,
+    _pack_trace,
     _sp_core,
-    extract_weyl_pair,
-    tau_table,
+    finish_fingerprint,
 )
 from .partitions import DPRIME, INTERLEAVE, PRIME, TaggedPartition, Theory
 
@@ -125,18 +123,12 @@ def decompose_blocks(tp: TaggedPartition, theory) -> list[Block]:
 def block_sp(block: Block, tp: TaggedPartition) -> SpTrace:
     """Sp evaluated on the block's rows in isolation, seeded by entry parity."""
     values = tp.values[block.start:block.end]
-    mu, signs = _sp_core(values, seed_parity=block.entry_parity)
-    delta = []
-    d = 0
-    for lam, m in zip(values, mu):
-        d += m - lam
-        delta.append(d)
-    return SpTrace(tuple(values), tuple(mu), tuple(signs), tuple(delta))
+    return _pack_trace(values, *_sp_core(values, seed_parity=block.entry_parity))
 
 
 def block_fingerprint(tp: TaggedPartition, theory,
                       opts: FingerprintOptions | None = None) -> FingerprintResult:
-    """Second computation path: per-block Sp fragments, then global tau.
+    """Second computation path: per-block Sp fragments, then the shared back half.
 
     Must equal the direct pipeline on the same tagged partition.
     """
@@ -149,24 +141,5 @@ def block_fingerprint(tp: TaggedPartition, theory,
         frag = block_sp(b, tp)
         mu.extend(frag.mu_values)
         signs.extend(frag.signs)
-    delta = []
-    d = 0
-    for lam, m in zip(tp.values, mu):
-        d += m - lam
-        delta.append(d)
-    trace = SpTrace(tp.values, tuple(mu), tuple(signs), tuple(delta))
-    tau = tau_table(trace, tp, theory, opts)
-    theta = 1 if theory is Theory.B else 0
-    rank = (tp.total() - theta) // 2
-    outcome = extract_weyl_pair(trace, tau, rank)
-    return FingerprintResult(
-        theory=theory,
-        options=opts,
-        tagged=tp,
-        trace=trace,
-        tau=tau,
-        weyl=outcome if isinstance(outcome, WeylPair) else None,
-        diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
-        rank=rank,
-        blocks=tuple(blocks),
-    )
+    trace = _pack_trace(tp.values, mu, signs)
+    return finish_fingerprint(trace, tp, theory, opts, blocks=tuple(blocks))

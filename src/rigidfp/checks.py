@@ -6,6 +6,7 @@ SuiteReport; a failing suite carries minimal counterexample strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import blocks as blocks_mod
 from .closedform import (
@@ -22,13 +23,18 @@ from .closedform import (
 from .fingerprint import (
     VACUOUS,
     FingerprintOptions,
+    finish_fingerprint,
     fingerprint,
     sp_map,
+    tau_table,
 )
 from .partitions import (
     DPRIME_FIRST,
+    INTERLEAVE,
+    PRIME,
     PRIME_FIRST,
     OperatorPair,
+    TaggedPartition,
     Theory,
     enumerate_members,
     enumerate_rigid,
@@ -48,7 +54,8 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """A pass needs at least one input checked and no counterexample."""
+        return self.checked > 0 and not self.failures
 
 
 def _fmt(p) -> str:
@@ -59,19 +66,25 @@ def _fmt_pair(pair: OperatorPair) -> str:
     return f"{pair.theory.value} ({_fmt(pair.lambda_prime)}; {_fmt(pair.lambda_dprime)})"
 
 
-def _all_rigid(theory, max_rank):
-    for rank in range(max_rank + 1):
-        yield from enumerate_rigid(theory, rank)
+_WITHOUT_II = FingerprintOptions(conditions=frozenset({"i", "iii"}))
 
 
-def _all_member(theory, max_rank):
-    for rank in range(max_rank + 1):
-        yield from enumerate_members(theory, rank)
+def _upto(enum, theories, max_rank):
+    """(theory, x) for each x of enum(theory, rank), theory-major, rank ascending."""
+    for theory in theories:
+        for rank in range(max_rank + 1):
+            for x in enum(theory, rank):
+                yield theory, x
 
 
-def _all_pairs(theory, max_rank):
-    for rank in range(max_rank + 1):
-        yield from enumerate_rigid_pairs(theory, rank)
+def _sweep(report: SuiteReport, inputs, check) -> SuiteReport:
+    """Count each input and collect what check(*input) returns, if not None."""
+    for args in inputs:
+        report.checked += 1
+        failure = check(*args)
+        if failure is not None:
+            report.failures.append(failure)
+    return report
 
 
 def _pairwise_pattern_ok(rows, start: int) -> bool:
@@ -99,21 +112,17 @@ def transpose_structure_ok(p, theory) -> bool:
         return True
     if theory is Theory.C:
         return _pairwise_pattern_ok(t, 0)
-    if t[0] % 2 != (1 if theory is Theory.B else 0):
+    if t[0] % 2 != theory.theta:
         return False
     return _pairwise_pattern_ok(t, 1)
 
 
 def check_structure(max_rank: int = 12) -> SuiteReport:
-    report = SuiteReport("structure")
-    for theory in Theory:
-        for p in _all_rigid(theory, max_rank):
-            report.checked += 1
-            if not transpose_structure_ok(p, theory):
-                report.failures.append(
-                    f"{theory.value} {_fmt(p)}: transpose {_fmt(transpose(p))}"
-                )
-    return report
+    def check(theory, p):
+        if not transpose_structure_ok(p, theory):
+            return f"{theory.value} {_fmt(p)}: transpose {_fmt(transpose(p))}"
+
+    return _sweep(SuiteReport("structure"), _upto(enumerate_rigid, Theory, max_rank), check)
 
 
 def _group_bounds(values):
@@ -126,43 +135,31 @@ def _group_bounds(values):
 
 def check_sp_locality(max_rank: int = 12) -> SuiteReport:
     """Changes only at value-group boundaries, direction set by the sign."""
-    report = SuiteReport("sp-locality")
-    for theory in Theory:
-        for p in _all_member(theory, max_rank):
-            report.checked += 1
-            trace = sp_map(p)
-            first, last = _group_bounds(p)
-            for i, (lam, mu, sign) in enumerate(
-                zip(p, trace.mu_values, trace.signs)
-            ):
-                if lam % 2 == 1 and sign == -1 and last[i]:
-                    expected = lam - 1
-                elif lam % 2 == 1 and sign == 1 and first[i]:
-                    expected = lam + 1
-                else:
-                    expected = lam
-                if mu != expected:
-                    report.failures.append(
-                        f"{theory.value} {_fmt(p)} index {i}: mu={mu}, expected {expected}"
-                    )
-                    break
-    return report
+    def check(theory, p):
+        trace = sp_map(p)
+        first, last = _group_bounds(p)
+        for i, (lam, mu, sign) in enumerate(zip(p, trace.mu_values, trace.signs)):
+            if lam % 2 == 1 and sign == -1 and last[i]:
+                expected = lam - 1
+            elif lam % 2 == 1 and sign == 1 and first[i]:
+                expected = lam + 1
+            else:
+                expected = lam
+            if mu != expected:
+                return f"{theory.value} {_fmt(p)} index {i}: mu={mu}, expected {expected}"
+
+    return _sweep(SuiteReport("sp-locality"), _upto(enumerate_members, Theory, max_rank), check)
 
 
 def check_parity(max_rank: int = 12) -> SuiteReport:
     """Odd values occur an even number of times in the Sp image."""
-    report = SuiteReport("parity")
-    for theory in Theory:
-        for p in _all_member(theory, max_rank):
-            report.checked += 1
-            mu = sp_map(p).mu_partition()
-            for v in set(mu):
-                if v % 2 == 1 and mu.count(v) % 2 == 1:
-                    report.failures.append(
-                        f"{theory.value} {_fmt(p)}: odd value {v} unpaired in {_fmt(mu)}"
-                    )
-                    break
-    return report
+    def check(theory, p):
+        mu = sp_map(p).mu_partition()
+        for v in set(mu):
+            if v % 2 == 1 and mu.count(v) % 2 == 1:
+                return f"{theory.value} {_fmt(p)}: odd value {v} unpaired in {_fmt(mu)}"
+
+    return _sweep(SuiteReport("parity"), _upto(enumerate_members, Theory, max_rank), check)
 
 
 def deficit_closure_ok(trace) -> bool:
@@ -188,58 +185,51 @@ def deficit_closure_ok(trace) -> bool:
 def check_rank_identity(max_rank: int = 8) -> SuiteReport:
     """|alpha| + |beta| = n under the defaults; B/D never diagnose."""
     report = SuiteReport("rank-identity")
-    for theory in Theory:
-        for pair in _all_pairs(theory, max_rank):
-            for mode in ("interleave", "sum"):
-                report.checked += 1
-                res = fingerprint(pair, FingerprintOptions(mode=mode))
-                if not deficit_closure_ok(res.trace):
-                    report.failures.append(f"{_fmt_pair(pair)} [{mode}]: deficit open")
-                    continue
-                if res.diagnostic is not None:
-                    if theory is Theory.C:
-                        report.info.append(
-                            f"{_fmt_pair(pair)} [{mode}, iii={res.options.variant_for(theory)}]: "
-                            + res.diagnostic.message()
-                        )
-                    else:
-                        report.failures.append(
-                            f"{_fmt_pair(pair)} [{mode}]: " + res.diagnostic.message()
-                        )
-                    continue
-                total = sum(res.weyl.alpha) + sum(res.weyl.beta)
-                if total != pair.rank:
-                    report.failures.append(
-                        f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
-                    )
-    return report
+
+    def check(theory, pair, mode):
+        res = fingerprint(pair, FingerprintOptions(mode=mode))
+        if not deficit_closure_ok(res.trace):
+            return f"{_fmt_pair(pair)} [{mode}]: deficit open"
+        if res.diagnostic is not None:
+            if theory is not Theory.C:
+                return f"{_fmt_pair(pair)} [{mode}]: " + res.diagnostic.message()
+            report.info.append(
+                f"{_fmt_pair(pair)} [{mode}, iii={res.options.variant_for(theory)}]: "
+                + res.diagnostic.message()
+            )
+            return None
+        total = sum(res.weyl.alpha) + sum(res.weyl.beta)
+        if total != pair.rank:
+            return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
+
+    inputs = (
+        (theory, pair, mode)
+        for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
+        for mode in ("interleave", "sum")
+    )
+    return _sweep(report, inputs, check)
 
 
 def check_condition_ii(max_rank: int = 8, gap_total: int = 20) -> SuiteReport:
     """{i,iii} equals {i,ii,iii} on rigid pairs; gapped sensitivity is reported."""
-    report = SuiteReport("condition-ii")
-    reduced = frozenset({"i", "iii"})
-    for theory in Theory:
-        for pair in _all_pairs(theory, max_rank):
-            report.checked += 1
-            full = fingerprint(pair, FingerprintOptions())
-            part = fingerprint(pair, FingerprintOptions(conditions=reduced))
-            if not full.same_outcome(part):
-                report.failures.append(_fmt_pair(pair))
+    def check(theory, pair):
+        full = fingerprint(pair, FingerprintOptions())
+        if not full.same_outcome(fingerprint(pair, _WITHOUT_II)):
+            return _fmt_pair(pair)
+
+    report = _sweep(
+        SuiteReport("condition-ii"), _upto(enumerate_rigid_pairs, Theory, max_rank), check
+    )
     report.info.append(_gapped_sensitivity_info(gap_total))
     return report
 
 
 def _gapped_sensitivity_info(gap_total: int) -> str:
     """Search gapped member partitions for cases where dropping (ii) changes tau."""
-    from .fingerprint import tau_table
-    from .partitions import TaggedPartition, INTERLEAVE, PRIME
-
     hits = []
     count = 0
     for theory in Theory:
-        max_r = (gap_total - (1 if theory is Theory.B else 0)) // 2
-        for p in _all_member(theory, max_r):
+        for _, p in _upto(enumerate_members, (theory,), (gap_total - theory.theta) // 2):
             if not p or is_rigid(p, theory):
                 continue
             count += 1
@@ -248,10 +238,7 @@ def _gapped_sensitivity_info(gap_total: int) -> str:
             )
             trace = sp_map(p)
             with_ii = tau_table(trace, tagged, theory, FingerprintOptions())
-            without = tau_table(
-                trace, tagged, theory,
-                FingerprintOptions(conditions=frozenset({"i", "iii"})),
-            )
+            without = tau_table(trace, tagged, theory, _WITHOUT_II)
             if with_ii.as_dict() != without.as_dict():
                 hits.append(f"{theory.value} {_fmt(p)}")
     head = ", ".join(hits[:5])
@@ -267,145 +254,132 @@ def check_shift(max_rank: int = 6) -> SuiteReport:
     A row deleted by Sp reappears as a beta part of 1 after the shift; the
     result-level check accounts for exactly that.
     """
-    report = SuiteReport("shift")
-    for theory in Theory:
-        for pair in _all_pairs(theory, max_rank):
-            report.checked += 1
-            opts = FingerprintOptions()
-            base = fingerprint(pair, opts)
-            tagged = base.tagged
-            shifted_tagged = type(tagged)(
-                values=tuple(v + 2 for v in tagged.values),
-                mode=tagged.mode,
-                origins=tagged.origins,
-                prime_odd=tagged.prime_odd,
-            )
-            from .fingerprint import finish_fingerprint
+    opts = FingerprintOptions()
 
-            rank = pair.rank + len(tagged.values)
-            trace, tau, weyl, diag = finish_fingerprint(
-                shifted_tagged, theory, rank, opts
+    def check(theory, pair):
+        base = fingerprint(pair, opts)
+        tagged = base.tagged
+        shifted_tagged = type(tagged)(
+            values=tuple(v + 2 for v in tagged.values),
+            mode=tagged.mode,
+            origins=tagged.origins,
+            prime_odd=tagged.prime_odd,
+        )
+        shifted = finish_fingerprint(
+            sp_map(shifted_tagged.values), shifted_tagged, theory, opts
+        )
+        want_mu = tuple(m + 2 for m in base.trace.mu_values)
+        if shifted.trace.mu_values != want_mu:
+            return f"{_fmt_pair(pair)}: trace shift broken"
+        weyl = shifted.weyl
+        if base.weyl is None or weyl is None:
+            return None
+        zeros = sum(1 for m in base.trace.mu_values if m == 0)
+        alpha_shifted = tuple(a + 2 for a in base.weyl.alpha)
+        beta_core = tuple(b for b in weyl.beta if b > 1)
+        ones = sum(1 for b in weyl.beta if b == 1)
+        if (
+            weyl.alpha != alpha_shifted
+            or tuple(b - 1 for b in beta_core) != base.weyl.beta
+            or ones != zeros
+        ):
+            return (
+                f"{_fmt_pair(pair)}: [{_fmt(base.weyl.alpha)};{_fmt(base.weyl.beta)}] "
+                f"-> [{_fmt(weyl.alpha)};{_fmt(weyl.beta)}]"
             )
-            want_mu = tuple(m + 2 for m in base.trace.mu_values)
-            if trace.mu_values != want_mu:
-                report.failures.append(f"{_fmt_pair(pair)}: trace shift broken")
-                continue
-            if base.weyl is None or weyl is None:
-                continue
-            zeros = sum(1 for m in base.trace.mu_values if m == 0)
-            alpha_shifted = tuple(a + 2 for a in base.weyl.alpha)
-            beta_core = tuple(b for b in weyl.beta if b > 1)
-            ones = sum(1 for b in weyl.beta if b == 1)
-            if (
-                weyl.alpha != alpha_shifted
-                or tuple(b - 1 for b in beta_core) != base.weyl.beta
-                or ones != zeros
-            ):
-                report.failures.append(
-                    f"{_fmt_pair(pair)}: [{_fmt(base.weyl.alpha)};{_fmt(base.weyl.beta)}] "
-                    f"-> [{_fmt(weyl.alpha)};{_fmt(weyl.beta)}]"
-                )
-    return report
+
+    return _sweep(SuiteReport("shift"), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
 
 
 def check_factorization(max_rank: int = 12) -> SuiteReport:
     """Collapse-factored mu equals Sp for rigid B/D; Sp is the identity for C."""
-    report = SuiteReport("factorization")
-    for theory in (Theory.B, Theory.D):
-        for p in _all_rigid(theory, max_rank):
-            report.checked += 1
-            direct = sp_map(p).mu_partition()
-            factored = unipotent_mu_factored(p, theory)
-            if direct != factored:
-                report.failures.append(
-                    f"{theory.value} {_fmt(p)}: sp {_fmt(direct)} != factored {_fmt(factored)}"
-                )
-    for p in _all_rigid(Theory.C, max_rank):
-        report.checked += 1
-        if sp_map(p).mu_partition() != p:
-            report.failures.append(f"C {_fmt(p)}: sp not the identity")
-    return report
+    def check(theory, p):
+        direct = sp_map(p).mu_partition()
+        if theory is Theory.C:
+            if direct != p:
+                return f"C {_fmt(p)}: sp not the identity"
+            return None
+        factored = unipotent_mu_factored(p, theory)
+        if direct != factored:
+            return f"{theory.value} {_fmt(p)}: sp {_fmt(direct)} != factored {_fmt(factored)}"
+
+    inputs = _upto(enumerate_rigid, (Theory.B, Theory.D, Theory.C), max_rank)
+    return _sweep(SuiteReport("factorization"), inputs, check)
 
 
 def check_collapse_bijection(max_rank: int = 12) -> SuiteReport:
     """Box-count deltas, round trips, and all-even transpose images."""
-    report = SuiteReport("collapse-bijection")
-    seen = set()
-    for theory, collapse, inverse, lost in (
-        (Theory.B, xs_map, xs_inverse, 1),
-        (Theory.D, ys_map, ys_inverse, 0),
-    ):
-        for p in _all_rigid(theory, max_rank):
-            sigma = split_parity(p).odd_part
-            key = (theory, sigma)
-            if key in seen:
-                continue
-            seen.add(key)
-            report.checked += 1
-            image = collapse(sigma)
-            if sum(sigma) - sum(image) != lost:
-                report.failures.append(f"{theory.value} {_fmt(sigma)}: wrong box count")
-                continue
-            if not has_all_even_transpose_rows(image):
-                report.failures.append(
-                    f"{theory.value} {_fmt(sigma)}: image {_fmt(image)} has odd transpose row"
-                )
-                continue
-            if inverse(image) != sigma:
-                report.failures.append(f"{theory.value} {_fmt(sigma)}: round trip broken")
-    return report
+    def check(theory, sigma):
+        if theory is Theory.B:
+            image, inverse, lost = xs_map(sigma), xs_inverse, 1
+        else:
+            image, inverse, lost = ys_map(sigma), ys_inverse, 0
+        if sum(sigma) - sum(image) != lost:
+            return f"{theory.value} {_fmt(sigma)}: wrong box count"
+        if not has_all_even_transpose_rows(image):
+            return f"{theory.value} {_fmt(sigma)}: image {_fmt(image)} has odd transpose row"
+        if inverse(image) != sigma:
+            return f"{theory.value} {_fmt(sigma)}: round trip broken"
+
+    inputs = dict.fromkeys(
+        (theory, split_parity(p).odd_part)
+        for theory, p in _upto(enumerate_rigid, (Theory.B, Theory.D), max_rank)
+    )
+    return _sweep(SuiteReport("collapse-bijection"), inputs, check)
 
 
 def check_closed_form(max_rank: int = 12, bd_max_rank: int | None = None) -> SuiteReport:
     """Group-formula fingerprints equal the pipeline on their domains."""
-    report = SuiteReport("closed-form")
     bd_max_rank = bd_max_rank if bd_max_rank is not None else max_rank
-    for theory in (Theory.B, Theory.D):
-        for p in _all_rigid(theory, bd_max_rank):
-            report.checked += 1
-            closed = closed_form_fingerprint_BD(p, theory)
-            pipe = fingerprint(OperatorPair(p, (), theory), FingerprintOptions())
-            if pipe.weyl != closed:
-                got = "diagnostic" if pipe.weyl is None else (
-                    f"[{_fmt(pipe.weyl.alpha)};{_fmt(pipe.weyl.beta)}]"
-                )
-                report.failures.append(
-                    f"{theory.value} {_fmt(p)}: closed [{_fmt(closed.alpha)};"
-                    f"{_fmt(closed.beta)}] vs pipeline {got}"
-                )
     vac = FingerprintOptions(iii_variant=VACUOUS)
-    for p in _all_rigid(Theory.C, max_rank):
-        if any(p.count(v) % 2 for v in set(p)):
-            continue
-        report.checked += 1
-        closed = closed_form_fingerprint_C(p)
-        pipe = fingerprint(OperatorPair(p, (), Theory.C), vac)
+
+    def check(theory, p):
+        if theory is Theory.C:
+            pipe = fingerprint(OperatorPair(p, (), Theory.C), vac)
+            if pipe.weyl != closed_form_fingerprint_C(p):
+                return f"C {_fmt(p)}: closed form disagrees with pipeline"
+            return None
+        closed = closed_form_fingerprint_BD(p, theory)
+        pipe = fingerprint(OperatorPair(p, (), theory), FingerprintOptions())
         if pipe.weyl != closed:
-            report.failures.append(f"C {_fmt(p)}: closed form disagrees with pipeline")
-    return report
+            got = "diagnostic" if pipe.weyl is None else (
+                f"[{_fmt(pipe.weyl.alpha)};{_fmt(pipe.weyl.beta)}]"
+            )
+            return (
+                f"{theory.value} {_fmt(p)}: closed [{_fmt(closed.alpha)};"
+                f"{_fmt(closed.beta)}] vs pipeline {got}"
+            )
+
+    even_c = (
+        (theory, p) for theory, p in _upto(enumerate_rigid, (Theory.C,), max_rank)
+        if not any(p.count(v) % 2 for v in set(p))
+    )
+    inputs = chain(_upto(enumerate_rigid, (Theory.B, Theory.D), bd_max_rank), even_c)
+    return _sweep(SuiteReport("closed-form"), inputs, check)
 
 
 def check_path_equivalence(max_rank: int = 8) -> SuiteReport:
     """Per-block evaluation equals the direct pipeline, trace and result."""
-    report = SuiteReport("path-equivalence")
-    for theory in Theory:
-        for pair in _all_pairs(theory, max_rank):
-            for tie in (PRIME_FIRST, DPRIME_FIRST):
-                report.checked += 1
-                opts = FingerprintOptions(tie_break=tie)
-                direct = fingerprint(pair, opts)
-                via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
-                if not direct.same_outcome(via_blocks):
-                    report.failures.append(f"{_fmt_pair(pair)} [tie={tie}]")
-                    continue
-                blks = via_blocks.blocks
-                sizes = [sum(direct.tagged.values[b.start:b.end]) for b in blks]
-                odd_blocks = sum(1 for s in sizes if s % 2)
-                if theory is Theory.B and pair.lambda_prime and odd_blocks != 1 and blks:
-                    report.failures.append(f"{_fmt_pair(pair)}: {odd_blocks} odd blocks")
-                if theory is Theory.C and any(b.kind == "I" for b in blks):
-                    report.failures.append(f"{_fmt_pair(pair)}: I block in C theory")
-    return report
+    def check(theory, pair, tie):
+        opts = FingerprintOptions(tie_break=tie)
+        direct = fingerprint(pair, opts)
+        via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
+        if not direct.same_outcome(via_blocks):
+            return f"{_fmt_pair(pair)} [tie={tie}]"
+        blks = via_blocks.blocks
+        sizes = [sum(direct.tagged.values[b.start:b.end]) for b in blks]
+        odd_blocks = sum(1 for s in sizes if s % 2)
+        if theory is Theory.B and pair.lambda_prime and odd_blocks != 1 and blks:
+            return f"{_fmt_pair(pair)}: {odd_blocks} odd blocks"
+        if theory is Theory.C and any(b.kind == "I" for b in blks):
+            return f"{_fmt_pair(pair)}: I block in C theory"
+
+    inputs = (
+        (theory, pair, tie)
+        for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
+        for tie in (PRIME_FIRST, DPRIME_FIRST)
+    )
+    return _sweep(SuiteReport("path-equivalence"), inputs, check)
 
 
 SUITES = {

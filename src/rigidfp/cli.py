@@ -33,9 +33,6 @@ from .partitions import (
 )
 from .render import render_tagged
 
-MODES = {"interleave": INTERLEAVE, "sum": COMPONENTWISE}
-TIE_BREAKS = {"prime": PRIME_FIRST, "dprime": DPRIME_FIRST}
-
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -54,8 +51,8 @@ def _options_from_args(args) -> FingerprintOptions:
             raise ValueError(f"unknown condition {bad[0]!r}")
         conditions = frozenset(tokens)
     return FingerprintOptions(
-        mode=MODES[args.mode],
-        tie_break=TIE_BREAKS[args.tie_break],
+        mode=args.mode,
+        tie_break=args.tie_break,
         conditions=conditions,
         iii_variant=args.iii,
     )
@@ -273,12 +270,20 @@ def cmd_render(args) -> int:
     pair = OperatorPair(
         parse_partition(args.prime), parse_partition(args.dprime), Theory(args.theory)
     )
-    tagged = combine(pair, INTERLEAVE, TIE_BREAKS[args.tie_break])
+    tagged = combine(pair, INTERLEAVE, args.tie_break)
     _emit(render_tagged(tagged), args.out)
     return 0
 
 
-def _add_common(p, mode_flags: bool = True):
+def nonnegative_int(text: str) -> int:
+    """argparse type of --rank and --max-rank."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _add_common(p):
     p.add_argument("--theory", required=True, choices=["B", "C", "D"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="FILE")
@@ -293,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list rigid partitions or rigid pairs")
     _add_common(p)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=nonnegative_int, required=True)
     p.add_argument("--pairs", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -301,9 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--prime", default="", help="lambda' (e.g. \"2^2 1\")")
     p.add_argument("--dprime", default="", help="lambda'' (default empty)")
-    p.add_argument("--mode", choices=sorted(MODES), default="interleave")
+    p.add_argument("--mode", choices=[INTERLEAVE, COMPONENTWISE], default=INTERLEAVE)
     p.add_argument("--iii", choices=["so", "sp", "vacuous"], default=None)
-    p.add_argument("--tie-break", choices=sorted(TIE_BREAKS), default="prime")
+    p.add_argument("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST],
+                   default=PRIME_FIRST)
     p.add_argument("--conditions", default=None, metavar="i,ii,iii")
     p.add_argument("--compare", action="store_true",
                    help="show all combine mode / tie-break conventions")
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--max-rank", type=int, default=None,
+    p.add_argument("--max-rank", type=nonnegative_int, default=None,
                    help=f"rank bound (defaults: {DEFAULT_MAX_RANK})")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="FILE")
@@ -319,14 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fibers", help="group rigid pairs sharing a fingerprint")
     _add_common(p)
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=nonnegative_int, required=True)
     p.set_defaults(func=cmd_fibers)
 
     p = sub.add_parser("render", help="print the ASCII Young diagram of a pair")
     p.add_argument("--theory", required=True, choices=["B", "C", "D"])
     p.add_argument("--prime", default="")
     p.add_argument("--dprime", default="")
-    p.add_argument("--tie-break", choices=sorted(TIE_BREAKS), default="prime")
+    p.add_argument("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST],
+                   default=PRIME_FIRST)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_render)
 
@@ -338,7 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

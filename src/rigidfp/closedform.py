@@ -172,8 +172,9 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
             if c % 2:
                 raise ValueError(f"value {v} unpaired; input {p} is not rigid")
             alpha += [v] * (c // 2)
-    theta = 1 if theory is Theory.B else 0
-    return WeylPair(tuple(alpha), tuple(sorted(beta, reverse=True)), (sum(p) - theta) // 2)
+    return WeylPair(
+        tuple(alpha), tuple(sorted(beta, reverse=True)), (sum(p) - theory.theta) // 2
+    )
 
 
 def has_all_even_transpose_rows(p) -> bool:

@@ -78,16 +78,20 @@ def _sp_core(values, seed_parity: int = 0):
     return mu, signs
 
 
-def sp_map(values) -> SpTrace:
-    """mu = Sp(lambda) with the full per-index trace."""
-    values = tuple(values)
-    mu, signs = _sp_core(values)
+def _pack_trace(values, mu, signs) -> SpTrace:
+    """The SpTrace of lambda = values with image mu, adding the partial-sum delta."""
     delta = []
     d = 0
     for lam, m in zip(values, mu):
         d += m - lam
         delta.append(d)
-    return SpTrace(values, tuple(mu), tuple(signs), tuple(delta))
+    return SpTrace(tuple(values), tuple(mu), tuple(signs), tuple(delta))
+
+
+def sp_map(values) -> SpTrace:
+    """mu = Sp(lambda) with the full per-index trace."""
+    values = tuple(values)
+    return _pack_trace(values, *_sp_core(values))
 
 
 @dataclass(frozen=True)
@@ -226,15 +230,27 @@ class FingerprintResult:
         )
 
 
-def finish_fingerprint(tagged: TaggedPartition, theory, rank: int,
-                       opts: FingerprintOptions) -> tuple:
-    """Shared back half of both pipelines: trace -> tau -> extraction."""
-    trace = sp_map(tagged.values)
+def finish_fingerprint(trace: SpTrace, tagged: TaggedPartition, theory: Theory,
+                       opts: FingerprintOptions, **context) -> FingerprintResult:
+    """Shared back half of both paths: trace -> tau -> [alpha; beta].
+
+    The paths differ only in how they build the trace; context fills the
+    result fields only one path knows (pair, rigidity flags, blocks).
+    """
+    rank = (tagged.total() - theory.theta) // 2
     tau = tau_table(trace, tagged, theory, opts)
     outcome = extract_weyl_pair(trace, tau, rank)
-    weyl = outcome if isinstance(outcome, WeylPair) else None
-    diag = outcome if isinstance(outcome, ExtractionDiagnostic) else None
-    return trace, tau, weyl, diag
+    return FingerprintResult(
+        theory=theory,
+        options=opts,
+        tagged=tagged,
+        trace=trace,
+        tau=tau,
+        weyl=outcome if isinstance(outcome, WeylPair) else None,
+        diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
+        rank=rank,
+        **context,
+    )
 
 
 def fingerprint(pair: OperatorPair,
@@ -246,17 +262,9 @@ def fingerprint(pair: OperatorPair,
     """
     opts = opts or FingerprintOptions()
     tagged = combine(pair, opts.mode, opts.tie_break)
-    trace, tau, weyl, diag = finish_fingerprint(tagged, pair.theory, pair.rank, opts)
     side1, side2 = PAIR_SIDES[pair.theory]
-    return FingerprintResult(
-        theory=pair.theory,
-        options=opts,
-        tagged=tagged,
-        trace=trace,
-        tau=tau,
-        weyl=weyl,
-        diagnostic=diag,
-        rank=pair.rank,
+    return finish_fingerprint(
+        sp_map(tagged.values), tagged, pair.theory, opts,
         pair=pair,
         rigid_prime=is_rigid(pair.lambda_prime, side1),
         rigid_dprime=is_rigid(pair.lambda_dprime, side2),

@@ -16,6 +16,11 @@ class Theory(str, Enum):
     C = "C"
     D = "D"
 
+    @property
+    def theta(self) -> int:
+        """Box-count offset over twice the rank: 1 for B, 0 for C and D."""
+        return int(self is Theory.B)
+
 
 PRIME = "prime"
 DPRIME = "dprime"
@@ -25,6 +30,9 @@ COMPONENTWISE = "sum"
 
 PRIME_FIRST = "prime"
 DPRIME_FIRST = "dprime"
+
+# parse_partition rejects larger diagrams before building their part list.
+MAX_BOXES = 10_000
 
 # Which theories the two sides of an operator pair live in.
 PAIR_SIDES = {
@@ -48,30 +56,26 @@ def validate_partition(parts) -> tuple[int, ...]:
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse "3,2,2,1" or exponent form "2^4 1^2" into a partition.
 
-    The empty string and "-" denote the empty partition.
+    The empty string and "-" denote the empty partition.  More than
+    MAX_BOXES boxes in total is rejected.
     """
     text = text.strip()
     if text in ("", "-"):
         return ()
     parts: list[int] = []
+    boxes = 0
     for token in text.replace(",", " ").split():
-        if "^" in token:
-            base, _, exp = token.partition("^")
-            try:
-                b, e = int(base), int(exp)
-            except ValueError:
-                raise ValueError(f"malformed token {token!r}") from None
-            if b < 1 or e < 0:
-                raise ValueError(f"malformed token {token!r}")
-            parts.extend([b] * e)
-        else:
-            try:
-                v = int(token)
-            except ValueError:
-                raise ValueError(f"malformed token {token!r}") from None
-            if v < 1:
-                raise ValueError(f"malformed token {token!r}")
-            parts.append(v)
+        base, caret, exp = token.partition("^")
+        try:
+            b, e = int(base), int(exp) if caret else 1
+        except ValueError:
+            raise ValueError(f"malformed token {token!r}") from None
+        if b < 1 or e < 0:
+            raise ValueError(f"malformed token {token!r}")
+        boxes += b * e
+        if boxes > MAX_BOXES:
+            raise ValueError(f"partition has more than {MAX_BOXES} boxes")
+        parts.extend([b] * e)
     for prev, cur in zip(parts, parts[1:]):
         if cur > prev:
             raise ValueError(f"parts not descending at token {cur!r}")
@@ -115,7 +119,7 @@ def is_theory_member(p, theory) -> bool:
     mult = Counter(p)
     if theory is Theory.C:
         return total % 2 == 0 and all(n % 2 == 0 for v, n in mult.items() if v % 2 == 1)
-    if total % 2 != (1 if theory is Theory.B else 0):
+    if total % 2 != theory.theta:
         return False
     return all(n % 2 == 0 for v, n in mult.items() if v % 2 == 0)
 
@@ -156,7 +160,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
 
 def theory_total(theory, rank: int) -> int:
     """Box count of a rank-n partition in the theory: 2n+1 for B, 2n for C/D."""
-    return 2 * rank + 1 if Theory(theory) is Theory.B else 2 * rank
+    return 2 * rank + Theory(theory).theta
 
 
 def enumerate_members(theory, rank: int) -> list[tuple[int, ...]]:
@@ -195,15 +199,14 @@ class OperatorPair:
             raise ValueError(
                 f"lambda'' {self.lambda_dprime} is not a {side2.value}-type partition"
             )
-        theta = 1 if self.theory is Theory.B else 0
+        theta = self.theory.theta
         boxes = sum(self.lambda_prime) + sum(self.lambda_dprime) - theta
         if boxes < 0 or boxes % 2:
             raise ValueError(f"pair has no integral rank (box count {boxes + theta})")
 
     @property
     def rank(self) -> int:
-        theta = 1 if self.theory is Theory.B else 0
-        return (sum(self.lambda_prime) + sum(self.lambda_dprime) - theta) // 2
+        return (sum(self.lambda_prime) + sum(self.lambda_dprime) - self.theory.theta) // 2
 
     def is_unipotent(self) -> bool:
         return not self.lambda_prime or not self.lambda_dprime

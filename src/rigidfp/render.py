@@ -4,10 +4,6 @@ from __future__ import annotations
 from .partitions import DPRIME, TaggedPartition
 
 
-def render_partition(p) -> str:
-    return "\n".join("#" * v for v in p)
-
-
 def render_tagged(tp: TaggedPartition) -> str:
     lines = []
     for i, v in enumerate(tp.values):

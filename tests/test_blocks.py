@@ -11,8 +11,10 @@ from rigidfp.blocks import OPERATOR_LABELS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
+    PAIR_SIDES,
     PRIME_FIRST,
     Theory,
+    enumerate_members,
     enumerate_rigid_pairs,
 )
 import pytest
@@ -126,6 +128,27 @@ class TestPathEquivalence:
                         via_blocks = block_fingerprint(direct.tagged, theory, opts)
                         assert via_blocks.trace == direct.trace
                         assert direct.same_outcome(via_blocks)
+
+    def test_member_pairs_match_direct(self):
+        # Non-rigid members exercise the shared back half on gapped rows and
+        # on extraction diagnostics, which rigid pairs rarely reach.
+        checked = diagnostics = 0
+        for theory in Theory:
+            side1, side2 = PAIR_SIDES[theory]
+            for rank in range(7):
+                for n2 in range(rank + 1):
+                    for p1 in enumerate_members(side1, rank - n2):
+                        for p2 in enumerate_members(side2, n2):
+                            pair = OperatorPair(p1, p2, theory)
+                            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                                opts = FingerprintOptions(tie_break=tb)
+                                direct = fingerprint(pair, opts)
+                                via_blocks = block_fingerprint(direct.tagged, theory, opts)
+                                assert direct.same_outcome(via_blocks), (pair, tb)
+                                assert via_blocks.rank == direct.rank
+                                checked += 1
+                                diagnostics += direct.diagnostic is not None
+        assert (checked, diagnostics) == (2786, 486)
 
     def test_worked_instance(self):
         pair = OperatorPair((2, 1, 1), (1, 1), Theory.C)

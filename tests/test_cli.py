@@ -95,6 +95,21 @@ class TestFingerprint:
         assert code == 2
         assert "frog" in err
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rec.jsonl"
+        code, out, err = run(capsys, "fingerprint", "--theory", "B",
+                             "--prime", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "missing" in err
+        assert not target.parent.exists()
+
+    def test_oversized_partition_exits_2(self, capsys):
+        code, _, err = run(capsys, "fingerprint", "--theory", "B",
+                           "--prime", "1^1000000000")
+        assert code == 2
+        assert "boxes" in err
+
     def test_bad_condition_exits_2(self, capsys):
         code, _, err = run(capsys, "fingerprint", "--theory", "B",
                            "--prime", "1^3", "--conditions", "i,iv")
@@ -141,6 +156,27 @@ class TestFibers:
                 key = (tuple(m["lambda_prime"]), tuple(m["lambda_dprime"]))
                 assert (key[1], key[0]) not in seen
                 seen.add(key)
+
+
+class TestNegativeRank:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--theory", "B", "--rank", "-3"],
+        ["enumerate", "--theory", "D", "--rank", "-1", "--pairs"],
+        ["fibers", "--theory", "B", "--rank", "-1"],
+        ["check", "structure", "--max-rank", "-1"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
+
+    def test_rank_zero_accepted(self, capsys):
+        code, out, _ = run(capsys, "check", "structure", "--max-rank", "0")
+        assert code == 0
+        assert out.splitlines() == ["suite structure: checked 3 inputs", "PASS"]
 
 
 class TestRender:

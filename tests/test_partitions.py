@@ -19,6 +19,7 @@ from rigidfp.partitions import (
     INTERLEAVE,
     PRIME,
     PRIME_FIRST,
+    MAX_BOXES,
     partitions_of,
     theory_total,
 )
@@ -46,6 +47,19 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+    def test_box_cap(self):
+        assert parse_partition(f"1^{MAX_BOXES}") == (1,) * MAX_BOXES
+        for text in [f"1^{MAX_BOXES + 1}", f"{MAX_BOXES} 1", f"{MAX_BOXES + 1}"]:
+            with pytest.raises(ValueError, match="boxes"):
+                parse_partition(text)
+
+    def test_huge_exponent_rejected_before_allocating(self):
+        # A list of 10^9 parts would take gigabytes; the cap must fire first.
+        with pytest.raises(ValueError, match="boxes"):
+            parse_partition("1^1000000000")
+        with pytest.raises(ValueError, match="boxes"):
+            parse_partition("2^4 1^1000000000")
 
     def test_round_trip(self):
         for text in ["2^4 1^2", "3 2^2 1", "-", "5"]:
