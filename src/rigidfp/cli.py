@@ -223,6 +223,7 @@ def _fiber_key(pair: OperatorPair):
 def cmd_fibers(args) -> int:
     theory = Theory(args.theory)
     groups: dict = {}
+    notes: dict = {}  # diagnostic fiber key -> its message
     seen = set()
     for pair in enumerate_rigid_pairs(theory, args.rank):
         key = _fiber_key(pair)
@@ -230,7 +231,11 @@ def cmd_fibers(args) -> int:
             continue
         seen.add(key)
         res = fingerprint(pair)
-        fp = (res.weyl.alpha, res.weyl.beta) if res.weyl else ("diagnostic",)
+        if res.weyl:
+            fp = (res.weyl.alpha, res.weyl.beta)
+        else:
+            fp = ("diagnostic", res.diagnostic.entries)
+            notes[fp] = res.diagnostic.message()
         groups.setdefault(fp, []).append(pair)
     lines = []
     for fp in sorted(groups, key=str):
@@ -238,20 +243,23 @@ def cmd_fibers(args) -> int:
         if len(members) < 2:
             continue
         if args.json:
-            lines.append(json.dumps({
+            record = {
                 "theory": theory.value,
                 "rank": args.rank,
-                "alpha": list(fp[0]) if fp[0] != "diagnostic" else None,
-                "beta": list(fp[1]) if fp[0] != "diagnostic" else None,
+                "alpha": None if fp in notes else list(fp[0]),
+                "beta": None if fp in notes else list(fp[1]),
                 "members": [
                     {"lambda_prime": list(m.lambda_prime),
                      "lambda_dprime": list(m.lambda_dprime)}
                     for m in members
                 ],
-            }))
+            }
+            if fp in notes:
+                record["diagnostic"] = notes[fp]
+            lines.append(json.dumps(record))
         else:
-            if fp[0] == "diagnostic":
-                head = "fiber <diagnostic>"
+            if fp in notes:
+                head = f"fiber <diagnostic: {notes[fp]}>"
             else:
                 head = (
                     f"fiber [{format_partition(fp[0])}; {format_partition(fp[1])}]"

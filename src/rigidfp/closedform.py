@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 from .fingerprint import WeylPair, sp_map
 from .partitions import Theory, is_theory_member, transpose, validate_partition
@@ -40,13 +39,51 @@ def _require_all_odd(sigma, total_parity: int, name: str) -> tuple[int, ...]:
     return sigma
 
 
+_COLLAPSE_NAMES = ("ys_map", "xs_map")  # indexed by the number of boxes lost
+
+
+def _collapse(sigma, lost: int) -> tuple[int, ...]:
+    """Sp image of an all-odd partition whose total has the parity of lost."""
+    sigma = _require_all_odd(sigma, lost, _COLLAPSE_NAMES[lost])
+    return sp_map(sigma).mu_partition()
+
+
+def _expand(p, lost: int) -> tuple[int, ...]:
+    """The all-odd preimage of p under _collapse(., lost), in one pass over p.
+
+    The Sp rule keeps the row order and changes an odd row only at its
+    group boundary: a first row gains a box when the box count above it is
+    odd, a last row loses one when that count is even.  So an even image
+    row w came from w - 1 or w + 1 as the preimage count above it is odd or
+    even, odd rows are unchanged, and a final 1 deleted by xs_map is the
+    one box left over.  The candidate is confirmed by one forward map.
+    """
+    p = validate_partition(p)
+    target = sum(p) + lost
+    sigma: list[int] = []
+    run = 0
+    for w in p:
+        v = w if w % 2 else (w - 1 if run % 2 else w + 1)
+        sigma.append(v)
+        run += v
+    if target - run == 1:
+        sigma.append(1)
+    candidate = tuple(sigma)
+    if (
+        sum(candidate) != target
+        or any(a < b for a, b in zip(candidate, candidate[1:]))
+        or sp_map(candidate).mu_partition() != p
+    ):
+        raise ValueError(f"{p} is not in the image of {_COLLAPSE_NAMES[lost]}")
+    return candidate
+
+
 def xs_map(sigma) -> tuple[int, ...]:
     """Collapse an all-odd partition of odd total; loses exactly one box.
 
     The image has all-even transpose rows and is C-type.
     """
-    sigma = _require_all_odd(sigma, 1, "xs_map")
-    return sp_map(sigma).mu_partition()
+    return _collapse(sigma, 1)
 
 
 def ys_map(sigma) -> tuple[int, ...]:
@@ -54,39 +91,17 @@ def ys_map(sigma) -> tuple[int, ...]:
 
     The image has all-even transpose rows and is D-type.
     """
-    sigma = _require_all_odd(sigma, 0, "ys_map")
-    return sp_map(sigma).mu_partition()
-
-
-def _odd_partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    if max_part is None or max_part > total:
-        max_part = total
-    if max_part % 2 == 0:
-        max_part -= 1
-    for first in range(max_part, 0, -2):
-        for rest in _odd_partitions(total - first, first):
-            yield (first,) + rest
+    return _collapse(sigma, 0)
 
 
 def xs_inverse(p) -> tuple[int, ...]:
-    """Expansion inverting xs_map, found by search over all-odd preimages."""
-    p = validate_partition(p)
-    for sigma in _odd_partitions(sum(p) + 1):
-        if sp_map(sigma).mu_partition() == p:
-            return sigma
-    raise ValueError(f"{p} is not in the image of xs_map")
+    """Expansion inverting xs_map: linear-time, confirmed by one forward map."""
+    return _expand(p, 1)
 
 
 def ys_inverse(p) -> tuple[int, ...]:
-    """Expansion inverting ys_map, found by search over all-odd preimages."""
-    p = validate_partition(p)
-    for sigma in _odd_partitions(sum(p)):
-        if sp_map(sigma).mu_partition() == p:
-            return sigma
-    raise ValueError(f"{p} is not in the image of ys_map")
+    """Expansion inverting ys_map: linear-time, confirmed by one forward map."""
+    return _expand(p, 0)
 
 
 def unipotent_mu_factored(p, theory) -> tuple[int, ...]:

@@ -157,6 +157,23 @@ class TestFibers:
                 assert (key[1], key[0]) not in seen
                 seen.add(key)
 
+    def test_distinct_diagnostics_kept_apart(self, capsys):
+        code, out, _ = run(capsys, "fibers", "--theory", "C", "--rank", "6")
+        assert code == 0
+        heads = [ln for ln in out.splitlines() if ln.startswith("fiber <")]
+        assert heads == [
+            "fiber <diagnostic: value 2 has odd multiplicity 1 under tau=+1>: 7 members",
+            "fiber <diagnostic: value 2 has odd multiplicity 3 under tau=+1>: 3 members",
+        ]
+        code, out, _ = run(capsys, "fibers", "--theory", "C", "--rank", "6",
+                           "--json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        diagnostic = [r for r in records if r["alpha"] is None]
+        assert [len(r["members"]) for r in diagnostic] == [7, 3]
+        assert all(list(r)[-1] == "diagnostic" for r in diagnostic)
+        assert all("diagnostic" not in r for r in records if r["alpha"] is not None)
+
 
 class TestNegativeRank:
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import pytest
 
+import rigidfp.closedform
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
@@ -17,7 +18,31 @@ from rigidfp import (
     ys_map,
 )
 from rigidfp.fingerprint import VACUOUS
-from rigidfp.partitions import Theory, enumerate_rigid
+from rigidfp.partitions import Theory, enumerate_rigid, partitions_of
+
+
+def _odd_partitions(total, max_part=None):
+    if total == 0:
+        yield ()
+        return
+    if max_part is None or max_part > total:
+        max_part = total
+    if max_part % 2 == 0:
+        max_part -= 1
+    for first in range(max_part, 0, -2):
+        for rest in _odd_partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _brute_inverse(p, lost):
+    """Reference inverse: search every all-odd partition of sum(p) + lost."""
+    for sigma in _odd_partitions(sum(p) + lost):
+        if sp_map(sigma).mu_partition() == p:
+            return sigma
+    return None
+
+
+INVERSES = ((1, xs_map, xs_inverse), (0, ys_map, ys_inverse))
 
 
 class TestSplitParity:
@@ -69,6 +94,69 @@ class TestCollapseMaps:
                     image = collapse(sigma)
                     assert inverse(image) == sigma
                     assert all(r % 2 == 0 for r in transpose(image))
+
+
+class TestInverseOracle:
+    def test_all_odd_preimages_match_search(self):
+        checked = 0
+        for total in range(26):
+            lost, collapse, inverse = INVERSES[1 - total % 2]
+            for sigma in _odd_partitions(total):
+                image = collapse(sigma)
+                assert inverse(image) == sigma == _brute_inverse(image, lost)
+                checked += 1
+        assert checked == 904
+
+    def test_every_small_partition_matches_search(self):
+        rejected = 0
+        for total in range(15):
+            for p in partitions_of(total):
+                for lost, _, inverse in INVERSES:
+                    expected = _brute_inverse(p, lost)
+                    if expected is None:
+                        rejected += 1
+                        with pytest.raises(ValueError, match="not in the image"):
+                            inverse(p)
+                    else:
+                        assert inverse(p) == expected
+        assert rejected == 879
+
+    @pytest.mark.parametrize("p", [(2, 2, 2), (2, 2, 2, 2)])
+    def test_non_partition_candidate_rejected(self, p):
+        for lost, _, inverse in INVERSES:
+            assert _brute_inverse(p, lost) is None
+            with pytest.raises(ValueError, match="not in the image"):
+                inverse(p)
+
+    def test_one_forward_map_per_inverse(self, monkeypatch):
+        calls = []
+        original = rigidfp.closedform.sp_map
+
+        def counted(values):
+            calls.append(values)
+            return original(values)
+
+        monkeypatch.setattr(rigidfp.closedform, "sp_map", counted)
+        stair = tuple(range(21, 0, -2))
+        for image, inverse in (((2, 2, 1, 1), xs_inverse), ((2, 2), ys_inverse),
+                               (xs_map(stair), xs_inverse)):
+            calls.clear()
+            inverse(image)
+            assert len(calls) == 1, image
+        for p in ((2, 2, 2), (3,), (2, 2, 2, 2)):
+            for _, _, inverse in INVERSES:
+                calls.clear()
+                with pytest.raises(ValueError):
+                    inverse(p)
+                assert len(calls) <= 1, p
+
+    def test_large_staircases_round_trip(self):
+        stair = tuple(range(21, 0, -2))
+        assert sum(stair) == 121
+        assert xs_inverse(xs_map(stair)) == stair
+        even = stair + (1,)
+        assert sum(even) == 122
+        assert ys_inverse(ys_map(even)) == even
 
 
 class TestFactoredMu:
