@@ -1,9 +1,10 @@
 """Block decomposition of the merged partition and the per-block pipeline.
 
 Blocks are contiguous row segments cut wherever the cumulative box count is
-even and the row value changes.  Evaluating the Sp rule per block (seeded
-with the entry parity) and concatenating must reproduce the direct pipeline;
-that equivalence is the module's correctness contract.
+even and the row value changes, so every block starts at an even count and
+stands alone.  Running the Sp map on each block and joining the results end
+to end must reproduce the direct pipeline; that equivalence is the module's
+correctness contract.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from .fingerprint import (
     FingerprintOptions,
     FingerprintResult,
     SpTrace,
-    _pack_trace,
-    _sp_core,
+    _trace,
     finish_fingerprint,
+    sp_map,
 )
 from .partitions import DPRIME, INTERLEAVE, PRIME, TaggedPartition, Theory
 
@@ -35,7 +36,6 @@ class Block:
     end: int
     kind: str  # "I" | "II" | "III" | "S"
     operator_label: str | None
-    entry_parity: int  # parity of the box count above the block
 
 
 def _parity_letter(values) -> str | None:
@@ -60,16 +60,11 @@ def _classify(values, origins):
         per_origin.setdefault(o, []).append(v)
     if boxes % 2 == 1:
         # The unpaired leading row of the pair lives here (B theory only).
-        odd_origin = None
-        for o, vals in per_origin.items():
-            if sum(vals) % 2 == 1:
-                odd_origin = o
-        label = None
-        if odd_origin is not None:
-            letter = "o" if odd_origin == PRIME else "e"
-            position = "2" if origins[0] == odd_origin else "1"
-            label = f"mu_{letter}{position}"
-        return "I", label
+        # Rows come from two origins, so an odd total has exactly one odd one.
+        odd_origin = next(o for o, vals in per_origin.items() if sum(vals) % 2)
+        letter = "o" if odd_origin == PRIME else "e"
+        position = "2" if origins[0] == odd_origin else "1"
+        return "I", f"mu_{letter}{position}"
     if len(per_origin) == 1:
         paired = all(n % 2 == 0 for n in Counter(values).values())
         return ("II", "mu_II") if paired else ("S", None)
@@ -111,19 +106,15 @@ def decompose_blocks(tp: TaggedPartition, theory) -> list[Block]:
         if cum % 2 == 0 and values[j] != values[j + 1]:
             cuts.append(j + 1)
     cuts.append(len(values))
-    blocks = []
-    cum = 0
-    for start, end in zip(cuts, cuts[1:]):
-        kind, label = _classify(values[start:end], tp.origins[start:end])
-        blocks.append(Block(start, end, kind, label, cum % 2))
-        cum = (cum + sum(values[start:end])) % 2
-    return blocks
+    return [
+        Block(start, end, *_classify(values[start:end], tp.origins[start:end]))
+        for start, end in zip(cuts, cuts[1:])
+    ]
 
 
 def block_sp(block: Block, tp: TaggedPartition) -> SpTrace:
-    """Sp evaluated on the block's rows in isolation, seeded by entry parity."""
-    values = tp.values[block.start:block.end]
-    return _pack_trace(values, *_sp_core(values, seed_parity=block.entry_parity))
+    """The Sp map of the block's rows, taken in isolation."""
+    return sp_map(tp.values[block.start:block.end])
 
 
 def block_fingerprint(tp: TaggedPartition, theory,
@@ -136,10 +127,6 @@ def block_fingerprint(tp: TaggedPartition, theory,
     opts = opts or FingerprintOptions()
     blocks = decompose_blocks(tp, theory)
     mu: list[int] = []
-    signs: list[int] = []
     for b in blocks:
-        frag = block_sp(b, tp)
-        mu.extend(frag.mu_values)
-        signs.extend(frag.signs)
-    trace = _pack_trace(tp.values, mu, signs)
-    return finish_fingerprint(trace, tp, theory, opts, blocks=tuple(blocks))
+        mu.extend(block_sp(b, tp).mu_values)
+    return finish_fingerprint(_trace(tp.values, mu), tp, theory, opts, blocks=tuple(blocks))

@@ -68,6 +68,9 @@ def _fmt_pair(pair: OperatorPair) -> str:
 
 _WITHOUT_II = FingerprintOptions(conditions=frozenset({"i", "iii"}))
 
+# Box-count bound of the gapped (non-rigid) sweep that condition-ii reports on.
+GAP_TOTAL = 20
+
 
 def _upto(enum, theories, max_rank):
     """(theory, x) for each x of enum(theory, rank), theory-major, rank ascending."""
@@ -117,7 +120,7 @@ def transpose_structure_ok(p, theory) -> bool:
     return _pairwise_pattern_ok(t, 1)
 
 
-def check_structure(max_rank: int = 12) -> SuiteReport:
+def check_structure(max_rank: int) -> SuiteReport:
     def check(theory, p):
         if not transpose_structure_ok(p, theory):
             return f"{theory.value} {_fmt(p)}: transpose {_fmt(transpose(p))}"
@@ -133,7 +136,7 @@ def _group_bounds(values):
     return first, last
 
 
-def check_sp_locality(max_rank: int = 12) -> SuiteReport:
+def check_sp_locality(max_rank: int) -> SuiteReport:
     """Changes only at value-group boundaries, direction set by the sign."""
     def check(theory, p):
         trace = sp_map(p)
@@ -151,7 +154,7 @@ def check_sp_locality(max_rank: int = 12) -> SuiteReport:
     return _sweep(SuiteReport("sp-locality"), _upto(enumerate_members, Theory, max_rank), check)
 
 
-def check_parity(max_rank: int = 12) -> SuiteReport:
+def check_parity(max_rank: int) -> SuiteReport:
     """Odd values occur an even number of times in the Sp image."""
     def check(theory, p):
         mu = sp_map(p).mu_partition()
@@ -182,7 +185,7 @@ def deficit_closure_ok(trace) -> bool:
     return delta[-1] == -1 and (z == 0 or delta[z - 1] == 0)
 
 
-def check_rank_identity(max_rank: int = 8) -> SuiteReport:
+def check_rank_identity(max_rank: int) -> SuiteReport:
     """|alpha| + |beta| = n under the defaults; B/D never diagnose."""
     report = SuiteReport("rank-identity")
 
@@ -210,7 +213,7 @@ def check_rank_identity(max_rank: int = 8) -> SuiteReport:
     return _sweep(report, inputs, check)
 
 
-def check_condition_ii(max_rank: int = 8, gap_total: int = 20) -> SuiteReport:
+def check_condition_ii(max_rank: int) -> SuiteReport:
     """{i,iii} equals {i,ii,iii} on rigid pairs; gapped sensitivity is reported."""
     def check(theory, pair):
         full = fingerprint(pair, FingerprintOptions())
@@ -220,16 +223,16 @@ def check_condition_ii(max_rank: int = 8, gap_total: int = 20) -> SuiteReport:
     report = _sweep(
         SuiteReport("condition-ii"), _upto(enumerate_rigid_pairs, Theory, max_rank), check
     )
-    report.info.append(_gapped_sensitivity_info(gap_total))
+    report.info.append(_gapped_sensitivity_info())
     return report
 
 
-def _gapped_sensitivity_info(gap_total: int) -> str:
+def _gapped_sensitivity_info() -> str:
     """Search gapped member partitions for cases where dropping (ii) changes tau."""
     hits = []
     count = 0
     for theory in Theory:
-        for _, p in _upto(enumerate_members, (theory,), (gap_total - theory.theta) // 2):
+        for _, p in _upto(enumerate_members, (theory,), (GAP_TOTAL - theory.theta) // 2):
             if not p or is_rigid(p, theory):
                 continue
             count += 1
@@ -243,12 +246,12 @@ def _gapped_sensitivity_info(gap_total: int) -> str:
                 hits.append(f"{theory.value} {_fmt(p)}")
     head = ", ".join(hits[:5])
     return (
-        f"gapped sweep (total <= {gap_total}): {len(hits)} (ii)-sensitive "
+        f"gapped sweep (total <= {GAP_TOTAL}): {len(hits)} (ii)-sensitive "
         f"of {count} non-rigid inputs" + (f"; e.g. {head}" if hits else "")
     )
 
 
-def check_shift(max_rank: int = 6) -> SuiteReport:
+def check_shift(max_rank: int) -> SuiteReport:
     """Adding 2 to every row shifts the trace by 2 and [alpha;beta] by [2;1].
 
     A row deleted by Sp reappears as a beta part of 1 after the shift; the
@@ -291,7 +294,7 @@ def check_shift(max_rank: int = 6) -> SuiteReport:
     return _sweep(SuiteReport("shift"), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
 
 
-def check_factorization(max_rank: int = 12) -> SuiteReport:
+def check_factorization(max_rank: int) -> SuiteReport:
     """Collapse-factored mu equals Sp for rigid B/D; Sp is the identity for C."""
     def check(theory, p):
         direct = sp_map(p).mu_partition()
@@ -307,7 +310,7 @@ def check_factorization(max_rank: int = 12) -> SuiteReport:
     return _sweep(SuiteReport("factorization"), inputs, check)
 
 
-def check_collapse_bijection(max_rank: int = 12) -> SuiteReport:
+def check_collapse_bijection(max_rank: int) -> SuiteReport:
     """Box-count deltas, round trips, and all-even transpose images."""
     def check(theory, sigma):
         if theory is Theory.B:
@@ -328,9 +331,8 @@ def check_collapse_bijection(max_rank: int = 12) -> SuiteReport:
     return _sweep(SuiteReport("collapse-bijection"), inputs, check)
 
 
-def check_closed_form(max_rank: int = 12, bd_max_rank: int | None = None) -> SuiteReport:
+def check_closed_form(max_rank: int) -> SuiteReport:
     """Group-formula fingerprints equal the pipeline on their domains."""
-    bd_max_rank = bd_max_rank if bd_max_rank is not None else max_rank
     vac = FingerprintOptions(iii_variant=VACUOUS)
 
     def check(theory, p):
@@ -354,11 +356,11 @@ def check_closed_form(max_rank: int = 12, bd_max_rank: int | None = None) -> Sui
         (theory, p) for theory, p in _upto(enumerate_rigid, (Theory.C,), max_rank)
         if not any(p.count(v) % 2 for v in set(p))
     )
-    inputs = chain(_upto(enumerate_rigid, (Theory.B, Theory.D), bd_max_rank), even_c)
+    inputs = chain(_upto(enumerate_rigid, (Theory.B, Theory.D), max_rank), even_c)
     return _sweep(SuiteReport("closed-form"), inputs, check)
 
 
-def check_path_equivalence(max_rank: int = 8) -> SuiteReport:
+def check_path_equivalence(max_rank: int) -> SuiteReport:
     """Per-block evaluation equals the direct pipeline, trace and result."""
     def check(theory, pair, tie):
         opts = FingerprintOptions(tie_break=tie)

@@ -50,48 +50,32 @@ def prefix_signs(values) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _sp_core(values, seed_parity: int = 0):
-    """Apply the Sp rule to a row list, seeding the running parity.
-
-    An odd row changes only at the boundary of its value group: its last
-    index loses a box under sign '-', its first index gains one under '+'.
-    Rows outside the list are treated as a different value.
-    """
-    mu, signs = [], []
-    run = seed_parity % 2
-    last = len(values) - 1
-    for i, v in enumerate(values):
-        run = (run + v) % 2
-        sign = 1 if run == 0 else -1
-        out = v
-        if v % 2 == 1:
-            if sign == -1:
-                nxt = values[i + 1] if i < last else 0
-                if nxt != v:
-                    out = v - 1
-            else:
-                prev = values[i - 1] if i > 0 else 0
-                if prev != v:
-                    out = v + 1
-        mu.append(out)
-        signs.append(sign)
-    return mu, signs
-
-
-def _pack_trace(values, mu, signs) -> SpTrace:
-    """The SpTrace of lambda = values with image mu, adding the partial-sum delta."""
+def _trace(values, mu) -> SpTrace:
+    """The SpTrace of lambda = values with image mu: signs and partial-sum delta."""
     delta = []
     d = 0
     for lam, m in zip(values, mu):
         d += m - lam
         delta.append(d)
-    return SpTrace(tuple(values), tuple(mu), tuple(signs), tuple(delta))
+    return SpTrace(tuple(values), tuple(mu), prefix_signs(values), tuple(delta))
 
 
 def sp_map(values) -> SpTrace:
-    """mu = Sp(lambda) with the full per-index trace."""
+    """mu = Sp(lambda) with the full per-index trace.
+
+    An odd row changes only at the boundary of its value group: its last
+    index loses a box under sign '-', its first index gains one under '+'.
+    So an odd row moves one box by its sign unless the row on that side (the
+    next one under '-', the previous one under '+') has the same value.
+    Rows outside the list are treated as a different value.
+    """
     values = tuple(values)
-    return _pack_trace(values, *_sp_core(values))
+    mu = [
+        v + sign if v % 2 and v != (prev if sign == 1 else nxt) else v
+        for prev, v, nxt, sign in zip((0,) + values, values, values[1:] + (0,),
+                                      prefix_signs(values))
+    ]
+    return _trace(values, mu)
 
 
 @dataclass(frozen=True)

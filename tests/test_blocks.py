@@ -43,7 +43,24 @@ class TestDecompose:
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
         blocks = decompose_blocks(tagged(pair), Theory.B)
         assert [(b.start, b.end) for b in blocks] == [(0, 2), (2, 5)]
-        assert [b.entry_parity for b in blocks] == [0, 0]
+
+    def test_blocks_start_at_even_box_count(self):
+        # Blocks are cut only where the running box count is even, so each
+        # one can run the Sp map on its rows alone.
+        seen = 0
+        for theory in Theory:
+            side1, side2 = PAIR_SIDES[theory]
+            for rank in range(7):
+                for n2 in range(rank + 1):
+                    for p1 in enumerate_members(side1, rank - n2):
+                        for p2 in enumerate_members(side2, n2):
+                            pair = OperatorPair(p1, p2, theory)
+                            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                                tp = tagged(pair, tb)
+                                for b in decompose_blocks(tp, theory):
+                                    assert sum(tp.values[:b.start]) % 2 == 0, (pair, tb, b)
+                                    seen += 1
+        assert seen == 5034
 
     def test_componentwise_rejected(self):
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
@@ -107,8 +124,9 @@ class TestBlockSp:
         assert block_sp(b1, tp).mu_values == (1, 1, 0)
 
     def test_seeded_parity_matters(self):
-        # The same rows produce a different fragment when entered at odd
-        # cumulative parity, so the seed is load-bearing.
+        # Parity does matter to the Sp rule: entered at an odd box count, the
+        # rows (3, 2, 2, 1) would map to (4, 2, 2, 0).  Blocks are cut only at
+        # even counts, so the unseeded fragments join up to the direct trace.
         pair = OperatorPair((3, 2, 2, 1), (), Theory.D)
         tp = tagged(pair)
         blocks = decompose_blocks(tp, Theory.D)
