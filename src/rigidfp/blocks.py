@@ -15,7 +15,6 @@ from .fingerprint import (
     FingerprintOptions,
     FingerprintResult,
     SpTrace,
-    _trace,
     finish_fingerprint,
     sp_map,
 )
@@ -87,13 +86,12 @@ def _classify(values, origins):
     return "III", f"mu_{letter}{upper}{lower}"
 
 
-def decompose_blocks(tp: TaggedPartition, theory) -> list[Block]:
-    """Cut the tagged partition into blocks (INTERLEAVE mode only).
+def _bounds(tp: TaggedPartition) -> list[tuple[int, int]]:
+    """(start, end) of each block (INTERLEAVE mode only).
 
     Cut points are exactly the row boundaries where the cumulative box
     count is even and the adjacent values differ.
     """
-    Theory(theory)
     if tp.mode != INTERLEAVE:
         raise ValueError("block decomposition requires INTERLEAVE mode")
     values = tp.values
@@ -106,15 +104,16 @@ def decompose_blocks(tp: TaggedPartition, theory) -> list[Block]:
         if cum % 2 == 0 and values[j] != values[j + 1]:
             cuts.append(j + 1)
     cuts.append(len(values))
+    return list(zip(cuts, cuts[1:]))
+
+
+def decompose_blocks(tp: TaggedPartition, theory) -> list[Block]:
+    """Cut the tagged partition into blocks and classify each one."""
+    Theory(theory)
     return [
-        Block(start, end, *_classify(values[start:end], tp.origins[start:end]))
-        for start, end in zip(cuts, cuts[1:])
+        Block(start, end, *_classify(tp.values[start:end], tp.origins[start:end]))
+        for start, end in _bounds(tp)
     ]
-
-
-def block_sp(block: Block, tp: TaggedPartition) -> SpTrace:
-    """The Sp map of the block's rows, taken in isolation."""
-    return sp_map(tp.values[block.start:block.end])
 
 
 def block_fingerprint(tp: TaggedPartition, theory,
@@ -125,8 +124,7 @@ def block_fingerprint(tp: TaggedPartition, theory,
     """
     theory = Theory(theory)
     opts = opts or FingerprintOptions()
-    blocks = decompose_blocks(tp, theory)
     mu: list[int] = []
-    for b in blocks:
-        mu.extend(block_sp(b, tp).mu_values)
-    return finish_fingerprint(_trace(tp.values, mu), tp, theory, opts, blocks=tuple(blocks))
+    for start, end in _bounds(tp):
+        mu.extend(sp_map(tp.values[start:end]).mu_values)
+    return finish_fingerprint(SpTrace(tp.values, tuple(mu)), tp, theory, opts)

@@ -368,7 +368,7 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
         via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
         if not direct.same_outcome(via_blocks):
             return f"{_fmt_pair(pair)} [tie={tie}]"
-        blks = via_blocks.blocks
+        blks = blocks_mod.decompose_blocks(direct.tagged, theory)
         sizes = [sum(direct.tagged.values[b.start:b.end]) for b in blks]
         odd_blocks = sum(1 for s in sizes if s % 2)
         if theory is Theory.B and pair.lambda_prime and odd_blocks != 1 and blks:

@@ -69,11 +69,10 @@ def result_record(res: FingerprintResult) -> dict:
         ]
     blocks = []
     if res.tagged.mode == INTERLEAVE:
-        src = res.blocks or decompose_blocks(res.tagged, res.theory)
         blocks = [
             {"start": b.start, "end": b.end, "kind": b.kind,
              "operator_label": b.operator_label}
-            for b in src
+            for b in decompose_blocks(res.tagged, res.theory)
         ]
     return {
         "theory": res.theory.value,
@@ -115,11 +114,10 @@ def _result_text(res: FingerprintResult) -> str:
     else:
         lines.append(f"diagnostic: {res.diagnostic.message()}")
     if res.tagged.mode == INTERLEAVE:
-        src = res.blocks or decompose_blocks(res.tagged, res.theory)
         parts = [
             f"[{b.start},{b.end}) {b.kind}"
             + (f" {b.operator_label}" if b.operator_label else "")
-            for b in src
+            for b in decompose_blocks(res.tagged, res.theory)
         ]
         lines.append("blocks: " + (" | ".join(parts) if parts else "-"))
     return "\n".join(lines)

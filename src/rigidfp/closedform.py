@@ -135,7 +135,7 @@ def closed_form_fingerprint_C(p) -> WeylPair:
     alpha = []
     for v, n in sorted(mult.items(), reverse=True):
         alpha += [v] * (n // 2)
-    return WeylPair(tuple(alpha), (), sum(p) // 2)
+    return WeylPair(tuple(alpha), ())
 
 
 def closed_form_fingerprint_BD(p, theory) -> WeylPair:
@@ -187,9 +187,7 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
             if c % 2:
                 raise ValueError(f"value {v} unpaired; input {p} is not rigid")
             alpha += [v] * (c // 2)
-    return WeylPair(
-        tuple(alpha), tuple(sorted(beta, reverse=True)), (sum(p) - theory.theta) // 2
-    )
+    return WeylPair(tuple(alpha), tuple(sorted(beta, reverse=True)))
 
 
 def has_all_even_transpose_rows(p) -> bool:

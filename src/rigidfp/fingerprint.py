@@ -6,13 +6,11 @@ from dataclasses import dataclass
 
 from .partitions import (
     INTERLEAVE,
-    PAIR_SIDES,
     PRIME_FIRST,
     OperatorPair,
     TaggedPartition,
     Theory,
     combine,
-    is_rigid,
 )
 
 SO = "so"
@@ -24,16 +22,29 @@ ALL_CONDITIONS = frozenset({"i", "ii", "iii"})
 
 @dataclass(frozen=True)
 class SpTrace:
-    """Index-wise record of mu = Sp(lambda).
+    """Index-wise record of mu = Sp(lambda); mu_values keeps deleted parts as 0.
 
-    mu_values keeps deleted parts as 0; signs[i] is the running parity sign
-    p(i); partial_sum_delta[i] = sum(mu[:i+1]) - sum(lambda[:i+1]).
+    The running signs and the partial-sum deltas follow from the two rows
+    and are computed where they are read.
     """
 
     lambda_values: tuple[int, ...]
     mu_values: tuple[int, ...]
-    signs: tuple[int, ...]
-    partial_sum_delta: tuple[int, ...]
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """signs[i] is the running parity sign p(i) of lambda."""
+        return prefix_signs(self.lambda_values)
+
+    @property
+    def partial_sum_delta(self) -> tuple[int, ...]:
+        """delta[i] = sum(mu[:i+1]) - sum(lambda[:i+1])."""
+        delta = []
+        d = 0
+        for lam, m in zip(self.lambda_values, self.mu_values):
+            d += m - lam
+            delta.append(d)
+        return tuple(delta)
 
     def mu_partition(self) -> tuple[int, ...]:
         """mu read as a partition: zeros dropped, parts descending."""
@@ -48,16 +59,6 @@ def prefix_signs(values) -> tuple[int, ...]:
         run = (run + v) % 2
         signs.append(1 if run == 0 else -1)
     return tuple(signs)
-
-
-def _trace(values, mu) -> SpTrace:
-    """The SpTrace of lambda = values with image mu: signs and partial-sum delta."""
-    delta = []
-    d = 0
-    for lam, m in zip(values, mu):
-        d += m - lam
-        delta.append(d)
-    return SpTrace(tuple(values), tuple(mu), prefix_signs(values), tuple(delta))
 
 
 def sp_map(values) -> SpTrace:
@@ -75,7 +76,7 @@ def sp_map(values) -> SpTrace:
         for prev, v, nxt, sign in zip((0,) + values, values, values[1:] + (0,),
                                       prefix_signs(values))
     ]
-    return _trace(values, mu)
+    return SpTrace(values, tuple(mu))
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     """
     opts = opts or FingerprintOptions()
     variant = opts.variant_for(theory)
+    delta = trace.partial_sum_delta
     state: dict[int, tuple[int, str | None]] = {
         m: (1, None) for m in trace.mu_values if m > 0 and m % 2 == 0
     }
@@ -128,7 +130,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
         witness = None
         if "i" in opts.conditions and m != trace.lambda_values[i]:
             witness = "i"
-        elif "ii" in opts.conditions and trace.partial_sum_delta[i] != 0:
+        elif "ii" in opts.conditions and delta[i] != 0:
             witness = "ii"
         elif "iii" in opts.conditions and variant != VACUOUS:
             datum = tags.iii_datum(i)
@@ -148,7 +150,6 @@ class WeylPair:
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
-    rank_check: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ class ExtractionDiagnostic:
         )
 
 
-def extract_weyl_pair(trace: SpTrace, tau: TauTable, n: int):
+def extract_weyl_pair(trace: SpTrace, tau: TauTable):
     """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta."""
     counts = Counter(v for v in trace.mu_values if v > 0)
     alpha: list[int] = []
@@ -185,7 +186,7 @@ def extract_weyl_pair(trace: SpTrace, tau: TauTable, n: int):
             beta += [v // 2] * c
     if bad:
         return ExtractionDiagnostic(tuple(bad))
-    return WeylPair(tuple(alpha), tuple(sorted(beta, reverse=True)), n)
+    return WeylPair(tuple(alpha), tuple(sorted(beta, reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,6 @@ class FingerprintResult:
     diagnostic: ExtractionDiagnostic | None
     rank: int
     pair: OperatorPair | None = None
-    rigid_prime: bool | None = None
-    rigid_dprime: bool | None = None
-    blocks: tuple | None = None
 
     def same_outcome(self, other: "FingerprintResult") -> bool:
         return (
@@ -215,15 +213,15 @@ class FingerprintResult:
 
 
 def finish_fingerprint(trace: SpTrace, tagged: TaggedPartition, theory: Theory,
-                       opts: FingerprintOptions, **context) -> FingerprintResult:
+                       opts: FingerprintOptions,
+                       pair: OperatorPair | None = None) -> FingerprintResult:
     """Shared back half of both paths: trace -> tau -> [alpha; beta].
 
-    The paths differ only in how they build the trace; context fills the
-    result fields only one path knows (pair, rigidity flags, blocks).
+    The paths differ only in how they build the trace; only the direct path
+    knows the pair.
     """
-    rank = (tagged.total() - theory.theta) // 2
     tau = tau_table(trace, tagged, theory, opts)
-    outcome = extract_weyl_pair(trace, tau, rank)
+    outcome = extract_weyl_pair(trace, tau)
     return FingerprintResult(
         theory=theory,
         options=opts,
@@ -232,8 +230,8 @@ def finish_fingerprint(trace: SpTrace, tagged: TaggedPartition, theory: Theory,
         tau=tau,
         weyl=outcome if isinstance(outcome, WeylPair) else None,
         diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
-        rank=rank,
-        **context,
+        rank=(tagged.total() - theory.theta) // 2,
+        pair=pair,
     )
 
 
@@ -241,15 +239,9 @@ def fingerprint(pair: OperatorPair,
                 opts: FingerprintOptions | None = None) -> FingerprintResult:
     """Full pipeline: combine -> Sp -> tau -> [alpha; beta].
 
-    Rigidity is not required; the flags are carried in the result.
-    Extraction failures surface as a diagnostic, not an exception.
+    Rigidity is not required.  Extraction failures surface as a
+    diagnostic, not an exception.
     """
     opts = opts or FingerprintOptions()
     tagged = combine(pair, opts.mode, opts.tie_break)
-    side1, side2 = PAIR_SIDES[pair.theory]
-    return finish_fingerprint(
-        sp_map(tagged.values), tagged, pair.theory, opts,
-        pair=pair,
-        rigid_prime=is_rigid(pair.lambda_prime, side1),
-        rigid_dprime=is_rigid(pair.lambda_dprime, side2),
-    )
+    return finish_fingerprint(sp_map(tagged.values), tagged, pair.theory, opts, pair)

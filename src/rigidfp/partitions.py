@@ -208,9 +208,6 @@ class OperatorPair:
     def rank(self) -> int:
         return (sum(self.lambda_prime) + sum(self.lambda_dprime) - self.theory.theta) // 2
 
-    def is_unipotent(self) -> bool:
-        return not self.lambda_prime or not self.lambda_dprime
-
 
 def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
     """All pairs of rigid partitions with rank split n' + n'' = rank.

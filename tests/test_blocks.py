@@ -2,10 +2,10 @@ from rigidfp import (
     FingerprintOptions,
     OperatorPair,
     block_fingerprint,
-    block_sp,
     combine,
     decompose_blocks,
     fingerprint,
+    sp_map,
 )
 from rigidfp.blocks import OPERATOR_LABELS
 from rigidfp.partitions import (
@@ -120,8 +120,8 @@ class TestBlockSp:
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
         tp = tagged(pair)
         b0, b1 = decompose_blocks(tp, Theory.B)
-        assert block_sp(b0, tp).mu_values == (2, 2)
-        assert block_sp(b1, tp).mu_values == (1, 1, 0)
+        assert sp_map(tp.values[b0.start:b0.end]).mu_values == (2, 2)
+        assert sp_map(tp.values[b1.start:b1.end]).mu_values == (1, 1, 0)
 
     def test_seeded_parity_matters(self):
         # Parity does matter to the Sp rule: entered at an odd box count, the
@@ -130,7 +130,7 @@ class TestBlockSp:
         pair = OperatorPair((3, 2, 2, 1), (), Theory.D)
         tp = tagged(pair)
         blocks = decompose_blocks(tp, Theory.D)
-        frags = [block_sp(b, tp).mu_values for b in blocks]
+        frags = [sp_map(tp.values[b.start:b.end]).mu_values for b in blocks]
         flat = tuple(v for frag in frags for v in frag)
         assert flat == fingerprint(pair).trace.mu_values
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from rigidfp.cli import main
+import rigidfp.blocks
+from rigidfp import OperatorPair, block_fingerprint, fingerprint
+from rigidfp.cli import main, result_record
 
 
 def run(capsys, *argv):
@@ -41,6 +43,7 @@ class TestFingerprint:
         assert "alpha: 1^2" in out
         assert "beta: 1" in out
         assert "tau: 2:-1(iii)" in out
+        assert "blocks: [0,1) S | [1,5) III mu_o12" in out.splitlines()
 
     def test_json_record_keys(self, capsys):
         code, out, _ = run(capsys, "fingerprint", "--theory", "B",
@@ -55,6 +58,26 @@ class TestFingerprint:
         assert rec["alpha"] == [2, 1]
         assert rec["beta"] == []
         assert rec["diagnostics"] == []
+        assert rec["blocks"] == [
+            {"start": 0, "end": 2, "kind": "II", "operator_label": "mu_II"},
+            {"start": 2, "end": 5, "kind": "I", "operator_label": "mu_o2"},
+        ]
+
+    def test_each_block_classified_once(self, monkeypatch):
+        # Both paths and the record of one pair: only the record classifies.
+        calls = []
+        classify = rigidfp.blocks._classify
+
+        def counted(values, origins):
+            calls.append(values)
+            return classify(values, origins)
+
+        monkeypatch.setattr(rigidfp.blocks, "_classify", counted)
+        direct = fingerprint(OperatorPair((2, 2, 1), (1, 1), "B"))
+        block_fingerprint(direct.tagged, direct.theory)
+        rec = result_record(direct)
+        assert len(rec["blocks"]) == 2
+        assert len(calls) == 2
 
     def test_diagnostic_reported_not_fatal(self, capsys):
         code, out, _ = run(capsys, "fingerprint", "--theory", "C",

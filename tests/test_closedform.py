@@ -179,8 +179,8 @@ class TestFactoredMu:
 
 class TestClosedFormC:
     def test_examples(self):
-        assert closed_form_fingerprint_C((2, 2, 2, 2, 1, 1)) == WeylPair((2, 2, 1), (), 5)
-        assert closed_form_fingerprint_C((1, 1, 1, 1)) == WeylPair((1, 1), (), 2)
+        assert closed_form_fingerprint_C((2, 2, 2, 2, 1, 1)) == WeylPair((2, 2, 1), ())
+        assert closed_form_fingerprint_C((1, 1, 1, 1)) == WeylPair((1, 1), ())
 
     def test_odd_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="not integral"):

@@ -6,6 +6,7 @@ from rigidfp import (
     ExtractionDiagnostic,
     FingerprintOptions,
     OperatorPair,
+    SpTrace,
     Theory,
     WeylPair,
     combine,
@@ -72,6 +73,8 @@ class TestSpMap:
         trace = sp_map((3, 2, 2, 1, 1, 1, 1))
         assert trace.mu_values == (2, 2, 2, 2, 1, 1, 0)
         assert trace.mu_partition() == (2, 2, 2, 2, 1, 1)
+        assert trace.signs == (-1, -1, -1, 1, -1, 1, -1)
+        assert trace.partial_sum_delta == (-1, -1, -1, 0, 0, 0, -1)
 
     def test_interior_changes(self):
         assert sp_map((3, 3, 3, 2, 2, 1)).mu_values == (3, 3, 2, 2, 2, 2)
@@ -142,24 +145,22 @@ class FakeTau:
         return self.mapping[m]
 
 
-def extract(mu_values, tau, n):
-    trace = sp_map(())
-    trace = type(trace)(tuple(mu_values), tuple(mu_values),
-                        prefix_signs(mu_values), (0,) * len(mu_values))
-    return extract_weyl_pair(trace, FakeTau(tau), n)
+def extract(mu_values, tau):
+    trace = SpTrace(tuple(mu_values), tuple(mu_values))
+    return extract_weyl_pair(trace, FakeTau(tau))
 
 
 class TestExtraction:
     def test_beta_from_negative_tau(self):
-        out = extract((2, 2, 2, 2, 1, 1), {2: -1}, 5)
-        assert out == WeylPair((1,), (1, 1, 1, 1), 5)
+        out = extract((2, 2, 2, 2, 1, 1), {2: -1})
+        assert out == WeylPair((1,), (1, 1, 1, 1))
 
     def test_alpha_from_positive_tau(self):
-        out = extract((2, 2, 2, 2), {2: 1}, 4)
-        assert out == WeylPair((2, 2), (), 4)
+        out = extract((2, 2, 2, 2), {2: 1})
+        assert out == WeylPair((2, 2), ())
 
     def test_unpaired_even_value(self):
-        out = extract((2, 1, 1), {2: 1}, 2)
+        out = extract((2, 1, 1), {2: 1})
         assert isinstance(out, ExtractionDiagnostic)
         assert out.entries == ((2, 1, 1),)
         assert "value 2" in out.message()
@@ -194,12 +195,6 @@ class TestFingerprint:
         summed = fingerprint(pair, FingerprintOptions(mode=COMPONENTWISE))
         assert (inter.weyl.alpha, inter.weyl.beta) == ((1, 1), (1,))
         assert (summed.weyl.alpha, summed.weyl.beta) == ((), (1, 1, 1))
-
-    def test_rigidity_flags(self):
-        res = fingerprint(OperatorPair((2, 2, 1), (1, 1), "B"))
-        assert res.rigid_prime and res.rigid_dprime
-        res = fingerprint(OperatorPair((3, 3, 1), (), "B"))
-        assert not res.rigid_prime
 
     def test_partial_sums_stay_in_range(self):
         from rigidfp.partitions import enumerate_rigid_pairs
