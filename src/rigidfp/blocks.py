@@ -37,15 +37,6 @@ class Block:
     operator_label: str | None
 
 
-def _parity_letter(values) -> str | None:
-    parities = {v % 2 for v in values}
-    if parities == {0}:
-        return "e"
-    if parities == {1}:
-        return "o"
-    return None
-
-
 def _classify(values, origins):
     """Kind and reporting label for one block.
 
@@ -53,34 +44,30 @@ def _classify(values, origins):
     a best-effort classification of which named pattern the block realizes
     and is attached for reporting only.
     """
-    boxes = sum(values)
-    per_origin: dict[str, list[int]] = {}
-    for v, o in zip(values, origins):
-        per_origin.setdefault(o, []).append(v)
-    if boxes % 2 == 1:
+    rows = Counter(zip(origins, values))
+    sums = {}
+    for (o, v), n in rows.items():
+        sums[o] = sums.get(o, 0) + v * n
+    if sum(values) % 2:
         # The unpaired leading row of the pair lives here (B theory only).
         # Rows come from two origins, so an odd total has exactly one odd one.
-        odd_origin = next(o for o, vals in per_origin.items() if sum(vals) % 2)
+        odd_origin = next(o for o, s in sums.items() if s % 2)
         letter = "o" if odd_origin == PRIME else "e"
         position = "2" if origins[0] == odd_origin else "1"
         return "I", f"mu_{letter}{position}"
-    if len(per_origin) == 1:
-        paired = all(n % 2 == 0 for n in Counter(values).values())
-        return ("II", "mu_II") if paired else ("S", None)
-    paired = all(
-        all(n % 2 == 0 for n in Counter(vals).values())
-        for vals in per_origin.values()
-    )
-    if not paired:
+    if any(n % 2 for n in rows.values()):
         return "S", None
+    if len(sums) == 1:
+        return "II", "mu_II"
     # Inserted rows: the origin that does not own both boundary rows.
     if origins[0] == origins[-1]:
         inserted = DPRIME if origins[0] == PRIME else PRIME
     else:
-        inserted = min(per_origin, key=lambda o: (sum(per_origin[o]), o))
-    letter = _parity_letter(per_origin[inserted])
-    if letter is None:
+        inserted = min(sums, key=lambda o: (sums[o], o))
+    parities = {v % 2 for o, v in rows if o == inserted}
+    if len(parities) > 1:
         return "III", None
+    letter = "o" if parities.pop() else "e"
     upper = "1" if origins[0] != inserted else "2"
     lower = "1" if origins[-1] != inserted else "2"
     return "III", f"mu_{letter}{upper}{lower}"
@@ -107,9 +94,8 @@ def _bounds(tp: TaggedPartition) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def decompose_blocks(tp: TaggedPartition, theory) -> list[Block]:
+def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     """Cut the tagged partition into blocks and classify each one."""
-    Theory(theory)
     return [
         Block(start, end, *_classify(tp.values[start:end], tp.origins[start:end]))
         for start, end in _bounds(tp)

@@ -5,7 +5,7 @@ SuiteReport; a failing suite carries minimal counterexample strings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 from . import blocks as blocks_mod
@@ -58,12 +58,11 @@ class SuiteReport:
         return self.checked > 0 and not self.failures
 
 
-def _fmt(p) -> str:
-    return format_partition(p)
-
-
 def _fmt_pair(pair: OperatorPair) -> str:
-    return f"{pair.theory.value} ({_fmt(pair.lambda_prime)}; {_fmt(pair.lambda_dprime)})"
+    return (
+        f"{pair.theory.value} ({format_partition(pair.lambda_prime)}; "
+        f"{format_partition(pair.lambda_dprime)})"
+    )
 
 
 _WITHOUT_II = FingerprintOptions(conditions=frozenset({"i", "iii"}))
@@ -123,7 +122,10 @@ def transpose_structure_ok(p, theory) -> bool:
 def check_structure(max_rank: int) -> SuiteReport:
     def check(theory, p):
         if not transpose_structure_ok(p, theory):
-            return f"{theory.value} {_fmt(p)}: transpose {_fmt(transpose(p))}"
+            return (
+                f"{theory.value} {format_partition(p)}: "
+                f"transpose {format_partition(transpose(p))}"
+            )
 
     return _sweep(SuiteReport("structure"), _upto(enumerate_rigid, Theory, max_rank), check)
 
@@ -149,7 +151,10 @@ def check_sp_locality(max_rank: int) -> SuiteReport:
             else:
                 expected = lam
             if mu != expected:
-                return f"{theory.value} {_fmt(p)} index {i}: mu={mu}, expected {expected}"
+                return (
+                    f"{theory.value} {format_partition(p)} index {i}: "
+                    f"mu={mu}, expected {expected}"
+                )
 
     return _sweep(SuiteReport("sp-locality"), _upto(enumerate_members, Theory, max_rank), check)
 
@@ -160,7 +165,10 @@ def check_parity(max_rank: int) -> SuiteReport:
         mu = sp_map(p).mu_partition()
         for v in set(mu):
             if v % 2 == 1 and mu.count(v) % 2 == 1:
-                return f"{theory.value} {_fmt(p)}: odd value {v} unpaired in {_fmt(mu)}"
+                return (
+                    f"{theory.value} {format_partition(p)}: "
+                    f"odd value {v} unpaired in {format_partition(mu)}"
+                )
 
     return _sweep(SuiteReport("parity"), _upto(enumerate_members, Theory, max_rank), check)
 
@@ -216,7 +224,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
 def check_condition_ii(max_rank: int) -> SuiteReport:
     """{i,iii} equals {i,ii,iii} on rigid pairs; gapped sensitivity is reported."""
     def check(theory, pair):
-        full = fingerprint(pair, FingerprintOptions())
+        full = fingerprint(pair)
         if not full.same_outcome(fingerprint(pair, _WITHOUT_II)):
             return _fmt_pair(pair)
 
@@ -240,10 +248,10 @@ def _gapped_sensitivity_info() -> str:
                 values=p, mode=INTERLEAVE, origins=(PRIME,) * len(p)
             )
             trace = sp_map(p)
-            with_ii = tau_table(trace, tagged, theory, FingerprintOptions())
+            with_ii = tau_table(trace, tagged, theory)
             without = tau_table(trace, tagged, theory, _WITHOUT_II)
             if with_ii.as_dict() != without.as_dict():
-                hits.append(f"{theory.value} {_fmt(p)}")
+                hits.append(f"{theory.value} {format_partition(p)}")
     head = ", ".join(hits[:5])
     return (
         f"gapped sweep (total <= {GAP_TOTAL}): {len(hits)} (ii)-sensitive "
@@ -262,12 +270,7 @@ def check_shift(max_rank: int) -> SuiteReport:
     def check(theory, pair):
         base = fingerprint(pair, opts)
         tagged = base.tagged
-        shifted_tagged = type(tagged)(
-            values=tuple(v + 2 for v in tagged.values),
-            mode=tagged.mode,
-            origins=tagged.origins,
-            prime_odd=tagged.prime_odd,
-        )
+        shifted_tagged = replace(tagged, values=tuple(v + 2 for v in tagged.values))
         shifted = finish_fingerprint(
             sp_map(shifted_tagged.values), shifted_tagged, theory, opts
         )
@@ -287,8 +290,9 @@ def check_shift(max_rank: int) -> SuiteReport:
             or ones != zeros
         ):
             return (
-                f"{_fmt_pair(pair)}: [{_fmt(base.weyl.alpha)};{_fmt(base.weyl.beta)}] "
-                f"-> [{_fmt(weyl.alpha)};{_fmt(weyl.beta)}]"
+                f"{_fmt_pair(pair)}: [{format_partition(base.weyl.alpha)};"
+                f"{format_partition(base.weyl.beta)}] "
+                f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
     return _sweep(SuiteReport("shift"), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
@@ -300,11 +304,14 @@ def check_factorization(max_rank: int) -> SuiteReport:
         direct = sp_map(p).mu_partition()
         if theory is Theory.C:
             if direct != p:
-                return f"C {_fmt(p)}: sp not the identity"
+                return f"C {format_partition(p)}: sp not the identity"
             return None
         factored = unipotent_mu_factored(p, theory)
         if direct != factored:
-            return f"{theory.value} {_fmt(p)}: sp {_fmt(direct)} != factored {_fmt(factored)}"
+            return (
+                f"{theory.value} {format_partition(p)}: sp {format_partition(direct)} "
+                f"!= factored {format_partition(factored)}"
+            )
 
     inputs = _upto(enumerate_rigid, (Theory.B, Theory.D, Theory.C), max_rank)
     return _sweep(SuiteReport("factorization"), inputs, check)
@@ -318,11 +325,14 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
         else:
             image, inverse, lost = ys_map(sigma), ys_inverse, 0
         if sum(sigma) - sum(image) != lost:
-            return f"{theory.value} {_fmt(sigma)}: wrong box count"
+            return f"{theory.value} {format_partition(sigma)}: wrong box count"
         if not has_all_even_transpose_rows(image):
-            return f"{theory.value} {_fmt(sigma)}: image {_fmt(image)} has odd transpose row"
+            return (
+                f"{theory.value} {format_partition(sigma)}: "
+                f"image {format_partition(image)} has odd transpose row"
+            )
         if inverse(image) != sigma:
-            return f"{theory.value} {_fmt(sigma)}: round trip broken"
+            return f"{theory.value} {format_partition(sigma)}: round trip broken"
 
     inputs = dict.fromkeys(
         (theory, split_parity(p).odd_part)
@@ -339,17 +349,17 @@ def check_closed_form(max_rank: int) -> SuiteReport:
         if theory is Theory.C:
             pipe = fingerprint(OperatorPair(p, (), Theory.C), vac)
             if pipe.weyl != closed_form_fingerprint_C(p):
-                return f"C {_fmt(p)}: closed form disagrees with pipeline"
+                return f"C {format_partition(p)}: closed form disagrees with pipeline"
             return None
         closed = closed_form_fingerprint_BD(p, theory)
-        pipe = fingerprint(OperatorPair(p, (), theory), FingerprintOptions())
+        pipe = fingerprint(OperatorPair(p, (), theory))
         if pipe.weyl != closed:
             got = "diagnostic" if pipe.weyl is None else (
-                f"[{_fmt(pipe.weyl.alpha)};{_fmt(pipe.weyl.beta)}]"
+                f"[{format_partition(pipe.weyl.alpha)};{format_partition(pipe.weyl.beta)}]"
             )
             return (
-                f"{theory.value} {_fmt(p)}: closed [{_fmt(closed.alpha)};"
-                f"{_fmt(closed.beta)}] vs pipeline {got}"
+                f"{theory.value} {format_partition(p)}: closed [{format_partition(closed.alpha)};"
+                f"{format_partition(closed.beta)}] vs pipeline {got}"
             )
 
     even_c = (
@@ -368,7 +378,7 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
         via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
         if not direct.same_outcome(via_blocks):
             return f"{_fmt_pair(pair)} [tie={tie}]"
-        blks = blocks_mod.decompose_blocks(direct.tagged, theory)
+        blks = blocks_mod.decompose_blocks(direct.tagged)
         sizes = [sum(direct.tagged.values[b.start:b.end]) for b in blks]
         odd_blocks = sum(1 for s in sizes if s % 2)
         if theory is Theory.B and pair.lambda_prime and odd_blocks != 1 and blks:

@@ -20,6 +20,7 @@ from .fingerprint import (
 )
 from .partitions import (
     COMPONENTWISE,
+    DPRIME,
     DPRIME_FIRST,
     INTERLEAVE,
     PRIME_FIRST,
@@ -31,7 +32,6 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
-from .render import render_tagged
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -40,6 +40,12 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text + ("\n" if text else ""))
     else:
         print(text)
+
+
+def _pair_from_args(args) -> OperatorPair:
+    return OperatorPair(
+        parse_partition(args.prime), parse_partition(args.dprime), Theory(args.theory)
+    )
 
 
 def _options_from_args(args) -> FingerprintOptions:
@@ -72,7 +78,7 @@ def result_record(res: FingerprintResult) -> dict:
         blocks = [
             {"start": b.start, "end": b.end, "kind": b.kind,
              "operator_label": b.operator_label}
-            for b in decompose_blocks(res.tagged, res.theory)
+            for b in decompose_blocks(res.tagged)
         ]
     return {
         "theory": res.theory.value,
@@ -117,7 +123,7 @@ def _result_text(res: FingerprintResult) -> str:
         parts = [
             f"[{b.start},{b.end}) {b.kind}"
             + (f" {b.operator_label}" if b.operator_label else "")
-            for b in decompose_blocks(res.tagged, res.theory)
+            for b in decompose_blocks(res.tagged)
         ]
         lines.append("blocks: " + (" | ".join(parts) if parts else "-"))
     return "\n".join(lines)
@@ -155,9 +161,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    pair = OperatorPair(
-        parse_partition(args.prime), parse_partition(args.dprime), Theory(args.theory)
-    )
+    pair = _pair_from_args(args)
     if args.compare:
         combos = [
             FingerprintOptions(mode=m, tie_break=t, iii_variant=args.iii)
@@ -273,11 +277,10 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_render(args) -> int:
-    pair = OperatorPair(
-        parse_partition(args.prime), parse_partition(args.dprime), Theory(args.theory)
-    )
-    tagged = combine(pair, INTERLEAVE, args.tie_break)
-    _emit(render_tagged(tagged), args.out)
+    """ASCII Young diagram of the merged pair; lambda''-origin rows are drawn with '*'."""
+    tagged = combine(_pair_from_args(args), INTERLEAVE, args.tie_break)
+    rows = (("*" if o == DPRIME else "#") * v for v, o in zip(tagged.values, tagged.origins))
+    _emit("\n".join(rows), args.out)
     return 0
 
 

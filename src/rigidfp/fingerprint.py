@@ -100,12 +100,6 @@ class TauTable:
 
     entries: tuple[tuple[int, int, str | None], ...]  # (value, tau, witness)
 
-    def tau(self, m: int) -> int:
-        for value, t, _ in self.entries:
-            if value == m:
-                return t
-        raise KeyError(f"{m} is not an even value of mu")
-
     def as_dict(self) -> dict[int, int]:
         return {value: t for value, t, _ in self.entries}
 
@@ -172,11 +166,12 @@ class ExtractionDiagnostic:
 def extract_weyl_pair(trace: SpTrace, tau: TauTable):
     """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta."""
     counts = Counter(v for v in trace.mu_values if v > 0)
+    taus = tau.as_dict()
     alpha: list[int] = []
     beta: list[int] = []
     bad: list[tuple[int, int, int]] = []
     for v, c in sorted(counts.items(), reverse=True):
-        t = 1 if v % 2 else tau.tau(v)
+        t = 1 if v % 2 else taus[v]
         if t == 1:
             if c % 2:
                 bad.append((v, c, 1))
@@ -230,7 +225,7 @@ def finish_fingerprint(trace: SpTrace, tagged: TaggedPartition, theory: Theory,
         tau=tau,
         weyl=outcome if isinstance(outcome, WeylPair) else None,
         diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
-        rank=(tagged.total() - theory.theta) // 2,
+        rank=(sum(tagged.values) - theory.theta) // 2,
         pair=pair,
     )
 

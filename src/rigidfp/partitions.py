@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterator
 
 
@@ -43,10 +44,14 @@ PAIR_SIDES = {
 
 
 def validate_partition(parts) -> tuple[int, ...]:
-    """Return parts as a tuple, checking positivity and weak decrease."""
-    out = tuple(int(x) for x in parts)
+    """Return parts as a tuple, checking positivity and weak decrease.
+
+    Each part must be an int; floats, strings and bools are rejected rather
+    than converted, so 3.9 is never read as 3.
+    """
+    out = tuple(parts)
     for i, x in enumerate(out):
-        if x < 1:
+        if type(x) is not int or x < 1:
             raise ValueError(f"partition part {x!r} is not a positive integer")
         if i and out[i - 1] < x:
             raise ValueError(f"partition not weakly decreasing at part {x!r}")
@@ -128,7 +133,9 @@ def is_rigid(p, theory) -> bool:
     """Rigidity test: no gaps (down to 0) and no forbidden double multiplicity.
 
     For B/D no odd value may appear exactly twice; for C no even value.
-    The empty partition is rigid.
+    The empty partition is rigid, and so is every all-ones partition (the
+    zero orbit).  That exception overrides the multiplicity rule only for
+    (1^2) in D_1, where the odd value 1 appears exactly twice.
     """
     theory = Theory(theory)
     p = tuple(p)
@@ -216,13 +223,11 @@ def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
     """
     theory = Theory(theory)
     side1, side2 = PAIR_SIDES[theory]
-    pairs = []
-    for n2 in range(rank + 1):
-        n1 = rank - n2
-        for p1 in enumerate_rigid(side1, n1):
-            for p2 in enumerate_rigid(side2, n2):
-                pairs.append(OperatorPair(p1, p2, theory))
-    return pairs
+    return [
+        OperatorPair(p1, p2, theory)
+        for n2 in range(rank + 1)
+        for p1, p2 in product(enumerate_rigid(side1, rank - n2), enumerate_rigid(side2, n2))
+    ]
 
 
 @dataclass(frozen=True)
@@ -238,9 +243,6 @@ class TaggedPartition:
     mode: str
     origins: tuple[str, ...] | None = None
     prime_odd: tuple[bool | None, ...] | None = None
-
-    def total(self) -> int:
-        return sum(self.values)
 
     def iii_datum(self, i: int) -> bool | None:
         """Is the lambda'-datum at row i odd?  None when there is no datum."""

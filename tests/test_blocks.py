@@ -1,3 +1,5 @@
+from collections import Counter
+
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
@@ -27,12 +29,12 @@ def tagged(pair, tie_break=PRIME_FIRST):
 class TestDecompose:
     def test_empty(self):
         pair = OperatorPair((), (), Theory.D)
-        assert decompose_blocks(tagged(pair), Theory.D) == []
+        assert decompose_blocks(tagged(pair)) == []
 
     def test_single_block_constant_value(self):
         # All rows share one value, so no interior cut can fire.
         pair = OperatorPair((1, 1, 1), (1, 1), Theory.B)
-        blocks = decompose_blocks(tagged(pair), Theory.B)
+        blocks = decompose_blocks(tagged(pair))
         assert len(blocks) == 1
         assert (blocks[0].start, blocks[0].end) == (0, 5)
         assert blocks[0].kind == "I"
@@ -41,13 +43,15 @@ class TestDecompose:
         # Rows (2, 2, 1, 1, 1): cumulative boxes are even after row 2, where
         # the value also drops, so the diagram splits there.
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
-        blocks = decompose_blocks(tagged(pair), Theory.B)
+        blocks = decompose_blocks(tagged(pair))
         assert [(b.start, b.end) for b in blocks] == [(0, 2), (2, 5)]
 
     def test_blocks_start_at_even_box_count(self):
         # Blocks are cut only where the running box count is even, so each
-        # one can run the Sp map on its rows alone.
-        seen = 0
+        # one can run the Sp map on its rows alone.  The (kind, label) counts
+        # per tie-break pin the classifier on the same blocks; summed over
+        # both tie-breaks, the 12 and 21 labels would balance.
+        seen = Counter()
         for theory in Theory:
             side1, side2 = PAIR_SIDES[theory]
             for rank in range(7):
@@ -57,20 +61,34 @@ class TestDecompose:
                             pair = OperatorPair(p1, p2, theory)
                             for tb in (PRIME_FIRST, DPRIME_FIRST):
                                 tp = tagged(pair, tb)
-                                for b in decompose_blocks(tp, theory):
+                                for b in decompose_blocks(tp):
                                     assert sum(tp.values[:b.start]) % 2 == 0, (pair, tb, b)
-                                    seen += 1
-        assert seen == 5034
+                                    seen[tb, b.kind, b.operator_label] += 1
+        assert sum(seen.values()) == 5034
+        assert seen == {
+            (PRIME_FIRST, "I", "mu_e1"): 17, (PRIME_FIRST, "I", "mu_e2"): 31,
+            (PRIME_FIRST, "I", "mu_o1"): 69, (PRIME_FIRST, "I", "mu_o2"): 311,
+            (PRIME_FIRST, "II", "mu_II"): 934,
+            (PRIME_FIRST, "III", "mu_e12"): 23, (PRIME_FIRST, "III", "mu_e21"): 3,
+            (PRIME_FIRST, "III", "mu_o12"): 120, (PRIME_FIRST, "III", "mu_o21"): 48,
+            (PRIME_FIRST, "S", None): 961,
+            (DPRIME_FIRST, "I", "mu_e2"): 48,
+            (DPRIME_FIRST, "I", "mu_o1"): 162, (DPRIME_FIRST, "I", "mu_o2"): 218,
+            (DPRIME_FIRST, "II", "mu_II"): 934,
+            (DPRIME_FIRST, "III", "mu_e12"): 3, (DPRIME_FIRST, "III", "mu_e21"): 23,
+            (DPRIME_FIRST, "III", "mu_o12"): 48, (DPRIME_FIRST, "III", "mu_o21"): 120,
+            (DPRIME_FIRST, "S", None): 961,
+        }
 
     def test_componentwise_rejected(self):
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
         with pytest.raises(ValueError, match="INTERLEAVE"):
-            decompose_blocks(combine(pair, mode=COMPONENTWISE), Theory.B)
+            decompose_blocks(combine(pair, mode=COMPONENTWISE))
 
     def test_exactly_one_odd_block_in_B(self):
         for rank in range(7):
             for pair in enumerate_rigid_pairs(Theory.B, rank):
-                blocks = decompose_blocks(tagged(pair), Theory.B)
+                blocks = decompose_blocks(tagged(pair))
                 odd = [b for b in blocks if b.kind == "I"]
                 assert len(odd) == 1
                 assert odd[-1] is blocks[-1]
@@ -79,7 +97,7 @@ class TestDecompose:
         for theory in (Theory.C, Theory.D):
             for rank in range(7):
                 for pair in enumerate_rigid_pairs(theory, rank):
-                    blocks = decompose_blocks(tagged(pair), theory)
+                    blocks = decompose_blocks(tagged(pair))
                     assert all(b.kind != "I" for b in blocks)
 
     def test_tiling(self):
@@ -88,7 +106,7 @@ class TestDecompose:
             for rank in range(7):
                 for pair in enumerate_rigid_pairs(theory, rank):
                     tp = tagged(pair)
-                    blocks = decompose_blocks(tp, theory)
+                    blocks = decompose_blocks(tp)
                     pos = 0
                     for b in blocks:
                         assert b.start == pos
@@ -100,17 +118,17 @@ class TestDecompose:
         for theory in Theory:
             for rank in range(7):
                 for pair in enumerate_rigid_pairs(theory, rank):
-                    for b in decompose_blocks(tagged(pair), theory):
+                    for b in decompose_blocks(tagged(pair)):
                         assert b.operator_label is None or b.operator_label in OPERATOR_LABELS
 
     def test_single_origin_paired_block_is_II(self):
         pair = OperatorPair((2, 2, 2, 2), (), Theory.D)
-        blocks = decompose_blocks(tagged(pair), Theory.D)
+        blocks = decompose_blocks(tagged(pair))
         assert all(b.kind == "II" and b.operator_label == "mu_II" for b in blocks)
 
     def test_mixed_paired_block_is_III(self):
         pair = OperatorPair((2, 1, 1), (1, 1), Theory.C)
-        blocks = decompose_blocks(tagged(pair), Theory.C)
+        blocks = decompose_blocks(tagged(pair))
         kinds = [b.kind for b in blocks]
         assert "III" in kinds
 
@@ -119,7 +137,7 @@ class TestBlockSp:
     def test_fragment_examples(self):
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
         tp = tagged(pair)
-        b0, b1 = decompose_blocks(tp, Theory.B)
+        b0, b1 = decompose_blocks(tp)
         assert sp_map(tp.values[b0.start:b0.end]).mu_values == (2, 2)
         assert sp_map(tp.values[b1.start:b1.end]).mu_values == (1, 1, 0)
 
@@ -129,7 +147,7 @@ class TestBlockSp:
         # even counts, so the unseeded fragments join up to the direct trace.
         pair = OperatorPair((3, 2, 2, 1), (), Theory.D)
         tp = tagged(pair)
-        blocks = decompose_blocks(tp, Theory.D)
+        blocks = decompose_blocks(tp)
         frags = [sp_map(tp.values[b.start:b.end]).mu_values for b in blocks]
         flat = tuple(v for frag in frags for v in frag)
         assert flat == fingerprint(pair).trace.mu_values

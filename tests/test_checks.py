@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from rigidfp.checks import DEFAULT_MAX_RANK, SUITES, run_suite
+from rigidfp.fingerprint import SpTrace, prefix_signs, sp_map
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -48,3 +51,30 @@ def test_empty_sweep_is_not_a_pass(name):
     report = run_suite(name, -1)
     assert report.checked == 0
     assert not report.ok
+
+
+# Wrong Sp rules, each as (previous row, row, next row, sign) -> mu_i.  The
+# correct rule moves an odd row v one box by its sign s unless the row on
+# that side (next n under '-', previous p under '+') has the same value.
+SP_MUTANTS = {
+    "plus-guard-dropped": lambda p, v, n, s: v + s if v % 2 and (s == 1 or v != n) else v,
+    "minus-guard-dropped": lambda p, v, n, s: v + s if v % 2 and (s == -1 or v != p) else v,
+    "sign-flipped": lambda p, v, n, s: v - s if v % 2 and v != (p if s == 1 else n) else v,
+    "guards-swapped": lambda p, v, n, s: v + s if v % 2 and v != (n if s == 1 else p) else v,
+}
+
+
+@pytest.mark.parametrize("suite", ["sp-locality", "closed-form", "rank-identity"])
+@pytest.mark.parametrize("mutant", sorted(SP_MUTANTS))
+def test_suite_catches_sp_mutant(suite, mutant, monkeypatch):
+    rule = SP_MUTANTS[mutant]
+
+    def mutated(values):
+        values = tuple(values)
+        rows = zip((0,) + values, values, values[1:] + (0,), prefix_signs(values))
+        return SpTrace(values, tuple(rule(*row) for row in rows))
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidfp" and getattr(module, "sp_map", None) is sp_map:
+            monkeypatch.setattr(module, "sp_map", mutated)
+    assert run_suite(suite, 4).failures

@@ -209,6 +209,11 @@ class TestClosedFormBD:
         with pytest.raises(ValueError):
             closed_form_fingerprint_BD((2, 1, 1), "C")
 
+    def test_non_integer_part_rejected(self):
+        # Truncated, (2.5, 2.2, 1) would pass as the B partition (2, 2, 1).
+        with pytest.raises(ValueError, match="2.5"):
+            closed_form_fingerprint_BD((2.5, 2.2, 1), "B")
+
     def test_matches_pipeline(self):
         for theory in (Theory.B, Theory.D):
             for rank in range(9):

@@ -7,6 +7,7 @@ from rigidfp import (
     FingerprintOptions,
     OperatorPair,
     SpTrace,
+    TauTable,
     Theory,
     WeylPair,
     combine,
@@ -137,17 +138,9 @@ class TestTau:
         assert opts.variant_for("C") == SP
 
 
-class FakeTau:
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def tau(self, m):
-        return self.mapping[m]
-
-
 def extract(mu_values, tau):
     trace = SpTrace(tuple(mu_values), tuple(mu_values))
-    return extract_weyl_pair(trace, FakeTau(tau))
+    return extract_weyl_pair(trace, TauTable(tuple((m, t, None) for m, t in tau.items())))
 
 
 class TestExtraction:

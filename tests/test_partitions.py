@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+import rigidfp.partitions
 from rigidfp import (
     OperatorPair,
     Theory,
@@ -17,6 +20,7 @@ from rigidfp.partitions import (
     DPRIME,
     DPRIME_FIRST,
     INTERLEAVE,
+    PAIR_SIDES,
     PRIME,
     PRIME_FIRST,
     MAX_BOXES,
@@ -173,6 +177,35 @@ class TestPairs:
             OperatorPair((2, 1), (), "B")  # even value with odd multiplicity
         with pytest.raises(ValueError):
             OperatorPair((), (), "B")  # no integral rank
+
+    @pytest.mark.parametrize("part", [3.9, 3.0, "3", True])
+    def test_non_integer_part_rejected(self, part):
+        # Parts are never truncated or converted: (3.9,) is not (3,).
+        with pytest.raises(ValueError, match=re.escape(repr(part))):
+            OperatorPair((part,), (), "B")
+        with pytest.raises(ValueError, match=re.escape(repr(part))):
+            OperatorPair((3,), (part, 1), "B")
+
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_each_side_enumerated_once_per_split(self, theory, monkeypatch):
+        calls = []
+        enum = rigidfp.partitions.enumerate_rigid
+
+        def counted(side, n):
+            calls.append((side, n))
+            return enum(side, n)
+
+        monkeypatch.setattr(rigidfp.partitions, "enumerate_rigid", counted)
+        rank = 6
+        pairs = enumerate_rigid_pairs(theory, rank)
+        assert len(calls) == 2 * (rank + 1)
+        side1, side2 = PAIR_SIDES[theory]
+        assert [(q.lambda_prime, q.lambda_dprime) for q in pairs] == [
+            (p1, p2)
+            for n2 in range(rank + 1)
+            for p1 in enum(side1, rank - n2)
+            for p2 in enum(side2, n2)
+        ]
 
 
 class TestCombine:
