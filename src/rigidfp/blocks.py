@@ -8,7 +8,6 @@ correctness contract.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .fingerprint import (
@@ -21,8 +20,7 @@ from .fingerprint import (
 from .partitions import DPRIME, INTERLEAVE, PRIME, TaggedPartition, Theory
 
 OPERATOR_LABELS = frozenset({
-    "mu_e11", "mu_e12", "mu_e21", "mu_e22",
-    "mu_o11", "mu_o12", "mu_o21", "mu_o22",
+    "mu_e12", "mu_e21", "mu_o12", "mu_o21",
     "mu_e1", "mu_e2", "mu_o1", "mu_o2", "mu_II",
 })
 
@@ -38,39 +36,32 @@ class Block:
 
 
 def _classify(values, origins):
-    """Kind and reporting label for one block.
+    """Kind and reporting label for one block of combine output.
 
-    Kinds follow the box-count and pairing structure; the operator label is
-    a best-effort classification of which named pattern the block realizes
-    and is attached for reporting only.
+    Three facts about such blocks carry the classification:
+    - only the last block of a B pair has an odd total (kind I), since every
+      cut falls at an even box count;
+    - a paired block, where each origin has an even number of rows of each
+      value, is one value group, since the cut after that group fires;
+    - the stable merge keeps each origin's rows of one value together.
+    The operator label names which pattern the block realizes and is
+    attached for reporting only.
     """
-    rows = Counter(zip(origins, values))
-    sums = {}
-    for (o, v), n in rows.items():
-        sums[o] = sums.get(o, 0) + v * n
     if sum(values) % 2:
-        # The unpaired leading row of the pair lives here (B theory only).
-        # Rows come from two origins, so an odd total has exactly one odd one.
-        odd_origin = next(o for o, s in sums.items() if s % 2)
-        letter = "o" if odd_origin == PRIME else "e"
-        position = "2" if origins[0] == odd_origin else "1"
-        return "I", f"mu_{letter}{position}"
-    if any(n % 2 for n in rows.values()):
+        # The unpaired leading row of the pair lives here.  Rows come from
+        # two origins, so an odd total has exactly one odd origin.
+        prime_odd = sum(v for v, o in zip(values, origins) if o == PRIME) % 2
+        odd_origin = PRIME if prime_odd else DPRIME
+        return "I", f"mu_{'eo'[prime_odd]}{'2' if origins[0] == odd_origin else '1'}"
+    n, first = len(values), origins.count(origins[0])
+    if values[0] != values[-1] or first % 2 or n % 2:
         return "S", None
-    if len(sums) == 1:
+    if first == n:
         return "II", "mu_II"
-    # Inserted rows: the origin that does not own both boundary rows.
-    if origins[0] == origins[-1]:
-        inserted = DPRIME if origins[0] == PRIME else PRIME
-    else:
-        inserted = min(sums, key=lambda o: (sums[o], o))
-    parities = {v % 2 for o, v in rows if o == inserted}
-    if len(parities) > 1:
-        return "III", None
-    letter = "o" if parities.pop() else "e"
-    upper = "1" if origins[0] != inserted else "2"
-    lower = "1" if origins[-1] != inserted else "2"
-    return "III", f"mu_{letter}{upper}{lower}"
+    # The inserted origin has fewer rows (on a tie, dprime); its rows come
+    # last ("12") or first ("21").
+    inserted_last = (n - first, origins[-1]) < (first, origins[0])
+    return "III", f"mu_{'eo'[values[0] % 2]}{'12' if inserted_last else '21'}"
 
 
 def _bounds(tp: TaggedPartition) -> list[tuple[int, int]]:
@@ -95,7 +86,11 @@ def _bounds(tp: TaggedPartition) -> list[tuple[int, int]]:
 
 
 def decompose_blocks(tp: TaggedPartition) -> list[Block]:
-    """Cut the tagged partition into blocks and classify each one."""
+    """Cut the tagged partition into blocks and classify each one.
+
+    tp must come from combine in INTERLEAVE mode: the classifier relies on
+    its stable merge (each origin's rows of one value are adjacent).
+    """
     return [
         Block(start, end, *_classify(tp.values[start:end], tp.origins[start:end]))
         for start, end in _bounds(tp)

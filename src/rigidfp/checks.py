@@ -30,12 +30,10 @@ from .fingerprint import (
 )
 from .partitions import (
     DPRIME_FIRST,
-    INTERLEAVE,
-    PRIME,
     PRIME_FIRST,
     OperatorPair,
-    TaggedPartition,
     Theory,
+    combine,
     enumerate_members,
     enumerate_rigid,
     enumerate_rigid_pairs,
@@ -244,9 +242,7 @@ def _gapped_sensitivity_info() -> str:
             if not p or is_rigid(p, theory):
                 continue
             count += 1
-            tagged = TaggedPartition(
-                values=p, mode=INTERLEAVE, origins=(PRIME,) * len(p)
-            )
+            tagged = combine(OperatorPair(p, (), theory))
             trace = sp_map(p)
             with_ii = tau_table(trace, tagged, theory)
             without = tau_table(trace, tagged, theory, _WITHOUT_II)
@@ -378,12 +374,10 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
         via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
         if not direct.same_outcome(via_blocks):
             return f"{_fmt_pair(pair)} [tie={tie}]"
-        blks = blocks_mod.decompose_blocks(direct.tagged)
-        sizes = [sum(direct.tagged.values[b.start:b.end]) for b in blks]
-        odd_blocks = sum(1 for s in sizes if s % 2)
-        if theory is Theory.B and pair.lambda_prime and odd_blocks != 1 and blks:
+        odd_blocks = sum(b.kind == "I" for b in blocks_mod.decompose_blocks(direct.tagged))
+        if theory is Theory.B and odd_blocks != 1:
             return f"{_fmt_pair(pair)}: {odd_blocks} odd blocks"
-        if theory is Theory.C and any(b.kind == "I" for b in blks):
+        if theory is Theory.C and odd_blocks:
             return f"{_fmt_pair(pair)}: I block in C theory"
 
     inputs = (

@@ -38,7 +38,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + ("\n" if text else ""))
-    else:
+    elif text:
         print(text)
 
 
@@ -51,11 +51,9 @@ def _pair_from_args(args) -> OperatorPair:
 def _options_from_args(args) -> FingerprintOptions:
     conditions = ALL_CONDITIONS
     if args.conditions:
-        tokens = [t.strip().lower() for t in args.conditions.split(",") if t.strip()]
-        bad = [t for t in tokens if t not in ("i", "ii", "iii")]
-        if bad:
-            raise ValueError(f"unknown condition {bad[0]!r}")
-        conditions = frozenset(tokens)
+        conditions = frozenset(
+            t.strip().lower() for t in args.conditions.split(",") if t.strip()
+        )
     return FingerprintOptions(
         mode=args.mode,
         tie_break=args.tie_break,

@@ -88,6 +88,13 @@ class FingerprintOptions:
     conditions: frozenset = ALL_CONDITIONS
     iii_variant: str | None = None  # None -> SO for B/D, Sp for C
 
+    def __post_init__(self):
+        bad = sorted(set(self.conditions) - ALL_CONDITIONS)
+        if bad:
+            raise ValueError(f"unknown condition {bad[0]!r}")
+        if self.iii_variant not in (None, SO, SP, VACUOUS):
+            raise ValueError(f"unknown iii variant {self.iii_variant!r}")
+
     def variant_for(self, theory) -> str:
         if self.iii_variant is not None:
             return self.iii_variant

@@ -8,7 +8,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import product, zip_longest
+from operator import itemgetter
 from typing import Iterator
 
 
@@ -258,39 +259,24 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
     """Merge the pair into a tagged partition.
 
     INTERLEAVE: stable descending merge of the two part lists; among equal
-    values the tie_break origin goes first.  COMPONENTWISE: index-wise sums
+    values the tie_break origin goes first, so each origin's rows of one
+    value stay next to each other.  COMPONENTWISE: index-wise sums
     zero-padded to the longer side.
     """
+    if mode not in (INTERLEAVE, COMPONENTWISE):
+        raise ValueError(f"unknown combine mode {mode!r}")
+    if tie_break not in (PRIME_FIRST, DPRIME_FIRST):
+        raise ValueError(f"unknown tie-break {tie_break!r}")
     p1, p2 = pair.lambda_prime, pair.lambda_dprime
     if mode == COMPONENTWISE:
-        n = max(len(p1), len(p2))
-        values = tuple(
-            (p1[i] if i < len(p1) else 0) + (p2[i] if i < len(p2) else 0)
-            for i in range(n)
+        rows = list(zip_longest(p1, p2, fillvalue=0))
+        return TaggedPartition(
+            values=tuple(a + b for a, b in rows),
+            mode=mode,
+            prime_odd=tuple(a % 2 == 1 if a else None for a, _ in rows),
         )
-        prime_odd = tuple(
-            (p1[i] % 2 == 1) if i < len(p1) else None for i in range(n)
-        )
-        return TaggedPartition(values=values, mode=mode, prime_odd=prime_odd)
-    if mode != INTERLEAVE:
-        raise ValueError(f"unknown combine mode {mode!r}")
-    values, origins = [], []
-    i = j = 0
-    while i < len(p1) or j < len(p2):
-        take_prime = False
-        if j >= len(p2):
-            take_prime = True
-        elif i < len(p1):
-            if p1[i] > p2[j]:
-                take_prime = True
-            elif p1[i] == p2[j]:
-                take_prime = tie_break == PRIME_FIRST
-        if take_prime:
-            values.append(p1[i])
-            origins.append(PRIME)
-            i += 1
-        else:
-            values.append(p2[j])
-            origins.append(DPRIME)
-            j += 1
-    return TaggedPartition(values=tuple(values), mode=mode, origins=tuple(origins))
+    prime, dprime = [(v, PRIME) for v in p1], [(v, DPRIME) for v in p2]
+    rows = prime + dprime if tie_break == PRIME_FIRST else dprime + prime
+    rows.sort(key=itemgetter(0), reverse=True)  # stable: equal values keep this order
+    values, origins = zip(*rows) if rows else ((), ())
+    return TaggedPartition(values=values, mode=mode, origins=origins)

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import groupby
 
 from rigidfp import (
     FingerprintOptions,
@@ -24,6 +25,17 @@ import pytest
 
 def tagged(pair, tie_break=PRIME_FIRST):
     return combine(pair, tie_break=tie_break)
+
+
+def member_pairs(max_rank=6):
+    """Every pair of member partitions of B, C and D up to max_rank."""
+    for theory in Theory:
+        side1, side2 = PAIR_SIDES[theory]
+        for rank in range(max_rank + 1):
+            for n2 in range(rank + 1):
+                for p1 in enumerate_members(side1, rank - n2):
+                    for p2 in enumerate_members(side2, n2):
+                        yield OperatorPair(p1, p2, theory)
 
 
 class TestDecompose:
@@ -52,19 +64,14 @@ class TestDecompose:
         # per tie-break pin the classifier on the same blocks; summed over
         # both tie-breaks, the 12 and 21 labels would balance.
         seen = Counter()
-        for theory in Theory:
-            side1, side2 = PAIR_SIDES[theory]
-            for rank in range(7):
-                for n2 in range(rank + 1):
-                    for p1 in enumerate_members(side1, rank - n2):
-                        for p2 in enumerate_members(side2, n2):
-                            pair = OperatorPair(p1, p2, theory)
-                            for tb in (PRIME_FIRST, DPRIME_FIRST):
-                                tp = tagged(pair, tb)
-                                for b in decompose_blocks(tp):
-                                    assert sum(tp.values[:b.start]) % 2 == 0, (pair, tb, b)
-                                    seen[tb, b.kind, b.operator_label] += 1
+        for pair in member_pairs():
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = tagged(pair, tb)
+                for b in decompose_blocks(tp):
+                    assert sum(tp.values[:b.start]) % 2 == 0, (pair, tb, b)
+                    seen[tb, b.kind, b.operator_label] += 1
         assert sum(seen.values()) == 5034
+        assert {label for _, _, label in seen} - {None} == OPERATOR_LABELS
         assert seen == {
             (PRIME_FIRST, "I", "mu_e1"): 17, (PRIME_FIRST, "I", "mu_e2"): 31,
             (PRIME_FIRST, "I", "mu_o1"): 69, (PRIME_FIRST, "I", "mu_o2"): 311,
@@ -79,6 +86,23 @@ class TestDecompose:
             (DPRIME_FIRST, "III", "mu_o12"): 48, (DPRIME_FIRST, "III", "mu_o21"): 120,
             (DPRIME_FIRST, "S", None): 961,
         }
+
+    def test_classifier_facts(self):
+        # _classify reads kinds off these facts instead of counting rows.
+        for pair in member_pairs():
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = tagged(pair, tb)
+                # The stable merge: each (origin, value) run occurs once.
+                runs = [key for key, _ in groupby(zip(tp.origins, tp.values))]
+                assert len(runs) == len(set(runs)), (pair, tb)
+                blocks = decompose_blocks(tp)
+                for b in blocks:
+                    values = tp.values[b.start:b.end]
+                    rows = Counter(zip(tp.origins[b.start:b.end], values))
+                    if all(n % 2 == 0 for n in rows.values()):
+                        assert len(set(values)) == 1, (pair, tb, b)
+                    if sum(values) % 2:
+                        assert pair.theory is Theory.B and b is blocks[-1], (pair, tb, b)
 
     def test_componentwise_rejected(self):
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
@@ -169,21 +193,15 @@ class TestPathEquivalence:
         # Non-rigid members exercise the shared back half on gapped rows and
         # on extraction diagnostics, which rigid pairs rarely reach.
         checked = diagnostics = 0
-        for theory in Theory:
-            side1, side2 = PAIR_SIDES[theory]
-            for rank in range(7):
-                for n2 in range(rank + 1):
-                    for p1 in enumerate_members(side1, rank - n2):
-                        for p2 in enumerate_members(side2, n2):
-                            pair = OperatorPair(p1, p2, theory)
-                            for tb in (PRIME_FIRST, DPRIME_FIRST):
-                                opts = FingerprintOptions(tie_break=tb)
-                                direct = fingerprint(pair, opts)
-                                via_blocks = block_fingerprint(direct.tagged, theory, opts)
-                                assert direct.same_outcome(via_blocks), (pair, tb)
-                                assert via_blocks.rank == direct.rank
-                                checked += 1
-                                diagnostics += direct.diagnostic is not None
+        for pair in member_pairs():
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                opts = FingerprintOptions(tie_break=tb)
+                direct = fingerprint(pair, opts)
+                via_blocks = block_fingerprint(direct.tagged, pair.theory, opts)
+                assert direct.same_outcome(via_blocks), (pair, tb)
+                assert via_blocks.rank == direct.rank
+                checked += 1
+                diagnostics += direct.diagnostic is not None
         assert (checked, diagnostics) == (2786, 486)
 
     def test_worked_instance(self):

@@ -1,9 +1,20 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
 from rigidfp.checks import DEFAULT_MAX_RANK, SUITES, run_suite
-from rigidfp.fingerprint import SpTrace, prefix_signs, sp_map
+from rigidfp.fingerprint import (
+    SO,
+    SP,
+    VACUOUS,
+    FingerprintOptions,
+    SpTrace,
+    TauTable,
+    prefix_signs,
+    sp_map,
+    tau_table,
+)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -74,7 +85,53 @@ def test_suite_catches_sp_mutant(suite, mutant, monkeypatch):
         rows = zip((0,) + values, values, values[1:] + (0,), prefix_signs(values))
         return SpTrace(values, tuple(rule(*row) for row in rows))
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rigidfp" and getattr(module, "sp_map", None) is sp_map:
-            monkeypatch.setattr(module, "sp_map", mutated)
+    _patch_everywhere(monkeypatch, "sp_map", sp_map, mutated)
     assert run_suite(suite, 4).failures
+
+
+def _patch_everywhere(monkeypatch, attr, original, replacement):
+    """Rebind attr in every rigidfp module that binds the original."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidfp" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, replacement)
+
+
+def _with_options(change):
+    """A tau_table that evaluates with change(opts, theory) in place of opts."""
+    def mutated(trace, tags, theory, opts=None):
+        opts = opts or FingerprintOptions()
+        return tau_table(trace, tags, theory, change(opts, theory))
+    return mutated
+
+
+def _all_plus(trace, tags, theory, opts=None):
+    entries = tau_table(trace, tags, theory, opts).entries
+    return TauTable(tuple((m, 1, None) for m, _, _ in entries))
+
+
+# Wrong tau rules, and the suites that catch each at rank 4 with their
+# failure counts.  Only catches are pinned: a suite missing from a row is
+# not asserted to miss.
+TAU_MUTANTS = {
+    "condition-i-dropped": _with_options(
+        lambda o, t: replace(o, conditions=o.conditions - {"i"})),
+    "condition-iii-dropped": _with_options(
+        lambda o, t: replace(o, conditions=o.conditions - {"iii"})),
+    "so-sp-swapped": _with_options(
+        lambda o, t: replace(o, iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])),
+    "all-plus": _all_plus,
+}
+TAU_CATCHES = {
+    "condition-i-dropped": {"condition-ii": 3},
+    "condition-iii-dropped": {"rank-identity": 8},
+    "so-sp-swapped": {"rank-identity": 8, "closed-form": 5},
+    "all-plus": {"rank-identity": 9, "closed-form": 1},
+}
+
+
+@pytest.mark.parametrize("mutant, suite, failures", [
+    (mutant, suite, n) for mutant, row in TAU_CATCHES.items() for suite, n in row.items()
+])
+def test_suite_catches_tau_mutant(mutant, suite, failures, monkeypatch):
+    _patch_everywhere(monkeypatch, "tau_table", tau_table, TAU_MUTANTS[mutant])
+    assert len(run_suite(suite, 4).failures) == failures

@@ -198,6 +198,14 @@ class TestFibers:
         assert all("diagnostic" not in r for r in records if r["alpha"] is not None)
 
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_no_fibers_prints_nothing(self, capsys, flags):
+        # Rank 0 has a single pair, so no fiber has two members.
+        code, out, _ = run(capsys, "fibers", "--theory", "B", "--rank", "0", *flags)
+        assert code == 0
+        assert out == ""
+
+
 class TestNegativeRank:
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--theory", "B", "--rank", "-3"],

@@ -143,6 +143,24 @@ def extract(mu_values, tau):
     return extract_weyl_pair(trace, TauTable(tuple((m, t, None) for m, t in tau.items())))
 
 
+class TestOptions:
+    @pytest.mark.parametrize("conditions", [{"I"}, {"i", "iv"}, {"ii", ""}])
+    def test_unknown_condition_rejected(self, conditions):
+        bad = sorted(conditions - {"i", "ii", "iii"})[0]
+        with pytest.raises(ValueError, match=f"unknown condition {bad!r}"):
+            FingerprintOptions(conditions=frozenset(conditions))
+
+    @pytest.mark.parametrize("variant", ["SO", "spin", ""])
+    def test_unknown_iii_variant_rejected(self, variant):
+        with pytest.raises(ValueError, match="unknown iii variant"):
+            FingerprintOptions(iii_variant=variant)
+
+    def test_known_values_accepted(self):
+        FingerprintOptions(conditions=frozenset())
+        for variant in (None, SO, SP, VACUOUS):
+            FingerprintOptions(iii_variant=variant)
+
+
 class TestExtraction:
     def test_beta_from_negative_tau(self):
         out = extract((2, 2, 2, 2, 1, 1), {2: -1})

@@ -232,6 +232,14 @@ class TestCombine:
         assert combine(pair, tie_break=DPRIME_FIRST).origins == (
             DPRIME, DPRIME, PRIME, PRIME, PRIME)
 
+    def test_unknown_convention_rejected(self):
+        pair = OperatorPair((1, 1, 1), (1, 1), "B")
+        for mode in (INTERLEAVE, COMPONENTWISE):
+            with pytest.raises(ValueError, match="tie-break 'Prime'"):
+                combine(pair, mode, tie_break="Prime")
+        with pytest.raises(ValueError, match="combine mode 'zip'"):
+            combine(pair, "zip")
+
     def test_preserves_boxes(self):
         for theory in Theory:
             for pair in enumerate_rigid_pairs(theory, 4):
