@@ -37,6 +37,7 @@ from .partitions import (
     enumerate_members,
     enumerate_rigid,
     enumerate_rigid_pairs,
+    format_pair,
     format_partition,
     is_rigid,
     transpose,
@@ -57,10 +58,7 @@ class SuiteReport:
 
 
 def _fmt_pair(pair: OperatorPair) -> str:
-    return (
-        f"{pair.theory.value} ({format_partition(pair.lambda_prime)}; "
-        f"{format_partition(pair.lambda_dprime)})"
-    )
+    return f"{pair.theory.value} {format_pair(pair)}"
 
 
 _WITHOUT_II = FingerprintOptions(conditions=frozenset({"i", "iii"}))
@@ -87,34 +85,21 @@ def _sweep(report: SuiteReport, inputs, check) -> SuiteReport:
     return report
 
 
-def _pairwise_pattern_ok(rows, start: int) -> bool:
-    """Consecutive equal-parity pairs from index start; an even leftover row."""
-    i = start
-    while i + 1 < len(rows):
-        if rows[i] % 2 != rows[i + 1] % 2:
-            return False
-        i += 2
-    if i < len(rows) and rows[i] % 2 != 0:
-        return False
-    return True
-
-
 def transpose_structure_ok(p, theory) -> bool:
     """Row-parity structure of the transpose diagram of a rigid partition.
 
-    B: first row odd, then pairwise pattern; D: first row even, then
-    pairwise; C: pairwise from the first row.  The final unpaired row,
-    when present, must be even.
+    B and D first need the first row odd (B) or even (D), and drop it.  The
+    rows left, padded with one 0 to an even count, then pair off in order,
+    and the two rows of each pair have equal parity.
     """
     theory = Theory(theory)
-    t = transpose(p)
-    if not t:
-        return True
-    if theory is Theory.C:
-        return _pairwise_pattern_ok(t, 0)
-    if t[0] % 2 != theory.theta:
-        return False
-    return _pairwise_pattern_ok(t, 1)
+    rows = transpose(p)
+    if theory is not Theory.C and rows:
+        if rows[0] % 2 != theory.theta:
+            return False
+        rows = rows[1:]
+    rows += (0,) * (len(rows) % 2)
+    return all(a % 2 == b % 2 for a, b in zip(rows[::2], rows[1::2]))
 
 
 def check_structure(max_rank: int) -> SuiteReport:
@@ -416,8 +401,6 @@ DEFAULT_MAX_RANK = {
 
 
 def run_suite(name: str, max_rank: int | None = None) -> SuiteReport:
-    if name not in SUITES:
-        raise KeyError(name)
     if max_rank is None:
         max_rank = DEFAULT_MAX_RANK[name]
     return SUITES[name](max_rank)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .blocks import decompose_blocks
 from .checks import DEFAULT_MAX_RANK, SUITES, run_suite
@@ -29,14 +30,17 @@ from .partitions import (
     combine,
     enumerate_rigid,
     enumerate_rigid_pairs,
+    format_pair,
     format_partition,
     parse_partition,
 )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, items) -> None:
+    """Print (record, text) items: each record as JSON under --json, else each text."""
+    text = "\n".join(json.dumps(record) if args.json else t for record, t in items)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + ("\n" if text else ""))
     elif text:
         print(text)
@@ -51,9 +55,7 @@ def _pair_from_args(args) -> OperatorPair:
 def _options_from_args(args) -> FingerprintOptions:
     conditions = ALL_CONDITIONS
     if args.conditions:
-        conditions = frozenset(
-            t.strip().lower() for t in args.conditions.split(",") if t.strip()
-        )
+        conditions = {t.strip().lower() for t in args.conditions.split(",") if t.strip()}
     return FingerprintOptions(
         mode=args.mode,
         tie_break=args.tie_break,
@@ -94,7 +96,19 @@ def result_record(res: FingerprintResult) -> dict:
     }
 
 
-def _result_text(res: FingerprintResult) -> str:
+def _outcome_text(res: FingerprintResult) -> str:
+    """[alpha; beta], or the extraction diagnostic."""
+    if res.weyl is not None:
+        return f"[{format_partition(res.weyl.alpha)}; {format_partition(res.weyl.beta)}]"
+    return f"diagnostic: {res.diagnostic.message()}"
+
+
+def _pair_fields(pair: OperatorPair) -> dict:
+    return {"lambda_prime": list(pair.lambda_prime),
+            "lambda_dprime": list(pair.lambda_dprime)}
+
+
+def _result_text(res: FingerprintResult, record: dict) -> str:
     lines = [
         f"theory: {res.theory.value}",
         f"rank: {res.rank}",
@@ -107,7 +121,7 @@ def _result_text(res: FingerprintResult) -> str:
         f"  tie-break: {res.options.tie_break}"
         f"  conditions: {','.join(sorted(res.options.conditions))}"
     )
-    lines.append(f"mu: {format_partition(res.trace.mu_partition())}")
+    lines.append(f"mu: {format_partition(record['mu'])}")
     taus = "  ".join(
         f"{m}:{t:+d}" + (f"({w})" if w else "") for m, t, w in res.tau.entries
     )
@@ -116,12 +130,12 @@ def _result_text(res: FingerprintResult) -> str:
         lines.append(f"alpha: {format_partition(res.weyl.alpha)}")
         lines.append(f"beta: {format_partition(res.weyl.beta)}")
     else:
-        lines.append(f"diagnostic: {res.diagnostic.message()}")
+        lines.append(_outcome_text(res))
     if res.tagged.mode == INTERLEAVE:
         parts = [
-            f"[{b.start},{b.end}) {b.kind}"
-            + (f" {b.operator_label}" if b.operator_label else "")
-            for b in decompose_blocks(res.tagged)
+            f"[{b['start']},{b['end']}) {b['kind']}"
+            + (f" {b['operator_label']}" if b["operator_label"] else "")
+            for b in record["blocks"]
         ]
         lines.append("blocks: " + (" | ".join(parts) if parts else "-"))
     return "\n".join(lines)
@@ -129,87 +143,52 @@ def _result_text(res: FingerprintResult) -> str:
 
 def cmd_enumerate(args) -> int:
     theory = Theory(args.theory)
-    lines = []
+    head = {"theory": theory.value, "rank": args.rank}
     if args.pairs:
-        for pair in enumerate_rigid_pairs(theory, args.rank):
-            if args.json:
-                lines.append(json.dumps({
-                    "theory": theory.value,
-                    "rank": args.rank,
-                    "lambda_prime": list(pair.lambda_prime),
-                    "lambda_dprime": list(pair.lambda_dprime),
-                }))
-            else:
-                lines.append(
-                    f"({format_partition(pair.lambda_prime)}; "
-                    f"{format_partition(pair.lambda_dprime)})"
-                )
+        items = (({**head, **_pair_fields(pair)}, format_pair(pair))
+                 for pair in enumerate_rigid_pairs(theory, args.rank))
     else:
-        for p in enumerate_rigid(theory, args.rank):
-            if args.json:
-                lines.append(json.dumps({
-                    "theory": theory.value,
-                    "rank": args.rank,
-                    "partition": list(p),
-                }))
-            else:
-                lines.append(format_partition(p))
-    _emit("\n".join(lines), args.out)
+        items = (({**head, "partition": list(p)}, format_partition(p))
+                 for p in enumerate_rigid(theory, args.rank))
+    _emit(args, items)
     return 0
 
 
 def cmd_fingerprint(args) -> int:
     pair = _pair_from_args(args)
+    opts = _options_from_args(args)
     if args.compare:
-        combos = [
-            FingerprintOptions(mode=m, tie_break=t, iii_variant=args.iii)
-            for m in (INTERLEAVE, COMPONENTWISE)
-            for t in (PRIME_FIRST, DPRIME_FIRST)
-        ]
-        lines = []
-        for opts in combos:
-            res = fingerprint(pair, opts)
-            if args.json:
-                lines.append(json.dumps(result_record(res)))
-            else:
-                if res.weyl is not None:
-                    outcome = (
-                        f"[{format_partition(res.weyl.alpha)}; "
-                        f"{format_partition(res.weyl.beta)}]"
-                    )
-                else:
-                    outcome = f"diagnostic: {res.diagnostic.message()}"
-                lines.append(
-                    f"mode={opts.mode} tie-break={opts.tie_break}: {outcome}"
-                )
-        _emit("\n".join(lines), args.out)
-        return 0
-    res = fingerprint(pair, _options_from_args(args))
-    text = json.dumps(result_record(res)) if args.json else _result_text(res)
-    _emit(text, args.out)
+        items = []
+        for mode in (INTERLEAVE, COMPONENTWISE):
+            for tie in (PRIME_FIRST, DPRIME_FIRST):
+                res = fingerprint(pair, replace(opts, mode=mode, tie_break=tie))
+                items.append((result_record(res),
+                              f"mode={mode} tie-break={tie}: {_outcome_text(res)}"))
+    else:
+        res = fingerprint(pair, opts)
+        record = result_record(res)
+        items = [(record, _result_text(res, record))]
+    _emit(args, items)
     return 0
 
 
 def cmd_check(args) -> int:
     report = run_suite(args.suite, args.max_rank)
-    lines = []
-    if args.json:
-        lines.append(json.dumps({
-            "suite": report.name,
-            "checked": report.checked,
-            "ok": report.ok,
-            "failures": report.failures,
-            "info": report.info,
-        }))
+    record = {
+        "suite": report.name,
+        "checked": report.checked,
+        "ok": report.ok,
+        "failures": report.failures,
+        "info": report.info,
+    }
+    lines = [f"suite {report.name}: checked {report.checked} inputs"]
+    lines.extend(f"info: {msg}" for msg in report.info)
+    if report.ok:
+        lines.append("PASS")
     else:
-        lines.append(f"suite {report.name}: checked {report.checked} inputs")
-        lines.extend(f"info: {msg}" for msg in report.info)
-        if report.ok:
-            lines.append("PASS")
-        else:
-            lines.append(f"FAIL ({len(report.failures)} counterexamples)")
-            lines.extend(f"  {c}" for c in report.failures[:10])
-    _emit("\n".join(lines), args.out)
+        lines.append(f"FAIL ({len(report.failures)} counterexamples)")
+        lines.extend(f"  {c}" for c in report.failures[:10])
+    _emit(args, [(record, "\n".join(lines))])
     return 0 if report.ok else 1
 
 
@@ -222,8 +201,7 @@ def _fiber_key(pair: OperatorPair):
 
 def cmd_fibers(args) -> int:
     theory = Theory(args.theory)
-    groups: dict = {}
-    notes: dict = {}  # diagnostic fiber key -> its message
+    groups: dict = {}  # fingerprint -> (first result, member pairs)
     seen = set()
     for pair in enumerate_rigid_pairs(theory, args.rank):
         key = _fiber_key(pair)
@@ -235,42 +213,27 @@ def cmd_fibers(args) -> int:
             fp = (res.weyl.alpha, res.weyl.beta)
         else:
             fp = ("diagnostic", res.diagnostic.entries)
-            notes[fp] = res.diagnostic.message()
-        groups.setdefault(fp, []).append(pair)
-    lines = []
+        groups.setdefault(fp, (res, []))[1].append(pair)
+    items = []
     for fp in sorted(groups, key=str):
-        members = groups[fp]
+        res, members = groups[fp]
         if len(members) < 2:
             continue
-        if args.json:
-            record = {
-                "theory": theory.value,
-                "rank": args.rank,
-                "alpha": None if fp in notes else list(fp[0]),
-                "beta": None if fp in notes else list(fp[1]),
-                "members": [
-                    {"lambda_prime": list(m.lambda_prime),
-                     "lambda_dprime": list(m.lambda_dprime)}
-                    for m in members
-                ],
-            }
-            if fp in notes:
-                record["diagnostic"] = notes[fp]
-            lines.append(json.dumps(record))
-        else:
-            if fp in notes:
-                head = f"fiber <diagnostic: {notes[fp]}>"
-            else:
-                head = (
-                    f"fiber [{format_partition(fp[0])}; {format_partition(fp[1])}]"
-                )
-            lines.append(f"{head}: {len(members)} members")
-            lines.extend(
-                f"  ({format_partition(m.lambda_prime)}; "
-                f"{format_partition(m.lambda_dprime)})"
-                for m in members
-            )
-    _emit("\n".join(lines), args.out)
+        record = {
+            "theory": theory.value,
+            "rank": args.rank,
+            "alpha": list(res.weyl.alpha) if res.weyl else None,
+            "beta": list(res.weyl.beta) if res.weyl else None,
+            "members": [_pair_fields(m) for m in members],
+        }
+        outcome = _outcome_text(res)
+        if res.weyl is None:
+            record["diagnostic"] = res.diagnostic.message()
+            outcome = f"<{outcome}>"
+        lines = [f"fiber {outcome}: {len(members)} members"]
+        lines.extend(f"  {format_pair(m)}" for m in members)
+        items.append((record, "\n".join(lines)))
+    _emit(args, items)
     return 0
 
 
@@ -278,7 +241,7 @@ def cmd_render(args) -> int:
     """ASCII Young diagram of the merged pair; lambda''-origin rows are drawn with '*'."""
     tagged = combine(_pair_from_args(args), INTERLEAVE, args.tie_break)
     rows = (("*" if o == DPRIME else "#") * v for v, o in zip(tagged.values, tagged.origins))
-    _emit("\n".join(rows), args.out)
+    _emit(args, [(None, "\n".join(rows))])
     return 0
 
 
@@ -342,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST],
                    default=PRIME_FIRST)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_render)
+    p.set_defaults(func=cmd_render, json=False)
 
     return parser
 

@@ -89,7 +89,10 @@ class FingerprintOptions:
     iii_variant: str | None = None  # None -> SO for B/D, Sp for C
 
     def __post_init__(self):
-        bad = sorted(set(self.conditions) - ALL_CONDITIONS)
+        if isinstance(self.conditions, str):
+            raise ValueError(f"conditions must be a set of names, not {self.conditions!r}")
+        object.__setattr__(self, "conditions", frozenset(self.conditions))
+        bad = sorted(self.conditions - ALL_CONDITIONS)
         if bad:
             raise ValueError(f"unknown condition {bad[0]!r}")
         if self.iii_variant not in (None, SO, SP, VACUOUS):
@@ -122,11 +125,9 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     opts = opts or FingerprintOptions()
     variant = opts.variant_for(theory)
     delta = trace.partial_sum_delta
-    state: dict[int, tuple[int, str | None]] = {
-        m: (1, None) for m in trace.mu_values if m > 0 and m % 2 == 0
-    }
+    witnesses: dict[int, str | None] = {}  # even value -> witness; None: tau=+1
     for i, m in enumerate(trace.mu_values):
-        if m <= 0 or m % 2 or state[m][0] == -1:
+        if m <= 0 or m % 2 or witnesses.get(m):
             continue
         witness = None
         if "i" in opts.conditions and m != trace.lambda_values[i]:
@@ -137,10 +138,9 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
             datum = tags.iii_datum(i)
             if datum is not None and datum == (variant == SO):
                 witness = "iii"
-        if witness is not None:
-            state[m] = (-1, witness)
+        witnesses[m] = witness
     entries = tuple(
-        (m, state[m][0], state[m][1]) for m in sorted(state, reverse=True)
+        (m, -1 if w else 1, w) for m, w in sorted(witnesses.items(), reverse=True)
     )
     return TauTable(entries)
 
@@ -188,7 +188,7 @@ def extract_weyl_pair(trace: SpTrace, tau: TauTable):
             beta += [v // 2] * c
     if bad:
         return ExtractionDiagnostic(tuple(bad))
-    return WeylPair(tuple(alpha), tuple(sorted(beta, reverse=True)))
+    return WeylPair(tuple(alpha), tuple(beta))
 
 
 @dataclass(frozen=True)

@@ -88,13 +88,11 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def format_partition(p, style: str = "exponent") -> str:
-    """Render a partition; exponent style gives "2^2 1", list style "2,2,1"."""
+def format_partition(p) -> str:
+    """Render a partition in exponent form: "2^2 1"; the empty one is "-"."""
     p = tuple(p)
     if not p:
         return "-"
-    if style == "list":
-        return ",".join(str(v) for v in p)
     chunks = []
     for v, n in sorted(Counter(p).items(), reverse=True):
         chunks.append(f"{v}^{n}" if n > 1 else str(v))
@@ -215,6 +213,11 @@ class OperatorPair:
     @property
     def rank(self) -> int:
         return (sum(self.lambda_prime) + sum(self.lambda_dprime) - self.theory.theta) // 2
+
+
+def format_pair(pair: OperatorPair) -> str:
+    """Render a pair as "(lambda'; lambda'')" with both sides in exponent form."""
+    return f"({format_partition(pair.lambda_prime)}; {format_partition(pair.lambda_dprime)})"
 
 
 def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from rigidfp.checks import DEFAULT_MAX_RANK, SUITES, run_suite
+from rigidfp.checks import DEFAULT_MAX_RANK, SUITES, run_suite, transpose_structure_ok
 from rigidfp.fingerprint import (
     SO,
     SP,
@@ -15,6 +15,7 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
+from rigidfp.partitions import partitions_of
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -42,6 +43,14 @@ def test_default_sweep_size(name):
     assert report.checked == CHECKED_AT_DEFAULT[name]
     assert report.failures == []
     assert report.ok
+
+
+def test_structure_rule_on_all_partitions():
+    # The structure suite feeds only rigid partitions; pin the False side too.
+    parts = [p for total in range(17) for p in partitions_of(total)]
+    assert len(parts) == 915
+    passing = {t: sum(transpose_structure_ok(p, t) for p in parts) for t in "BCD"}
+    assert passing == {"B": 139, "C": 257, "D": 177}
 
 
 def test_condition_ii_info_line():

@@ -96,6 +96,27 @@ class TestFingerprint:
         assert any("mode=interleave" in ln for ln in lines)
         assert any("mode=sum" in ln for ln in lines)
 
+    def test_compare_rejects_unknown_condition(self, capsys):
+        code, out, err = run(capsys, "fingerprint", "--theory", "B",
+                             "--prime", "1^3", "--compare", "--conditions", "i,iv")
+        assert code == 2
+        assert out == ""
+        assert "iv" in err
+
+    def test_compare_keeps_conditions(self, capsys):
+        # Without condition (iii) the interleaved C pair has no beta row.
+        argv = ("fingerprint", "--theory", "C", "--prime", "2 1^2",
+                "--dprime", "1^2", "--conditions", "i")
+        _, single, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--compare")
+        assert code == 0
+        expected = "diagnostic: value 2 has odd multiplicity 1 under tau=+1"
+        assert expected in single.splitlines()
+        assert out.splitlines()[:2] == [
+            f"mode=interleave tie-break={tie}: {expected}"
+            for tie in ("prime", "dprime")
+        ]
+
     def test_deterministic(self, capsys):
         argv = ("fingerprint", "--theory", "D", "--prime", "3 2^2 1", "--json")
         _, first, _ = run(capsys, *argv)

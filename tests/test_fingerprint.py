@@ -160,6 +160,17 @@ class TestOptions:
         for variant in (None, SO, SP, VACUOUS):
             FingerprintOptions(iii_variant=variant)
 
+    @pytest.mark.parametrize("conditions", ["iii", "ii", "i"])
+    def test_str_conditions_rejected(self, conditions):
+        # A str would be read character by character, and by substring in tau.
+        with pytest.raises(ValueError, match="set of names"):
+            FingerprintOptions(conditions=conditions)
+
+    def test_conditions_stored_as_frozenset(self):
+        opts = FingerprintOptions(conditions=["ii", "i"])
+        assert opts.conditions == frozenset({"i", "ii"})
+        assert hash(opts) == hash(FingerprintOptions(conditions={"i", "ii"}))
+
 
 class TestExtraction:
     def test_beta_from_negative_tau(self):
