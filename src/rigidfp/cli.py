@@ -54,7 +54,7 @@ def _pair_from_args(args) -> OperatorPair:
 
 def _options_from_args(args) -> FingerprintOptions:
     conditions = ALL_CONDITIONS
-    if args.conditions:
+    if args.conditions is not None:
         conditions = {t.strip().lower() for t in args.conditions.split(",") if t.strip()}
     return FingerprintOptions(
         mode=args.mode,

@@ -169,19 +169,58 @@ def theory_total(theory, rank: int) -> int:
     return 2 * rank + Theory(theory).theta
 
 
+def _grow(out: list, prefix: tuple[int, ...], left: int, v: int, paired: int,
+          rigid: bool) -> None:
+    """Append prefix + v^m + smaller values, to `left` more boxes, for every valid m.
+
+    Multiplicities are tried in ascending order and the next value below v
+    ascending, so `out` receives ascending lex order.  Values of the paired
+    parity take even multiplicities.  Rigid output also has every value
+    from v down to 1 present and never multiplicity exactly 2 at the other
+    parity.
+    """
+    step = 2 if v % 2 == paired else 1
+    # The value 1 takes every box left, an even number for C because every
+    # other value there fills an even count.
+    for m in range(left if v == 1 else step, left // v + 1, step):
+        if rigid and step == 1 and m == 2:
+            continue  # exactly twice at the other parity
+        p, rest = prefix + (v,) * m, left - m * v
+        if not rest:
+            if v == 1 or not rigid:  # a rigid partition runs down to 1
+                out.append(p)
+        elif not rigid:
+            for u in range(1, min(v - 1, rest) + 1):
+                _grow(out, p, rest, u, paired, rigid)
+        elif 2 * rest >= v * (v - 1):  # one row each of v-1..1 must fit
+            _grow(out, p, rest, v - 1, paired, rigid)
+
+
+def _by_multiplicity(theory: Theory, rank: int, rigid: bool) -> list[tuple[int, ...]]:
+    """Members (or rigid partitions) at the rank, generated largest value first.
+
+    The paired parity, whose values take even multiplicities, is even for
+    B/D and odd for C.  The all-ones exception of is_rigid is left to the
+    caller.
+    """
+    total = theory_total(theory, rank)
+    out = [()] if total == 0 else []
+    for top in range(1, total + 1):
+        _grow(out, (), total, top, int(theory is Theory.C), rigid)
+    return out
+
+
 def enumerate_members(theory, rank: int) -> list[tuple[int, ...]]:
     """All theory-member partitions at the given rank, ascending lex order."""
-    theory = Theory(theory)
-    return sorted(
-        p for p in partitions_of(theory_total(theory, rank))
-        if is_theory_member(p, theory)
-    )
+    return _by_multiplicity(Theory(theory), rank, rigid=False)
 
 
 def enumerate_rigid(theory, rank: int) -> list[tuple[int, ...]]:
     """All rigid partitions at the given rank, ascending lex order."""
     theory = Theory(theory)
-    return [p for p in enumerate_members(theory, rank) if is_rigid(p, theory)]
+    if theory is Theory.D and rank == 1:
+        return [(1, 1)]  # the zero orbit, admitted by is_rigid's all-ones exception
+    return _by_multiplicity(theory, rank, rigid=True)
 
 
 @dataclass(frozen=True)

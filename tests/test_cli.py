@@ -117,6 +117,16 @@ class TestFingerprint:
             for tie in ("prime", "dprime")
         ]
 
+    def test_empty_conditions_mean_none(self, capsys):
+        # Every empty spelling of --conditions turns all three conditions off.
+        argv = ("fingerprint", "--theory", "C", "--prime", "2 1^2", "--dprime", "1^2")
+        outs = [run(capsys, *argv, "--conditions", text) for text in ("", " ", ",")]
+        assert outs[0] == outs[1] == outs[2]
+        code, out, _ = outs[0]
+        assert code == 0
+        assert "tie-break: prime  conditions: \n" in out
+        assert "diagnostic: value 2 has odd multiplicity 1 under tau=+1" in out
+
     def test_deterministic(self, capsys):
         argv = ("fingerprint", "--theory", "D", "--prime", "3 2^2 1", "--json")
         _, first, _ = run(capsys, *argv)

@@ -24,6 +24,7 @@ from rigidfp.partitions import (
     PRIME,
     PRIME_FIRST,
     MAX_BOXES,
+    enumerate_members,
     partitions_of,
     theory_total,
 )
@@ -142,13 +143,34 @@ class TestEnumeration:
     def test_examples(self):
         assert enumerate_rigid("B", 2) == [(1, 1, 1, 1, 1), (2, 2, 1)]
         assert enumerate_rigid("C", 2) == [(1, 1, 1, 1), (2, 1, 1)]
-        assert enumerate_rigid("D", 1) == [(1, 1)]
-        assert enumerate_rigid("D", 0) == [()]
+        assert enumerate_rigid("D", 1) == [(1, 1)]  # the zero orbit
+        assert enumerate_rigid("B", 0) == enumerate_members("B", 0) == [(1,)]
+        for theory in ("C", "D"):
+            assert enumerate_rigid(theory, 0) == enumerate_members(theory, 0) == [()]
 
     @pytest.mark.parametrize("theory", list(Theory))
     def test_against_brute_force(self, theory):
-        for rank in range(9):
+        for rank in range(17):
             assert enumerate_rigid(theory, rank) == brute_force_rigid(theory, rank)
+
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_members_against_filter(self, theory):
+        for rank in range(15):
+            total = theory_total(theory, rank)
+            assert enumerate_members(theory, rank) == sorted(
+                p for p in partitions_of(total) if is_theory_member(p, theory))
+
+    def test_generated_without_filtering(self, monkeypatch):
+        # Enumeration never lists all partitions of the total: at rank 30
+        # that would be every partition of up to 61 boxes.
+        def refuse(*args):
+            raise AssertionError("enumeration must not filter partitions_of")
+
+        monkeypatch.setattr(rigidfp.partitions, "partitions_of", refuse)
+        for theory in Theory:
+            for rank in [*range(7), 30]:
+                assert enumerate_rigid(theory, rank)
+                assert enumerate_members(theory, rank)
 
     def test_closed_under_is_rigid(self):
         for theory in Theory:
