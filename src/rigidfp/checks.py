@@ -29,10 +29,13 @@ from .fingerprint import (
     tau_table,
 )
 from .partitions import (
+    COMPONENTWISE,
     DPRIME_FIRST,
+    INTERLEAVE,
     PRIME_FIRST,
     OperatorPair,
     Theory,
+    _unchecked_pair,
     combine,
     enumerate_members,
     enumerate_rigid,
@@ -180,8 +183,9 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
     """|alpha| + |beta| = n under the defaults; B/D never diagnose."""
     report = SuiteReport("rank-identity")
 
-    def check(theory, pair, mode):
-        res = fingerprint(pair, FingerprintOptions(mode=mode))
+    def check(theory, pair, opts):
+        mode = opts.mode
+        res = fingerprint(pair, opts)
         if not deficit_closure_ok(res.trace):
             return f"{_fmt_pair(pair)} [{mode}]: deficit open"
         if res.diagnostic is not None:
@@ -196,10 +200,11 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         if total != pair.rank:
             return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
 
+    modes = [FingerprintOptions(mode=mode) for mode in (INTERLEAVE, COMPONENTWISE)]
     inputs = (
-        (theory, pair, mode)
+        (theory, pair, opts)
         for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
-        for mode in ("interleave", "sum")
+        for opts in modes
     )
     return _sweep(report, inputs, check)
 
@@ -227,7 +232,7 @@ def _gapped_sensitivity_info() -> str:
             if not p or is_rigid(p, theory):
                 continue
             count += 1
-            tagged = combine(OperatorPair(p, (), theory))
+            tagged = combine(_unchecked_pair(p, (), theory))
             trace = sp_map(p)
             with_ii = tau_table(trace, tagged, theory)
             without = tau_table(trace, tagged, theory, _WITHOUT_II)
@@ -328,12 +333,12 @@ def check_closed_form(max_rank: int) -> SuiteReport:
 
     def check(theory, p):
         if theory is Theory.C:
-            pipe = fingerprint(OperatorPair(p, (), Theory.C), vac)
+            pipe = fingerprint(_unchecked_pair(p, (), theory), vac)
             if pipe.weyl != closed_form_fingerprint_C(p):
                 return f"C {format_partition(p)}: closed form disagrees with pipeline"
             return None
         closed = closed_form_fingerprint_BD(p, theory)
-        pipe = fingerprint(OperatorPair(p, (), theory))
+        pipe = fingerprint(_unchecked_pair(p, (), theory))
         if pipe.weyl != closed:
             got = "diagnostic" if pipe.weyl is None else (
                 f"[{format_partition(pipe.weyl.alpha)};{format_partition(pipe.weyl.beta)}]"
@@ -353,22 +358,22 @@ def check_closed_form(max_rank: int) -> SuiteReport:
 
 def check_path_equivalence(max_rank: int) -> SuiteReport:
     """Per-block evaluation equals the direct pipeline, trace and result."""
-    def check(theory, pair, tie):
-        opts = FingerprintOptions(tie_break=tie)
+    def check(theory, pair, opts):
         direct = fingerprint(pair, opts)
         via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
         if not direct.same_outcome(via_blocks):
-            return f"{_fmt_pair(pair)} [tie={tie}]"
+            return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
         odd_blocks = sum(b.kind == "I" for b in blocks_mod.decompose_blocks(direct.tagged))
         if theory is Theory.B and odd_blocks != 1:
             return f"{_fmt_pair(pair)}: {odd_blocks} odd blocks"
         if theory is Theory.C and odd_blocks:
             return f"{_fmt_pair(pair)}: I block in C theory"
 
+    ties = [FingerprintOptions(tie_break=tie) for tie in (PRIME_FIRST, DPRIME_FIRST)]
     inputs = (
-        (theory, pair, tie)
+        (theory, pair, opts)
         for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
-        for tie in (PRIME_FIRST, DPRIME_FIRST)
+        for opts in ties
     )
     return _sweep(SuiteReport("path-equivalence"), inputs, check)
 

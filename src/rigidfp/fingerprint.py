@@ -1,10 +1,11 @@
 """The fingerprint pipeline: prefix signs, the Sp map, tau, and [alpha;beta]."""
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .partitions import (
+    COMPONENTWISE,
+    DPRIME_FIRST,
     INTERLEAVE,
     PRIME_FIRST,
     OperatorPair,
@@ -68,14 +69,25 @@ def sp_map(values) -> SpTrace:
     index loses a box under sign '-', its first index gains one under '+'.
     So an odd row moves one box by its sign unless the row on that side (the
     next one under '-', the previous one under '+') has the same value.
-    Rows outside the list are treated as a different value.
+    Rows outside the list are treated as a different value.  One pass keeps
+    the running parity (odd: sign '-') and the previous row.
     """
     values = tuple(values)
-    mu = [
-        v + sign if v % 2 and v != (prev if sign == 1 else nxt) else v
-        for prev, v, nxt, sign in zip((0,) + values, values, values[1:] + (0,),
-                                      prefix_signs(values))
-    ]
+    last = len(values) - 1
+    mu = []
+    odd = False
+    prev = 0
+    for i, v in enumerate(values):
+        m = v
+        if v % 2:
+            odd = not odd
+            if odd:
+                if i == last or values[i + 1] != v:
+                    m = v - 1
+            elif v != prev:
+                m = v + 1
+        mu.append(m)
+        prev = v
     return SpTrace(values, tuple(mu))
 
 
@@ -89,6 +101,10 @@ class FingerprintOptions:
     iii_variant: str | None = None  # None -> SO for B/D, Sp for C
 
     def __post_init__(self):
+        if self.mode not in (INTERLEAVE, COMPONENTWISE):
+            raise ValueError(f"unknown combine mode {self.mode!r}")
+        if self.tie_break not in (PRIME_FIRST, DPRIME_FIRST):
+            raise ValueError(f"unknown tie-break {self.tie_break!r}")
         if isinstance(self.conditions, str):
             raise ValueError(f"conditions must be a set of names, not {self.conditions!r}")
         object.__setattr__(self, "conditions", frozenset(self.conditions))
@@ -123,25 +139,29 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     at the row is odd (SO) / even (Sp).  Deleted rows (mu_i = 0) are ignored.
     """
     opts = opts or FingerprintOptions()
+    conditions = opts.conditions
+    check_i = "i" in conditions
+    check_ii = "ii" in conditions
     variant = opts.variant_for(theory)
-    delta = trace.partial_sum_delta
+    check_iii = "iii" in conditions and variant != VACUOUS
+    odd_datum = variant == SO  # (iii) fires on an odd datum under SO, even under Sp
+    lam = trace.lambda_values
+    delta = trace.partial_sum_delta if check_ii else ()
     witnesses: dict[int, str | None] = {}  # even value -> witness; None: tau=+1
     for i, m in enumerate(trace.mu_values):
         if m <= 0 or m % 2 or witnesses.get(m):
             continue
-        witness = None
-        if "i" in opts.conditions and m != trace.lambda_values[i]:
-            witness = "i"
-        elif "ii" in opts.conditions and delta[i] != 0:
-            witness = "ii"
-        elif "iii" in opts.conditions and variant != VACUOUS:
-            datum = tags.iii_datum(i)
-            if datum is not None and datum == (variant == SO):
-                witness = "iii"
-        witnesses[m] = witness
-    entries = tuple(
+        if check_i and m != lam[i]:
+            witnesses[m] = "i"
+        elif check_ii and delta[i]:
+            witnesses[m] = "ii"
+        elif check_iii and tags.iii_datum(i) == odd_datum:
+            witnesses[m] = "iii"
+        else:
+            witnesses[m] = None
+    entries = tuple([
         (m, -1 if w else 1, w) for m, w in sorted(witnesses.items(), reverse=True)
-    )
+    ])
     return TauTable(entries)
 
 
@@ -171,21 +191,31 @@ class ExtractionDiagnostic:
 
 
 def extract_weyl_pair(trace: SpTrace, tau: TauTable):
-    """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta."""
-    counts = Counter(v for v in trace.mu_values if v > 0)
+    """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta.
+
+    Each value's multiplicity is the length of its run in mu sorted
+    descending; the zeros of deleted rows sort last and are not read.
+    """
+    mu = sorted(trace.mu_values, reverse=True)
     taus = tau.as_dict()
     alpha: list[int] = []
     beta: list[int] = []
     bad: list[tuple[int, int, int]] = []
-    for v, c in sorted(counts.items(), reverse=True):
-        t = 1 if v % 2 else taus[v]
-        if t == 1:
+    start, n = 0, len(mu)
+    while start < n and mu[start] > 0:
+        v = mu[start]
+        stop = start + 1
+        while stop < n and mu[stop] == v:
+            stop += 1
+        c = stop - start
+        if v % 2 or taus[v] == 1:
             if c % 2:
                 bad.append((v, c, 1))
             else:
                 alpha += [v] * (c // 2)
         else:
             beta += [v // 2] * c
+        start = stop
     if bad:
         return ExtractionDiagnostic(tuple(bad))
     return WeylPair(tuple(alpha), tuple(beta))

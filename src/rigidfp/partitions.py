@@ -254,6 +254,21 @@ class OperatorPair:
         return (sum(self.lambda_prime) + sum(self.lambda_dprime) - self.theory.theta) // 2
 
 
+def _unchecked_pair(lambda_prime: tuple[int, ...], lambda_dprime: tuple[int, ...],
+                    theory: Theory, _cls=OperatorPair) -> OperatorPair:
+    """An OperatorPair whose sides are valid by construction, not re-validated.
+
+    For sides generated by enumerate_rigid or enumerate_members of the
+    pair's side theories, with theory a Theory.  The class is bound when
+    the module loads, so a wrapper that rebinds the name OperatorPair (as a
+    tracer does) does not change what this builds.
+    """
+    pair = object.__new__(_cls)
+    pair.__dict__.update(lambda_prime=lambda_prime, lambda_dprime=lambda_dprime,
+                         theory=theory)
+    return pair
+
+
 def format_pair(pair: OperatorPair) -> str:
     """Render a pair as "(lambda'; lambda'')" with both sides in exponent form."""
     return f"({format_partition(pair.lambda_prime)}; {format_partition(pair.lambda_dprime)})"
@@ -267,7 +282,7 @@ def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
     theory = Theory(theory)
     side1, side2 = PAIR_SIDES[theory]
     return [
-        OperatorPair(p1, p2, theory)
+        _unchecked_pair(p1, p2, theory)
         for n2 in range(rank + 1)
         for p1, p2 in product(enumerate_rigid(side1, rank - n2), enumerate_rigid(side2, n2))
     ]

@@ -1,6 +1,8 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rigidfp import (
     ExtractionDiagnostic,
@@ -21,7 +23,10 @@ from rigidfp.fingerprint import SO, SP, VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME,
+    DPRIME_FIRST,
+    PAIR_SIDES,
     PRIME,
+    PRIME_FIRST,
     TaggedPartition,
     INTERLEAVE,
     enumerate_members,
@@ -159,6 +164,21 @@ class TestOptions:
         FingerprintOptions(conditions=frozenset())
         for variant in (None, SO, SP, VACUOUS):
             FingerprintOptions(iii_variant=variant)
+        for mode in (INTERLEAVE, COMPONENTWISE):
+            for tie in (PRIME_FIRST, DPRIME_FIRST):
+                FingerprintOptions(mode=mode, tie_break=tie)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", "bogus", "unknown combine mode 'bogus'"),
+        ("mode", "INTERLEAVE", "unknown combine mode"),
+        ("tie_break", "nope", "unknown tie-break 'nope'"),
+        ("tie_break", None, "unknown tie-break"),
+    ])
+    def test_unknown_mode_or_tie_break_rejected(self, field, value, message):
+        # The block path never calls combine, so the options must reject
+        # these before a result could report them.
+        with pytest.raises(ValueError, match=message):
+            FingerprintOptions(**{field: value})
 
     @pytest.mark.parametrize("conditions", ["iii", "ii", "i"])
     def test_str_conditions_rejected(self, conditions):
@@ -233,3 +253,131 @@ class TestFingerprint:
         assert tp.values == (3, 2, 1)
         assert tp.prime_odd == (True, True, None)
         assert tp.iii_datum(2) is None
+
+
+# The kernels as first written (padded row copies, a Counter), kept verbatim
+# as the reference for the one-pass ones.
+
+def _ref_prefix_signs(values):
+    signs = []
+    run = 0
+    for v in values:
+        run = (run + v) % 2
+        signs.append(1 if run == 0 else -1)
+    return tuple(signs)
+
+
+def _ref_partial_sum_delta(trace):
+    delta = []
+    d = 0
+    for lam, m in zip(trace.lambda_values, trace.mu_values):
+        d += m - lam
+        delta.append(d)
+    return tuple(delta)
+
+
+def _ref_sp_map(values):
+    values = tuple(values)
+    mu = [
+        v + sign if v % 2 and v != (prev if sign == 1 else nxt) else v
+        for prev, v, nxt, sign in zip((0,) + values, values, values[1:] + (0,),
+                                      _ref_prefix_signs(values))
+    ]
+    return SpTrace(values, tuple(mu))
+
+
+def _ref_tau_table(trace, tags, theory, opts):
+    variant = opts.variant_for(theory)
+    delta = _ref_partial_sum_delta(trace)
+    witnesses = {}
+    for i, m in enumerate(trace.mu_values):
+        if m <= 0 or m % 2 or witnesses.get(m):
+            continue
+        witness = None
+        if "i" in opts.conditions and m != trace.lambda_values[i]:
+            witness = "i"
+        elif "ii" in opts.conditions and delta[i] != 0:
+            witness = "ii"
+        elif "iii" in opts.conditions and variant != VACUOUS:
+            datum = tags.iii_datum(i)
+            if datum is not None and datum == (variant == SO):
+                witness = "iii"
+        witnesses[m] = witness
+    entries = tuple(
+        (m, -1 if w else 1, w) for m, w in sorted(witnesses.items(), reverse=True)
+    )
+    return TauTable(entries)
+
+
+def _ref_extract_weyl_pair(trace, tau):
+    counts = Counter(v for v in trace.mu_values if v > 0)
+    taus = tau.as_dict()
+    alpha, beta, bad = [], [], []
+    for v, c in sorted(counts.items(), reverse=True):
+        t = 1 if v % 2 else taus[v]
+        if t == 1:
+            if c % 2:
+                bad.append((v, c, 1))
+            else:
+                alpha += [v] * (c // 2)
+        else:
+            beta += [v // 2] * c
+    if bad:
+        return ExtractionDiagnostic(tuple(bad))
+    return WeylPair(tuple(alpha), tuple(beta))
+
+
+CONVENTIONS = [(mode, tie) for mode in (INTERLEAVE, COMPONENTWISE)
+               for tie in (PRIME_FIRST, DPRIME_FIRST)]
+TAU_OPTIONS = [
+    FingerprintOptions(conditions=frozenset(conditions), iii_variant=variant)
+    for n in range(4) for conditions in combinations(("i", "ii", "iii"), n)
+    for variant in (None, SO, SP, VACUOUS)
+]
+
+unsorted_mu = st.lists(st.integers(0, 7), min_size=2, max_size=12).filter(
+    lambda mu: any(a < b for a, b in zip(mu, mu[1:]))
+)
+
+
+class TestKernelsAgainstReference:
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_member_pairs(self, theory):
+        # Every member pair up to rank 6, every convention, all 8 condition
+        # subsets and all 4 iii settings.  tau reads only the conditions
+        # and the variant from its options; combine reads the convention,
+        # and a tagged partition two conventions share is checked once.
+        side1, side2 = PAIR_SIDES[theory]
+        outcomes = Counter()
+        seen = set()
+        for rank in range(7):
+            for n2 in range(rank + 1):
+                for p1 in enumerate_members(side1, rank - n2):
+                    for p2 in enumerate_members(side2, n2):
+                        pair = OperatorPair(p1, p2, theory)
+                        for mode, tie in CONVENTIONS:
+                            tags = combine(pair, mode, tie)
+                            if tags in seen:
+                                continue
+                            seen.add(tags)
+                            trace = sp_map(tags.values)
+                            assert trace == _ref_sp_map(tags.values)
+                            assert trace.signs == _ref_prefix_signs(tags.values)
+                            assert trace.partial_sum_delta == _ref_partial_sum_delta(trace)
+                            for opts in TAU_OPTIONS:
+                                tau = tau_table(trace, tags, theory, opts)
+                                assert tau == _ref_tau_table(trace, tags, theory, opts)
+                                out = extract_weyl_pair(trace, tau)
+                                assert out == _ref_extract_weyl_pair(trace, tau)
+                                outcomes.update(w for _, _, w in tau.entries)
+                                outcomes[type(out).__name__] += 1
+        # The sweep reaches every witness and both extraction outcomes.
+        assert set(outcomes) == {None, "i", "ii", "iii", "WeylPair", "ExtractionDiagnostic"}
+
+    @given(unsorted_mu, st.data())
+    def test_extraction_on_unsorted_mu(self, mu, data):
+        evens = sorted({m for m in mu if m > 0 and m % 2 == 0}, reverse=True)
+        taus = [data.draw(st.sampled_from((1, -1))) for _ in evens]
+        tau = TauTable(tuple((m, t, "i" if t < 0 else None) for m, t in zip(evens, taus)))
+        trace = SpTrace(tuple(sorted(mu, reverse=True)), tuple(mu))
+        assert extract_weyl_pair(trace, tau) == _ref_extract_weyl_pair(trace, tau)

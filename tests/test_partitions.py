@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -228,6 +229,59 @@ class TestPairs:
             for p1 in enum(side1, rank - n2)
             for p2 in enum(side2, n2)
         ]
+
+
+class TestUncheckedPairs:
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_equal_to_validated(self, theory):
+        for rank in range(9):
+            for pair in enumerate_rigid_pairs(theory, rank):
+                checked = OperatorPair(list(pair.lambda_prime), list(pair.lambda_dprime),
+                                       theory.value)
+                assert type(pair) is OperatorPair
+                assert pair == checked
+                assert hash(pair) == hash(checked)
+                assert repr(pair) == repr(checked)
+                assert vars(pair) == vars(checked)
+                assert type(pair.lambda_prime) is type(pair.lambda_dprime) is tuple
+                assert pair.theory is theory
+
+    def test_enumeration_skips_validation(self, monkeypatch):
+        expected = {theory: enumerate_rigid_pairs(theory, 6) for theory in Theory}
+
+        def refuse(*args):
+            raise AssertionError("an enumerated side was re-validated")
+
+        monkeypatch.setattr(rigidfp.partitions, "validate_partition", refuse)
+        monkeypatch.setattr(rigidfp.partitions, "is_theory_member", refuse)
+        for theory in Theory:
+            assert enumerate_rigid_pairs(theory, 6) == expected[theory]
+        with pytest.raises(AssertionError, match="re-validated"):
+            OperatorPair((1,), (), "B")  # the public constructor still validates
+
+    def test_suites_pass_with_constructor_rebound(self, monkeypatch):
+        # A tracer rebinds OperatorPair to a plain function in every module
+        # that binds it; enumeration must still build the class itself.
+        from rigidfp.checks import run_suite
+
+        original = rigidfp.partitions.OperatorPair
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        rebound = [
+            module for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "rigidfp" and vars(module).get("OperatorPair") is original
+        ]
+        assert rigidfp.partitions in rebound and sys.modules["rigidfp"] in rebound
+        for module in rebound:
+            monkeypatch.setattr(module, "OperatorPair", wrapper)
+        for suite in ("path-equivalence", "rank-identity"):
+            report = run_suite(suite, 3)
+            assert report.ok, report.failures
+        assert calls == []
 
 
 class TestCombine:
