@@ -1,24 +1,32 @@
-"""Block decomposition of the merged partition and the per-block pipeline.
+"""Block decomposition of the merged partition and the per-block path.
 
 Blocks are contiguous row segments cut wherever the cumulative box count is
 even and the row value changes, so every block starts at an even count and
-stands alone.  Running the Sp map on each block and joining the results end
-to end must reproduce the direct pipeline; that equivalence is the module's
-correctness contract.
+stands alone as a unipotent partition.  The block path reads each block's
+image and [alpha; beta] off the closed forms of closedform (the B/D group
+walk, the C per-value rule) and joins them; it must reproduce the direct
+pipeline's image and outcome, which is the module's correctness contract.
+It shares no code with the pipeline's Sp, tau and extraction stages.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .closedform import _group_walk, _read_counts
 from .fingerprint import (
+    ALL_CONDITIONS,
+    DEFAULT_OPTIONS,
+    SO,
+    SP,
+    VACUOUS,
+    ExtractionDiagnostic,
     FingerprintOptions,
-    FingerprintResult,
-    SpTrace,
-    finish_fingerprint,
-    sp_map,
+    WeylPair,
 )
 from .partitions import DPRIME, INTERLEAVE, PRIME, TaggedPartition, Theory
 
+# Reporting only: block_fingerprint picks its closed form by theory alone.
 OPERATOR_LABELS = frozenset({
     "mu_e12", "mu_e21", "mu_o12", "mu_o21",
     "mu_e1", "mu_e2", "mu_o1", "mu_o2", "mu_II",
@@ -97,15 +105,42 @@ def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     ]
 
 
-def block_fingerprint(tp: TaggedPartition, theory,
-                      opts: FingerprintOptions | None = None) -> FingerprintResult:
-    """Second computation path: per-block Sp fragments, then the shared back half.
+class BlockResult(NamedTuple):
+    """What the block path produces: the image mu as a partition, [alpha; beta]
+    or the extraction diagnostic, and the number of kind-I (odd-total) blocks.
 
-    Must equal the direct pipeline on the same tagged partition.
+    A named tuple, immutable like the pipeline's dataclasses; it is built
+    once per call and costs less to build and to define at import.
+    """
+
+    mu: tuple[int, ...]
+    weyl: WeylPair | None
+    diagnostic: ExtractionDiagnostic | None
+    odd_blocks: int
+
+
+def block_fingerprint(tp: TaggedPartition, theory,
+                      opts: FingerprintOptions | None = None) -> BlockResult:
+    """Second computation path: cut once, a closed form per block, their union.
+
+    Each block starts at an even box count, where the closed forms start.  A
+    block keeps its value groups and moves a box only inside itself, so the
+    image values of different blocks are disjoint and descending from block
+    to block: one count table, filled block by block, holds their union.
+    The closed forms fix all three conditions and the theory's default iii
+    variant (C also takes vacuous); other options raise ValueError.
     """
     theory = Theory(theory)
-    opts = opts or FingerprintOptions()
-    mu: list[int] = []
+    opts = opts or DEFAULT_OPTIONS
+    variant = opts.variant_for(theory)
+    if opts.conditions != ALL_CONDITIONS or variant not in (
+        (SP, VACUOUS) if theory is Theory.C else (SO,)
+    ):
+        raise ValueError(f"block_fingerprint has no closed form for {opts}")
+    origins = tp.origins if variant == SP else None  # condition (iii) under Sp
+    counts, tau_neg = {}, set()
+    odd_blocks = 0
     for start, end in _bounds(tp):
-        mu.extend(sp_map(tp.values[start:end]).mu_values)
-    return finish_fingerprint(SpTrace(tp.values, tuple(mu)), tp, theory, opts)
+        odd_blocks += sum(tp.values[start:end]) % 2
+        _group_walk(tp.values, start, end, counts, tau_neg, origins)
+    return BlockResult(*_read_counts(counts, tau_neg), odd_blocks)

@@ -66,7 +66,6 @@ def _options_from_args(args) -> FingerprintOptions:
 
 def result_record(res: FingerprintResult) -> dict:
     """One CatalogRecord, keyed and ordered deterministically."""
-    pair = res.pair
     diagnostics = []
     if res.diagnostic is not None:
         diagnostics = [
@@ -83,12 +82,11 @@ def result_record(res: FingerprintResult) -> dict:
     return {
         "theory": res.theory.value,
         "rank": res.rank,
-        "lambda_prime": list(pair.lambda_prime) if pair else None,
-        "lambda_dprime": list(pair.lambda_dprime) if pair else None,
+        **_pair_fields(res.pair),
         "combine_mode": res.options.mode,
         "iii_variant": res.options.variant_for(res.theory),
         "tie_break": res.options.tie_break,
-        "mu": list(res.trace.mu_partition()),
+        "mu": list(res.mu),
         "alpha": list(res.weyl.alpha) if res.weyl else None,
         "beta": list(res.weyl.beta) if res.weyl else None,
         "diagnostics": diagnostics,
@@ -112,10 +110,9 @@ def _result_text(res: FingerprintResult, record: dict) -> str:
     lines = [
         f"theory: {res.theory.value}",
         f"rank: {res.rank}",
+        f"lambda': {format_partition(res.pair.lambda_prime)}",
+        f"lambda'': {format_partition(res.pair.lambda_dprime)}",
     ]
-    if res.pair:
-        lines.append(f"lambda': {format_partition(res.pair.lambda_prime)}")
-        lines.append(f"lambda'': {format_partition(res.pair.lambda_dprime)}")
     lines.append(
         f"mode: {res.options.mode}  iii: {res.options.variant_for(res.theory)}"
         f"  tie-break: {res.options.tie_break}"

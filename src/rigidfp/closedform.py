@@ -2,15 +2,15 @@
 
 The collapse maps act on the all-odd subpartition; the factored mu and the
 per-group fingerprint formulas give an independent second route that must
-agree with the generic pipeline on rigid input.
+agree with the generic pipeline.  The group formulas also give the block
+path (blocks.block_fingerprint) each block's image and [alpha; beta].
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .fingerprint import WeylPair, sp_map
-from .partitions import Theory, is_theory_member, transpose, validate_partition
+from .fingerprint import ExtractionDiagnostic, WeylPair, sp_map
+from .partitions import PRIME, Theory, is_theory_member, transpose, validate_partition
 
 
 @dataclass(frozen=True)
@@ -121,31 +121,100 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     return tuple(sorted(collapse(split.odd_part) + split.even_part, reverse=True))
 
 
+def _group_walk(values, start, end, counts, tau_neg, origins=None):
+    """Fold the rows values[start:end] into image counts and tau = -1 values.
+
+    The rows are a B/D or C member's, descending, start at an even box count
+    and hold whole value groups; the walk takes one step per group of n rows
+    of the value v.  An odd group gains a box at its first row when the box
+    count above it is odd, and loses its last box when the count through it
+    is odd (a lost 1 is a deleted row).  That parity is also the open
+    deficit, so the changed even values (condition (i)) and the even groups
+    inside a deficit (condition (ii)) are the tau = -1 values.  Under the SO
+    variant, condition (iii) adds none: an even image row over an odd
+    lambda'-datum is a changed row.
+
+    In C every odd value has even multiplicity, so the parity stays even and
+    nothing moves.  Then tau(m) = -1 comes from condition (iii) under the Sp
+    variant alone: exactly when some row of the even value m has origin
+    lambda' in origins.  Without origins (B/D, or C under the vacuous
+    variant) (iii) adds nothing.  counts receives values in descending order.
+    """
+    odd = 0  # parity of the box count above the group
+    i = start
+    while i < end:
+        v = values[i]
+        j = i + 1
+        while j < end and values[j] == v:
+            j += 1
+        n = j - i
+        if v % 2 == 0:
+            counts[v] = counts.get(v, 0) + n
+            if odd or origins and PRIME in origins[i:j]:
+                tau_neg.add(v)
+        else:
+            gain = odd
+            odd ^= n % 2
+            if gain:
+                counts[v + 1] = counts.get(v + 1, 0) + 1
+                tau_neg.add(v + 1)
+            counts[v] = n - gain - odd
+            if odd and v > 1:
+                counts[v - 1] = 1
+                tau_neg.add(v - 1)
+        i = j
+
+
+def _read_counts(counts, tau_neg):
+    """(mu, weyl, diagnostic) from image counts listed in descending value order.
+
+    A tau = -1 value feeds beta with each of its rows, every other value
+    feeds alpha with its pairs; an unpaired one makes the outcome an
+    ExtractionDiagnostic and weyl None.
+    """
+    mu, alpha, beta, bad = [], [], [], []
+    for v, c in counts.items():
+        mu += [v] * c
+        if v in tau_neg:
+            beta += [v // 2] * c
+        elif c % 2:
+            bad.append((v, c, 1))
+        else:
+            alpha += [v] * (c // 2)
+    if bad:
+        return tuple(mu), None, ExtractionDiagnostic(tuple(bad))
+    return tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None
+
+
+def _walk_whole(p):
+    """_read_counts of the group walk over all rows of the member partition p."""
+    counts, tau_neg = {}, set()
+    _group_walk(p, 0, len(p), counts, tau_neg)
+    return _read_counts(counts, tau_neg)
+
+
 def closed_form_fingerprint_C(p) -> WeylPair:
-    """[prod i^(n_i/2); ()] for a rigid C partition with all-even multiplicities."""
+    """[prod i^(n_i/2); ()] for a C partition with all-even multiplicities.
+
+    The group walk of C rows with every tau = +1.
+    """
     p = validate_partition(p)
     if not is_theory_member(p, Theory.C):
         raise ValueError(f"{p} is not a C-type partition")
-    mult = Counter(p)
-    for v, n in mult.items():
-        if n % 2:
-            raise ValueError(
-                f"value {v} has odd multiplicity {n}; exponent {n}/2 is not integral"
-            )
-    alpha = []
-    for v, n in sorted(mult.items(), reverse=True):
-        alpha += [v] * (n // 2)
-    return WeylPair(tuple(alpha), ())
+    _, weyl, diagnostic = _walk_whole(p)
+    if diagnostic:
+        raise ValueError(f"{diagnostic.message()}: its exponent is not integral")
+    return weyl
 
 
 def closed_form_fingerprint_BD(p, theory) -> WeylPair:
-    """Fingerprint of a rigid B/D unipotent operator from its value groups.
+    """Fingerprint of a B/D unipotent operator from its value groups (_group_walk).
 
-    Works group by group (value v, multiplicity n_v, descending): an odd
-    group gains a box at its first row when the box count above it is odd,
-    and loses its last box when the count through it is odd.  Changed even
-    values and even groups inside an open deficit are the tau = -1 values.
-    Never runs the index-wise pipeline; serves as its independent oracle.
+    Never runs the index-wise pipeline; serves as its independent oracle on
+    every B/D member partition, rigid or not: the closed-form suite checks
+    the rigid ones and condition-ii's gapped sweep the non-rigid ones.  The
+    Sp image of a member pairs every value outside beta, so the result is
+    never a diagnostic.
     """
     theory = Theory(theory)
     p = validate_partition(p)
@@ -153,41 +222,7 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
     if not is_theory_member(p, theory):
         raise ValueError(f"{p} is not a {theory.value}-type partition")
-    groups = sorted(Counter(p).items(), reverse=True)
-    counts: Counter[int] = Counter()
-    tau_neg: set[int] = set()
-    boxes_above = 0
-    delta = 0
-    for v, n in groups:
-        inc = v % 2 == 1 and boxes_above % 2 == 1
-        dec = v % 2 == 1 and (boxes_above + n * v) % 2 == 1
-        if v % 2 == 0 and delta == -1:
-            tau_neg.add(v)  # condition (ii): group sits inside an open deficit
-        counts[v] += n
-        if inc:
-            counts[v] -= 1
-            counts[v + 1] += 1
-            tau_neg.add(v + 1)
-            delta += 1
-        if dec:
-            counts[v] -= 1
-            if v > 1:
-                counts[v - 1] += 1
-                tau_neg.add(v - 1)
-            delta -= 1
-        boxes_above += n * v
-    alpha: list[int] = []
-    beta: list[int] = []
-    for v, c in sorted(counts.items(), reverse=True):
-        if c == 0:
-            continue
-        if v % 2 == 0 and v in tau_neg:
-            beta += [v // 2] * c
-        else:
-            if c % 2:
-                raise ValueError(f"value {v} unpaired; input {p} is not rigid")
-            alpha += [v] * (c // 2)
-    return WeylPair(tuple(alpha), tuple(sorted(beta, reverse=True)))
+    return _walk_whole(p)[1]
 
 
 def has_all_even_transpose_rows(p) -> bool:

@@ -120,6 +120,9 @@ class FingerprintOptions:
         return SP if Theory(theory) is Theory.C else SO
 
 
+DEFAULT_OPTIONS = FingerprintOptions()  # frozen, so one instance serves every call
+
+
 @dataclass(frozen=True)
 class TauTable:
     """tau on the distinct positive even values of mu, with -1 witnesses."""
@@ -138,7 +141,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     (i) mu_i != lambda_i, (ii) running sums differ, (iii) the lambda'-datum
     at the row is odd (SO) / even (Sp).  Deleted rows (mu_i = 0) are ignored.
     """
-    opts = opts or FingerprintOptions()
+    opts = opts or DEFAULT_OPTIONS
     conditions = opts.conditions
     check_i = "i" in conditions
     check_ii = "ii" in conditions
@@ -233,38 +236,20 @@ class FingerprintResult:
     weyl: WeylPair | None
     diagnostic: ExtractionDiagnostic | None
     rank: int
-    pair: OperatorPair | None = None
+    pair: OperatorPair
 
-    def same_outcome(self, other: "FingerprintResult") -> bool:
+    @property
+    def mu(self):
+        """The Sp image as a partition."""
+        return self.trace.mu_partition()
+
+    def same_outcome(self, other) -> bool:
+        """Same image mu, [alpha; beta] and diagnostic; other may be a blocks.BlockResult."""
         return (
-            self.trace == other.trace
-            and self.tau.entries == other.tau.entries
+            self.mu == other.mu
             and self.weyl == other.weyl
             and self.diagnostic == other.diagnostic
         )
-
-
-def finish_fingerprint(trace: SpTrace, tagged: TaggedPartition, theory: Theory,
-                       opts: FingerprintOptions,
-                       pair: OperatorPair | None = None) -> FingerprintResult:
-    """Shared back half of both paths: trace -> tau -> [alpha; beta].
-
-    The paths differ only in how they build the trace; only the direct path
-    knows the pair.
-    """
-    tau = tau_table(trace, tagged, theory, opts)
-    outcome = extract_weyl_pair(trace, tau)
-    return FingerprintResult(
-        theory=theory,
-        options=opts,
-        tagged=tagged,
-        trace=trace,
-        tau=tau,
-        weyl=outcome if isinstance(outcome, WeylPair) else None,
-        diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
-        rank=(sum(tagged.values) - theory.theta) // 2,
-        pair=pair,
-    )
 
 
 def fingerprint(pair: OperatorPair,
@@ -274,6 +259,19 @@ def fingerprint(pair: OperatorPair,
     Rigidity is not required.  Extraction failures surface as a
     diagnostic, not an exception.
     """
-    opts = opts or FingerprintOptions()
+    opts = opts or DEFAULT_OPTIONS
     tagged = combine(pair, opts.mode, opts.tie_break)
-    return finish_fingerprint(sp_map(tagged.values), tagged, pair.theory, opts, pair)
+    trace = sp_map(tagged.values)
+    tau = tau_table(trace, tagged, pair.theory, opts)
+    outcome = extract_weyl_pair(trace, tau)
+    return FingerprintResult(
+        theory=pair.theory,
+        options=opts,
+        tagged=tagged,
+        trace=trace,
+        tau=tau,
+        weyl=outcome if isinstance(outcome, WeylPair) else None,
+        diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
+        rank=pair.rank,
+        pair=pair,
+    )

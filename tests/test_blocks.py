@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import groupby
 
@@ -10,7 +11,8 @@ from rigidfp import (
     fingerprint,
     sp_map,
 )
-from rigidfp.blocks import OPERATOR_LABELS
+from rigidfp.blocks import OPERATOR_LABELS, BlockResult
+from rigidfp.fingerprint import SO, SP, VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
@@ -186,12 +188,12 @@ class TestPathEquivalence:
                         opts = FingerprintOptions(tie_break=tb)
                         direct = fingerprint(pair, opts)
                         via_blocks = block_fingerprint(direct.tagged, theory, opts)
-                        assert via_blocks.trace == direct.trace
+                        assert via_blocks.mu == direct.mu
                         assert direct.same_outcome(via_blocks)
 
     def test_member_pairs_match_direct(self):
-        # Non-rigid members exercise the shared back half on gapped rows and
-        # on extraction diagnostics, which rigid pairs rarely reach.
+        # Non-rigid members exercise the closed forms on gapped rows and on
+        # extraction diagnostics, which rigid pairs rarely reach.
         checked = diagnostics = 0
         for pair in member_pairs():
             for tb in (PRIME_FIRST, DPRIME_FIRST):
@@ -199,10 +201,70 @@ class TestPathEquivalence:
                 direct = fingerprint(pair, opts)
                 via_blocks = block_fingerprint(direct.tagged, pair.theory, opts)
                 assert direct.same_outcome(via_blocks), (pair, tb)
-                assert via_blocks.rank == direct.rank
+                assert (via_blocks.weyl, via_blocks.diagnostic) == (direct.weyl, direct.diagnostic)
                 checked += 1
                 diagnostics += direct.diagnostic is not None
         assert (checked, diagnostics) == (2786, 486)
+
+    def test_vacuous_c_member_pairs_match_direct(self):
+        # With the vacuous iii variant every C tau is +1: only pairs or
+        # diagnostics remain.
+        vac = FingerprintOptions(iii_variant=VACUOUS)
+        diagnostics = 0
+        for pair in member_pairs():
+            if pair.theory is Theory.C:
+                direct = fingerprint(pair, vac)
+                via_blocks = block_fingerprint(direct.tagged, Theory.C, vac)
+                assert direct.same_outcome(via_blocks), pair
+                assert via_blocks.odd_blocks == 0
+                diagnostics += direct.diagnostic is not None
+        assert diagnostics > 0
+
+    @pytest.mark.parametrize("pair, opts", [
+        (OperatorPair((2, 2, 1), (1, 1), "B"), FingerprintOptions(conditions={"i", "iii"})),
+        (OperatorPair((2, 1, 1), (1, 1), "C"), FingerprintOptions(conditions={"i", "ii"})),
+        (OperatorPair((2, 2), (1, 1), "D"), FingerprintOptions(conditions=())),
+        (OperatorPair((2, 2, 1), (1, 1), "B"), FingerprintOptions(iii_variant=SP)),
+        (OperatorPair((2, 2), (1, 1), "D"), FingerprintOptions(iii_variant=VACUOUS)),
+        (OperatorPair((2, 1, 1), (1, 1), "C"), FingerprintOptions(iii_variant=SO)),
+    ])
+    def test_options_outside_the_closed_forms_rejected(self, pair, opts):
+        with pytest.raises(ValueError, match="block_fingerprint"):
+            block_fingerprint(combine(pair), pair.theory, opts)
+
+    def test_pipeline_stages_not_called(self, monkeypatch):
+        # The block path reads the closed forms only: with every pipeline
+        # stage raising, it still reproduces the direct results.
+        cases = []
+        for pair in member_pairs(4):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                opts = FingerprintOptions(tie_break=tb)
+                cases.append((fingerprint(pair, opts), opts))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("pipeline stage called")
+
+        # From sys.modules: the package's function `fingerprint` hides the module.
+        home = sys.modules["rigidfp.fingerprint"]
+        for name in ("sp_map", "tau_table", "extract_weyl_pair"):
+            original = getattr(home, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "rigidfp" and vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, boom)
+        with pytest.raises(AssertionError, match="pipeline stage"):
+            fingerprint(OperatorPair((1,), (), "B"))
+        for direct, opts in cases:
+            via_blocks = block_fingerprint(direct.tagged, direct.theory, opts)
+            assert direct.same_outcome(via_blocks), direct.pair
+
+    def test_same_outcome_compares_mu(self):
+        # mu decides only where a diagnostic, not [alpha; beta], is compared.
+        direct = fingerprint(OperatorPair((2, 1, 1), (), "C"), FingerprintOptions(iii_variant=VACUOUS))
+        assert direct.diagnostic is not None
+        same = BlockResult(direct.mu, direct.weyl, direct.diagnostic, 0)
+        assert direct.same_outcome(same)
+        assert not direct.same_outcome(same._replace(mu=(2, 2, 1, 1)))
+        assert not direct.same_outcome(same._replace(diagnostic=None))
 
     def test_worked_instance(self):
         pair = OperatorPair((2, 1, 1), (1, 1), Theory.C)

@@ -84,7 +84,9 @@ SP_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("suite", ["sp-locality", "closed-form", "rank-identity"])
+@pytest.mark.parametrize(
+    "suite", ["sp-locality", "closed-form", "rank-identity", "path-equivalence", "condition-ii"]
+)
 @pytest.mark.parametrize("mutant", sorted(SP_MUTANTS))
 def test_suite_catches_sp_mutant(suite, mutant, monkeypatch):
     rule = SP_MUTANTS[mutant]
@@ -129,12 +131,17 @@ TAU_MUTANTS = {
     "so-sp-swapped": _with_options(
         lambda o, t: replace(o, iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])),
     "all-plus": _all_plus,
+    "condition-ii-dropped": _with_options(
+        lambda o, t: replace(o, conditions=o.conditions - {"ii"})),
 }
 TAU_CATCHES = {
     "condition-i-dropped": {"condition-ii": 3},
-    "condition-iii-dropped": {"rank-identity": 8},
-    "so-sp-swapped": {"rank-identity": 8, "closed-form": 5},
-    "all-plus": {"rank-identity": 9, "closed-form": 1},
+    "condition-iii-dropped": {"rank-identity": 8, "path-equivalence": 16},
+    "so-sp-swapped": {"rank-identity": 8, "closed-form": 5, "path-equivalence": 32,
+                      "condition-ii": 207},
+    "all-plus": {"rank-identity": 9, "closed-form": 1, "path-equivalence": 22,
+                 "condition-ii": 522},
+    "condition-ii-dropped": {"condition-ii": 28},
 }
 
 
