@@ -10,7 +10,6 @@ It shares no code with the pipeline's Sp, tau and extraction stages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .closedform import _group_walk, _read_counts
@@ -33,9 +32,12 @@ OPERATOR_LABELS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Block:
-    """A contiguous row segment [start, end) of the tagged partition."""
+class Block(NamedTuple):
+    """A contiguous row segment [start, end) of the tagged partition.
+
+    A named tuple, so it compares equal to the plain tuple
+    (start, end, kind, operator_label).
+    """
 
     start: int
     end: int
@@ -109,8 +111,8 @@ class BlockResult(NamedTuple):
     """What the block path produces: the image mu as a partition, [alpha; beta]
     or the extraction diagnostic, and the number of kind-I (odd-total) blocks.
 
-    A named tuple, immutable like the pipeline's dataclasses; it is built
-    once per call and costs less to build and to define at import.
+    A named tuple like the pipeline's records, so it compares equal to the
+    plain tuple (mu, weyl, diagnostic, odd_blocks).
     """
 
     mu: tuple[int, ...]
@@ -130,7 +132,8 @@ def block_fingerprint(tp: TaggedPartition, theory,
     The closed forms fix all three conditions and the theory's default iii
     variant (C also takes vacuous); other options raise ValueError.
     """
-    theory = Theory(theory)
+    if type(theory) is not Theory:
+        theory = Theory(theory)
     opts = opts or DEFAULT_OPTIONS
     variant = opts.variant_for(theory)
     if opts.conditions != ALL_CONDITIONS or variant not in (

@@ -114,33 +114,39 @@ def check_structure(max_rank: int) -> SuiteReport:
     return _sweep(SuiteReport("structure"), _upto(enumerate_rigid, Theory, max_rank), check)
 
 
-def _group_bounds(values):
-    """(first_of_group, last_of_group) flags per index."""
-    n = len(values)
-    first = [i == 0 or values[i - 1] != values[i] for i in range(n)]
-    last = [i == n - 1 or values[i + 1] != values[i] for i in range(n)]
-    return first, last
+def sp_locality_failure(theory, p) -> str | None:
+    """Where sp_map(p) breaks the locality lemma, or None.
+
+    The lemma: only an odd row at the edge of its value group moves, by one
+    box in the direction of its sign, the parity of the box count through
+    it.  Under an odd count (sign -1) the last row of the group loses a
+    box; under an even count (+1) the first row gains one.  One pass keeps
+    the count's parity and compares each row with its neighbours.
+    """
+    mu_values = sp_map(p).mu_values
+    end = len(p) - 1
+    odd = False
+    for i, lam in enumerate(p):
+        expected = lam
+        if lam % 2:
+            odd = not odd
+            if odd:
+                if i == end or p[i + 1] != lam:
+                    expected = lam - 1
+            elif i == 0 or p[i - 1] != lam:
+                expected = lam + 1
+        if mu_values[i] != expected:
+            return (
+                f"{theory.value} {format_partition(p)} index {i}: "
+                f"mu={mu_values[i]}, expected {expected}"
+            )
+    return None
 
 
 def check_sp_locality(max_rank: int) -> SuiteReport:
     """Changes only at value-group boundaries, direction set by the sign."""
-    def check(theory, p):
-        trace = sp_map(p)
-        first, last = _group_bounds(p)
-        for i, (lam, mu, sign) in enumerate(zip(p, trace.mu_values, trace.signs)):
-            if lam % 2 == 1 and sign == -1 and last[i]:
-                expected = lam - 1
-            elif lam % 2 == 1 and sign == 1 and first[i]:
-                expected = lam + 1
-            else:
-                expected = lam
-            if mu != expected:
-                return (
-                    f"{theory.value} {format_partition(p)} index {i}: "
-                    f"mu={mu}, expected {expected}"
-                )
-
-    return _sweep(SuiteReport("sp-locality"), _upto(enumerate_members, Theory, max_rank), check)
+    inputs = _upto(enumerate_members, Theory, max_rank)
+    return _sweep(SuiteReport("sp-locality"), inputs, sp_locality_failure)
 
 
 def check_parity(max_rank: int) -> SuiteReport:
@@ -168,11 +174,12 @@ def deficit_closure_ok(trace) -> bool:
         return False
     if not delta:
         return True
-    zeros = [i for i, m in enumerate(trace.mu_values) if m == 0]
+    mu = trace.mu_values
+    zeros = mu.count(0)
     if not zeros:
         return delta[-1] == 0
-    z = zeros[0]
-    if len(zeros) > 1 or z != len(delta) - 1:
+    z = mu.index(0)
+    if zeros > 1 or z != len(delta) - 1:
         return False
     return delta[-1] == -1 and (z == 0 or delta[z - 1] == 0)
 

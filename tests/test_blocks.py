@@ -232,6 +232,15 @@ class TestPathEquivalence:
         with pytest.raises(ValueError, match="block_fingerprint"):
             block_fingerprint(combine(pair), pair.theory, opts)
 
+    @pytest.mark.parametrize("theory", ["C", Theory.C])
+    def test_theory_as_letter_or_member(self, theory):
+        pair = OperatorPair((2, 2, 1, 1), (1, 1), "C")
+        assert fingerprint(pair).same_outcome(block_fingerprint(combine(pair), theory))
+
+    def test_unknown_theory_rejected(self):
+        with pytest.raises(ValueError, match="'E' is not a valid Theory"):
+            block_fingerprint(combine(OperatorPair((1, 1), (), "C")), "E")
+
     def test_pipeline_stages_not_called(self, monkeypatch):
         # The block path reads the closed forms only: with every pipeline
         # stage raising, it still reproduces the direct results.

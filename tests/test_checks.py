@@ -3,7 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from rigidfp.checks import DEFAULT_MAX_RANK, SUITES, run_suite, transpose_structure_ok
+from rigidfp.checks import (
+    DEFAULT_MAX_RANK,
+    SUITES,
+    run_suite,
+    sp_locality_failure,
+    transpose_structure_ok,
+)
 from rigidfp.fingerprint import (
     SO,
     SP,
@@ -15,7 +21,7 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
-from rigidfp.partitions import partitions_of
+from rigidfp.partitions import Theory, enumerate_members, format_partition, partitions_of
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -89,15 +95,60 @@ SP_MUTANTS = {
 )
 @pytest.mark.parametrize("mutant", sorted(SP_MUTANTS))
 def test_suite_catches_sp_mutant(suite, mutant, monkeypatch):
-    rule = SP_MUTANTS[mutant]
+    _patch_everywhere(monkeypatch, "sp_map", sp_map, _sp_mutant(SP_MUTANTS[mutant]))
+    assert run_suite(suite, 4).failures
 
+
+def _sp_mutant(rule):
+    """An sp_map that applies rule to each row."""
     def mutated(values):
         values = tuple(values)
         rows = zip((0,) + values, values, values[1:] + (0,), prefix_signs(values))
         return SpTrace(values, tuple(rule(*row) for row in rows))
+    return mutated
 
-    _patch_everywhere(monkeypatch, "sp_map", sp_map, mutated)
-    assert run_suite(suite, 4).failures
+
+def _reference_sp_locality(theory, p, sp=sp_map):
+    """sp-locality's check of one member before it became one pass.
+
+    The oracle the one-pass check is held to: the sign of each row from the
+    trace, group-boundary flags from two lists, then one zip over the rows.
+    """
+    trace = sp(p)
+    n = len(p)
+    first = [i == 0 or p[i - 1] != p[i] for i in range(n)]
+    last = [i == n - 1 or p[i + 1] != p[i] for i in range(n)]
+    for i, (lam, mu, sign) in enumerate(zip(p, trace.mu_values, trace.signs)):
+        if lam % 2 == 1 and sign == -1 and last[i]:
+            expected = lam - 1
+        elif lam % 2 == 1 and sign == 1 and first[i]:
+            expected = lam + 1
+        else:
+            expected = lam
+        if mu != expected:
+            return (
+                f"{theory.value} {format_partition(p)} index {i}: "
+                f"mu={mu}, expected {expected}"
+            )
+
+
+MEMBERS_TO_12 = [(t, p) for t in Theory for rank in range(13) for p in enumerate_members(t, rank)]
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(SP_MUTANTS)])
+def test_sp_locality_matches_reference(mutant, monkeypatch):
+    # Same verdict and failure string on every member, under the true Sp
+    # rule and under each pinned mutant.
+    sp = sp_map
+    if mutant is not None:
+        sp = _sp_mutant(SP_MUTANTS[mutant])
+        _patch_everywhere(monkeypatch, "sp_map", sp_map, sp)
+    failures = 0
+    for theory, p in MEMBERS_TO_12:
+        expected = _reference_sp_locality(theory, p, sp)
+        assert sp_locality_failure(theory, p) == expected, (theory, p)
+        failures += expected is not None
+    assert (failures > 0) == (mutant is not None)
 
 
 def _patch_everywhere(monkeypatch, attr, original, replacement):

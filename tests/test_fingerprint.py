@@ -141,6 +141,13 @@ class TestTau:
         assert opts.variant_for("B") == SO
         assert opts.variant_for("D") == SO
         assert opts.variant_for("C") == SP
+        assert opts.variant_for(Theory.B) == SO
+        assert opts.variant_for(Theory.D) == SO
+        assert opts.variant_for(Theory.C) == SP
+
+    def test_variant_for_unknown_theory_rejected(self):
+        with pytest.raises(ValueError, match="'E' is not a valid Theory"):
+            FingerprintOptions().variant_for("E")
 
 
 def extract(mu_values, tau):
