@@ -226,7 +226,8 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
     """
     def check(theory, pair):
         # Same trace, so the same tau table gives the same outcome.
-        if fingerprint(pair).tau != fingerprint(pair, _WITHOUT_II).tau:
+        res = fingerprint(pair)
+        if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
             return _fmt_pair(pair)
 
     report = _sweep(
@@ -259,20 +260,28 @@ def check_shift(max_rank: int) -> SuiteReport:
 
     Adding 2 to every part of both sides adds 2 to every merged row and
     keeps the row order.  A row deleted by Sp reappears as a beta part of 1
-    after the shift; the result-level check accounts for exactly that.
+    after the shift; the result-level check accounts for exactly that.  A
+    diagnostic shifts too: both sides have one or neither, and each
+    unpairable value rises by 2 with the same multiplicity and tau.
     """
-    opts = FingerprintOptions()
-
     def check(theory, pair):
-        base = fingerprint(pair, opts)
+        base = fingerprint(pair)
         sides = [tuple(v + 2 for v in side) for side in (pair.lambda_prime, pair.lambda_dprime)]
-        shifted = fingerprint(OperatorPair(*sides, theory), opts)
+        shifted = fingerprint(OperatorPair(*sides, theory))
         want_mu = tuple(m + 2 for m in base.trace.mu_values)
         if shifted.trace.mu_values != want_mu:
             return f"{_fmt_pair(pair)}: trace shift broken"
-        weyl = shifted.weyl
-        if base.weyl is None or weyl is None:
+        if (base.diagnostic is None) != (shifted.diagnostic is None):
+            return f"{_fmt_pair(pair)}: diagnostic on one side of the shift only"
+        if base.diagnostic is not None:
+            want = tuple((v + 2, n, t) for v, n, t in base.diagnostic.entries)
+            if shifted.diagnostic.entries != want:
+                return (
+                    f"{_fmt_pair(pair)}: diagnostic {base.diagnostic.message()} "
+                    f"-> {shifted.diagnostic.message()}"
+                )
             return None
+        weyl = shifted.weyl
         zeros = sum(1 for m in base.trace.mu_values if m == 0)
         alpha_shifted = tuple(a + 2 for a in base.weyl.alpha)
         beta_core = tuple(b for b in weyl.beta if b > 1)

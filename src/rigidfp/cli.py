@@ -79,16 +79,16 @@ def result_record(res: FingerprintResult) -> dict:
              "operator_label": b.operator_label}
             for b in decompose_blocks(res.tagged)
         ]
+    pair = res.pair
     return {
-        "theory": res.theory.value,
-        "rank": res.rank,
-        **_pair_fields(res.pair),
+        "theory": pair.theory.value,
+        "rank": pair.rank,
+        **_pair_fields(pair),
         "combine_mode": res.options.mode,
-        "iii_variant": res.options.variant_for(res.theory),
+        "iii_variant": res.options.variant_for(pair.theory),
         "tie_break": res.options.tie_break,
         "mu": list(res.mu),
-        "alpha": list(res.weyl.alpha) if res.weyl else None,
-        "beta": list(res.weyl.beta) if res.weyl else None,
+        **_weyl_fields(res),
         "diagnostics": diagnostics,
         "blocks": blocks,
     }
@@ -106,15 +106,23 @@ def _pair_fields(pair: OperatorPair) -> dict:
             "lambda_dprime": list(pair.lambda_dprime)}
 
 
+def _weyl_fields(res: FingerprintResult) -> dict:
+    """alpha and beta as lists, both None under a diagnostic."""
+    weyl = res.weyl
+    if weyl is None:
+        return {"alpha": None, "beta": None}
+    return {"alpha": list(weyl.alpha), "beta": list(weyl.beta)}
+
+
 def _result_text(res: FingerprintResult, record: dict) -> str:
     lines = [
-        f"theory: {res.theory.value}",
-        f"rank: {res.rank}",
+        f"theory: {record['theory']}",
+        f"rank: {record['rank']}",
         f"lambda': {format_partition(res.pair.lambda_prime)}",
         f"lambda'': {format_partition(res.pair.lambda_dprime)}",
     ]
     lines.append(
-        f"mode: {res.options.mode}  iii: {res.options.variant_for(res.theory)}"
+        f"mode: {res.options.mode}  iii: {record['iii_variant']}"
         f"  tie-break: {res.options.tie_break}"
         f"  conditions: {','.join(sorted(res.options.conditions))}"
     )
@@ -219,8 +227,7 @@ def cmd_fibers(args) -> int:
         record = {
             "theory": theory.value,
             "rank": args.rank,
-            "alpha": list(res.weyl.alpha) if res.weyl else None,
-            "beta": list(res.weyl.beta) if res.weyl else None,
+            **_weyl_fields(res),
             "members": [_pair_fields(m) for m in members],
         }
         outcome = _outcome_text(res)

@@ -209,16 +209,16 @@ class ExtractionDiagnostic(NamedTuple):
 def extract_weyl_pair(trace: SpTrace, tau: TauTable):
     """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta.
 
-    Each value's multiplicity is the length of its run in mu sorted
-    descending; the zeros of deleted rows sort last and are not read.
+    Each value's multiplicity is the length of its run in mu read as a
+    partition; the zeros of deleted rows are not read.
     """
-    mu = sorted(trace.mu_values, reverse=True)
+    mu = trace.mu_partition()
     taus = tau.as_dict()
     alpha: list[int] = []
     beta: list[int] = []
     bad: list[tuple[int, int, int]] = []
     start, n = 0, len(mu)
-    while start < n and mu[start] > 0:
+    while start < n:
         v = mu[start]
         stop = start + 1
         while stop < n and mu[stop] == v:
@@ -240,18 +240,17 @@ def extract_weyl_pair(trace: SpTrace, tau: TauTable):
 class FingerprintResult(NamedTuple):
     """Everything the pipeline produced for one operator.
 
-    A named tuple, so it compares equal to the plain tuple of its nine
-    fields in order.
+    The operator's theory and rank are facts of the pair: read them as
+    pair.theory and pair.rank.  A named tuple, so it compares equal to the
+    plain tuple of its seven fields in order.
     """
 
-    theory: Theory
     options: FingerprintOptions
     tagged: TaggedPartition
     trace: SpTrace
     tau: TauTable
     weyl: WeylPair | None
     diagnostic: ExtractionDiagnostic | None
-    rank: int
     pair: OperatorPair
 
     @property
@@ -280,14 +279,6 @@ def fingerprint(pair: OperatorPair,
     trace = sp_map(tagged.values)
     tau = tau_table(trace, tagged, pair.theory, opts)
     outcome = extract_weyl_pair(trace, tau)
-    return FingerprintResult(
-        theory=pair.theory,
-        options=opts,
-        tagged=tagged,
-        trace=trace,
-        tau=tau,
-        weyl=outcome if isinstance(outcome, WeylPair) else None,
-        diagnostic=outcome if isinstance(outcome, ExtractionDiagnostic) else None,
-        rank=pair.rank,
-        pair=pair,
-    )
+    if isinstance(outcome, WeylPair):
+        return FingerprintResult(opts, tagged, trace, tau, outcome, None, pair)
+    return FingerprintResult(opts, tagged, trace, tau, None, outcome, pair)

@@ -263,7 +263,7 @@ class TestPathEquivalence:
         with pytest.raises(AssertionError, match="pipeline stage"):
             fingerprint(OperatorPair((1,), (), "B"))
         for direct, opts in cases:
-            via_blocks = block_fingerprint(direct.tagged, direct.theory, opts)
+            via_blocks = block_fingerprint(direct.tagged, direct.pair.theory, opts)
             assert direct.same_outcome(via_blocks), direct.pair
 
     def test_same_outcome_compares_mu(self):

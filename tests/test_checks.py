@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import rigidfp.checks
 from rigidfp.checks import (
     DEFAULT_MAX_RANK,
     SUITES,
@@ -14,9 +15,11 @@ from rigidfp.fingerprint import (
     SO,
     SP,
     VACUOUS,
+    ExtractionDiagnostic,
     FingerprintOptions,
     SpTrace,
     TauTable,
+    fingerprint,
     prefix_signs,
     sp_map,
     tau_table,
@@ -64,6 +67,64 @@ def test_condition_ii_info_line():
         "gapped sweep (total <= 20): 28 (ii)-sensitive of 1265 non-rigid inputs; "
         "e.g. B 5 2^2, B 7 2^2, B 5 2^4, B 9 2^2, B 7 2^4"
     ]
+
+
+def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
+    # One run per rigid pair, whose without-(ii) table reuses its trace, and
+    # one per gapped member (1265 of them, as the info line says).
+    calls = []
+
+    def counted(pair, opts=None):
+        calls.append(pair)
+        return fingerprint(pair, opts)
+
+    monkeypatch.setattr(rigidfp.checks, "fingerprint", counted)
+    report = run_suite("condition-ii", 4)
+    assert report.ok
+    assert len(calls) == report.checked + 1265
+
+
+def _shift_mutant(monkeypatch, change):
+    """Apply change to the result of each shifted input of the shift suite.
+
+    check_shift fingerprints the base pair, then the shifted one, so every
+    second call is a shifted input.
+    """
+    calls = []
+
+    def mutated(pair, opts=None):
+        res = fingerprint(pair, opts)
+        calls.append(pair)
+        return change(res) if len(calls) % 2 == 0 else res
+
+    monkeypatch.setattr(rigidfp.checks, "fingerprint", mutated)
+
+
+def test_shift_fails_on_one_sided_diagnostic(monkeypatch):
+    # Rank 4 has 73 rigid pairs, 7 with a diagnostic: the other 66 gain one
+    # on the shifted side only.
+    def change(res):
+        if res.weyl is None:
+            return res
+        return res._replace(weyl=None, diagnostic=ExtractionDiagnostic(((3, 1, 1),)))
+
+    _shift_mutant(monkeypatch, change)
+    report = run_suite("shift", 4)
+    assert report.checked == 73
+    assert len(report.failures) == 66
+    assert all(f.endswith("diagnostic on one side of the shift only") for f in report.failures)
+
+
+def test_shift_compares_diagnostic_entries(monkeypatch):
+    # Each of the 7 diagnostics at rank 4 must shift by 2 exactly.
+    def change(res):
+        if res.diagnostic is None:
+            return res
+        entries = tuple((v + 1, n, t) for v, n, t in res.diagnostic.entries)
+        return res._replace(diagnostic=ExtractionDiagnostic(entries))
+
+    _shift_mutant(monkeypatch, change)
+    assert len(run_suite("shift", 4).failures) == 7
 
 
 def test_rank_identity_reports_c_diagnostics_as_info():

@@ -74,7 +74,7 @@ class TestFingerprint:
 
         monkeypatch.setattr(rigidfp.blocks, "_classify", counted)
         direct = fingerprint(OperatorPair((2, 2, 1), (1, 1), "B"))
-        block_fingerprint(direct.tagged, direct.theory)
+        block_fingerprint(direct.tagged, direct.pair.theory)
         rec = result_record(direct)
         assert len(rec["blocks"]) == 2
         assert len(calls) == 2

@@ -219,9 +219,18 @@ class TestFingerprint:
     def test_b_examples(self):
         res = fingerprint(OperatorPair((1, 1, 1), (1, 1), "B"))
         assert (res.weyl.alpha, res.weyl.beta) == ((1, 1), ())
-        assert res.rank == 2
+        assert res.pair.rank == 2
         res = fingerprint(OperatorPair((2, 2, 1), (1, 1), "B"))
         assert (res.weyl.alpha, res.weyl.beta) == ((2, 1), ())
+
+    def test_result_does_not_read_rank(self, monkeypatch):
+        # The rank is a fact of the pair; the pipeline never computes it.
+        def boom(self):
+            raise AssertionError("fingerprint read OperatorPair.rank")
+
+        pair = OperatorPair((2, 2, 1), (1, 1), "B")
+        monkeypatch.setattr(OperatorPair, "rank", property(boom))
+        assert fingerprint(pair).weyl == ((2, 1), ())
 
     def test_c_example(self):
         res = fingerprint(OperatorPair((2, 1, 1), (1, 1), "C"))

@@ -50,12 +50,12 @@ RECORDS = {
     "FingerprintResult": (
         _result,
         _result(("ii",)),
-        "FingerprintResult(theory=<Theory.B: 'B'>, options=FingerprintOptions("
+        "FingerprintResult(options=FingerprintOptions("
         "mode='interleave', tie_break='prime', conditions=frozenset({'i'}), "
         "iii_variant=None), tagged=TaggedPartition(values=(1,), mode='interleave', "
         "origins=('prime',), prime_odd=None), trace=SpTrace(lambda_values=(1,), "
         "mu_values=(0,)), tau=TauTable(entries=()), weyl=WeylPair(alpha=(), beta=()), "
-        "diagnostic=None, rank=0, pair=OperatorPair(lambda_prime=(1,), "
+        "diagnostic=None, pair=OperatorPair(lambda_prime=(1,), "
         "lambda_dprime=(), theory=<Theory.B: 'B'>))",
     ),
     "TaggedPartition": (
