@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -37,13 +38,23 @@ from .partitions import (
 
 
 def _emit(args, items) -> None:
-    """Print (record, text) items: each record as JSON under --json, else each text."""
+    """Print (record, text) items: each record as JSON under --json, else each text.
+
+    A reader that closes the pipe early (`| head`) is not an error: stdout
+    is pointed at os.devnull, so the interpreter's final flush of what is
+    left cannot raise again, and the command keeps its own exit code.
+    """
     text = "\n".join(json.dumps(record) if args.json else t for record, t in items)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + ("\n" if text else ""))
     elif text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _pair_from_args(args) -> OperatorPair:

@@ -7,6 +7,8 @@ path (blocks.block_fingerprint) each block's image and [alpha; beta].
 """
 from __future__ import annotations
 
+from itertools import repeat
+from operator import ge, mod
 from typing import NamedTuple
 
 from .fingerprint import ExtractionDiagnostic, WeylPair, sp_map
@@ -24,29 +26,38 @@ class ParitySplit(NamedTuple):
 
 
 def split_parity(p) -> ParitySplit:
-    p = validate_partition(p)
-    return ParitySplit(
-        odd_part=tuple(v for v in p if v % 2 == 1),
-        even_part=tuple(v for v in p if v % 2 == 0),
-    )
+    return _split(validate_partition(p))
 
 
-def _require_all_odd(sigma, total_parity: int, name: str) -> tuple[int, ...]:
-    sigma = validate_partition(sigma)
-    if any(v % 2 == 0 for v in sigma):
-        raise ValueError(f"{name} requires all-odd parts, got {sigma}")
-    if sum(sigma) % 2 != total_parity:
-        kind = "odd" if total_parity else "even"
-        raise ValueError(f"{name} requires {kind} total, got {sum(sigma)}")
-    return sigma
+def _split(p: tuple[int, ...]) -> ParitySplit:
+    """split_parity of a partition already validated."""
+    odd, even = [], []
+    for v in p:
+        (odd if v % 2 else even).append(v)
+    return ParitySplit(tuple(odd), tuple(even))
 
 
 _COLLAPSE_NAMES = ("ys_map", "xs_map")  # indexed by the number of boxes lost
 
 
-def _collapse(sigma, lost: int) -> tuple[int, ...]:
-    """Sp image of an all-odd partition whose total has the parity of lost."""
-    sigma = _require_all_odd(sigma, lost, _COLLAPSE_NAMES[lost])
+def _require_all_odd(sigma, lost: int) -> tuple[int, ...]:
+    """sigma validated as the input of the collapse map losing `lost` boxes."""
+    name = _COLLAPSE_NAMES[lost]
+    sigma = validate_partition(sigma)
+    if not all(map(mod, sigma, repeat(2))):
+        raise ValueError(f"{name} requires all-odd parts, got {sigma}")
+    if sum(sigma) % 2 != lost:
+        kind = "odd" if lost else "even"
+        raise ValueError(f"{name} requires {kind} total, got {sum(sigma)}")
+    return sigma
+
+
+def _collapse(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Sp image of an all-odd partition, unchecked: the collapse maps' core.
+
+    sigma must be valid with all-odd parts; its total's parity is the
+    number of boxes the map loses.
+    """
     return sp_map(sigma).mu_partition()
 
 
@@ -73,8 +84,8 @@ def _expand(p, lost: int) -> tuple[int, ...]:
     candidate = tuple(sigma)
     if (
         sum(candidate) != target
-        or any(a < b for a, b in zip(candidate, candidate[1:]))
-        or sp_map(candidate).mu_partition() != p
+        or not all(map(ge, candidate, candidate[1:]))
+        or _collapse(candidate) != p
     ):
         raise ValueError(f"{p} is not in the image of {_COLLAPSE_NAMES[lost]}")
     return candidate
@@ -85,7 +96,7 @@ def xs_map(sigma) -> tuple[int, ...]:
 
     The image has all-even transpose rows and is C-type.
     """
-    return _collapse(sigma, 1)
+    return _collapse(_require_all_odd(sigma, 1))
 
 
 def ys_map(sigma) -> tuple[int, ...]:
@@ -93,7 +104,7 @@ def ys_map(sigma) -> tuple[int, ...]:
 
     The image has all-even transpose rows and is D-type.
     """
-    return _collapse(sigma, 0)
+    return _collapse(_require_all_odd(sigma, 0))
 
 
 def xs_inverse(p) -> tuple[int, ...]:
@@ -110,17 +121,19 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     """mu of a unipotent operator via the collapse of its odd parts.
 
     B: xs_map(odd parts) joined with the even parts; D: ys_map likewise;
-    C: the partition itself.
+    C: the partition itself.  A member's odd parts are a valid all-odd
+    partition whose total has the member's parity, so they are collapsed
+    without a second check.
     """
-    theory = Theory(theory)
+    if type(theory) is not Theory:
+        theory = Theory(theory)
     p = validate_partition(p)
     if not is_theory_member(p, theory):
         raise ValueError(f"{p} is not a {theory.value}-type partition")
     if theory is Theory.C:
         return p
-    split = split_parity(p)
-    collapse = xs_map if theory is Theory.B else ys_map
-    return tuple(sorted(collapse(split.odd_part) + split.even_part, reverse=True))
+    odd_part, even_part = _split(p)
+    return tuple(sorted(_collapse(odd_part) + even_part, reverse=True))
 
 
 def _group_walk(values, start, end, counts, tau_neg, origins=None):
@@ -218,7 +231,8 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
     Sp image of a member pairs every value outside beta, so the result is
     never a diagnostic.
     """
-    theory = Theory(theory)
+    if type(theory) is not Theory:
+        theory = Theory(theory)
     p = validate_partition(p)
     if theory is Theory.C:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product, zip_longest
+from itertools import accumulate, product, zip_longest
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -48,14 +48,19 @@ def validate_partition(parts) -> tuple[int, ...]:
     """Return parts as a tuple, checking positivity and weak decrease.
 
     Each part must be an int; floats, strings and bools are rejected rather
-    than converted, so 3.9 is never read as 3.
+    than converted, so 3.9 is never read as 3.  A valid partition is
+    accepted in C-level passes; the row loop runs only to name the first
+    offending part of a rejected one.
     """
     out = tuple(parts)
-    for i, x in enumerate(out):
-        if type(x) is not int or x < 1:
-            raise ValueError(f"partition part {x!r} is not a positive integer")
-        if i and out[i - 1] < x:
-            raise ValueError(f"partition not weakly decreasing at part {x!r}")
+    # A descending tuple sorts as one run, faster than comparing neighbours.
+    if not (set(map(type, out)) <= {int} and list(out) == sorted(out, reverse=True)
+            and (not out or out[-1] > 0)):
+        for i, x in enumerate(out):
+            if type(x) is not int or x < 1:
+                raise ValueError(f"partition part {x!r} is not a positive integer")
+            if i and out[i - 1] < x:
+                raise ValueError(f"partition not weakly decreasing at part {x!r}")
     return out
 
 
@@ -100,11 +105,21 @@ def format_partition(p) -> str:
 
 
 def transpose(p) -> tuple[int, ...]:
-    """Transpose of the Young diagram: row r of the result counts parts >= r."""
+    """Transpose of the Young diagram: row r of the result counts parts >= r.
+
+    One counting pass and a suffix sum over the values, largest first:
+    O(rows + largest part) for a partition p.
+    """
     p = tuple(p)
     if not p:
         return ()
-    return tuple(sum(1 for x in p if x >= r) for r in range(1, p[0] + 1))
+    mult = Counter(p)
+    return tuple(accumulate(map(mult.__getitem__, range(p[0], 0, -1))))[::-1]
+
+
+# Per theory: the parity of a member's box count, and the parity of the
+# values that must take even multiplicities.
+_MEMBER_RULE = {t: (t.theta, int(t is Theory.C)) for t in Theory}
 
 
 def is_theory_member(p, theory) -> bool:
@@ -113,19 +128,19 @@ def is_theory_member(p, theory) -> bool:
     B: odd total, even values with even multiplicity.
     D: even total, even values with even multiplicity.
     C: even total, odd values with even multiplicity.
-    The empty partition is admitted in every theory.
+    The empty partition is admitted in every theory.  p may be unsorted.
     """
-    theory = Theory(theory)
+    if type(theory) is not Theory:
+        theory = Theory(theory)
     p = tuple(p)
     if not p:
         return True
-    total = sum(p)
-    mult = Counter(p)
-    if theory is Theory.C:
-        return total % 2 == 0 and all(n % 2 == 0 for v, n in mult.items() if v % 2 == 1)
-    if total % 2 != theory.theta:
+    parity, paired = _MEMBER_RULE[theory]
+    if sum(p) % 2 != parity:
         return False
-    return all(n % 2 == 0 for v, n in mult.items() if v % 2 == 0)
+    vals = sorted([v for v in p if v % 2 == paired])
+    # Sorted, every value has even multiplicity exactly when the rows pair off.
+    return vals[0::2] == vals[1::2]
 
 
 def is_rigid(p, theory) -> bool:
@@ -234,7 +249,8 @@ class OperatorPair:
     def __post_init__(self):
         object.__setattr__(self, "lambda_prime", validate_partition(self.lambda_prime))
         object.__setattr__(self, "lambda_dprime", validate_partition(self.lambda_dprime))
-        object.__setattr__(self, "theory", Theory(self.theory))
+        if type(self.theory) is not Theory:
+            object.__setattr__(self, "theory", Theory(self.theory))
         side1, side2 = PAIR_SIDES[self.theory]
         if not is_theory_member(self.lambda_prime, side1):
             raise ValueError(

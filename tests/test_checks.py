@@ -115,6 +115,19 @@ def test_shift_fails_on_one_sided_diagnostic(monkeypatch):
     assert all(f.endswith("diagnostic on one side of the shift only") for f in report.failures)
 
 
+def test_shift_builds_shifted_pairs_unvalidated(monkeypatch):
+    # Adding 2 to every part keeps each part's parity, every multiplicity
+    # and the parity of the box count: the shifted pair is valid by construction.
+    def refuse(*args):
+        raise AssertionError("a shifted pair was re-validated")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidfp" and hasattr(module, "validate_partition"):
+            monkeypatch.setattr(module, "validate_partition", refuse)
+    report = rigidfp.checks.check_shift(4)
+    assert report.ok and report.checked == 73
+
+
 def test_shift_compares_diagnostic_entries(monkeypatch):
     # Each of the 7 diagnostics at rank 4 must shift by 2 exactly.
     def change(res):

@@ -1,8 +1,12 @@
 import json
+import os
+import sys
 
 import pytest
 
 import rigidfp.blocks
+import rigidfp.cli
+from rigidfp.checks import SuiteReport
 from rigidfp import OperatorPair, block_fingerprint, fingerprint
 from rigidfp.cli import main, result_record
 
@@ -185,6 +189,37 @@ class TestCheck:
         rec = json.loads(out)
         assert rec["ok"] is True
         assert rec["checked"] > 0
+
+    @pytest.mark.parametrize("failures, want", [([], 0), (["x"], 1)])
+    def test_closed_pipe_keeps_exit_code(self, capsys, monkeypatch, tmp_path,
+                                         failures, want):
+        # `rigidfp check ... | head -1`: the reader went away, the suite did not fail.
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        report = SuiteReport("structure", checked=1, failures=failures)
+        monkeypatch.setattr(rigidfp.cli, "run_suite", lambda name, rank: report)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            code = main(["check", "structure"])
+            monkeypatch.undo()
+            assert code == want
+            assert capsys.readouterr().err == ""
+            # What is left to flush goes nowhere instead of raising again.
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

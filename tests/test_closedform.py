@@ -171,6 +171,28 @@ class TestFactoredMu:
                 for p in enumerate_rigid(theory, rank):
                     assert unipotent_mu_factored(p, theory) == sp_map(p).mu_partition()
 
+    def test_validates_once(self, monkeypatch):
+        # A member's odd parts are collapsed without a second check and
+        # without the public maps.
+        calls = []
+        original = rigidfp.closedform.validate_partition
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        def refuse(*args):
+            raise AssertionError("the odd part was re-checked")
+
+        monkeypatch.setattr(rigidfp.closedform, "validate_partition", counted)
+        for name in ("split_parity", "xs_map", "ys_map", "_require_all_odd"):
+            monkeypatch.setattr(rigidfp.closedform, name, refuse)
+        for p, theory, mu in (((3, 2, 2, 1, 1, 1, 1), "B", (2, 2, 2, 2, 1, 1)),
+                              ((3, 2, 2, 1), Theory.D, (2, 2, 2, 2))):
+            calls.clear()
+            assert unipotent_mu_factored(list(p), theory) == mu
+            assert calls == [list(p)]
+
     def test_c_fixed_point(self):
         for rank in range(9):
             for p in enumerate_rigid(Theory.C, rank):

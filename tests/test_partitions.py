@@ -1,5 +1,6 @@
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from rigidfp.partitions import (
     enumerate_members,
     partitions_of,
     theory_total,
+    validate_partition,
 )
 
 
@@ -113,6 +115,87 @@ class TestTranspose:
     def test_involution(self):
         for p in partitions_of(9):
             assert transpose(transpose(p)) == p
+
+
+def validate_reference(parts):
+    """validate_partition as a per-row loop, the form before its C-level accept."""
+    out = tuple(parts)
+    for i, x in enumerate(out):
+        if type(x) is not int or x < 1:
+            raise ValueError(f"partition part {x!r} is not a positive integer")
+        if i and out[i - 1] < x:
+            raise ValueError(f"partition not weakly decreasing at part {x!r}")
+    return out
+
+
+def member_reference(p, theory):
+    """is_theory_member through a Counter of the multiplicities."""
+    theory = Theory(theory)
+    p = tuple(p)
+    if not p:
+        return True
+    total = sum(p)
+    mult = Counter(p)
+    if theory is Theory.C:
+        return total % 2 == 0 and all(n % 2 == 0 for v, n in mult.items() if v % 2 == 1)
+    if total % 2 != theory.theta:
+        return False
+    return all(n % 2 == 0 for v, n in mult.items() if v % 2 == 0)
+
+
+def transpose_reference(p):
+    """transpose rescanning every row once per column."""
+    p = tuple(p)
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x >= r) for r in range(1, p[0] + 1))
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SMALL_PARTITIONS = [p for n in range(15) for p in partitions_of(n)]
+
+# Bad parts placed first, in the middle and last of a few partitions.
+BAD_PARTS = (0, -1, True, 2.0, "3")
+WITH_BAD_PART = [
+    base[:i] + (bad,) + base[i:]
+    for base in ((4, 3, 3, 1), (2, 2), (1,))
+    for bad in BAD_PARTS
+    for i in sorted({0, len(base) // 2, len(base)})
+]
+UNSORTED = [
+    order(p) for p in SMALL_PARTITIONS if len(set(p)) > 1
+    for order in (lambda p: p[::-1], lambda p: list(p[1:] + p[:1]))
+]
+
+
+class TestLoopReferences:
+    """The C-level checks against the loops they replaced, result or exception."""
+
+    @pytest.mark.parametrize("inputs", [SMALL_PARTITIONS, UNSORTED, WITH_BAD_PART,
+                                        [(), []]])
+    def test_validate_partition(self, inputs):
+        for p in inputs:
+            assert outcome(validate_partition, p) == outcome(validate_reference, p), p
+
+    @pytest.mark.parametrize("inputs", [SMALL_PARTITIONS, UNSORTED, WITH_BAD_PART,
+                                        [(), []]])
+    def test_is_theory_member(self, inputs):
+        for p in inputs:
+            for theory in ("B", "C", "D", Theory.B, Theory.C, Theory.D, "E"):
+                assert (outcome(is_theory_member, p, theory)
+                        == outcome(member_reference, p, theory)), (p, theory)
+
+    def test_transpose(self):
+        for p in SMALL_PARTITIONS:
+            assert transpose(p) == transpose_reference(p), p
+        assert transpose(()) == transpose_reference(()) == ()
 
 
 def brute_force_rigid(theory, rank):
