@@ -2,27 +2,18 @@
 
 Blocks are contiguous row segments cut wherever the cumulative box count is
 even and the row value changes, so every block starts at an even count and
-stands alone as a unipotent partition.  The block path reads each block's
-image and [alpha; beta] off the closed forms of closedform (the B/D group
-walk, the C per-value rule) and joins them; it must reproduce the direct
-pipeline's image and outcome, which is the module's correctness contract.
-It shares no code with the pipeline's Sp, tau and extraction stages.
+stands alone as a unipotent partition.  The block path only cuts: the
+closed-form group walk of closedform reads each block's image and
+[alpha; beta] and joins them.  It must reproduce the direct pipeline's
+image and outcome, which is the module's correctness contract, and shares
+no code with the pipeline's Sp, tau and extraction stages.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .closedform import _group_walk, _read_counts
-from .fingerprint import (
-    ALL_CONDITIONS,
-    DEFAULT_OPTIONS,
-    SO,
-    SP,
-    VACUOUS,
-    ExtractionDiagnostic,
-    FingerprintOptions,
-    WeylPair,
-)
+from .closedform import _walk
+from .fingerprint import ExtractionDiagnostic, WeylPair
 from .partitions import DPRIME, INTERLEAVE, PRIME, TaggedPartition, Theory
 
 # Reporting only: block_fingerprint picks its closed form by theory alone.
@@ -121,29 +112,16 @@ class BlockResult(NamedTuple):
     odd_blocks: int
 
 
-def block_fingerprint(tp: TaggedPartition, theory,
-                      opts: FingerprintOptions | None = None) -> BlockResult:
+def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     """Second computation path: cut once, a closed form per block, their union.
 
-    Each block starts at an even box count, where the closed forms start.  A
-    block keeps its value groups and moves a box only inside itself, so the
-    image values of different blocks are disjoint and descending from block
-    to block: one count table, filled block by block, holds their union.
-    The closed forms fix all three conditions and the theory's default iii
-    variant (C also takes vacuous); other options raise ValueError.
+    Each block starts at an even box count, where the closed forms start,
+    and keeps its value groups, so one group walk over the blocks reads
+    them all (closedform._walk).  The closed forms fix all three conditions
+    and the theory's default iii variant: C passes the origins, which are
+    condition (iii) under the Sp variant; B and D pass none.
     """
     if type(theory) is not Theory:
         theory = Theory(theory)
-    opts = opts or DEFAULT_OPTIONS
-    variant = opts.variant_for(theory)
-    if opts.conditions != ALL_CONDITIONS or variant not in (
-        (SP, VACUOUS) if theory is Theory.C else (SO,)
-    ):
-        raise ValueError(f"block_fingerprint has no closed form for {opts}")
-    origins = tp.origins if variant == SP else None  # condition (iii) under Sp
-    counts, tau_neg = {}, set()
-    odd_blocks = 0
-    for start, end in _bounds(tp):
-        odd_blocks += sum(tp.values[start:end]) % 2
-        _group_walk(tp.values, start, end, counts, tau_neg, origins)
-    return BlockResult(*_read_counts(counts, tau_neg), odd_blocks)
+    origins = tp.origins if theory is Theory.C else None
+    return BlockResult(*_walk(tp.values, _bounds(tp), origins))

@@ -10,10 +10,10 @@ from itertools import chain
 
 from . import blocks as blocks_mod
 from .closedform import (
+    _split,
     closed_form_fingerprint_BD,
     closed_form_fingerprint_C,
     has_all_even_transpose_rows,
-    split_parity,
     unipotent_mu_factored,
     xs_inverse,
     xs_map,
@@ -283,19 +283,12 @@ def check_shift(max_rank: int) -> SuiteReport:
                     f"-> {shifted.diagnostic.message()}"
                 )
             return None
+        alpha, beta = base.weyl
         weyl = shifted.weyl
-        zeros = sum(1 for m in base.trace.mu_values if m == 0)
-        alpha_shifted = tuple(a + 2 for a in base.weyl.alpha)
-        beta_core = tuple(b for b in weyl.beta if b > 1)
-        ones = sum(1 for b in weyl.beta if b == 1)
-        if (
-            weyl.alpha != alpha_shifted
-            or tuple(b - 1 for b in beta_core) != base.weyl.beta
-            or ones != zeros
-        ):
+        zeros = base.trace.mu_values.count(0)
+        if weyl != (tuple(a + 2 for a in alpha), tuple(b + 1 for b in beta) + (1,) * zeros):
             return (
-                f"{_fmt_pair(pair)}: [{format_partition(base.weyl.alpha)};"
-                f"{format_partition(base.weyl.beta)}] "
+                f"{_fmt_pair(pair)}: [{format_partition(alpha)};{format_partition(beta)}] "
                 f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
@@ -338,8 +331,9 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
         if inverse(image) != sigma:
             return f"{theory.value} {format_partition(sigma)}: round trip broken"
 
+    # Enumerated rigid partitions are valid by construction: split unchecked.
     inputs = dict.fromkeys(
-        (theory, split_parity(p).odd_part)
+        (theory, _split(p).odd_part)
         for theory, p in _upto(enumerate_rigid, (Theory.B, Theory.D), max_rank)
     )
     return _sweep(SuiteReport("collapse-bijection"), inputs, check)
@@ -382,7 +376,7 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
     """
     def check(theory, pair, opts):
         direct = fingerprint(pair, opts)
-        via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory, opts)
+        via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory)
         if not direct.same_outcome(via_blocks):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
         if via_blocks.odd_blocks != theory.theta:

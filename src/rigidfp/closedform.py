@@ -2,8 +2,8 @@
 
 The collapse maps act on the all-odd subpartition; the factored mu and the
 per-group fingerprint formulas give an independent second route that must
-agree with the generic pipeline.  The group formulas also give the block
-path (blocks.block_fingerprint) each block's image and [alpha; beta].
+agree with the generic pipeline.  Their group walk (_walk) also reads the
+block path's blocks (blocks.block_fingerprint), one segment per block.
 """
 from __future__ import annotations
 
@@ -136,57 +136,59 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     return tuple(sorted(_collapse(odd_part) + even_part, reverse=True))
 
 
-def _group_walk(values, start, end, counts, tau_neg, origins=None):
-    """Fold the rows values[start:end] into image counts and tau = -1 values.
+def _walk(values, bounds, origins=None):
+    """(mu, weyl, diagnostic, odd_segments) of the rows cut into bounds.
 
-    The rows are a B/D or C member's, descending, start at an even box count
-    and hold whole value groups; the walk takes one step per group of n rows
-    of the value v.  An odd group gains a box at its first row when the box
-    count above it is odd, and loses its last box when the count through it
-    is odd (a lost 1 is a deleted row).  That parity is also the open
-    deficit, so the changed even values (condition (i)) and the even groups
-    inside a deficit (condition (ii)) are the tau = -1 values.  Under the SO
+    bounds lists the [start, end) segments, in order, of a B/D or C
+    member's descending rows; each starts at an even box count and holds
+    whole value groups.  The walk takes one step per group of n rows of the
+    value v.  An odd group gains a box at its first row when the box count
+    above it is odd, and loses its last box when the count through it is
+    odd (a lost 1 is a deleted row).  That parity is also the open deficit,
+    so the changed even values (condition (i)) and the even groups inside a
+    deficit (condition (ii)) are the tau = -1 values.  Under the SO
     variant, condition (iii) adds none: an even image row over an odd
-    lambda'-datum is a changed row.
+    lambda'-datum is a changed row.  An odd group flips the parity by n mod
+    2 and an even group leaves it alone, so the parity at a segment's end
+    is its total's: odd_segments counts the odd-total segments.
 
     In C every odd value has even multiplicity, so the parity stays even and
     nothing moves.  Then tau(m) = -1 comes from condition (iii) under the Sp
     variant alone: exactly when some row of the even value m has origin
     lambda' in origins.  Without origins (B/D, or C under the vacuous
-    variant) (iii) adds nothing.  counts receives values in descending order.
+    variant) (iii) adds nothing.
+
+    The image values of different segments are disjoint and descending, so
+    one count table holds their union.  A tau = -1 value feeds beta with
+    each of its rows, every other value feeds alpha with its pairs; an
+    unpaired one makes the outcome an ExtractionDiagnostic and weyl None.
     """
-    odd = 0  # parity of the box count above the group
-    i = start
-    while i < end:
-        v = values[i]
-        j = i + 1
-        while j < end and values[j] == v:
-            j += 1
-        n = j - i
-        if v % 2 == 0:
-            counts[v] = counts.get(v, 0) + n
-            if odd or origins and PRIME in origins[i:j]:
-                tau_neg.add(v)
-        else:
-            gain = odd
-            odd ^= n % 2
-            if gain:
-                counts[v + 1] = counts.get(v + 1, 0) + 1
-                tau_neg.add(v + 1)
-            counts[v] = n - gain - odd
-            if odd and v > 1:
-                counts[v - 1] = 1
-                tau_neg.add(v - 1)
-        i = j
-
-
-def _read_counts(counts, tau_neg):
-    """(mu, weyl, diagnostic) from image counts listed in descending value order.
-
-    A tau = -1 value feeds beta with each of its rows, every other value
-    feeds alpha with its pairs; an unpaired one makes the outcome an
-    ExtractionDiagnostic and weyl None.
-    """
+    counts, tau_neg = {}, set()
+    odd_segments = 0
+    for i, end in bounds:
+        odd = 0  # parity of the box count above the group
+        while i < end:
+            v = values[i]
+            j = i + 1
+            while j < end and values[j] == v:
+                j += 1
+            n = j - i
+            if v % 2 == 0:
+                counts[v] = counts.get(v, 0) + n
+                if odd or origins and PRIME in origins[i:j]:
+                    tau_neg.add(v)
+            else:
+                gain = odd
+                odd ^= n % 2
+                if gain:
+                    counts[v + 1] = counts.get(v + 1, 0) + 1
+                    tau_neg.add(v + 1)
+                counts[v] = n - gain - odd
+                if odd and v > 1:
+                    counts[v - 1] = 1
+                    tau_neg.add(v - 1)
+            i = j
+        odd_segments += odd
     mu, alpha, beta, bad = [], [], [], []
     for v, c in counts.items():
         mu += [v] * c
@@ -197,15 +199,8 @@ def _read_counts(counts, tau_neg):
         else:
             alpha += [v] * (c // 2)
     if bad:
-        return tuple(mu), None, ExtractionDiagnostic(tuple(bad))
-    return tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None
-
-
-def _walk_whole(p):
-    """_read_counts of the group walk over all rows of the member partition p."""
-    counts, tau_neg = {}, set()
-    _group_walk(p, 0, len(p), counts, tau_neg)
-    return _read_counts(counts, tau_neg)
+        return tuple(mu), None, ExtractionDiagnostic(tuple(bad)), odd_segments
+    return tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None, odd_segments
 
 
 def closed_form_fingerprint_C(p) -> WeylPair:
@@ -216,14 +211,14 @@ def closed_form_fingerprint_C(p) -> WeylPair:
     p = validate_partition(p)
     if not is_theory_member(p, Theory.C):
         raise ValueError(f"{p} is not a C-type partition")
-    _, weyl, diagnostic = _walk_whole(p)
+    _, weyl, diagnostic, _ = _walk(p, ((0, len(p)),))
     if diagnostic:
         raise ValueError(f"{diagnostic.message()}: its exponent is not integral")
     return weyl
 
 
 def closed_form_fingerprint_BD(p, theory) -> WeylPair:
-    """Fingerprint of a B/D unipotent operator from its value groups (_group_walk).
+    """Fingerprint of a B/D unipotent operator from its value groups (_walk).
 
     Never runs the index-wise pipeline; serves as its independent oracle on
     every B/D member partition, rigid or not: the closed-form suite checks
@@ -238,7 +233,7 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
     if not is_theory_member(p, theory):
         raise ValueError(f"{p} is not a {theory.value}-type partition")
-    return _walk_whole(p)[1]
+    return _walk(p, ((0, len(p)),))[1]
 
 
 def has_all_even_transpose_rows(p) -> bool:

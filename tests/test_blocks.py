@@ -11,8 +11,11 @@ from rigidfp import (
     fingerprint,
     sp_map,
 )
-from rigidfp.blocks import OPERATOR_LABELS, BlockResult
-from rigidfp.fingerprint import SO, SP, VACUOUS
+import rigidfp.blocks
+from rigidfp.blocks import OPERATOR_LABELS, BlockResult, _bounds
+from rigidfp.checks import run_suite
+from rigidfp.closedform import _walk
+from rigidfp.fingerprint import VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
@@ -187,7 +190,7 @@ class TestPathEquivalence:
                     for tb in (PRIME_FIRST, DPRIME_FIRST):
                         opts = FingerprintOptions(tie_break=tb)
                         direct = fingerprint(pair, opts)
-                        via_blocks = block_fingerprint(direct.tagged, theory, opts)
+                        via_blocks = block_fingerprint(direct.tagged, theory)
                         assert via_blocks.mu == direct.mu
                         assert direct.same_outcome(via_blocks)
 
@@ -199,7 +202,7 @@ class TestPathEquivalence:
             for tb in (PRIME_FIRST, DPRIME_FIRST):
                 opts = FingerprintOptions(tie_break=tb)
                 direct = fingerprint(pair, opts)
-                via_blocks = block_fingerprint(direct.tagged, pair.theory, opts)
+                via_blocks = block_fingerprint(direct.tagged, pair.theory)
                 assert direct.same_outcome(via_blocks), (pair, tb)
                 assert (via_blocks.weyl, via_blocks.diagnostic) == (direct.weyl, direct.diagnostic)
                 checked += 1
@@ -207,30 +210,94 @@ class TestPathEquivalence:
         assert (checked, diagnostics) == (2786, 486)
 
     def test_vacuous_c_member_pairs_match_direct(self):
-        # With the vacuous iii variant every C tau is +1: only pairs or
-        # diagnostics remain.
+        # The walk without origins is the vacuous iii variant: every C tau
+        # is +1, so only pairs or diagnostics remain.
         vac = FingerprintOptions(iii_variant=VACUOUS)
-        diagnostics = 0
+        checked = diagnostics = 0
         for pair in member_pairs():
             if pair.theory is Theory.C:
                 direct = fingerprint(pair, vac)
-                via_blocks = block_fingerprint(direct.tagged, Theory.C, vac)
-                assert direct.same_outcome(via_blocks), pair
-                assert via_blocks.odd_blocks == 0
-                diagnostics += direct.diagnostic is not None
-        assert diagnostics > 0
+                tp = direct.tagged
+                mu, weyl, diagnostic, odd_segments = _walk(tp.values, _bounds(tp))
+                assert (mu, weyl, diagnostic) == (direct.mu, direct.weyl, direct.diagnostic), pair
+                assert odd_segments == 0
+                checked += 1
+                diagnostics += diagnostic is not None
+        assert (checked, diagnostics) == (645, 458)
 
-    @pytest.mark.parametrize("pair, opts", [
-        (OperatorPair((2, 2, 1), (1, 1), "B"), FingerprintOptions(conditions={"i", "iii"})),
-        (OperatorPair((2, 1, 1), (1, 1), "C"), FingerprintOptions(conditions={"i", "ii"})),
-        (OperatorPair((2, 2), (1, 1), "D"), FingerprintOptions(conditions=())),
-        (OperatorPair((2, 2, 1), (1, 1), "B"), FingerprintOptions(iii_variant=SP)),
-        (OperatorPair((2, 2), (1, 1), "D"), FingerprintOptions(iii_variant=VACUOUS)),
-        (OperatorPair((2, 1, 1), (1, 1), "C"), FingerprintOptions(iii_variant=SO)),
-    ])
-    def test_options_outside_the_closed_forms_rejected(self, pair, opts):
-        with pytest.raises(ValueError, match="block_fingerprint"):
-            block_fingerprint(combine(pair), pair.theory, opts)
+    @pytest.mark.parametrize("keep", [
+        lambda cum: True,  # cut at every value change, ignoring parity
+        lambda cum: cum % 2,  # cut only at odd counts
+    ], ids=["every-value-change", "odd-counts-only"])
+    def test_wrong_cuts_fail_path_equivalence(self, keep, monkeypatch):
+        # A block entered at an odd box count breaks the closed forms: both
+        # mutants fail the same 6 of the 146 inputs at rank 4.
+        def cut(tp):
+            values = tp.values
+            cuts, cum = [0], 0
+            for j in range(len(values) - 1):
+                cum += values[j]
+                if values[j] != values[j + 1] and keep(cum):
+                    cuts.append(j + 1)
+            cuts.append(len(values))
+            return list(zip(cuts, cuts[1:])) if values else []
+
+        monkeypatch.setattr(rigidfp.blocks, "_bounds", cut)
+        report = run_suite("path-equivalence", 4)
+        assert report.checked == 146
+        assert report.failures == [
+            f"{name} [tie={tie}]"
+            for name in ("B (1; 3 2^2 1)", "D (3 2^2 1; -)", "D (-; 3 2^2 1)")
+            for tie in (PRIME_FIRST, DPRIME_FIRST)
+        ]
+
+    @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
+    def test_odd_segments_counts_odd_totals(self, theory):
+        # The walk's parity at a segment's end is the segment total's, also
+        # for segments that start at an odd count (a cut at every value change).
+        checked = odd = 0
+        for pair in member_pairs():
+            if pair.theory is theory:
+                values = tagged(pair).values
+                groups = [len(list(g)) for _, g in groupby(values)]
+                ends = [sum(groups[:k + 1]) for k in range(len(groups))]
+                for bounds in (_bounds(tagged(pair)), list(zip([0] + ends, ends))):
+                    expected = sum(sum(values[s:e]) % 2 for s, e in bounds)
+                    assert _walk(values, bounds)[3] == expected, (pair, bounds)
+                    odd += expected
+                checked += 1
+        # In C every odd value has even multiplicity: no segment total is odd.
+        assert checked > 0
+        assert odd == 0 if theory is Theory.C else odd > checked * theory.theta
+
+    @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
+    def test_walk_is_the_union_of_block_walks(self, theory):
+        # Block images hold disjoint values, so walking the blocks at once
+        # gives the union of walking each block alone.
+        origins_of = (lambda tp: tp.origins) if theory is Theory.C else (lambda tp: None)
+        checked = 0
+        for pair in member_pairs():
+            if pair.theory is theory:
+                tp = tagged(pair)
+                origins = origins_of(tp)
+                whole = _walk(tp.values, _bounds(tp), origins)
+                mu, alpha, beta, diagnostic = [], [], [], False
+                for s, e in _bounds(tp):
+                    part = _walk(tp.values[s:e], ((0, e - s),), origins and origins[s:e])
+                    assert not set(mu) & set(part[0]), pair
+                    mu += part[0]
+                    if part[2] is not None:
+                        diagnostic = True
+                    else:
+                        alpha += part[1].alpha
+                        beta += part[1].beta
+                assert whole[0] == tuple(sorted(mu, reverse=True)), pair
+                assert (whole[2] is not None) == diagnostic, pair
+                if not diagnostic:
+                    assert whole[1] == (tuple(sorted(alpha, reverse=True)),
+                                        tuple(sorted(beta, reverse=True))), pair
+                checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("theory", ["C", Theory.C])
     def test_theory_as_letter_or_member(self, theory):
@@ -244,11 +311,11 @@ class TestPathEquivalence:
     def test_pipeline_stages_not_called(self, monkeypatch):
         # The block path reads the closed forms only: with every pipeline
         # stage raising, it still reproduces the direct results.
-        cases = []
-        for pair in member_pairs(4):
-            for tb in (PRIME_FIRST, DPRIME_FIRST):
-                opts = FingerprintOptions(tie_break=tb)
-                cases.append((fingerprint(pair, opts), opts))
+        cases = [
+            fingerprint(pair, FingerprintOptions(tie_break=tb))
+            for pair in member_pairs(4)
+            for tb in (PRIME_FIRST, DPRIME_FIRST)
+        ]
 
         def boom(*args, **kwargs):
             raise AssertionError("pipeline stage called")
@@ -262,8 +329,8 @@ class TestPathEquivalence:
                     monkeypatch.setattr(module, name, boom)
         with pytest.raises(AssertionError, match="pipeline stage"):
             fingerprint(OperatorPair((1,), (), "B"))
-        for direct, opts in cases:
-            via_blocks = block_fingerprint(direct.tagged, direct.pair.theory, opts)
+        for direct in cases:
+            via_blocks = block_fingerprint(direct.tagged, direct.pair.theory)
             assert direct.same_outcome(via_blocks), direct.pair
 
     def test_same_outcome_compares_mu(self):

@@ -140,6 +140,19 @@ def test_shift_compares_diagnostic_entries(monkeypatch):
     assert len(run_suite("shift", 4).failures) == 7
 
 
+def test_collapse_bijection_splits_unvalidated(monkeypatch):
+    # Enumerated rigid partitions are valid by construction, so the suite
+    # splits them without the validating split_parity.
+    def refuse(*args):
+        raise AssertionError("split_parity re-validated an enumerated partition")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidfp" and hasattr(module, "split_parity"):
+            monkeypatch.setattr(module, "split_parity", refuse)
+    report = run_suite("collapse-bijection", 12)
+    assert report.ok and report.checked == CHECKED_AT_DEFAULT["collapse-bijection"]
+
+
 def test_rank_identity_reports_c_diagnostics_as_info():
     info = run_suite("rank-identity").info
     assert len(info) == 106
