@@ -2,11 +2,13 @@
 
 Blocks are contiguous row segments cut wherever the cumulative box count is
 even and the row value changes, so every block starts at an even count and
-stands alone as a unipotent partition.  The block path only cuts: the
-closed-form group walk of closedform reads each block's image and
-[alpha; beta] and joins them.  It must reproduce the direct pipeline's
-image and outcome, which is the module's correctness contract, and shares
-no code with the pipeline's Sp, tau and extraction stages.
+stands alone as a unipotent partition.  The block path is the closed-form
+group walk of closedform, which finds these blocks itself, reads each
+block's image and [alpha; beta], joins them and counts the image values two
+blocks share.  It must reproduce the direct pipeline's image and outcome
+with no shared value, which is the module's correctness contract, and
+shares no code with the pipeline's Sp, tau and extraction stages.  _bounds
+cuts the same blocks for reporting (decompose_blocks).
 """
 from __future__ import annotations
 
@@ -100,28 +102,32 @@ def decompose_blocks(tp: TaggedPartition) -> list[Block]:
 
 class BlockResult(NamedTuple):
     """What the block path produces: the image mu as a partition, [alpha; beta]
-    or the extraction diagnostic, and the number of kind-I (odd-total) blocks.
+    or the extraction diagnostic, and the number of image values that more
+    than one block produces (0 when the blocks' union is valid).
 
     A named tuple like the pipeline's records, so it compares equal to the
-    plain tuple (mu, weyl, diagnostic, odd_blocks).
+    plain tuple (mu, weyl, diagnostic, shared_values).
     """
 
     mu: tuple[int, ...]
     weyl: WeylPair | None
     diagnostic: ExtractionDiagnostic | None
-    odd_blocks: int
+    shared_values: int
 
 
 def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
-    """Second computation path: cut once, a closed form per block, their union.
+    """Second computation path: a closed form per block, and their union.
 
-    Each block starts at an even box count, where the closed forms start,
-    and keeps its value groups, so one group walk over the blocks reads
-    them all (closedform._walk).  The closed forms fix all three conditions
-    and the theory's default iii variant: C passes the origins, which are
-    condition (iii) under the Sp variant; B and D pass none.
+    One group walk over the rows (closedform._walk) closes a block at each
+    even box count, where the closed forms start, and reads every block's
+    image into one table; tp must come from combine in INTERLEAVE mode.  The
+    closed forms fix all three conditions and the theory's default iii
+    variant: C passes the origins, which are condition (iii) under the Sp
+    variant; B and D pass none.
     """
+    if tp.mode != INTERLEAVE:
+        raise ValueError("block decomposition requires INTERLEAVE mode")
     if type(theory) is not Theory:
         theory = Theory(theory)
     origins = tp.origins if theory is Theory.C else None
-    return BlockResult(*_walk(tp.values, _bounds(tp), origins))
+    return BlockResult(*_walk(tp.values, origins))

@@ -2,8 +2,9 @@
 
 The collapse maps act on the all-odd subpartition; the factored mu and the
 per-group fingerprint formulas give an independent second route that must
-agree with the generic pipeline.  Their group walk (_walk) also reads the
-block path's blocks (blocks.block_fingerprint), one segment per block.
+agree with the generic pipeline.  Their group walk (_walk) also serves the
+block path (blocks.block_fingerprint): it finds the blocks itself and counts
+the image values that two blocks share.
 """
 from __future__ import annotations
 
@@ -136,21 +137,18 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     return tuple(sorted(_collapse(odd_part) + even_part, reverse=True))
 
 
-def _walk(values, bounds, origins=None):
-    """(mu, weyl, diagnostic, odd_segments) of the rows cut into bounds.
+def _walk(values, origins=None):
+    """(mu, weyl, diagnostic, shared_values) of a B/D or C member's rows.
 
-    bounds lists the [start, end) segments, in order, of a B/D or C
-    member's descending rows; each starts at an even box count and holds
-    whole value groups.  The walk takes one step per group of n rows of the
-    value v.  An odd group gains a box at its first row when the box count
-    above it is odd, and loses its last box when the count through it is
-    odd (a lost 1 is a deleted row).  That parity is also the open deficit,
-    so the changed even values (condition (i)) and the even groups inside a
-    deficit (condition (ii)) are the tau = -1 values.  Under the SO
+    The walk takes one step per group of n rows of the value v, over the
+    descending rows.  An odd group gains a box at its first row when the box
+    count above it is odd, and loses its last box when the count through it
+    is odd (a lost 1 is a deleted row).  That parity is also the open
+    deficit, so the changed even values (condition (i)) and the even groups
+    inside a deficit (condition (ii)) are the tau = -1 values.  Under the SO
     variant, condition (iii) adds none: an even image row over an odd
     lambda'-datum is a changed row.  An odd group flips the parity by n mod
-    2 and an even group leaves it alone, so the parity at a segment's end
-    is its total's: odd_segments counts the odd-total segments.
+    2 and an even group leaves it alone.
 
     In C every odd value has even multiplicity, so the parity stays even and
     nothing moves.  Then tau(m) = -1 comes from condition (iii) under the Sp
@@ -158,37 +156,48 @@ def _walk(values, bounds, origins=None):
     lambda' in origins.  Without origins (B/D, or C under the vacuous
     variant) (iii) adds nothing.
 
-    The image values of different segments are disjoint and descending, so
-    one count table holds their union.  A tau = -1 value feeds beta with
-    each of its rows, every other value feeds alpha with its pairs; an
+    A group end at an even count closes a block: the count is even and the
+    value changes, blocks._bounds' cut.  Each block starts at an even count,
+    where a closed form starts, and stands alone as a unipotent partition;
+    one count table holds the multiset union of the blocks' images.  That
+    is their union only if no two blocks share an image value: each value
+    remembers the block that first produced it, and shared_values counts
+    the values a later block produces again.  Only even values can be
+    shared: an odd value comes from its own group alone, and the loss of a
+    box from v is the first to produce v - 1.  A tau = -1 value feeds beta
+    with each of its rows, every other value feeds alpha with its pairs; an
     unpaired one makes the outcome an ExtractionDiagnostic and weyl None.
     """
-    counts, tau_neg = {}, set()
-    odd_segments = 0
-    for i, end in bounds:
-        odd = 0  # parity of the box count above the group
-        while i < end:
-            v = values[i]
-            j = i + 1
-            while j < end and values[j] == v:
-                j += 1
-            n = j - i
-            if v % 2 == 0:
-                counts[v] = counts.get(v, 0) + n
-                if odd or origins and PRIME in origins[i:j]:
-                    tau_neg.add(v)
-            else:
-                gain = odd
-                odd ^= n % 2
-                if gain:
-                    counts[v + 1] = counts.get(v + 1, 0) + 1
-                    tau_neg.add(v + 1)
-                counts[v] = n - gain - odd
-                if odd and v > 1:
-                    counts[v - 1] = 1
-                    tau_neg.add(v - 1)
-            i = j
-        odd_segments += odd
+    counts, tau_neg, owner, shared = {}, set(), {}, set()
+    odd = block = i = 0  # odd: parity of the box count above the group
+    end = len(values)
+    while i < end:
+        v = values[i]
+        j = i + 1
+        while j < end and values[j] == v:
+            j += 1
+        n = j - i
+        if v % 2 == 0:
+            counts[v] = counts.get(v, 0) + n
+            if owner.setdefault(v, block) != block:
+                shared.add(v)
+            if odd or origins and PRIME in origins[i:j]:
+                tau_neg.add(v)
+        else:
+            gain = odd
+            odd ^= n % 2
+            if gain:
+                counts[v + 1] = counts.get(v + 1, 0) + 1
+                if owner.setdefault(v + 1, block) != block:
+                    shared.add(v + 1)
+                tau_neg.add(v + 1)
+            counts[v] = n - gain - odd
+            if odd and v > 1:
+                counts[v - 1] = 1
+                owner[v - 1] = block
+                tau_neg.add(v - 1)
+        block += not odd  # an even count after the group closes a block
+        i = j
     mu, alpha, beta, bad = [], [], [], []
     for v, c in counts.items():
         mu += [v] * c
@@ -199,8 +208,8 @@ def _walk(values, bounds, origins=None):
         else:
             alpha += [v] * (c // 2)
     if bad:
-        return tuple(mu), None, ExtractionDiagnostic(tuple(bad)), odd_segments
-    return tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None, odd_segments
+        return tuple(mu), None, ExtractionDiagnostic(tuple(bad)), len(shared)
+    return tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None, len(shared)
 
 
 def closed_form_fingerprint_C(p) -> WeylPair:
@@ -211,7 +220,7 @@ def closed_form_fingerprint_C(p) -> WeylPair:
     p = validate_partition(p)
     if not is_theory_member(p, Theory.C):
         raise ValueError(f"{p} is not a C-type partition")
-    _, weyl, diagnostic, _ = _walk(p, ((0, len(p)),))
+    _, weyl, diagnostic, _ = _walk(p)
     if diagnostic:
         raise ValueError(f"{diagnostic.message()}: its exponent is not integral")
     return weyl
@@ -233,7 +242,7 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
     if not is_theory_member(p, theory):
         raise ValueError(f"{p} is not a {theory.value}-type partition")
-    return _walk(p, ((0, len(p)),))[1]
+    return _walk(p)[1]
 
 
 def has_all_even_transpose_rows(p) -> bool:

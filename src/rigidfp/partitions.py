@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product, zip_longest
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class Theory(str, Enum):
@@ -165,18 +165,6 @@ def is_rigid(p, theory) -> bool:
     return all(
         n != 2 for v, n in Counter(p).items() if v % 2 == banned_parity
     )
-
-
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n with parts bounded by max_part, descending parts."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
 
 
 def theory_total(theory, rank: int) -> int:

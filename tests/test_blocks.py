@@ -1,3 +1,4 @@
+import inspect
 import sys
 from collections import Counter
 from itertools import groupby
@@ -12,6 +13,7 @@ from rigidfp import (
     sp_map,
 )
 import rigidfp.blocks
+import rigidfp.closedform
 from rigidfp.blocks import OPERATOR_LABELS, BlockResult, _bounds
 from rigidfp.checks import run_suite
 from rigidfp.closedform import _walk
@@ -30,6 +32,15 @@ import pytest
 
 def tagged(pair, tie_break=PRIME_FIRST):
     return combine(pair, tie_break=tie_break)
+
+
+def walk_closing_blocks(cut):
+    """closedform._walk with its block-closing step rewritten to `cut`."""
+    source = inspect.getsource(_walk)
+    assert source.count("block += not odd") == 1
+    namespace = dict(vars(rigidfp.closedform))
+    exec(source.replace("block += not odd", cut), namespace)
+    return namespace["_walk"]
 
 
 def member_pairs(max_rank=6):
@@ -218,91 +229,103 @@ class TestPathEquivalence:
             if pair.theory is Theory.C:
                 direct = fingerprint(pair, vac)
                 tp = direct.tagged
-                mu, weyl, diagnostic, odd_segments = _walk(tp.values, _bounds(tp))
+                mu, weyl, diagnostic, shared_values = _walk(tp.values)
                 assert (mu, weyl, diagnostic) == (direct.mu, direct.weyl, direct.diagnostic), pair
-                assert odd_segments == 0
+                assert shared_values == 0
                 checked += 1
                 diagnostics += diagnostic is not None
         assert (checked, diagnostics) == (645, 458)
 
-    @pytest.mark.parametrize("keep", [
-        lambda cum: True,  # cut at every value change, ignoring parity
-        lambda cum: cum % 2,  # cut only at odd counts
+    @pytest.mark.parametrize("cut", [
+        "block += 1",  # close a block at every value change, ignoring parity
+        "block += odd",  # close one only at odd counts
     ], ids=["every-value-change", "odd-counts-only"])
-    def test_wrong_cuts_fail_path_equivalence(self, keep, monkeypatch):
-        # A block entered at an odd box count breaks the closed forms: both
-        # mutants fail the same 6 of the 146 inputs at rank 4.
-        def cut(tp):
-            values = tp.values
-            cuts, cum = [0], 0
-            for j in range(len(values) - 1):
-                cum += values[j]
-                if values[j] != values[j + 1] and keep(cum):
-                    cuts.append(j + 1)
-            cuts.append(len(values))
-            return list(zip(cuts, cuts[1:])) if values else []
-
-        monkeypatch.setattr(rigidfp.blocks, "_bounds", cut)
+    def test_wrong_cuts_fail_path_equivalence(self, cut, monkeypatch):
+        # The walk closes a block where its box count is even.  Closed at a
+        # wrong count, two blocks share an image value: both mutants fail the
+        # same 6 of the 146 inputs at rank 4.
+        monkeypatch.setattr(rigidfp.blocks, "_walk", walk_closing_blocks(cut))
         report = run_suite("path-equivalence", 4)
         assert report.checked == 146
         assert report.failures == [
-            f"{name} [tie={tie}]"
+            f"{name} [tie={tie}]: shared_values=1"
             for name in ("B (1; 3 2^2 1)", "D (3 2^2 1; -)", "D (-; 3 2^2 1)")
             for tie in (PRIME_FIRST, DPRIME_FIRST)
         ]
 
-    @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
-    def test_odd_segments_counts_odd_totals(self, theory):
-        # The walk's parity at a segment's end is the segment total's, also
-        # for segments that start at an odd count (a cut at every value change).
-        checked = odd = 0
-        for pair in member_pairs():
-            if pair.theory is theory:
-                values = tagged(pair).values
-                groups = [len(list(g)) for _, g in groupby(values)]
-                ends = [sum(groups[:k + 1]) for k in range(len(groups))]
-                for bounds in (_bounds(tagged(pair)), list(zip([0] + ends, ends))):
-                    expected = sum(sum(values[s:e]) % 2 for s, e in bounds)
-                    assert _walk(values, bounds)[3] == expected, (pair, bounds)
-                    odd += expected
-                checked += 1
-        # In C every odd value has even multiplicity: no segment total is odd.
-        assert checked > 0
-        assert odd == 0 if theory is Theory.C else odd > checked * theory.theta
+    @pytest.mark.parametrize("rows", [
+        (3, 1),  # 2: lost from 3, gained by 1
+        (3, 2, 2),  # 2: lost from 3, then its own group
+        (3, 2, 2, 1),  # 2, made in three blocks, counts once
+    ])
+    def test_shared_values_at_every_value_change(self, rows):
+        # Closed at every value change, the blocks on either side of an odd
+        # count both produce the value a box moves to; cut at even counts,
+        # no two blocks share one.
+        assert walk_closing_blocks("block += 1")(rows)[3] == 1
+        assert _walk(rows)[3] == 0
+
+    def test_block_path_does_not_cut_through_bounds(self, monkeypatch):
+        # The walk finds the blocks itself; _bounds only reports them.
+        def refuse(tp):
+            raise AssertionError("block path called _bounds")
+
+        monkeypatch.setattr(rigidfp.blocks, "_bounds", refuse)
+        report = run_suite("path-equivalence", 8)
+        assert report.checked == 1136
+        assert report.ok, report.failures
 
     @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
-    def test_walk_is_the_union_of_block_walks(self, theory):
-        # Block images hold disjoint values, so walking the blocks at once
-        # gives the union of walking each block alone.
-        origins_of = (lambda tp: tp.origins) if theory is Theory.C else (lambda tp: None)
+    def test_no_block_shares_an_image_value(self, theory):
+        # Cut where the box count is even, the blocks' images are disjoint
+        # on every member pair, rigid or not, under both tie-breaks.
         checked = 0
         for pair in member_pairs():
             if pair.theory is theory:
-                tp = tagged(pair)
-                origins = origins_of(tp)
-                whole = _walk(tp.values, _bounds(tp), origins)
-                mu, alpha, beta, diagnostic = [], [], [], False
-                for s, e in _bounds(tp):
-                    part = _walk(tp.values[s:e], ((0, e - s),), origins and origins[s:e])
-                    assert not set(mu) & set(part[0]), pair
-                    mu += part[0]
-                    if part[2] is not None:
-                        diagnostic = True
-                    else:
-                        alpha += part[1].alpha
-                        beta += part[1].beta
-                assert whole[0] == tuple(sorted(mu, reverse=True)), pair
-                assert (whole[2] is not None) == diagnostic, pair
-                if not diagnostic:
-                    assert whole[1] == (tuple(sorted(alpha, reverse=True)),
-                                        tuple(sorted(beta, reverse=True))), pair
-                checked += 1
+                for tb in (PRIME_FIRST, DPRIME_FIRST):
+                    assert block_fingerprint(tagged(pair, tb), theory).shared_values == 0, (pair, tb)
+                    checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
+    def test_walk_is_the_union_of_block_walks(self, theory):
+        # Block images hold disjoint values, so walking the rows at once
+        # gives the union of walking each _bounds block alone.
+        checked = 0
+        for rank in range(11):
+            for pair in enumerate_rigid_pairs(theory, rank):
+                for tb in (PRIME_FIRST, DPRIME_FIRST):
+                    tp = tagged(pair, tb)
+                    origins = tp.origins if theory is Theory.C else None
+                    whole = _walk(tp.values, origins)
+                    assert whole[3] == 0, (pair, tb)
+                    mu, alpha, beta, diagnostic = [], [], [], False
+                    for s, e in _bounds(tp):
+                        part = _walk(tp.values[s:e], origins and origins[s:e])
+                        assert not set(mu) & set(part[0]), (pair, tb)
+                        mu += part[0]
+                        if part[2] is not None:
+                            diagnostic = True
+                        else:
+                            alpha += part[1].alpha
+                            beta += part[1].beta
+                    assert whole[0] == tuple(sorted(mu, reverse=True)), (pair, tb)
+                    assert (whole[2] is not None) == diagnostic, (pair, tb)
+                    if not diagnostic:
+                        assert whole[1] == (tuple(sorted(alpha, reverse=True)),
+                                            tuple(sorted(beta, reverse=True))), (pair, tb)
+                    checked += 1
+        assert checked == {Theory.B: 810, Theory.C: 1216, Theory.D: 684}[theory]
 
     @pytest.mark.parametrize("theory", ["C", Theory.C])
     def test_theory_as_letter_or_member(self, theory):
         pair = OperatorPair((2, 2, 1, 1), (1, 1), "C")
         assert fingerprint(pair).same_outcome(block_fingerprint(combine(pair), theory))
+
+    def test_componentwise_rejected(self):
+        pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
+        with pytest.raises(ValueError, match="INTERLEAVE"):
+            block_fingerprint(combine(pair, mode=COMPONENTWISE), pair.theory)
 
     def test_unknown_theory_rejected(self):
         with pytest.raises(ValueError, match="'E' is not a valid Theory"):

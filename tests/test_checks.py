@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from partition_oracle import partitions_of
 import rigidfp.checks
 from rigidfp.checks import (
     DEFAULT_MAX_RANK,
@@ -24,7 +25,7 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
-from rigidfp.partitions import Theory, enumerate_members, format_partition, partitions_of
+from rigidfp.partitions import Theory, enumerate_members, format_partition
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
