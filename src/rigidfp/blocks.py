@@ -7,8 +7,9 @@ group walk of closedform, which finds these blocks itself, reads each
 block's image and [alpha; beta], joins them and counts the image values two
 blocks share.  It must reproduce the direct pipeline's image and outcome
 with no shared value, which is the module's correctness contract, and
-shares no code with the pipeline's Sp, tau and extraction stages.  _bounds
-cuts the same blocks for reporting (decompose_blocks).
+shares no code with the pipeline's Sp, tau and extraction stages.
+decompose_blocks steps over the same value groups to cut and classify the
+blocks for reporting.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from .closedform import _walk
 from .fingerprint import ExtractionDiagnostic, WeylPair
-from .partitions import DPRIME, INTERLEAVE, PRIME, TaggedPartition, Theory
+from .partitions import INTERLEAVE, PRIME, TaggedPartition, Theory
 
 # Reporting only: block_fingerprint picks its closed form by theory alone.
 OPERATOR_LABELS = frozenset({
@@ -38,66 +39,64 @@ class Block(NamedTuple):
     operator_label: str | None
 
 
-def _classify(values, origins):
-    """Kind and reporting label for one block of combine output.
-
-    Three facts about such blocks carry the classification:
-    - only the last block of a B pair has an odd total (kind I), since every
-      cut falls at an even box count;
-    - a paired block, where each origin has an even number of rows of each
-      value, is one value group, since the cut after that group fires;
-    - the stable merge keeps each origin's rows of one value together.
-    The operator label names which pattern the block realizes and is
-    attached for reporting only.
-    """
-    if sum(values) % 2:
-        # The unpaired leading row of the pair lives here.  Rows come from
-        # two origins, so an odd total has exactly one odd origin.
-        prime_odd = sum(v for v, o in zip(values, origins) if o == PRIME) % 2
-        odd_origin = PRIME if prime_odd else DPRIME
-        return "I", f"mu_{'eo'[prime_odd]}{'2' if origins[0] == odd_origin else '1'}"
-    n, first = len(values), origins.count(origins[0])
-    if values[0] != values[-1] or first % 2 or n % 2:
-        return "S", None
-    if first == n:
-        return "II", "mu_II"
-    # The inserted origin has fewer rows (on a tie, dprime); its rows come
-    # last ("12") or first ("21").
-    inserted_last = (n - first, origins[-1]) < (first, origins[0])
-    return "III", f"mu_{'eo'[values[0] % 2]}{'12' if inserted_last else '21'}"
-
-
-def _bounds(tp: TaggedPartition) -> list[tuple[int, int]]:
-    """(start, end) of each block (INTERLEAVE mode only).
-
-    Cut points are exactly the row boundaries where the cumulative box
-    count is even and the adjacent values differ.
-    """
-    if tp.mode != INTERLEAVE:
-        raise ValueError("block decomposition requires INTERLEAVE mode")
-    values = tp.values
-    if not values:
-        return []
-    cuts = [0]
-    cum = 0
-    for j in range(len(values) - 1):
-        cum += values[j]
-        if cum % 2 == 0 and values[j] != values[j + 1]:
-            cuts.append(j + 1)
-    cuts.append(len(values))
-    return list(zip(cuts, cuts[1:]))
-
-
 def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     """Cut the tagged partition into blocks and classify each one.
 
-    tp must come from combine in INTERLEAVE mode: the classifier relies on
-    its stable merge (each origin's rows of one value are adjacent).
+    One pass over the value groups, the steps of closedform._walk: a group
+    end where the box count is even closes a block, and so does the last
+    row.  tp must come from combine in INTERLEAVE mode, whose stable merge
+    keeps each origin's rows of one value together, so a group is the run
+    of its first origin's rows and then the other origin's.  The kind
+    follows from the last group of the block:
+    - an odd count (kind I) can close only the last block of a B pair;
+    - a block of more than one group is S: its last group turns an odd
+      count even, so it holds an odd number of rows;
+    - a block of one group is II when one origin holds its rows, III when
+      each origin holds an even number of them, and S otherwise.
+    The operator label names which pattern the block realizes and is
+    attached for reporting only.
     """
-    return [
-        Block(start, end, *_classify(tp.values[start:end], tp.origins[start:end]))
-        for start, end in _bounds(tp)
-    ]
+    if tp.mode != INTERLEAVE:
+        raise ValueError("block decomposition requires INTERLEAVE mode")
+    values, origins = tp.values, tp.origins
+    blocks = []
+    odd = prime_odd = start = i = 0  # prime_odd: parity of the block's lambda' boxes
+    end = len(values)
+    while i < end:
+        v, o = values[i], origins[i]
+        j = i + 1
+        while j < end and values[j] == v and origins[j] == o:
+            j += 1
+        first = j - i
+        while j < end and values[j] == v:
+            j += 1
+        n = j - i
+        if v % 2:
+            odd ^= n % 2
+            prime_odd ^= (first if o == PRIME else n - first) % 2
+        i = j
+        if odd and i < end:
+            continue
+        if odd:
+            # The unpaired leading row of the pair lives here.  Rows come
+            # from two origins, so an odd total has exactly one odd origin:
+            # lambda' when prime_odd.  "2" when the block's first row is
+            # that origin's.
+            kind = "I"
+            label = f"mu_{'eo'[prime_odd]}{'12'[(origins[start] == PRIME) == prime_odd]}"
+        elif first % 2 or n % 2:
+            kind, label = "S", None
+        elif first == n:
+            kind, label = "II", "mu_II"
+        else:
+            # The inserted origin has fewer rows (on a tie, dprime); its rows
+            # come last ("12") or first ("21").
+            inserted_last = (n - first, origins[i - 1]) < (first, o)
+            kind = "III"
+            label = f"mu_{'eo'[v % 2]}{'12' if inserted_last else '21'}"
+        blocks.append(Block(start, i, kind, label))
+        prime_odd, start = 0, i
+    return blocks
 
 
 class BlockResult(NamedTuple):

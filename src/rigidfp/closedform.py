@@ -157,7 +157,7 @@ def _walk(values, origins=None):
     variant) (iii) adds nothing.
 
     A group end at an even count closes a block: the count is even and the
-    value changes, blocks._bounds' cut.  Each block starts at an even count,
+    value changes, the cut blocks.decompose_blocks reports.  Each block starts at an even count,
     where a closed form starts, and stands alone as a unipotent partition;
     one count table holds the multiset union of the blocks' images.  That
     is their union only if no two blocks share an image value: each value

@@ -18,10 +18,13 @@ class Theory(str, Enum):
     C = "C"
     D = "D"
 
-    @property
-    def theta(self) -> int:
-        """Box-count offset over twice the rank: 1 for B, 0 for C and D."""
-        return int(self is Theory.B)
+    def __init__(self, letter: str):
+        # Plain attributes, not properties: membership and rank tests read
+        # them on every call.  theta is the box-count offset over twice the
+        # rank; paired is the parity of the values that need even
+        # multiplicity.
+        self.theta = int(letter == "B")
+        self.paired = int(letter == "C")
 
 
 PRIME = "prime"
@@ -117,11 +120,6 @@ def transpose(p) -> tuple[int, ...]:
     return tuple(accumulate(map(mult.__getitem__, range(p[0], 0, -1))))[::-1]
 
 
-# Per theory: the parity of a member's box count, and the parity of the
-# values that must take even multiplicities.
-_MEMBER_RULE = {t: (t.theta, int(t is Theory.C)) for t in Theory}
-
-
 def is_theory_member(p, theory) -> bool:
     """Whether p labels a conjugacy class of the given theory.
 
@@ -135,10 +133,9 @@ def is_theory_member(p, theory) -> bool:
     p = tuple(p)
     if not p:
         return True
-    parity, paired = _MEMBER_RULE[theory]
-    if sum(p) % 2 != parity:
+    if sum(p) % 2 != theory.theta:
         return False
-    vals = sorted([v for v in p if v % 2 == paired])
+    vals = sorted([v for v in p if v % 2 == theory.paired])
     # Sorted, every value has even multiplicity exactly when the rows pair off.
     return vals[0::2] == vals[1::2]
 
@@ -161,9 +158,8 @@ def is_rigid(p, theory) -> bool:
         nxt = p[i + 1] if i + 1 < len(p) else 0
         if p[i] - nxt > 1:
             return False
-    banned_parity = 0 if theory is Theory.C else 1
     return all(
-        n != 2 for v, n in Counter(p).items() if v % 2 == banned_parity
+        n != 2 for v, n in Counter(p).items() if v % 2 != theory.paired
     )
 
 
@@ -202,14 +198,13 @@ def _grow(out: list, prefix: tuple[int, ...], left: int, v: int, paired: int,
 def _by_multiplicity(theory: Theory, rank: int, rigid: bool) -> list[tuple[int, ...]]:
     """Members (or rigid partitions) at the rank, generated largest value first.
 
-    The paired parity, whose values take even multiplicities, is even for
-    B/D and odd for C.  The all-ones exception of is_rigid is left to the
-    caller.
+    Values of the paired parity (Theory.paired) take even multiplicities.
+    The all-ones exception of is_rigid is left to the caller.
     """
     total = theory_total(theory, rank)
     out = [()] if total == 0 else []
     for top in range(1, total + 1):
-        _grow(out, (), total, top, int(theory is Theory.C), rigid)
+        _grow(out, (), total, top, theory.paired, rigid)
     return out
 
 

@@ -14,7 +14,7 @@ from rigidfp import (
 )
 import rigidfp.blocks
 import rigidfp.closedform
-from rigidfp.blocks import OPERATOR_LABELS, BlockResult, _bounds
+from rigidfp.blocks import OPERATOR_LABELS, BlockResult
 from rigidfp.checks import run_suite
 from rigidfp.closedform import _walk
 from rigidfp.fingerprint import VACUOUS
@@ -103,8 +103,27 @@ class TestDecompose:
             (DPRIME_FIRST, "S", None): 961,
         }
 
+    def test_cuts_are_exactly_even_value_changes(self):
+        # The cut rule: a block starts after row j - 1 exactly when the box
+        # count above row j is even and the value changes there.
+        checked = 0
+        for theory in Theory:
+            for rank in range(11):
+                for pair in enumerate_rigid_pairs(theory, rank):
+                    for tb in (PRIME_FIRST, DPRIME_FIRST):
+                        tp = tagged(pair, tb)
+                        values = tp.values
+                        starts = {b.start for b in decompose_blocks(tp)}
+                        assert starts - {0} == {
+                            j for j in range(1, len(values))
+                            if sum(values[:j]) % 2 == 0 and values[j - 1] != values[j]
+                        }, (pair, tb)
+                        checked += 1
+        assert checked == 2710
+
     def test_classifier_facts(self):
-        # _classify reads kinds off these facts instead of counting rows.
+        # decompose_blocks reads kinds off these facts, in its one pass over
+        # the value groups, instead of slicing and counting each block.
         for pair in member_pairs():
             for tb in (PRIME_FIRST, DPRIME_FIRST):
                 tp = tagged(pair, tb)
@@ -266,11 +285,11 @@ class TestPathEquivalence:
         assert _walk(rows)[3] == 0
 
     def test_block_path_does_not_cut_through_bounds(self, monkeypatch):
-        # The walk finds the blocks itself; _bounds only reports them.
+        # The walk finds the blocks itself; decompose_blocks only reports them.
         def refuse(tp):
-            raise AssertionError("block path called _bounds")
+            raise AssertionError("block path called decompose_blocks")
 
-        monkeypatch.setattr(rigidfp.blocks, "_bounds", refuse)
+        monkeypatch.setattr(rigidfp.blocks, "decompose_blocks", refuse)
         report = run_suite("path-equivalence", 8)
         assert report.checked == 1136
         assert report.ok, report.failures
@@ -290,7 +309,7 @@ class TestPathEquivalence:
     @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
     def test_walk_is_the_union_of_block_walks(self, theory):
         # Block images hold disjoint values, so walking the rows at once
-        # gives the union of walking each _bounds block alone.
+        # gives the union of walking each decompose_blocks block alone.
         checked = 0
         for rank in range(11):
             for pair in enumerate_rigid_pairs(theory, rank):
@@ -300,7 +319,7 @@ class TestPathEquivalence:
                     whole = _walk(tp.values, origins)
                     assert whole[3] == 0, (pair, tb)
                     mu, alpha, beta, diagnostic = [], [], [], False
-                    for s, e in _bounds(tp):
+                    for s, e, _, _ in decompose_blocks(tp):
                         part = _walk(tp.values[s:e], origins and origins[s:e])
                         assert not set(mu) & set(part[0]), (pair, tb)
                         mu += part[0]

@@ -68,15 +68,15 @@ class TestFingerprint:
         ]
 
     def test_each_block_classified_once(self, monkeypatch):
-        # Both paths and the record of one pair: only the record classifies.
+        # Both paths and the record of one pair: only the record builds blocks.
         calls = []
-        classify = rigidfp.blocks._classify
+        block = rigidfp.blocks.Block
 
-        def counted(values, origins):
-            calls.append(values)
-            return classify(values, origins)
+        def counted(*fields):
+            calls.append(fields)
+            return block(*fields)
 
-        monkeypatch.setattr(rigidfp.blocks, "_classify", counted)
+        monkeypatch.setattr(rigidfp.blocks, "Block", counted)
         direct = fingerprint(OperatorPair((2, 2, 1), (1, 1), "B"))
         block_fingerprint(direct.tagged, direct.pair.theory)
         rec = result_record(direct)

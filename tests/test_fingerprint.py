@@ -30,6 +30,7 @@ from rigidfp.partitions import (
     TaggedPartition,
     INTERLEAVE,
     enumerate_members,
+    enumerate_rigid_pairs,
 )
 
 
@@ -269,6 +270,49 @@ class TestFingerprint:
         assert tp.values == (3, 2, 1)
         assert tp.prime_odd == (True, True, None)
         assert tp.iii_datum(2) is None
+
+
+def rigid_pairs_upto(theory, max_rank):
+    for rank in range(max_rank + 1):
+        yield from enumerate_rigid_pairs(theory, rank)
+
+
+class TestPairLemmas:
+    def test_c_diagnostic_at_unmatched_even_value(self):
+        # Sp fixes a C member, and under the Sp variant tau(m) = -1 exactly
+        # when a row of m comes from lambda'.  So a C pair gives a diagnostic
+        # exactly when an even value occurs an odd number of times in
+        # lambda'' and never in lambda'.
+        pairs = diagnostics = 0
+        for pair in rigid_pairs_upto(Theory.C, 10):
+            prime = set(pair.lambda_prime)
+            predicted = any(v % 2 == 0 and n % 2 and v not in prime
+                            for v, n in Counter(pair.lambda_dprime).items())
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                res = fingerprint(pair, FingerprintOptions(tie_break=tb))
+                assert (res.diagnostic is not None) == predicted, (pair, tb)
+            pairs += 1
+            diagnostics += predicted
+        assert (pairs, diagnostics) == (608, 154)
+
+    @pytest.mark.parametrize("theory, expected", [
+        (Theory.D, (332, 0)),  # cli._fiber_key merges D mirror pairs on this
+        (Theory.C, (594, 390)),
+    ], ids=["D", "C"])
+    def test_mirror_pair_outcomes(self, theory, expected):
+        # Pairs with two different sides, and how many of them change
+        # outcome when the sides are swapped, under either tie-break.
+        pairs = changed = 0
+        for pair in rigid_pairs_upto(theory, 10):
+            if pair.lambda_prime != pair.lambda_dprime:
+                mirror = OperatorPair(pair.lambda_dprime, pair.lambda_prime, theory)
+                pairs += 1
+                changed += any(
+                    not fingerprint(pair, opts).same_outcome(fingerprint(mirror, opts))
+                    for opts in (FingerprintOptions(tie_break=tb)
+                                 for tb in (PRIME_FIRST, DPRIME_FIRST))
+                )
+        assert (pairs, changed) == expected
 
 
 # The kernels as first written (padded row copies, a Counter), kept verbatim

@@ -86,6 +86,10 @@ class TestMembership:
         for t in Theory:
             assert is_theory_member((), t)
 
+    def test_paired_parity(self):
+        # The parity of the values that need even multiplicity.
+        assert [t.paired for t in Theory] == [0, 1, 0]
+
 
 class TestRigid:
     def test_examples(self):
