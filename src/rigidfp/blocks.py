@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .closedform import _walk
-from .fingerprint import ExtractionDiagnostic, WeylPair
+from .closedform import BlockResult, _walk  # re-exported: block_fingerprint returns it
 from .partitions import INTERLEAVE, PRIME, TaggedPartition, Theory
 
 # Reporting only: block_fingerprint picks its closed form by theory alone.
@@ -99,21 +98,6 @@ def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     return blocks
 
 
-class BlockResult(NamedTuple):
-    """What the block path produces: the image mu as a partition, [alpha; beta]
-    or the extraction diagnostic, and the number of image values that more
-    than one block produces (0 when the blocks' union is valid).
-
-    A named tuple like the pipeline's records, so it compares equal to the
-    plain tuple (mu, weyl, diagnostic, shared_values).
-    """
-
-    mu: tuple[int, ...]
-    weyl: WeylPair | None
-    diagnostic: ExtractionDiagnostic | None
-    shared_values: int
-
-
 def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     """Second computation path: a closed form per block, and their union.
 
@@ -129,4 +113,4 @@ def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     if type(theory) is not Theory:
         theory = Theory(theory)
     origins = tp.origins if theory is Theory.C else None
-    return BlockResult(*_walk(tp.values, origins))
+    return _walk(tp.values, origins)

@@ -392,34 +392,21 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
     return _sweep(SuiteReport("path-equivalence"), inputs, check)
 
 
+# Each suite with its default rank bound.
 SUITES = {
-    "structure": check_structure,
-    "sp-locality": check_sp_locality,
-    "parity": check_parity,
-    "rank-identity": check_rank_identity,
-    "condition-ii": check_condition_ii,
-    "shift": check_shift,
-    "factorization": check_factorization,
-    "path-equivalence": check_path_equivalence,
-    "closed-form": check_closed_form,
-    "collapse-bijection": check_collapse_bijection,
-}
-
-DEFAULT_MAX_RANK = {
-    "structure": 12,
-    "sp-locality": 12,
-    "parity": 12,
-    "rank-identity": 8,
-    "condition-ii": 8,
-    "shift": 6,
-    "factorization": 12,
-    "path-equivalence": 8,
-    "closed-form": 10,
-    "collapse-bijection": 12,
+    "structure": (check_structure, 12),
+    "sp-locality": (check_sp_locality, 12),
+    "parity": (check_parity, 12),
+    "rank-identity": (check_rank_identity, 8),
+    "condition-ii": (check_condition_ii, 8),
+    "shift": (check_shift, 6),
+    "factorization": (check_factorization, 12),
+    "path-equivalence": (check_path_equivalence, 8),
+    "closed-form": (check_closed_form, 10),
+    "collapse-bijection": (check_collapse_bijection, 12),
 }
 
 
 def run_suite(name: str, max_rank: int | None = None) -> SuiteReport:
-    if max_rank is None:
-        max_rank = DEFAULT_MAX_RANK[name]
-    return SUITES[name](max_rank)
+    suite, default_rank = SUITES[name]
+    return suite(default_rank if max_rank is None else max_rank)

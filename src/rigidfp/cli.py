@@ -13,9 +13,12 @@ import sys
 from dataclasses import replace
 
 from .blocks import decompose_blocks
-from .checks import DEFAULT_MAX_RANK, SUITES, run_suite
+from .checks import SUITES, run_suite
 from .fingerprint import (
     ALL_CONDITIONS,
+    SO,
+    SP,
+    VACUOUS,
     FingerprintOptions,
     FingerprintResult,
     fingerprint,
@@ -217,19 +220,13 @@ def _fiber_key(pair: OperatorPair):
 
 def cmd_fibers(args) -> int:
     theory = Theory(args.theory)
-    groups: dict = {}  # fingerprint -> (first result, member pairs)
-    seen = set()
+    firsts: dict = {}  # fiber key -> first pair with it
     for pair in enumerate_rigid_pairs(theory, args.rank):
-        key = _fiber_key(pair)
-        if key in seen:
-            continue
-        seen.add(key)
+        firsts.setdefault(_fiber_key(pair), pair)
+    groups: dict = {}  # weyl or diagnostic -> (first result, member pairs)
+    for pair in firsts.values():
         res = fingerprint(pair)
-        if res.weyl:
-            fp = (res.weyl.alpha, res.weyl.beta)
-        else:
-            fp = ("diagnostic", res.diagnostic.entries)
-        groups.setdefault(fp, (res, []))[1].append(pair)
+        groups.setdefault(res.weyl or res.diagnostic, (res, []))[1].append(pair)
     items = []
     for fp in sorted(groups, key=str):
         res, members = groups[fp]
@@ -268,10 +265,11 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--theory", required=True, choices=["B", "C", "D"])
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="FILE")
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,46 +278,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fingerprints of rigid operators in the B/C/D theories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    theory = _flag("--theory", required=True, choices=[t.value for t in Theory])
+    out = _flag("--out", metavar="FILE")
+    emit = [_flag("--json", action="store_true"), out]
+    rank = _flag("--rank", type=nonnegative_int, required=True)
+    pair = [
+        theory,
+        _flag("--prime", default="", help="lambda' (e.g. \"2^2 1\")"),
+        _flag("--dprime", default="", help="lambda'' (default empty)"),
+        _flag("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST], default=PRIME_FIRST),
+    ]
 
-    p = sub.add_parser("enumerate", help="list rigid partitions or rigid pairs")
-    _add_common(p)
-    p.add_argument("--rank", type=nonnegative_int, required=True)
+    p = sub.add_parser("enumerate", parents=[theory, *emit, rank],
+                       help="list rigid partitions or rigid pairs")
     p.add_argument("--pairs", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("fingerprint", help="compute [alpha;beta] for one operator")
-    _add_common(p)
-    p.add_argument("--prime", default="", help="lambda' (e.g. \"2^2 1\")")
-    p.add_argument("--dprime", default="", help="lambda'' (default empty)")
+    p = sub.add_parser("fingerprint", parents=[*pair, *emit],
+                       help="compute [alpha;beta] for one operator")
     p.add_argument("--mode", choices=[INTERLEAVE, COMPONENTWISE], default=INTERLEAVE)
-    p.add_argument("--iii", choices=["so", "sp", "vacuous"], default=None)
-    p.add_argument("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST],
-                   default=PRIME_FIRST)
-    p.add_argument("--conditions", default=None, metavar="i,ii,iii")
+    p.add_argument("--iii", choices=[SO, SP, VACUOUS])
+    p.add_argument("--conditions", metavar="i,ii,iii")
     p.add_argument("--compare", action="store_true",
                    help="show all combine mode / tie-break conventions")
     p.set_defaults(func=cmd_fingerprint)
 
-    p = sub.add_parser("check", help="run a named invariant suite")
+    p = sub.add_parser("check", parents=emit, help="run a named invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--max-rank", type=nonnegative_int, default=None,
-                   help=f"rank bound (defaults: {DEFAULT_MAX_RANK})")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="FILE")
+    defaults = {name: default for name, (_, default) in SUITES.items()}
+    p.add_argument("--max-rank", type=nonnegative_int,
+                   help=f"rank bound (defaults: {defaults})")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fibers", help="group rigid pairs sharing a fingerprint")
-    _add_common(p)
-    p.add_argument("--rank", type=nonnegative_int, required=True)
+    p = sub.add_parser("fibers", parents=[theory, *emit, rank],
+                       help="group rigid pairs sharing a fingerprint")
     p.set_defaults(func=cmd_fibers)
 
-    p = sub.add_parser("render", help="print the ASCII Young diagram of a pair")
-    p.add_argument("--theory", required=True, choices=["B", "C", "D"])
-    p.add_argument("--prime", default="")
-    p.add_argument("--dprime", default="")
-    p.add_argument("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST],
-                   default=PRIME_FIRST)
-    p.add_argument("--out", metavar="FILE")
+    p = sub.add_parser("render", parents=[*pair, out],
+                       help="print the ASCII Young diagram of a pair")
     p.set_defaults(func=cmd_render, json=False)
 
     return parser

@@ -3,8 +3,8 @@
 The collapse maps act on the all-odd subpartition; the factored mu and the
 per-group fingerprint formulas give an independent second route that must
 agree with the generic pipeline.  Their group walk (_walk) also serves the
-block path (blocks.block_fingerprint): it finds the blocks itself and counts
-the image values that two blocks share.
+block path (blocks.block_fingerprint): it finds the blocks itself, counts
+the image values that two blocks share, and returns a BlockResult.
 """
 from __future__ import annotations
 
@@ -118,6 +118,12 @@ def ys_inverse(p) -> tuple[int, ...]:
     return _expand(p, 0)
 
 
+def _require_member(p: tuple[int, ...], theory: Theory) -> None:
+    """The closed forms' gate: a validated p must be a member of theory."""
+    if not is_theory_member(p, theory):
+        raise ValueError(f"{p} is not a {theory.value}-type partition")
+
+
 def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     """mu of a unipotent operator via the collapse of its odd parts.
 
@@ -129,16 +135,30 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     if type(theory) is not Theory:
         theory = Theory(theory)
     p = validate_partition(p)
-    if not is_theory_member(p, theory):
-        raise ValueError(f"{p} is not a {theory.value}-type partition")
+    _require_member(p, theory)
     if theory is Theory.C:
         return p
     odd_part, even_part = _split(p)
     return tuple(sorted(_collapse(odd_part) + even_part, reverse=True))
 
 
-def _walk(values, origins=None):
-    """(mu, weyl, diagnostic, shared_values) of a B/D or C member's rows.
+class BlockResult(NamedTuple):
+    """What the group walk produces: the image mu as a partition, [alpha; beta]
+    or the extraction diagnostic, and the number of image values that more
+    than one block produces (0 when the blocks' union is valid).
+
+    A named tuple like the pipeline's records, so it compares equal to the
+    plain tuple (mu, weyl, diagnostic, shared_values).
+    """
+
+    mu: tuple[int, ...]
+    weyl: WeylPair | None
+    diagnostic: ExtractionDiagnostic | None
+    shared_values: int
+
+
+def _walk(values, origins=None) -> BlockResult:
+    """The BlockResult of a B/D or C member's rows.
 
     The walk takes one step per group of n rows of the value v, over the
     descending rows.  An odd group gains a box at its first row when the box
@@ -208,8 +228,8 @@ def _walk(values, origins=None):
         else:
             alpha += [v] * (c // 2)
     if bad:
-        return tuple(mu), None, ExtractionDiagnostic(tuple(bad)), len(shared)
-    return tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None, len(shared)
+        return BlockResult(tuple(mu), None, ExtractionDiagnostic(tuple(bad)), len(shared))
+    return BlockResult(tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None, len(shared))
 
 
 def closed_form_fingerprint_C(p) -> WeylPair:
@@ -218,12 +238,11 @@ def closed_form_fingerprint_C(p) -> WeylPair:
     The group walk of C rows with every tau = +1.
     """
     p = validate_partition(p)
-    if not is_theory_member(p, Theory.C):
-        raise ValueError(f"{p} is not a C-type partition")
-    _, weyl, diagnostic, _ = _walk(p)
-    if diagnostic:
-        raise ValueError(f"{diagnostic.message()}: its exponent is not integral")
-    return weyl
+    _require_member(p, Theory.C)
+    res = _walk(p)
+    if res.diagnostic:
+        raise ValueError(f"{res.diagnostic.message()}: its exponent is not integral")
+    return res.weyl
 
 
 def closed_form_fingerprint_BD(p, theory) -> WeylPair:
@@ -240,9 +259,8 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
     p = validate_partition(p)
     if theory is Theory.C:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
-    if not is_theory_member(p, theory):
-        raise ValueError(f"{p} is not a {theory.value}-type partition")
-    return _walk(p)[1]
+    _require_member(p, theory)
+    return _walk(p).weyl
 
 
 def has_all_even_transpose_rows(p) -> bool:

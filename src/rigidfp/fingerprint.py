@@ -259,7 +259,7 @@ class FingerprintResult(NamedTuple):
         return self.trace.mu_partition()
 
     def same_outcome(self, other) -> bool:
-        """Same image mu, [alpha; beta] and diagnostic; other may be a blocks.BlockResult."""
+        """Same image mu, [alpha; beta] and diagnostic; other may be a closedform.BlockResult."""
         return (
             self.mu == other.mu
             and self.weyl == other.weyl

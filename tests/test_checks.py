@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -5,8 +6,8 @@ import pytest
 
 from partition_oracle import partitions_of
 import rigidfp.checks
+import rigidfp.closedform
 from rigidfp.checks import (
-    DEFAULT_MAX_RANK,
     SUITES,
     run_suite,
     sp_locality_failure,
@@ -20,12 +21,15 @@ from rigidfp.fingerprint import (
     FingerprintOptions,
     SpTrace,
     TauTable,
+    WeylPair,
+    extract_weyl_pair,
     fingerprint,
     prefix_signs,
     sp_map,
     tau_table,
 )
-from rigidfp.partitions import Theory, enumerate_members, format_partition
+from rigidfp.closedform import xs_inverse, xs_map, ys_map
+from rigidfp.partitions import Theory, enumerate_members, format_partition, transpose
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -44,7 +48,7 @@ CHECKED_AT_DEFAULT = {
 
 
 def test_pins_cover_every_suite():
-    assert set(CHECKED_AT_DEFAULT) == set(SUITES) == set(DEFAULT_MAX_RANK)
+    assert set(CHECKED_AT_DEFAULT) == set(SUITES)
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
@@ -290,3 +294,89 @@ TAU_CATCHES = {
 def test_suite_catches_tau_mutant(mutant, suite, failures, monkeypatch):
     _patch_everywhere(monkeypatch, "tau_table", tau_table, TAU_MUTANTS[mutant])
     assert len(run_suite(suite, 4).failures) == failures
+
+
+# Sp mutants that reach the parity and factorization failure lines, with
+# their failure counts at rank 4, as in TAU_CATCHES.  A patched sp_map
+# feeds both sides of the B/D factorization comparison, so no Sp mutant
+# reaches that line: only the C line, where Sp must be the identity.
+SP_CATCHES = {
+    "minus-guard-dropped": {"parity": 27, "factorization": 8},
+    "plus-guard-dropped": {"parity": 27, "factorization": 8},
+    "guards-swapped": {"factorization": 8},
+}
+SP_CATCH_FORMS = {
+    "parity": r"[BCD] \S.*: odd value \d+ unpaired in \S.*",
+    "factorization": r"C \S.*: sp not the identity",
+}
+
+
+@pytest.mark.parametrize("mutant, suite, failures", [
+    (mutant, suite, n) for mutant, row in SP_CATCHES.items() for suite, n in row.items()
+])
+def test_suite_counts_sp_mutant_failures(mutant, suite, failures, monkeypatch):
+    _patch_everywhere(monkeypatch, "sp_map", sp_map, _sp_mutant(SP_MUTANTS[mutant]))
+    report = run_suite(suite, 4)
+    assert len(report.failures) == failures
+    assert all(re.fullmatch(SP_CATCH_FORMS[suite], f) for f in report.failures)
+
+
+def _correct_sp_rule(p, v, n, s):
+    return v + s if v % 2 and v != (p if s == 1 else n) else v
+
+
+def _tau_plus_above_2(trace, tags, theory, opts=None):
+    entries = tau_table(trace, tags, theory, opts).entries
+    return TauTable(tuple((m, 1, None) if m > 2 else (m, t, w) for m, t, w in entries))
+
+
+def _extraction_dropping_last_beta(trace, tau):
+    outcome = extract_weyl_pair(trace, tau)
+    if isinstance(outcome, WeylPair):
+        return outcome._replace(beta=outcome.beta[:-1])
+    return outcome
+
+
+# Mutants for the suite failure lines that the tables above do not reach.
+# Each replaces one function in every rigidfp module that binds it.  Row:
+# (function, replacement, suite, failures at rank 4, how many of them take
+# the form, the form of the line's failure string).
+LINE_MUTANTS = {
+    "transpose-reversed": (
+        transpose, lambda p: transpose(p)[::-1],
+        "structure", 5, 5, r"[BCD] \S.*: transpose \S.*"),
+    "collapse-identity": (
+        rigidfp.closedform._collapse, lambda sigma: sigma,
+        "factorization", 10, 10, r"[BD] \S.*: sp \S.* != factored \S.*"),
+    "extraction-drops-last-beta": (
+        extract_weyl_pair, _extraction_dropping_last_beta,
+        "rank-identity", 43, 43,
+        r"[BCD] \(.*\) \[(interleave|sum)\]: \|alpha\|\+\|beta\|=\d+ != \d+"),
+    "sp-above-4-unmoved": (
+        sp_map, _sp_mutant(lambda p, v, n, s: v if v > 4 else _correct_sp_rule(p, v, n, s)),
+        "shift", 3, 3, r"[BCD] \(.*\): trace shift broken"),
+    # 7 of its 11 failures are one-sided diagnostics; the first is a shifted
+    # [alpha;beta].
+    "tau-plus-above-2": (
+        tau_table, _tau_plus_above_2,
+        "shift", 11, 4, r"[BCD] \(.*\): \[[^;]*;[^]]*\] -> \[[^;]*;[^]]*\]"),
+    "xs-map-identity": (
+        xs_map, tuple,
+        "collapse-bijection", 5, 5, r"B \S.*: wrong box count"),
+    "ys-map-identity": (
+        ys_map, tuple,
+        "collapse-bijection", 1, 1, r"D \S.*: image \S.* has odd transpose row"),
+    "xs-inverse-drops-last-row": (
+        xs_inverse, lambda p: xs_inverse(p)[:-1],
+        "collapse-bijection", 5, 5, r"B \S.*: round trip broken"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(LINE_MUTANTS))
+def test_suite_failure_line_reached(mutant, monkeypatch):
+    original, replacement, suite, failures, on_line, form = LINE_MUTANTS[mutant]
+    _patch_everywhere(monkeypatch, original.__name__, original, replacement)
+    report = run_suite(suite, 4)
+    assert len(report.failures) == failures
+    assert re.fullmatch(form, report.failures[0])
+    assert sum(bool(re.fullmatch(form, f)) for f in report.failures) == on_line

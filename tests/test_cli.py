@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import sys
@@ -313,4 +314,84 @@ class TestUsage:
     def test_missing_theory(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--rank", "2"])
+        assert exc.value.code == 2
+
+
+THEORIES = ["B", "C", "D"]
+TIES = ["dprime", "prime"]
+SUITE_NAMES = sorted([
+    "structure", "sp-locality", "parity", "rank-identity", "condition-ii", "shift",
+    "factorization", "path-equivalence", "closed-form", "collapse-bijection",
+])
+# Each subcommand's options: option string (the dest of a positional) ->
+# (required, choices, default).
+SUBCOMMAND_FLAGS = {
+    "enumerate": {
+        "--theory": (True, THEORIES, None),
+        "--json": (False, None, False),
+        "--out": (False, None, None),
+        "--rank": (True, None, None),
+        "--pairs": (False, None, False),
+    },
+    "fingerprint": {
+        "--theory": (True, THEORIES, None),
+        "--json": (False, None, False),
+        "--out": (False, None, None),
+        "--prime": (False, None, ""),
+        "--dprime": (False, None, ""),
+        "--mode": (False, ["interleave", "sum"], "interleave"),
+        "--iii": (False, ["so", "sp", "vacuous"], None),
+        "--tie-break": (False, TIES, "prime"),
+        "--conditions": (False, None, None),
+        "--compare": (False, None, False),
+    },
+    "check": {
+        "suite": (True, SUITE_NAMES, None),
+        "--max-rank": (False, None, None),
+        "--json": (False, None, False),
+        "--out": (False, None, None),
+    },
+    "fibers": {
+        "--theory": (True, THEORIES, None),
+        "--json": (False, None, False),
+        "--out": (False, None, None),
+        "--rank": (True, None, None),
+    },
+    "render": {
+        "--theory": (True, THEORIES, None),
+        "--prime": (False, None, ""),
+        "--dprime": (False, None, ""),
+        "--tie-break": (False, TIES, "prime"),
+        "--out": (False, None, None),
+    },
+}
+
+
+class TestParser:
+    @staticmethod
+    def subcommands():
+        parser = rigidfp.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_each_subcommand_keeps_its_flags(self):
+        subcommands = self.subcommands()
+        assert set(subcommands) == set(SUBCOMMAND_FLAGS)
+        for name, sub in subcommands.items():
+            flags = {}
+            for action in sub._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                choices = None if action.choices is None else list(action.choices)
+                for key in action.option_strings or [action.dest]:
+                    assert key not in flags, (name, key)
+                    flags[key] = (action.required, choices, action.default)
+            assert flags == SUBCOMMAND_FLAGS[name], name
+
+    def test_render_has_no_json_flag(self, capsys):
+        render = self.subcommands()["render"]
+        assert "--json" not in render._option_string_actions
+        assert render.parse_args(["--theory", "B"]).json is False
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--theory", "B", "--json"])
         assert exc.value.code == 2

@@ -243,3 +243,27 @@ class TestClosedFormBD:
                 for p in enumerate_rigid(theory, rank):
                     res = fingerprint(OperatorPair(p, (), theory))
                     assert res.weyl == closed_form_fingerprint_BD(p, theory)
+
+
+class TestMembershipGate:
+    # Each closed form checks, in order: the theory, the partition, B/D only
+    # (closed_form_fingerprint_BD), then membership.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: unipotent_mu_factored((2, 1), "B"), "(2, 1) is not a B-type partition"),
+        (lambda: unipotent_mu_factored((3,), "C"), "(3,) is not a C-type partition"),
+        (lambda: closed_form_fingerprint_C((3,)), "(3,) is not a C-type partition"),
+        (lambda: closed_form_fingerprint_BD((2, 1), "D"), "(2, 1) is not a D-type partition"),
+        # (3,) is not a C member either: C is rejected before membership.
+        (lambda: closed_form_fingerprint_BD((3,), "C"),
+         "closed_form_fingerprint_BD covers B and D only"),
+        (lambda: closed_form_fingerprint_BD((1, 2), "C"),
+         "partition not weakly decreasing at part 2"),
+        (lambda: closed_form_fingerprint_C((1, 2)), "partition not weakly decreasing at part 2"),
+        (lambda: unipotent_mu_factored((1, 2), "B"), "partition not weakly decreasing at part 2"),
+        (lambda: unipotent_mu_factored((1, 2), "X"), "'X' is not a valid Theory"),
+        (lambda: closed_form_fingerprint_BD((1, 2), "X"), "'X' is not a valid Theory"),
+    ])
+    def test_rejection_and_order(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -286,6 +286,12 @@ class TestPairs:
         with pytest.raises(ValueError):
             OperatorPair((), (), "B")  # no integral rank
 
+    def test_non_member_dprime_rejected(self):
+        # lambda'' of a B pair is a D partition: 2 with odd multiplicity is not.
+        with pytest.raises(ValueError) as exc:
+            OperatorPair((1,), (2, 1), "B")
+        assert str(exc.value) == "lambda'' (2, 1) is not a D-type partition"
+
     @pytest.mark.parametrize("part", [3.9, 3.0, "3", True])
     def test_non_integer_part_rejected(self, part):
         # Parts are never truncated or converted: (3.9,) is not (3,).
