@@ -16,13 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .closedform import BlockResult, _walk  # re-exported: block_fingerprint returns it
-from .partitions import INTERLEAVE, PRIME, TaggedPartition, Theory
-
-# Reporting only: block_fingerprint picks its closed form by theory alone.
-OPERATOR_LABELS = frozenset({
-    "mu_e12", "mu_e21", "mu_o12", "mu_o21",
-    "mu_e1", "mu_e2", "mu_o1", "mu_o2", "mu_II",
-})
+from .partitions import INTERLEAVE, PRIME, TaggedPartition, Theory, _as_theory
 
 
 class Block(NamedTuple):
@@ -36,6 +30,13 @@ class Block(NamedTuple):
     end: int
     kind: str  # "I" | "II" | "III" | "S"
     operator_label: str | None
+
+
+def _interleaved_rows(tp: TaggedPartition):
+    """tp's values and origins; tp must come from combine in INTERLEAVE mode."""
+    if tp.mode != INTERLEAVE:
+        raise ValueError("block decomposition requires INTERLEAVE mode")
+    return tp.values, tp.origins
 
 
 def decompose_blocks(tp: TaggedPartition) -> list[Block]:
@@ -53,11 +54,10 @@ def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     - a block of one group is II when one origin holds its rows, III when
       each origin holds an even number of them, and S otherwise.
     The operator label names which pattern the block realizes and is
-    attached for reporting only.
+    attached for reporting only: block_fingerprint picks its closed form by
+    theory alone.
     """
-    if tp.mode != INTERLEAVE:
-        raise ValueError("block decomposition requires INTERLEAVE mode")
-    values, origins = tp.values, tp.origins
+    values, origins = _interleaved_rows(tp)
     blocks = []
     odd = prime_odd = start = i = 0  # prime_odd: parity of the block's lambda' boxes
     end = len(values)
@@ -108,9 +108,5 @@ def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     variant: C passes the origins, which are condition (iii) under the Sp
     variant; B and D pass none.
     """
-    if tp.mode != INTERLEAVE:
-        raise ValueError("block decomposition requires INTERLEAVE mode")
-    if type(theory) is not Theory:
-        theory = Theory(theory)
-    origins = tp.origins if theory is Theory.C else None
-    return _walk(tp.values, origins)
+    values, origins = _interleaved_rows(tp)
+    return _walk(values, origins if _as_theory(theory) is Theory.C else None)

@@ -28,10 +28,8 @@ from .fingerprint import (
     tau_table,
 )
 from .partitions import (
-    COMPONENTWISE,
-    DPRIME_FIRST,
-    INTERLEAVE,
-    PRIME_FIRST,
+    MODES,
+    TIE_BREAKS,
     OperatorPair,
     Theory,
     _unchecked_pair,
@@ -47,7 +45,6 @@ from .partitions import (
 
 @dataclass
 class SuiteReport:
-    name: str
     checked: int = 0
     failures: list[str] = field(default_factory=list)
     info: list[str] = field(default_factory=list)
@@ -111,7 +108,7 @@ def check_structure(max_rank: int) -> SuiteReport:
                 f"transpose {format_partition(transpose(p))}"
             )
 
-    return _sweep(SuiteReport("structure"), _upto(enumerate_rigid, Theory, max_rank), check)
+    return _sweep(SuiteReport(), _upto(enumerate_rigid, Theory, max_rank), check)
 
 
 def sp_locality_failure(theory, p) -> str | None:
@@ -146,7 +143,7 @@ def sp_locality_failure(theory, p) -> str | None:
 def check_sp_locality(max_rank: int) -> SuiteReport:
     """Changes only at value-group boundaries, direction set by the sign."""
     inputs = _upto(enumerate_members, Theory, max_rank)
-    return _sweep(SuiteReport("sp-locality"), inputs, sp_locality_failure)
+    return _sweep(SuiteReport(), inputs, sp_locality_failure)
 
 
 def check_parity(max_rank: int) -> SuiteReport:
@@ -160,7 +157,7 @@ def check_parity(max_rank: int) -> SuiteReport:
                     f"odd value {v} unpaired in {format_partition(mu)}"
                 )
 
-    return _sweep(SuiteReport("parity"), _upto(enumerate_members, Theory, max_rank), check)
+    return _sweep(SuiteReport(), _upto(enumerate_members, Theory, max_rank), check)
 
 
 def deficit_closure_ok(trace) -> bool:
@@ -186,7 +183,7 @@ def deficit_closure_ok(trace) -> bool:
 
 def check_rank_identity(max_rank: int) -> SuiteReport:
     """|alpha| + |beta| = n under the defaults; B/D never diagnose."""
-    report = SuiteReport("rank-identity")
+    report = SuiteReport()
 
     def check(theory, pair, opts):
         mode = opts.mode
@@ -205,7 +202,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         if total != pair.rank:
             return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
 
-    modes = [FingerprintOptions(mode=mode) for mode in (INTERLEAVE, COMPONENTWISE)]
+    modes = [FingerprintOptions(mode=mode) for mode in MODES]
     inputs = (
         (theory, pair, opts)
         for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
@@ -230,9 +227,7 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
         if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
             return _fmt_pair(pair)
 
-    report = _sweep(
-        SuiteReport("condition-ii"), _upto(enumerate_rigid_pairs, Theory, max_rank), check
-    )
+    report = _sweep(SuiteReport(), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
     hits = []
     count = 0
     for theory in Theory:
@@ -292,7 +287,7 @@ def check_shift(max_rank: int) -> SuiteReport:
                 f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
-    return _sweep(SuiteReport("shift"), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
+    return _sweep(SuiteReport(), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
 
 
 def check_factorization(max_rank: int) -> SuiteReport:
@@ -311,7 +306,7 @@ def check_factorization(max_rank: int) -> SuiteReport:
             )
 
     inputs = _upto(enumerate_rigid, (Theory.B, Theory.D, Theory.C), max_rank)
-    return _sweep(SuiteReport("factorization"), inputs, check)
+    return _sweep(SuiteReport(), inputs, check)
 
 
 def check_collapse_bijection(max_rank: int) -> SuiteReport:
@@ -336,7 +331,7 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
         (theory, _split(p).odd_part)
         for theory, p in _upto(enumerate_rigid, (Theory.B, Theory.D), max_rank)
     )
-    return _sweep(SuiteReport("collapse-bijection"), inputs, check)
+    return _sweep(SuiteReport(), inputs, check)
 
 
 def check_closed_form(max_rank: int) -> SuiteReport:
@@ -365,7 +360,7 @@ def check_closed_form(max_rank: int) -> SuiteReport:
         if not any(p.count(v) % 2 for v in set(p))
     )
     inputs = chain(_upto(enumerate_rigid, (Theory.B, Theory.D), max_rank), even_c)
-    return _sweep(SuiteReport("closed-form"), inputs, check)
+    return _sweep(SuiteReport(), inputs, check)
 
 
 def check_path_equivalence(max_rank: int) -> SuiteReport:
@@ -383,13 +378,13 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
             return (f"{_fmt_pair(pair)} [tie={opts.tie_break}]: "
                     f"shared_values={via_blocks.shared_values}")
 
-    ties = [FingerprintOptions(tie_break=tie) for tie in (PRIME_FIRST, DPRIME_FIRST)]
+    ties = [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS]
     inputs = (
         (theory, pair, opts)
         for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
         for opts in ties
     )
-    return _sweep(SuiteReport("path-equivalence"), inputs, check)
+    return _sweep(SuiteReport(), inputs, check)
 
 
 # Each suite with its default rank bound.

@@ -11,24 +11,23 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import product
 
 from .blocks import decompose_blocks
 from .checks import SUITES, run_suite
 from .fingerprint import (
     ALL_CONDITIONS,
-    SO,
-    SP,
-    VACUOUS,
+    III_VARIANTS,
     FingerprintOptions,
     FingerprintResult,
     fingerprint,
 )
 from .partitions import (
-    COMPONENTWISE,
     DPRIME,
-    DPRIME_FIRST,
     INTERLEAVE,
+    MODES,
     PRIME_FIRST,
+    TIE_BREAKS,
     OperatorPair,
     Theory,
     combine,
@@ -178,11 +177,10 @@ def cmd_fingerprint(args) -> int:
     opts = _options_from_args(args)
     if args.compare:
         items = []
-        for mode in (INTERLEAVE, COMPONENTWISE):
-            for tie in (PRIME_FIRST, DPRIME_FIRST):
-                res = fingerprint(pair, replace(opts, mode=mode, tie_break=tie))
-                items.append((result_record(res),
-                              f"mode={mode} tie-break={tie}: {_outcome_text(res)}"))
+        for mode, tie in product(MODES, TIE_BREAKS):
+            res = fingerprint(pair, replace(opts, mode=mode, tie_break=tie))
+            items.append((result_record(res),
+                          f"mode={mode} tie-break={tie}: {_outcome_text(res)}"))
     else:
         res = fingerprint(pair, opts)
         record = result_record(res)
@@ -194,13 +192,13 @@ def cmd_fingerprint(args) -> int:
 def cmd_check(args) -> int:
     report = run_suite(args.suite, args.max_rank)
     record = {
-        "suite": report.name,
+        "suite": args.suite,
         "checked": report.checked,
         "ok": report.ok,
         "failures": report.failures,
         "info": report.info,
     }
-    lines = [f"suite {report.name}: checked {report.checked} inputs"]
+    lines = [f"suite {args.suite}: checked {report.checked} inputs"]
     lines.extend(f"info: {msg}" for msg in report.info)
     if report.ok:
         lines.append("PASS")
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         theory,
         _flag("--prime", default="", help="lambda' (e.g. \"2^2 1\")"),
         _flag("--dprime", default="", help="lambda'' (default empty)"),
-        _flag("--tie-break", choices=[DPRIME_FIRST, PRIME_FIRST], default=PRIME_FIRST),
+        _flag("--tie-break", choices=sorted(TIE_BREAKS), default=PRIME_FIRST),
     ]
 
     p = sub.add_parser("enumerate", parents=[theory, *emit, rank],
@@ -296,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fingerprint", parents=[*pair, *emit],
                        help="compute [alpha;beta] for one operator")
-    p.add_argument("--mode", choices=[INTERLEAVE, COMPONENTWISE], default=INTERLEAVE)
-    p.add_argument("--iii", choices=[SO, SP, VACUOUS])
+    p.add_argument("--mode", choices=MODES, default=INTERLEAVE)
+    p.add_argument("--iii", choices=III_VARIANTS)
     p.add_argument("--conditions", metavar="i,ii,iii")
     p.add_argument("--compare", action="store_true",
                    help="show all combine mode / tie-break conventions")

@@ -13,7 +13,14 @@ from operator import ge, mod
 from typing import NamedTuple
 
 from .fingerprint import ExtractionDiagnostic, WeylPair, sp_map
-from .partitions import PRIME, Theory, is_theory_member, transpose, validate_partition
+from .partitions import (
+    PRIME,
+    Theory,
+    _as_theory,
+    is_theory_member,
+    transpose,
+    validate_partition,
+)
 
 
 class ParitySplit(NamedTuple):
@@ -132,8 +139,7 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     partition whose total has the member's parity, so they are collapsed
     without a second check.
     """
-    if type(theory) is not Theory:
-        theory = Theory(theory)
+    theory = _as_theory(theory)
     p = validate_partition(p)
     _require_member(p, theory)
     if theory is Theory.C:
@@ -254,8 +260,7 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
     Sp image of a member pairs every value outside beta, so the result is
     never a diagnostic.
     """
-    if type(theory) is not Theory:
-        theory = Theory(theory)
+    theory = _as_theory(theory)
     p = validate_partition(p)
     if theory is Theory.C:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")

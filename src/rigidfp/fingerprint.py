@@ -7,19 +7,20 @@ from operator import sub
 from typing import NamedTuple
 
 from .partitions import (
-    COMPONENTWISE,
-    DPRIME_FIRST,
     INTERLEAVE,
     PRIME_FIRST,
     OperatorPair,
     TaggedPartition,
     Theory,
+    _as_theory,
+    _check_merge,
     combine,
 )
 
 SO = "so"
 SP = "sp"
 VACUOUS = "vacuous"
+III_VARIANTS = (SO, SP, VACUOUS)
 
 ALL_CONDITIONS = frozenset({"i", "ii", "iii"})
 
@@ -104,17 +105,14 @@ class FingerprintOptions:
     iii_variant: str | None = None  # None -> SO for B/D, Sp for C
 
     def __post_init__(self):
-        if self.mode not in (INTERLEAVE, COMPONENTWISE):
-            raise ValueError(f"unknown combine mode {self.mode!r}")
-        if self.tie_break not in (PRIME_FIRST, DPRIME_FIRST):
-            raise ValueError(f"unknown tie-break {self.tie_break!r}")
+        _check_merge(self.mode, self.tie_break)
         if isinstance(self.conditions, str):
             raise ValueError(f"conditions must be a set of names, not {self.conditions!r}")
         object.__setattr__(self, "conditions", frozenset(self.conditions))
         bad = sorted(self.conditions - ALL_CONDITIONS)
         if bad:
             raise ValueError(f"unknown condition {bad[0]!r}")
-        if self.iii_variant not in (None, SO, SP, VACUOUS):
+        if self.iii_variant is not None and self.iii_variant not in III_VARIANTS:
             raise ValueError(f"unknown iii variant {self.iii_variant!r}")
 
     def variant_for(self, theory) -> str:
@@ -124,9 +122,7 @@ class FingerprintOptions:
         """
         if self.iii_variant is not None:
             return self.iii_variant
-        if type(theory) is not Theory:
-            theory = Theory(theory)
-        return SP if theory is Theory.C else SO
+        return SP if _as_theory(theory) is Theory.C else SO
 
 
 DEFAULT_OPTIONS = FingerprintOptions()  # frozen, so one instance serves every call

@@ -32,9 +32,11 @@ DPRIME = "dprime"
 
 INTERLEAVE = "interleave"
 COMPONENTWISE = "sum"
+MODES = (INTERLEAVE, COMPONENTWISE)
 
 PRIME_FIRST = "prime"
 DPRIME_FIRST = "dprime"
+TIE_BREAKS = (PRIME_FIRST, DPRIME_FIRST)
 
 # parse_partition rejects larger diagrams before building their part list.
 MAX_BOXES = 10_000
@@ -45,6 +47,14 @@ PAIR_SIDES = {
     Theory.C: (Theory.C, Theory.C),
     Theory.D: (Theory.D, Theory.D),
 }
+
+
+def _as_theory(theory) -> Theory:
+    """theory as a Theory: a Theory passes through, a letter is looked up.
+
+    An unknown letter raises ValueError.
+    """
+    return theory if type(theory) is Theory else Theory(theory)
 
 
 def validate_partition(parts) -> tuple[int, ...]:
@@ -128,8 +138,7 @@ def is_theory_member(p, theory) -> bool:
     C: even total, odd values with even multiplicity.
     The empty partition is admitted in every theory.  p may be unsorted.
     """
-    if type(theory) is not Theory:
-        theory = Theory(theory)
+    theory = _as_theory(theory)
     p = tuple(p)
     if not p:
         return True
@@ -141,7 +150,7 @@ def is_theory_member(p, theory) -> bool:
 
 
 def is_rigid(p, theory) -> bool:
-    """Rigidity test: no gaps (down to 0) and no forbidden double multiplicity.
+    """Rigidity test: every value from p[0] down to 1 occurs, none forbidden twice.
 
     For B/D no odd value may appear exactly twice; for C no even value.
     The empty partition is rigid, and so is every all-ones partition (the
@@ -154,12 +163,10 @@ def is_rigid(p, theory) -> bool:
         return True
     if set(p) == {1}:
         return True  # the zero orbit is never induced (covers (1,1) in D_1)
-    for i in range(len(p)):
-        nxt = p[i + 1] if i + 1 < len(p) else 0
-        if p[i] - nxt > 1:
-            return False
-    return all(
-        n != 2 for v, n in Counter(p).items() if v % 2 != theory.paired
+    mult = Counter(p)
+    # p[0] distinct values, all in 1..p[0]: every one of them occurs.
+    return len(mult) == p[0] and all(
+        n != 2 for v, n in mult.items() if v % 2 != theory.paired
     )
 
 
@@ -232,8 +239,7 @@ class OperatorPair:
     def __post_init__(self):
         object.__setattr__(self, "lambda_prime", validate_partition(self.lambda_prime))
         object.__setattr__(self, "lambda_dprime", validate_partition(self.lambda_dprime))
-        if type(self.theory) is not Theory:
-            object.__setattr__(self, "theory", Theory(self.theory))
+        object.__setattr__(self, "theory", _as_theory(self.theory))
         side1, side2 = PAIR_SIDES[self.theory]
         if not is_theory_member(self.lambda_prime, side1):
             raise ValueError(
@@ -310,6 +316,14 @@ class TaggedPartition(NamedTuple):
         return self.prime_odd[i]
 
 
+def _check_merge(mode: str, tie_break: str) -> None:
+    """Reject a combine mode outside MODES, then a tie-break outside TIE_BREAKS."""
+    if mode not in MODES:
+        raise ValueError(f"unknown combine mode {mode!r}")
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie-break {tie_break!r}")
+
+
 def combine(pair: OperatorPair, mode: str = INTERLEAVE,
             tie_break: str = PRIME_FIRST) -> TaggedPartition:
     """Merge the pair into a tagged partition.
@@ -319,10 +333,7 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
     value stay next to each other.  COMPONENTWISE: index-wise sums
     zero-padded to the longer side.
     """
-    if mode not in (INTERLEAVE, COMPONENTWISE):
-        raise ValueError(f"unknown combine mode {mode!r}")
-    if tie_break not in (PRIME_FIRST, DPRIME_FIRST):
-        raise ValueError(f"unknown tie-break {tie_break!r}")
+    _check_merge(mode, tie_break)
     p1, p2 = pair.lambda_prime, pair.lambda_dprime
     if mode == COMPONENTWISE:
         rows = list(zip_longest(p1, p2, fillvalue=0))

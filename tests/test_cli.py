@@ -208,7 +208,7 @@ class TestCheck:
             def fileno(self):
                 return self.fd
 
-        report = SuiteReport("structure", checked=1, failures=failures)
+        report = SuiteReport(checked=1, failures=failures)
         monkeypatch.setattr(rigidfp.cli, "run_suite", lambda name, rank: report)
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:

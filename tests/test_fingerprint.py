@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +29,8 @@ from rigidfp.partitions import (
     PRIME_FIRST,
     TaggedPartition,
     INTERLEAVE,
+    MODES,
+    TIE_BREAKS,
     enumerate_members,
     enumerate_rigid_pairs,
 )
@@ -106,6 +108,23 @@ class TestSpMap:
             for rank in range(8):
                 for p in enumerate_members(theory, rank):
                     assert sp_map(p).mu_values == reference_sp(p)
+
+    def test_rows_stay_in_order(self):
+        # The row-order lemma: mu_values is already a partition, with a 0
+        # only as its last entry and only where the last row is 1.  Every
+        # member to rank 12, and every rigid pair to rank 8 merged under
+        # each mode and tie-break.
+        inputs = [p for theory in Theory for rank in range(13)
+                  for p in enumerate_members(theory, rank)]
+        inputs += [combine(pair, mode, tie).values
+                   for theory in Theory for pair in rigid_pairs_upto(theory, 8)
+                   for mode, tie in product(MODES, TIE_BREAKS)]
+        assert len(inputs) == 6049
+        for values in inputs:
+            mu = sp_map(values).mu_values
+            assert all(a >= b for a, b in zip(mu, mu[1:])), values
+            assert 0 not in mu[:-1], values
+            assert mu[-1:] != (0,) or values[-1] == 1, values
 
 
 class TestTau:

@@ -109,6 +109,19 @@ class TestRigid:
     def test_zero_orbit(self):
         assert is_rigid((1, 1), "D")
 
+    def test_matches_rule_up_to_20_boxes(self):
+        # Every partition, not only members or rigid ones: is_rigid must
+        # also reject each non-rigid partition.
+        checked = rigid = 0
+        for total in range(21):
+            for p in partitions_of(total):
+                for theory in Theory:
+                    want = rigid_rule(p, theory)
+                    assert is_rigid(p, theory) == want, (p, theory)
+                    checked += 1
+                    rigid += want
+        assert (checked, rigid) == (8142, 787)
+
 
 class TestTranspose:
     def test_examples(self):
@@ -202,6 +215,21 @@ class TestLoopReferences:
         assert transpose(()) == transpose_reference(()) == ()
 
 
+def rigid_rule(p, theory):
+    """Rigidity written out: the oracle of is_rigid and of brute_force_rigid.
+
+    All ones, or no gap down to 0 and no value of the unpaired parity (odd
+    for B/D, even for C) exactly twice.
+    """
+    if set(p) == {1}:
+        return True  # the zero orbit stays rigid
+    padded = list(p) + [0]
+    if any(padded[i] - padded[i + 1] > 1 for i in range(len(p))):
+        return False
+    bad_parity = 0 if theory is Theory.C else 1
+    return not any(p.count(v) == 2 for v in set(p) if v % 2 == bad_parity)
+
+
 def brute_force_rigid(theory, rank):
     """Independent filter used as the enumeration oracle."""
     theory = Theory(theory)
@@ -216,14 +244,8 @@ def brute_force_rigid(theory, rank):
             want = 1 if theory is Theory.B else 0
             if sum(p) % 2 != want or any(n % 2 for v, n in counts.items() if v % 2 == 0):
                 continue
-        padded = list(p) + [0]
-        if any(padded[i] - padded[i + 1] > 1 for i in range(len(p))):
-            continue
-        bad_parity = 0 if theory is Theory.C else 1
-        if any(n == 2 for v, n in counts.items() if v % 2 == bad_parity):
-            if set(p) != {1}:  # zero orbit stays rigid
-                continue
-        out.append(p)
+        if rigid_rule(p, theory):
+            out.append(p)
     return sorted(out)
 
 
