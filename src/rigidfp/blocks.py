@@ -42,11 +42,12 @@ def _interleaved_rows(tp: TaggedPartition):
 def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     """Cut the tagged partition into blocks and classify each one.
 
-    One pass over the value groups, the steps of closedform._walk: a group
-    end where the box count is even closes a block, and so does the last
-    row.  tp must come from combine in INTERLEAVE mode, whose stable merge
-    keeps each origin's rows of one value together, so a group is the run
-    of its first origin's rows and then the other origin's.  The kind
+    One pass over the value groups, the steps of closedform._walk, with no
+    slice of the rows: a group end where the box count is even closes a
+    block, and so does the last row.  tp must come from combine in
+    INTERLEAVE mode, whose stable merge keeps each origin's rows of one
+    value together, so a group is the run of its first origin's rows and
+    then the other origin's.  The kind
     follows from the last group of the block:
     - an odd count (kind I) can close only the last block of a B pair;
     - a block of more than one group is S: its last group turns an odd

@@ -1,4 +1,4 @@
-"""The fingerprint pipeline: prefix signs, the Sp map, tau, and [alpha;beta]."""
+"""The fingerprint pipeline: the Sp map, tau, and [alpha;beta]."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -28,18 +28,13 @@ ALL_CONDITIONS = frozenset({"i", "ii", "iii"})
 class SpTrace(NamedTuple):
     """Index-wise record of mu = Sp(lambda); mu_values keeps deleted parts as 0.
 
-    The running signs and the partial-sum deltas follow from the two rows
-    and are computed where they are read.  A named tuple, so it compares
-    equal to the plain tuple (lambda_values, mu_values).
+    The partial-sum deltas follow from the two rows and are computed where
+    they are read.  A named tuple, so it compares equal to the plain tuple
+    (lambda_values, mu_values).
     """
 
     lambda_values: tuple[int, ...]
     mu_values: tuple[int, ...]
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        """signs[i] is the running parity sign p(i) of lambda."""
-        return prefix_signs(self.lambda_values)
 
     @property
     def partial_sum_delta(self) -> tuple[int, ...]:
@@ -54,16 +49,6 @@ class SpTrace(NamedTuple):
         while mu and mu[-1] <= 0:
             mu.pop()
         return tuple(mu)
-
-
-def prefix_signs(values) -> tuple[int, ...]:
-    """Sign +1/-1 per index: parity of the running box count."""
-    signs = []
-    run = 0
-    for v in values:
-        run = (run + v) % 2
-        signs.append(1 if run == 0 else -1)
-    return tuple(signs)
 
 
 def sp_map(values) -> SpTrace:

@@ -5,6 +5,7 @@ A partition is represented as a tuple of weakly decreasing positive ints
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -80,8 +81,9 @@ def validate_partition(parts) -> tuple[int, ...]:
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse "3,2,2,1" or exponent form "2^4 1^2" into a partition.
 
-    The empty string and "-" denote the empty partition.  More than
-    MAX_BOXES boxes in total is rejected.
+    Each part and exponent is plain ASCII digits; a part is at least 1.  The
+    empty string and "-" denote the empty partition.  More than MAX_BOXES
+    boxes in total is rejected.
     """
     text = text.strip()
     if text in ("", "-"):
@@ -89,13 +91,11 @@ def parse_partition(text: str) -> tuple[int, ...]:
     parts: list[int] = []
     boxes = 0
     for token in text.replace(",", " ").split():
-        base, caret, exp = token.partition("^")
-        try:
-            b, e = int(base), int(exp) if caret else 1
-        except ValueError:
-            raise ValueError(f"malformed token {token!r}") from None
-        if b < 1 or e < 0:
+        # [0-9], not \d: only ASCII digits count, so "2_1" and "+2" are malformed.
+        match = re.fullmatch(r"0*([1-9][0-9]*)(?:\^([0-9]+))?", token)
+        if not match:
             raise ValueError(f"malformed token {token!r}")
+        b, e = int(match[1]), int(match[2] or 1)
         boxes += b * e
         if boxes > MAX_BOXES:
             raise ValueError(f"partition has more than {MAX_BOXES} boxes")
@@ -120,14 +120,13 @@ def format_partition(p) -> str:
 def transpose(p) -> tuple[int, ...]:
     """Transpose of the Young diagram: row r of the result counts parts >= r.
 
-    One counting pass and a suffix sum over the values, largest first:
-    O(rows + largest part) for a partition p.
+    The rows of p may come in any order.  One counting pass and a suffix sum
+    over the values, largest first: O(rows + largest part).
     """
-    p = tuple(p)
-    if not p:
-        return ()
     mult = Counter(p)
-    return tuple(accumulate(map(mult.__getitem__, range(p[0], 0, -1))))[::-1]
+    if not mult:
+        return ()
+    return tuple(accumulate(map(mult.__getitem__, range(max(mult), 0, -1))))[::-1]
 
 
 def is_theory_member(p, theory) -> bool:
@@ -150,12 +149,13 @@ def is_theory_member(p, theory) -> bool:
 
 
 def is_rigid(p, theory) -> bool:
-    """Rigidity test: every value from p[0] down to 1 occurs, none forbidden twice.
+    """Rigidity: every value from the top part down to 1 occurs, none forbidden twice.
 
     For B/D no odd value may appear exactly twice; for C no even value.
     The empty partition is rigid, and so is every all-ones partition (the
     zero orbit).  That exception overrides the multiplicity rule only for
-    (1^2) in D_1, where the odd value 1 appears exactly twice.
+    (1^2) in D_1, where the odd value 1 appears exactly twice.  The rows of
+    p may come in any order.
     """
     theory = Theory(theory)
     p = tuple(p)
@@ -164,8 +164,8 @@ def is_rigid(p, theory) -> bool:
     if set(p) == {1}:
         return True  # the zero orbit is never induced (covers (1,1) in D_1)
     mult = Counter(p)
-    # p[0] distinct values, all in 1..p[0]: every one of them occurs.
-    return len(mult) == p[0] and all(
+    # max(mult) distinct values, all in 1..max(mult): every one of them occurs.
+    return len(mult) == max(mult) and all(
         n != 2 for v, n in mult.items() if v % 2 != theory.paired
     )
 

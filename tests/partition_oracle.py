@@ -1,7 +1,10 @@
-"""The tests' enumeration oracle: every partition of n, by plain recursion.
+"""The tests' oracles: every partition of n, and the running sign of the Sp rule.
 
 The package generates member and rigid partitions directly; the tests
-compare that generation with filtering this full list.
+compare that generation with filtering the full list of partitions_of.
+The package applies the running sign inside sp_map's one pass and stores
+it nowhere; the tests' row-by-row restatements of the Sp rule read it from
+prefix_signs.
 """
 
 
@@ -15,3 +18,13 @@ def partitions_of(n, max_part=None):
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
+
+
+def prefix_signs(values):
+    """Sign +1/-1 per row: the parity of the box count through that row."""
+    signs = []
+    run = 0
+    for v in values:
+        run = (run + v) % 2
+        signs.append(1 if run == 0 else -1)
+    return tuple(signs)

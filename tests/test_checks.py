@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from partition_oracle import partitions_of
+from partition_oracle import partitions_of, prefix_signs
 import rigidfp.checks
 import rigidfp.closedform
 from rigidfp.checks import (
@@ -24,7 +24,6 @@ from rigidfp.fingerprint import (
     WeylPair,
     extract_weyl_pair,
     fingerprint,
-    prefix_signs,
     sp_map,
     tau_table,
 )
@@ -203,14 +202,15 @@ def _sp_mutant(rule):
 def _reference_sp_locality(theory, p, sp=sp_map):
     """sp-locality's check of one member before it became one pass.
 
-    The oracle the one-pass check is held to: the sign of each row from the
-    trace, group-boundary flags from two lists, then one zip over the rows.
+    The oracle the one-pass check is held to: the sign of each row from
+    prefix_signs, group-boundary flags from two lists, then one zip over the
+    rows.
     """
     trace = sp(p)
     n = len(p)
     first = [i == 0 or p[i - 1] != p[i] for i in range(n)]
     last = [i == n - 1 or p[i + 1] != p[i] for i in range(n)]
-    for i, (lam, mu, sign) in enumerate(zip(p, trace.mu_values, trace.signs)):
+    for i, (lam, mu, sign) in enumerate(zip(p, trace.mu_values, prefix_signs(p))):
         if lam % 2 == 1 and sign == -1 and last[i]:
             expected = lam - 1
         elif lam % 2 == 1 and sign == 1 and first[i]:

@@ -154,6 +154,14 @@ class TestFingerprint:
         assert code == 2
         assert "frog" in err
 
+    @pytest.mark.parametrize("token", ["2_1", "1^1_0", "\u0663", "+2", "2^+1"])
+    def test_non_digit_token_exits_2(self, capsys, token):
+        # "2_1" would otherwise read as the B row 21.
+        code, out, err = run(capsys, "fingerprint", "--theory", "B", "--prime", token)
+        assert code == 2
+        assert out == ""
+        assert f"malformed token {token!r}" in err
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "rec.jsonl"
         code, out, err = run(capsys, "fingerprint", "--theory", "B",

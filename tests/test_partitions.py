@@ -36,6 +36,7 @@ from rigidfp.partitions import (
 class TestParse:
     def test_exponent_form(self):
         assert parse_partition("2^4 1^2") == (2, 2, 2, 2, 1, 1)
+        assert parse_partition("2^0 1") == (1,)
 
     def test_list_form(self):
         assert parse_partition("3,2,2,1") == (3, 2, 2, 1)
@@ -51,9 +52,12 @@ class TestParse:
         with pytest.raises(ValueError, match="descending"):
             parse_partition("1,2")
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "2^x", "x", "1^-2", "2^"])
+    # Parts and exponents are plain ASCII digits: "2_1" is not 21, "1^1_0"
+    # is not ten 1s, and neither a sign nor a non-ASCII digit is read.
+    @pytest.mark.parametrize("bad", ["0", "-3", "2^x", "x", "1^-2", "2^",
+                                     "2_1", "1^1_0", "\u0663", "+2", "2^+1"])
     def test_malformed(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"malformed token {re.escape(repr(bad))}"):
             parse_partition(bad)
 
     def test_box_cap(self):
@@ -74,6 +78,28 @@ class TestParse:
             p = parse_partition(text)
             assert parse_partition(format_partition(p)) == p
             assert parse_partition(",".join(map(str, p))) == p
+
+
+class TestAnyRowOrder:
+    def test_reversed_rows_agree(self):
+        # The predicates and the formatter read a partition's rows in any
+        # order: every partition of at most 16 boxes, reversed, in every
+        # theory.  Mismatches are counted per function, so a failure names
+        # each function that misreads unsorted rows.
+        mismatched = Counter()
+        checked = 0
+        for total in range(17):
+            for p in partitions_of(total):
+                rev = p[::-1]
+                mismatched["transpose"] += transpose(rev) != transpose(p)
+                mismatched["format_partition"] += format_partition(rev) != format_partition(p)
+                for theory in Theory:
+                    mismatched["is_rigid"] += is_rigid(rev, theory) != is_rigid(p, theory)
+                    mismatched["is_theory_member"] += (
+                        is_theory_member(rev, theory) != is_theory_member(p, theory)
+                    )
+                    checked += 1
+        assert (checked, +mismatched) == (3 * 915, Counter())
 
 
 class TestMembership:
@@ -97,6 +123,7 @@ class TestRigid:
         assert not is_rigid((2, 2), "D")
         assert is_rigid((2, 1, 1), "C")
         assert is_rigid((1, 1, 1, 1, 1), "B")
+        assert is_rigid((1, 1, 2), "C")  # rows in any order
 
     def test_trailing_gap(self):
         # smallest part of a nonempty rigid partition must be 1
@@ -128,6 +155,7 @@ class TestTranspose:
         assert transpose((2, 2, 1, 1, 1)) == (5, 2)
         assert transpose((3, 2, 2, 1)) == (4, 3, 1)
         assert transpose(()) == ()
+        assert transpose((1, 3)) == (2, 1, 1)  # rows in any order
 
     def test_involution(self):
         for p in partitions_of(9):
