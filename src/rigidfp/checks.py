@@ -32,6 +32,7 @@ from .partitions import (
     TIE_BREAKS,
     OperatorPair,
     Theory,
+    _as_theory,
     _unchecked_pair,
     enumerate_members,
     enumerate_rigid,
@@ -90,7 +91,7 @@ def transpose_structure_ok(p, theory) -> bool:
     rows left, padded with one 0 to an even count, then pair off in order,
     and the two rows of each pair have equal parity.
     """
-    theory = Theory(theory)
+    theory = _as_theory(theory)
     rows = transpose(p)
     if theory is not Theory.C and rows:
         if rows[0] % 2 != theory.theta:

@@ -30,6 +30,7 @@ from .partitions import (
     TIE_BREAKS,
     OperatorPair,
     Theory,
+    _as_theory,
     combine,
     enumerate_rigid,
     enumerate_rigid_pairs,
@@ -61,7 +62,7 @@ def _emit(args, items) -> None:
 
 def _pair_from_args(args) -> OperatorPair:
     return OperatorPair(
-        parse_partition(args.prime), parse_partition(args.dprime), Theory(args.theory)
+        parse_partition(args.prime), parse_partition(args.dprime), _as_theory(args.theory)
     )
 
 
@@ -160,7 +161,7 @@ def _result_text(res: FingerprintResult, record: dict) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    theory = Theory(args.theory)
+    theory = _as_theory(args.theory)
     head = {"theory": theory.value, "rank": args.rank}
     if args.pairs:
         items = (({**head, **_pair_fields(pair)}, format_pair(pair))
@@ -217,7 +218,7 @@ def _fiber_key(pair: OperatorPair):
 
 
 def cmd_fibers(args) -> int:
-    theory = Theory(args.theory)
+    theory = _as_theory(args.theory)
     firsts: dict = {}  # fiber key -> first pair with it
     for pair in enumerate_rigid_pairs(theory, args.rank):
         firsts.setdefault(_fiber_key(pair), pair)

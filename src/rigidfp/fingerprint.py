@@ -44,7 +44,13 @@ class SpTrace(NamedTuple):
         return tuple(list(accumulate(map(sub, self.mu_values, self.lambda_values))))
 
     def mu_partition(self) -> tuple[int, ...]:
-        """mu read as a partition: zeros dropped, parts descending."""
+        """mu read as a partition: zeros dropped, parts descending.
+
+        sp_map keeps its rows in order (a 0 can only be last), but the sort
+        stays: under a wrong Sp rule the rows come out of order, and sorted
+        here they still reach the suites as a partition, which then report
+        the fault instead of crashing on it.
+        """
         mu = sorted(self.mu_values, reverse=True)
         while mu and mu[-1] <= 0:
             mu.pop()

@@ -81,9 +81,10 @@ def validate_partition(parts) -> tuple[int, ...]:
 def parse_partition(text: str) -> tuple[int, ...]:
     """Parse "3,2,2,1" or exponent form "2^4 1^2" into a partition.
 
-    Each part and exponent is plain ASCII digits; a part is at least 1.  The
-    empty string and "-" denote the empty partition.  More than MAX_BOXES
-    boxes in total is rejected.
+    Each part and exponent is plain ASCII digits, read by value whatever
+    its count of leading zeros; a part is at least 1.  The empty string and
+    "-" denote the empty partition.  More than MAX_BOXES boxes in total is
+    rejected.
     """
     text = text.strip()
     if text in ("", "-"):
@@ -92,10 +93,13 @@ def parse_partition(text: str) -> tuple[int, ...]:
     boxes = 0
     for token in text.replace(",", " ").split():
         # [0-9], not \d: only ASCII digits count, so "2_1" and "+2" are malformed.
-        match = re.fullmatch(r"0*([1-9][0-9]*)(?:\^([0-9]+))?", token)
+        match = re.fullmatch(r"0*([1-9][0-9]*)(?:\^0*([0-9]+))?", token)
         if not match:
             raise ValueError(f"malformed token {token!r}")
-        b, e = int(match[1]), int(match[2] or 1)
+        # Without leading zeros, a number with more digits than MAX_BOXES
+        # exceeds it: clamp it there rather than have int() read it.
+        b, e = (int(x) if len(x) <= len(str(MAX_BOXES)) else MAX_BOXES + 1
+                for x in (match[1], match[2] or "1"))
         boxes += b * e
         if boxes > MAX_BOXES:
             raise ValueError(f"partition has more than {MAX_BOXES} boxes")
@@ -157,7 +161,7 @@ def is_rigid(p, theory) -> bool:
     (1^2) in D_1, where the odd value 1 appears exactly twice.  The rows of
     p may come in any order.
     """
-    theory = Theory(theory)
+    theory = _as_theory(theory)
     p = tuple(p)
     if not p:
         return True
@@ -172,7 +176,7 @@ def is_rigid(p, theory) -> bool:
 
 def theory_total(theory, rank: int) -> int:
     """Box count of a rank-n partition in the theory: 2n+1 for B, 2n for C/D."""
-    return 2 * rank + Theory(theory).theta
+    return 2 * rank + _as_theory(theory).theta
 
 
 def _grow(out: list, prefix: tuple[int, ...], left: int, v: int, paired: int,
@@ -217,12 +221,12 @@ def _by_multiplicity(theory: Theory, rank: int, rigid: bool) -> list[tuple[int, 
 
 def enumerate_members(theory, rank: int) -> list[tuple[int, ...]]:
     """All theory-member partitions at the given rank, ascending lex order."""
-    return _by_multiplicity(Theory(theory), rank, rigid=False)
+    return _by_multiplicity(_as_theory(theory), rank, rigid=False)
 
 
 def enumerate_rigid(theory, rank: int) -> list[tuple[int, ...]]:
     """All rigid partitions at the given rank, ascending lex order."""
-    theory = Theory(theory)
+    theory = _as_theory(theory)
     if theory is Theory.D and rank == 1:
         return [(1, 1)]  # the zero orbit, admitted by is_rigid's all-ones exception
     return _by_multiplicity(theory, rank, rigid=True)
@@ -284,7 +288,7 @@ def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
 
     Ordered by lambda'' rank ascending, then by the partitions themselves.
     """
-    theory = Theory(theory)
+    theory = _as_theory(theory)
     side1, side2 = PAIR_SIDES[theory]
     return [
         _unchecked_pair(p1, p2, theory)

@@ -1,11 +1,21 @@
-"""The tests' oracles: every partition of n, and the running sign of the Sp rule.
+"""The tests' oracles and their input sweeps.
 
-The package generates member and rigid partitions directly; the tests
-compare that generation with filtering the full list of partitions_of.
-The package applies the running sign inside sp_map's one pass and stores
-it nowhere; the tests' row-by-row restatements of the Sp rule read it from
-prefix_signs.
+Oracles, which import nothing from rigidfp:
+  - partitions_of: every partition of n, to hold the package's direct
+    generation of member and rigid partitions against filtering;
+  - prefix_signs: the running sign of the Sp rule, which the package applies
+    inside sp_map's one pass and stores nowhere; the tests' row-by-row
+    restatements of the rule read it here;
+  - rigid_count: the number of rigid partitions of a theory and rank,
+    counted from the multiplicity rule without listing them.
+
+Sweeps of rigidfp's enumeration, the one home of the tests' input loops:
+  - upto: (theory, x) over enum(theory, rank) for every rank to a bound;
+  - member_pairs: every OperatorPair of member sides to a rank bound.
 """
+from itertools import product
+
+from rigidfp.partitions import PAIR_SIDES, OperatorPair, Theory, enumerate_members
 
 
 def partitions_of(n, max_part=None):
@@ -28,3 +38,43 @@ def prefix_signs(values):
         run = (run + v) % 2
         signs.append(1 if run == 0 else -1)
     return tuple(signs)
+
+
+def rigid_count(theory, rank):
+    """How many rigid partitions the theory ("B", "C" or "D") has at the rank.
+
+    A rigid partition holds every value 1..k.  Values of the paired parity
+    (odd in C, even in B and D) occur an even number of times, at least 2;
+    the others occur at least once and never exactly twice.  The empty
+    partition is rigid, and so is D's (1, 1), the zero orbit of D_1.
+    """
+    total = 2 * rank + (theory == "B")
+    paired = theory == "C"
+    ways = [1] + [0] * total  # ways[n]: values exactly 1..v, n boxes
+    count = ways[total]
+    for v in range(1, total + 1):
+        step = 2 if v % 2 == paired else 1
+        mults = [m for m in range(step, total // v + 1, step) if step == 2 or m != 2]
+        ways = [sum(ways[n - v * m] for m in mults if v * m <= n) for n in range(total + 1)]
+        count += ways[total]
+    return count + (theory == "D" and rank == 1)
+
+
+def upto(enum, max_rank, theories=tuple(Theory)):
+    """(theory, x) for each x of enum(theory, rank), theory-major, rank ascending."""
+    for theory in theories:
+        for rank in range(max_rank + 1):
+            for x in enum(theory, rank):
+                yield theory, x
+
+
+def _member_pairs_at(theory, rank):
+    side1, side2 = PAIR_SIDES[theory]
+    for n2 in range(rank + 1):
+        for p1, p2 in product(enumerate_members(side1, rank - n2), enumerate_members(side2, n2)):
+            yield OperatorPair(p1, p2, theory)
+
+
+def member_pairs(max_rank, theories=tuple(Theory)):
+    """Every OperatorPair of member sides in upto's order, lambda'' rank ascending."""
+    return (pair for _, pair in upto(_member_pairs_at, max_rank, theories))

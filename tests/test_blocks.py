@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from itertools import groupby
 
+from partition_oracle import member_pairs, upto
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
@@ -21,10 +22,8 @@ from rigidfp.fingerprint import VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
-    PAIR_SIDES,
     PRIME_FIRST,
     Theory,
-    enumerate_members,
     enumerate_rigid_pairs,
 )
 import pytest
@@ -36,10 +35,6 @@ OPERATOR_LABELS = frozenset({
 })
 
 
-def tagged(pair, tie_break=PRIME_FIRST):
-    return combine(pair, tie_break=tie_break)
-
-
 def walk_closing_blocks(cut):
     """closedform._walk with its block-closing step rewritten to `cut`."""
     source = inspect.getsource(_walk)
@@ -49,26 +44,15 @@ def walk_closing_blocks(cut):
     return namespace["_walk"]
 
 
-def member_pairs(max_rank=6):
-    """Every pair of member partitions of B, C and D up to max_rank."""
-    for theory in Theory:
-        side1, side2 = PAIR_SIDES[theory]
-        for rank in range(max_rank + 1):
-            for n2 in range(rank + 1):
-                for p1 in enumerate_members(side1, rank - n2):
-                    for p2 in enumerate_members(side2, n2):
-                        yield OperatorPair(p1, p2, theory)
-
-
 class TestDecompose:
     def test_empty(self):
         pair = OperatorPair((), (), Theory.D)
-        assert decompose_blocks(tagged(pair)) == []
+        assert decompose_blocks(combine(pair)) == []
 
     def test_single_block_constant_value(self):
         # All rows share one value, so no interior cut can fire.
         pair = OperatorPair((1, 1, 1), (1, 1), Theory.B)
-        blocks = decompose_blocks(tagged(pair))
+        blocks = decompose_blocks(combine(pair))
         assert len(blocks) == 1
         assert (blocks[0].start, blocks[0].end) == (0, 5)
         assert blocks[0].kind == "I"
@@ -77,7 +61,7 @@ class TestDecompose:
         # Rows (2, 2, 1, 1, 1): cumulative boxes are even after row 2, where
         # the value also drops, so the diagram splits there.
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
-        blocks = decompose_blocks(tagged(pair))
+        blocks = decompose_blocks(combine(pair))
         assert [(b.start, b.end) for b in blocks] == [(0, 2), (2, 5)]
 
     def test_blocks_start_at_even_box_count(self):
@@ -86,9 +70,9 @@ class TestDecompose:
         # per tie-break pin the classifier on the same blocks; summed over
         # both tie-breaks, the 12 and 21 labels would balance.
         seen = Counter()
-        for pair in member_pairs():
+        for pair in member_pairs(6):
             for tb in (PRIME_FIRST, DPRIME_FIRST):
-                tp = tagged(pair, tb)
+                tp = combine(pair, tie_break=tb)
                 for b in decompose_blocks(tp):
                     assert sum(tp.values[:b.start]) % 2 == 0, (pair, tb, b)
                     seen[tb, b.kind, b.operator_label] += 1
@@ -113,26 +97,24 @@ class TestDecompose:
         # The cut rule: a block starts after row j - 1 exactly when the box
         # count above row j is even and the value changes there.
         checked = 0
-        for theory in Theory:
-            for rank in range(11):
-                for pair in enumerate_rigid_pairs(theory, rank):
-                    for tb in (PRIME_FIRST, DPRIME_FIRST):
-                        tp = tagged(pair, tb)
-                        values = tp.values
-                        starts = {b.start for b in decompose_blocks(tp)}
-                        assert starts - {0} == {
-                            j for j in range(1, len(values))
-                            if sum(values[:j]) % 2 == 0 and values[j - 1] != values[j]
-                        }, (pair, tb)
-                        checked += 1
+        for _, pair in upto(enumerate_rigid_pairs, 10):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = combine(pair, tie_break=tb)
+                values = tp.values
+                starts = {b.start for b in decompose_blocks(tp)}
+                assert starts - {0} == {
+                    j for j in range(1, len(values))
+                    if sum(values[:j]) % 2 == 0 and values[j - 1] != values[j]
+                }, (pair, tb)
+                checked += 1
         assert checked == 2710
 
     def test_classifier_facts(self):
         # decompose_blocks reads kinds off these facts, in its one pass over
         # the value groups, instead of slicing and counting each block.
-        for pair in member_pairs():
+        for pair in member_pairs(6):
             for tb in (PRIME_FIRST, DPRIME_FIRST):
-                tp = tagged(pair, tb)
+                tp = combine(pair, tie_break=tb)
                 # The stable merge: each (origin, value) run occurs once.
                 runs = [key for key, _ in groupby(zip(tp.origins, tp.values))]
                 assert len(runs) == len(set(runs)), (pair, tb)
@@ -151,49 +133,41 @@ class TestDecompose:
             decompose_blocks(combine(pair, mode=COMPONENTWISE))
 
     def test_exactly_one_odd_block_in_B(self):
-        for rank in range(7):
-            for pair in enumerate_rigid_pairs(Theory.B, rank):
-                blocks = decompose_blocks(tagged(pair))
-                odd = [b for b in blocks if b.kind == "I"]
-                assert len(odd) == 1
-                assert odd[-1] is blocks[-1]
+        for _, pair in upto(enumerate_rigid_pairs, 6, (Theory.B,)):
+            blocks = decompose_blocks(combine(pair))
+            odd = [b for b in blocks if b.kind == "I"]
+            assert len(odd) == 1
+            assert odd[-1] is blocks[-1]
 
     def test_no_odd_blocks_in_C_and_D(self):
-        for theory in (Theory.C, Theory.D):
-            for rank in range(7):
-                for pair in enumerate_rigid_pairs(theory, rank):
-                    blocks = decompose_blocks(tagged(pair))
-                    assert all(b.kind != "I" for b in blocks)
+        for _, pair in upto(enumerate_rigid_pairs, 6, (Theory.C, Theory.D)):
+            blocks = decompose_blocks(combine(pair))
+            assert all(b.kind != "I" for b in blocks)
 
     def test_tiling(self):
         # Blocks cover the row range exactly, in order, without overlap.
-        for theory in Theory:
-            for rank in range(7):
-                for pair in enumerate_rigid_pairs(theory, rank):
-                    tp = tagged(pair)
-                    blocks = decompose_blocks(tp)
-                    pos = 0
-                    for b in blocks:
-                        assert b.start == pos
-                        assert b.end > b.start
-                        pos = b.end
-                    assert pos == len(tp.values)
+        for _, pair in upto(enumerate_rigid_pairs, 6):
+            tp = combine(pair)
+            pos = 0
+            for b in decompose_blocks(tp):
+                assert b.start == pos
+                assert b.end > b.start
+                pos = b.end
+            assert pos == len(tp.values)
 
     def test_labels_are_known(self):
-        for theory in Theory:
-            for rank in range(7):
-                for pair in enumerate_rigid_pairs(theory, rank):
-                    for b in decompose_blocks(tagged(pair)):
-                        assert b.operator_label is None or b.operator_label in OPERATOR_LABELS
+        for _, pair in upto(enumerate_rigid_pairs, 6):
+            for b in decompose_blocks(combine(pair)):
+                assert b.operator_label is None or b.operator_label in OPERATOR_LABELS
 
     def test_single_origin_paired_block_is_II(self):
         pair = OperatorPair((2, 2, 2, 2), (), Theory.D)
-        blocks = decompose_blocks(tagged(pair))
+        blocks = decompose_blocks(combine(pair))
         assert all(b.kind == "II" and b.operator_label == "mu_II" for b in blocks)
 
     def test_mixed_paired_block_is_III(self):
         pair = OperatorPair((2, 1, 1), (1, 1), Theory.C)
-        blocks = decompose_blocks(tagged(pair))
+        blocks = decompose_blocks(combine(pair))
         kinds = [b.kind for b in blocks]
         assert "III" in kinds
 
@@ -201,7 +175,7 @@ class TestDecompose:
 class TestBlockSp:
     def test_fragment_examples(self):
         pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
-        tp = tagged(pair)
+        tp = combine(pair)
         b0, b1 = decompose_blocks(tp)
         assert sp_map(tp.values[b0.start:b0.end]).mu_values == (2, 2)
         assert sp_map(tp.values[b1.start:b1.end]).mu_values == (1, 1, 0)
@@ -211,7 +185,7 @@ class TestBlockSp:
         # rows (3, 2, 2, 1) would map to (4, 2, 2, 0).  Blocks are cut only at
         # even counts, so the unseeded fragments join up to the direct trace.
         pair = OperatorPair((3, 2, 2, 1), (), Theory.D)
-        tp = tagged(pair)
+        tp = combine(pair)
         blocks = decompose_blocks(tp)
         frags = [sp_map(tp.values[b.start:b.end]).mu_values for b in blocks]
         flat = tuple(v for frag in frags for v in frag)
@@ -219,22 +193,11 @@ class TestBlockSp:
 
 
 class TestPathEquivalence:
-    def test_concatenation_matches_direct(self):
-        for theory in Theory:
-            for rank in range(7):
-                for pair in enumerate_rigid_pairs(theory, rank):
-                    for tb in (PRIME_FIRST, DPRIME_FIRST):
-                        opts = FingerprintOptions(tie_break=tb)
-                        direct = fingerprint(pair, opts)
-                        via_blocks = block_fingerprint(direct.tagged, theory)
-                        assert via_blocks.mu == direct.mu
-                        assert direct.same_outcome(via_blocks)
-
     def test_member_pairs_match_direct(self):
         # Non-rigid members exercise the closed forms on gapped rows and on
         # extraction diagnostics, which rigid pairs rarely reach.
         checked = diagnostics = 0
-        for pair in member_pairs():
+        for pair in member_pairs(6):
             for tb in (PRIME_FIRST, DPRIME_FIRST):
                 opts = FingerprintOptions(tie_break=tb)
                 direct = fingerprint(pair, opts)
@@ -250,15 +213,13 @@ class TestPathEquivalence:
         # is +1, so only pairs or diagnostics remain.
         vac = FingerprintOptions(iii_variant=VACUOUS)
         checked = diagnostics = 0
-        for pair in member_pairs():
-            if pair.theory is Theory.C:
-                direct = fingerprint(pair, vac)
-                tp = direct.tagged
-                mu, weyl, diagnostic, shared_values = _walk(tp.values)
-                assert (mu, weyl, diagnostic) == (direct.mu, direct.weyl, direct.diagnostic), pair
-                assert shared_values == 0
-                checked += 1
-                diagnostics += diagnostic is not None
+        for pair in member_pairs(6, (Theory.C,)):
+            direct = fingerprint(pair, vac)
+            mu, weyl, diagnostic, shared_values = _walk(direct.tagged.values)
+            assert (mu, weyl, diagnostic) == (direct.mu, direct.weyl, direct.diagnostic), pair
+            assert shared_values == 0
+            checked += 1
+            diagnostics += diagnostic is not None
         assert (checked, diagnostics) == (645, 458)
 
     @pytest.mark.parametrize("cut", [
@@ -305,11 +266,10 @@ class TestPathEquivalence:
         # Cut where the box count is even, the blocks' images are disjoint
         # on every member pair, rigid or not, under both tie-breaks.
         checked = 0
-        for pair in member_pairs():
-            if pair.theory is theory:
-                for tb in (PRIME_FIRST, DPRIME_FIRST):
-                    assert block_fingerprint(tagged(pair, tb), theory).shared_values == 0, (pair, tb)
-                    checked += 1
+        for pair in member_pairs(6, (theory,)):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                assert block_fingerprint(combine(pair, tie_break=tb), theory).shared_values == 0, (pair, tb)
+                checked += 1
         assert checked > 0
 
     @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
@@ -317,29 +277,28 @@ class TestPathEquivalence:
         # Block images hold disjoint values, so walking the rows at once
         # gives the union of walking each decompose_blocks block alone.
         checked = 0
-        for rank in range(11):
-            for pair in enumerate_rigid_pairs(theory, rank):
-                for tb in (PRIME_FIRST, DPRIME_FIRST):
-                    tp = tagged(pair, tb)
-                    origins = tp.origins if theory is Theory.C else None
-                    whole = _walk(tp.values, origins)
-                    assert whole[3] == 0, (pair, tb)
-                    mu, alpha, beta, diagnostic = [], [], [], False
-                    for s, e, _, _ in decompose_blocks(tp):
-                        part = _walk(tp.values[s:e], origins and origins[s:e])
-                        assert not set(mu) & set(part[0]), (pair, tb)
-                        mu += part[0]
-                        if part[2] is not None:
-                            diagnostic = True
-                        else:
-                            alpha += part[1].alpha
-                            beta += part[1].beta
-                    assert whole[0] == tuple(sorted(mu, reverse=True)), (pair, tb)
-                    assert (whole[2] is not None) == diagnostic, (pair, tb)
-                    if not diagnostic:
-                        assert whole[1] == (tuple(sorted(alpha, reverse=True)),
-                                            tuple(sorted(beta, reverse=True))), (pair, tb)
-                    checked += 1
+        for _, pair in upto(enumerate_rigid_pairs, 10, (theory,)):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = combine(pair, tie_break=tb)
+                origins = tp.origins if theory is Theory.C else None
+                whole = _walk(tp.values, origins)
+                assert whole[3] == 0, (pair, tb)
+                mu, alpha, beta, diagnostic = [], [], [], False
+                for s, e, _, _ in decompose_blocks(tp):
+                    part = _walk(tp.values[s:e], origins and origins[s:e])
+                    assert not set(mu) & set(part[0]), (pair, tb)
+                    mu += part[0]
+                    if part[2] is not None:
+                        diagnostic = True
+                    else:
+                        alpha += part[1].alpha
+                        beta += part[1].beta
+                assert whole[0] == tuple(sorted(mu, reverse=True)), (pair, tb)
+                assert (whole[2] is not None) == diagnostic, (pair, tb)
+                if not diagnostic:
+                    assert whole[1] == (tuple(sorted(alpha, reverse=True)),
+                                        tuple(sorted(beta, reverse=True))), (pair, tb)
+                checked += 1
         assert checked == {Theory.B: 810, Theory.C: 1216, Theory.D: 684}[theory]
 
     @pytest.mark.parametrize("theory", ["C", Theory.C])
@@ -392,7 +351,7 @@ class TestPathEquivalence:
 
     def test_worked_instance(self):
         pair = OperatorPair((2, 1, 1), (1, 1), Theory.C)
-        res = block_fingerprint(tagged(pair), Theory.C)
+        res = block_fingerprint(combine(pair), Theory.C)
         assert res.weyl is not None
         assert res.weyl.alpha == (1, 1)
         assert res.weyl.beta == (1,)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from partition_oracle import partitions_of, prefix_signs
+from partition_oracle import partitions_of, prefix_signs, rigid_count, upto
 import rigidfp.checks
 import rigidfp.closedform
 from rigidfp.checks import (
@@ -28,7 +28,7 @@ from rigidfp.fingerprint import (
     tau_table,
 )
 from rigidfp.closedform import xs_inverse, xs_map, ys_map
-from rigidfp.partitions import Theory, enumerate_members, format_partition, transpose
+from rigidfp.partitions import enumerate_members, format_partition, transpose
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -48,6 +48,12 @@ CHECKED_AT_DEFAULT = {
 
 def test_pins_cover_every_suite():
     assert set(CHECKED_AT_DEFAULT) == set(SUITES)
+
+
+def test_rigid_pins_match_the_count():
+    # structure and factorization sweep every rigid partition to rank 12.
+    counted = sum(rigid_count(theory, rank) for theory in "BCD" for rank in range(13))
+    assert counted == CHECKED_AT_DEFAULT["structure"] == CHECKED_AT_DEFAULT["factorization"] == 333
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
@@ -224,9 +230,6 @@ def _reference_sp_locality(theory, p, sp=sp_map):
             )
 
 
-MEMBERS_TO_12 = [(t, p) for t in Theory for rank in range(13) for p in enumerate_members(t, rank)]
-
-
 @pytest.mark.parametrize("mutant", [None, *sorted(SP_MUTANTS)])
 def test_sp_locality_matches_reference(mutant, monkeypatch):
     # Same verdict and failure string on every member, under the true Sp
@@ -236,7 +239,7 @@ def test_sp_locality_matches_reference(mutant, monkeypatch):
         sp = _sp_mutant(SP_MUTANTS[mutant])
         _patch_everywhere(monkeypatch, "sp_map", sp_map, sp)
     failures = 0
-    for theory, p in MEMBERS_TO_12:
+    for theory, p in upto(enumerate_members, 12):
         expected = _reference_sp_locality(theory, p, sp)
         assert sp_locality_failure(theory, p) == expected, (theory, p)
         failures += expected is not None

@@ -172,10 +172,11 @@ class TestFingerprint:
         assert not target.parent.exists()
 
     def test_oversized_partition_exits_2(self, capsys):
-        code, _, err = run(capsys, "fingerprint", "--theory", "B",
-                           "--prime", "1^1000000000")
-        assert code == 2
-        assert "boxes" in err
+        # The second exponent has more digits than int() reads from a string.
+        for prime in ("1^1000000000", "1^" + "9" * 5000):
+            code, out, err = run(capsys, "fingerprint", "--theory", "B", "--prime", prime)
+            assert (code, out) == (2, "")
+            assert "partition has more than 10000 boxes" in err
 
     def test_bad_condition_exits_2(self, capsys):
         code, _, err = run(capsys, "fingerprint", "--theory", "B",

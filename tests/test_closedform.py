@@ -3,23 +3,18 @@ import pytest
 from partition_oracle import partitions_of
 import rigidfp.closedform
 from rigidfp import (
-    FingerprintOptions,
-    OperatorPair,
     WeylPair,
     closed_form_fingerprint_BD,
     closed_form_fingerprint_C,
-    fingerprint,
     sp_map,
     split_parity,
-    transpose,
     unipotent_mu_factored,
     xs_inverse,
     xs_map,
     ys_inverse,
     ys_map,
 )
-from rigidfp.fingerprint import VACUOUS
-from rigidfp.partitions import Theory, enumerate_rigid
+from rigidfp.partitions import Theory
 
 
 def _odd_partitions(total, max_part=None):
@@ -83,18 +78,6 @@ class TestCollapseMaps:
         assert ys_inverse((2, 2)) == (3, 1)
         with pytest.raises(ValueError):
             ys_inverse((2,))  # odd transpose row, not in the image
-
-    def test_round_trip_sweep(self):
-        for theory, collapse, inverse in (
-            (Theory.B, xs_map, xs_inverse),
-            (Theory.D, ys_map, ys_inverse),
-        ):
-            for rank in range(9):
-                for p in enumerate_rigid(theory, rank):
-                    sigma = split_parity(p).odd_part
-                    image = collapse(sigma)
-                    assert inverse(image) == sigma
-                    assert all(r % 2 == 0 for r in transpose(image))
 
 
 class TestInverseOracle:
@@ -166,12 +149,6 @@ class TestFactoredMu:
         assert unipotent_mu_factored((3, 2, 2, 1), "D") == (2, 2, 2, 2)
         assert unipotent_mu_factored((2, 1, 1), "C") == (2, 1, 1)
 
-    def test_matches_sp(self):
-        for theory in (Theory.B, Theory.D):
-            for rank in range(9):
-                for p in enumerate_rigid(theory, rank):
-                    assert unipotent_mu_factored(p, theory) == sp_map(p).mu_partition()
-
     def test_validates_once(self, monkeypatch):
         # A member's odd parts are collapsed without a second check and
         # without the public maps.
@@ -194,11 +171,6 @@ class TestFactoredMu:
             assert unipotent_mu_factored(list(p), theory) == mu
             assert calls == [list(p)]
 
-    def test_c_fixed_point(self):
-        for rank in range(9):
-            for p in enumerate_rigid(Theory.C, rank):
-                assert sp_map(p).mu_partition() == p
-
 
 class TestClosedFormC:
     def test_examples(self):
@@ -208,15 +180,6 @@ class TestClosedFormC:
     def test_odd_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="not integral"):
             closed_form_fingerprint_C((2, 1, 1))
-
-    def test_matches_vacuous_pipeline(self):
-        vac = FingerprintOptions(iii_variant=VACUOUS)
-        for rank in range(9):
-            for p in enumerate_rigid(Theory.C, rank):
-                if any(p.count(v) % 2 for v in set(p)):
-                    continue
-                res = fingerprint(OperatorPair(p, (), Theory.C), vac)
-                assert res.weyl == closed_form_fingerprint_C(p)
 
 
 class TestClosedFormBD:
@@ -236,13 +199,6 @@ class TestClosedFormBD:
         # Truncated, (2.5, 2.2, 1) would pass as the B partition (2, 2, 1).
         with pytest.raises(ValueError, match="2.5"):
             closed_form_fingerprint_BD((2.5, 2.2, 1), "B")
-
-    def test_matches_pipeline(self):
-        for theory in (Theory.B, Theory.D):
-            for rank in range(9):
-                for p in enumerate_rigid(theory, rank):
-                    res = fingerprint(OperatorPair(p, (), theory))
-                    assert res.weyl == closed_form_fingerprint_BD(p, theory)
 
 
 class TestMembershipGate:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from partition_oracle import partitions_of
+from partition_oracle import partitions_of, rigid_count
 import rigidfp.partitions
 from rigidfp import (
     OperatorPair,
@@ -37,6 +37,11 @@ class TestParse:
     def test_exponent_form(self):
         assert parse_partition("2^4 1^2") == (2, 2, 2, 2, 1, 1)
         assert parse_partition("2^0 1") == (1,)
+        assert parse_partition("20000^0 1") == (1,)
+        # Each number is read by value, also past the 4300 digits int() reads.
+        assert parse_partition("1^" + "0" * 5000 + "1") == (1,)
+        assert parse_partition("9" * 5000 + "^0 1") == (1,)
+        assert parse_partition("0" * 5000 + "2") == (2,)
 
     def test_list_form(self):
         assert parse_partition("3,2,2,1") == (3, 2, 2, 1)
@@ -62,7 +67,8 @@ class TestParse:
 
     def test_box_cap(self):
         assert parse_partition(f"1^{MAX_BOXES}") == (1,) * MAX_BOXES
-        for text in [f"1^{MAX_BOXES + 1}", f"{MAX_BOXES} 1", f"{MAX_BOXES + 1}"]:
+        for text in [f"1^{MAX_BOXES + 1}", f"{MAX_BOXES} 1", f"{MAX_BOXES + 1}",
+                     "1^" + "9" * 5000, "9" * 5000, "1 " + "0" * 5000 + "10001"]:
             with pytest.raises(ValueError, match="boxes"):
                 parse_partition(text)
 
@@ -290,6 +296,12 @@ class TestEnumeration:
     def test_against_brute_force(self, theory):
         for rank in range(17):
             assert enumerate_rigid(theory, rank) == brute_force_rigid(theory, rank)
+
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_counts_match_the_multiplicity_rule(self, theory):
+        # Past brute force's reach: a dropped partition would change a count.
+        for rank in range(31):
+            assert len(enumerate_rigid(theory, rank)) == rigid_count(theory, rank), rank
 
     @pytest.mark.parametrize("theory", list(Theory))
     def test_members_against_filter(self, theory):

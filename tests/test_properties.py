@@ -1,8 +1,8 @@
 from hypothesis import given, strategies as st
 
+from partition_oracle import upto
 from rigidfp import (
     combine,
-    fingerprint,
     format_partition,
     parse_partition,
     sp_map,
@@ -12,7 +12,6 @@ from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
     PRIME_FIRST,
-    Theory,
     enumerate_rigid_pairs,
 )
 
@@ -63,17 +62,10 @@ def test_sp_deficit_bounded(p):
     assert all(d in (-1, 0) for d in trace.partial_sum_delta)
 
 
-def theory_pairs():
-    pool = [
-        pair
-        for theory in Theory
-        for rank in range(7)
-        for pair in enumerate_rigid_pairs(theory, rank)
-    ]
-    return st.sampled_from(pool)
+rigid_pairs = st.sampled_from([pair for _, pair in upto(enumerate_rigid_pairs, 6)])
 
 
-@given(theory_pairs())
+@given(rigid_pairs)
 def test_combine_preserves_row_multiset(pair):
     tp = combine(pair)
     assert sorted(tp.values, reverse=True) == sorted(
@@ -81,23 +73,14 @@ def test_combine_preserves_row_multiset(pair):
     )
 
 
-@given(theory_pairs())
+@given(rigid_pairs)
 def test_combine_tie_breaks_agree_on_values(pair):
     a = combine(pair, tie_break=PRIME_FIRST)
     b = combine(pair, tie_break=DPRIME_FIRST)
     assert a.values == b.values
 
 
-@given(theory_pairs())
+@given(rigid_pairs)
 def test_componentwise_preserves_boxes(pair):
     tp = combine(pair, mode=COMPONENTWISE)
     assert sum(tp.values) == sum(pair.lambda_prime) + sum(pair.lambda_dprime)
-
-
-@given(theory_pairs())
-def test_fingerprint_rank_identity_or_diagnostic(pair):
-    res = fingerprint(pair)
-    if res.weyl is not None:
-        assert sum(res.weyl.alpha) + sum(res.weyl.beta) == pair.rank
-    else:
-        assert res.diagnostic is not None

@@ -9,7 +9,6 @@ from rigidfp import (
     Block,
     ExtractionDiagnostic,
     FingerprintOptions,
-    FingerprintResult,
     OperatorPair,
     ParitySplit,
     SpTrace,
