@@ -38,7 +38,9 @@ class TestParse:
         assert parse_partition("2^4 1^2") == (2, 2, 2, 2, 1, 1)
         assert parse_partition("2^0 1") == (1,)
         assert parse_partition("20000^0 1") == (1,)
-        # Each number is read by value, also past the 4300 digits int() reads.
+
+    def test_numbers_read_by_value(self):
+        # Also past the 4300 digits int() reads from a string.
         assert parse_partition("1^" + "0" * 5000 + "1") == (1,)
         assert parse_partition("9" * 5000 + "^0 1") == (1,)
         assert parse_partition("0" * 5000 + "2") == (2,)
@@ -67,10 +69,16 @@ class TestParse:
 
     def test_box_cap(self):
         assert parse_partition(f"1^{MAX_BOXES}") == (1,) * MAX_BOXES
-        for text in [f"1^{MAX_BOXES + 1}", f"{MAX_BOXES} 1", f"{MAX_BOXES + 1}",
-                     "1^" + "9" * 5000, "9" * 5000, "1 " + "0" * 5000 + "10001"]:
+        for text in [f"1^{MAX_BOXES + 1}", f"{MAX_BOXES} 1", f"{MAX_BOXES + 1}"]:
             with pytest.raises(ValueError, match="boxes"):
                 parse_partition(text)
+
+    @pytest.mark.parametrize("text", ["1^" + "9" * 5000, "9" * 5000,
+                                      "1 " + "0" * 5000 + "10001"],
+                             ids=["exponent", "part", "zero-padded"])
+    def test_overlong_number_hits_the_box_cap(self, text):
+        with pytest.raises(ValueError, match="partition has more than 10000 boxes"):
+            parse_partition(text)
 
     def test_huge_exponent_rejected_before_allocating(self):
         # A list of 10^9 parts would take gigabytes; the cap must fire first.
@@ -121,6 +129,25 @@ class TestMembership:
     def test_paired_parity(self):
         # The parity of the values that need even multiplicity.
         assert [t.paired for t in Theory] == [0, 1, 0]
+
+
+# Each takes a Theory or its letter; an unknown letter gives one error.
+THEORY_CALLS = {
+    "is_rigid": lambda t: is_rigid((3, 1, 1), t),
+    "theory_total": lambda t: theory_total(t, 2),
+    "enumerate_members": lambda t: enumerate_members(t, 2),
+    "enumerate_rigid": lambda t: enumerate_rigid(t, 2),
+    "enumerate_rigid_pairs": lambda t: enumerate_rigid_pairs(t, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEORY_CALLS))
+def test_theory_letter_or_member(name):
+    call = THEORY_CALLS[name]
+    for theory in Theory:
+        assert call(theory.value) == call(theory)
+    with pytest.raises(ValueError, match="'E' is not a valid Theory"):
+        call("E")
 
 
 class TestRigid:
