@@ -5,7 +5,6 @@ SuiteReport; a failing suite carries minimal counterexample strings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 from . import blocks as blocks_mod
@@ -44,11 +43,22 @@ from .partitions import (
 )
 
 
-@dataclass
 class SuiteReport:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    info: list[str] = field(default_factory=list)
+    """How many inputs a suite checked, its counterexamples and its info lines.
+
+    A plain class, not a dataclass, for the cold start: see
+    partitions.OperatorPair.
+    """
+
+    def __init__(self, checked: int = 0, failures: list[str] | None = None,
+                 info: list[str] | None = None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.info = [] if info is None else info
+
+    def __repr__(self) -> str:
+        return (f"SuiteReport(checked={self.checked!r}, failures={self.failures!r}, "
+                f"info={self.info!r})")
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from itertools import product
 
 from .blocks import decompose_blocks
@@ -179,7 +178,7 @@ def cmd_fingerprint(args) -> int:
     if args.compare:
         items = []
         for mode, tie in product(MODES, TIE_BREAKS):
-            res = fingerprint(pair, replace(opts, mode=mode, tie_break=tie))
+            res = fingerprint(pair, opts._replace(mode=mode, tie_break=tie))
             items.append((result_record(res),
                           f"mode={mode} tie-break={tie}: {_outcome_text(res)}"))
     else:

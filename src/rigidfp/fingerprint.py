@@ -1,7 +1,6 @@
 """The fingerprint pipeline: the Sp map, tau, and [alpha;beta]."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
@@ -86,25 +85,38 @@ def sp_map(values) -> SpTrace:
     return SpTrace(values, tuple(mu))
 
 
-@dataclass(frozen=True)
-class FingerprintOptions:
-    """Convention knobs for the pipeline."""
+class _OptionFields(NamedTuple):
+    mode: str
+    tie_break: str
+    conditions: frozenset
+    iii_variant: str | None  # None -> SO for B/D, Sp for C
 
-    mode: str = INTERLEAVE
-    tie_break: str = PRIME_FIRST
-    conditions: frozenset = ALL_CONDITIONS
-    iii_variant: str | None = None  # None -> SO for B/D, Sp for C
 
-    def __post_init__(self):
-        _check_merge(self.mode, self.tie_break)
-        if isinstance(self.conditions, str):
-            raise ValueError(f"conditions must be a set of names, not {self.conditions!r}")
-        object.__setattr__(self, "conditions", frozenset(self.conditions))
-        bad = sorted(self.conditions - ALL_CONDITIONS)
+class FingerprintOptions(_OptionFields):
+    """Convention knobs for the pipeline.
+
+    A validating named tuple, built like partitions.OperatorPair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mode: str = INTERLEAVE, tie_break: str = PRIME_FIRST,
+                conditions=ALL_CONDITIONS, iii_variant: str | None = None):
+        _check_merge(mode, tie_break)
+        if isinstance(conditions, str):
+            raise ValueError(f"conditions must be a set of names, not {conditions!r}")
+        conditions = frozenset(conditions)
+        bad = sorted(conditions - ALL_CONDITIONS)
         if bad:
             raise ValueError(f"unknown condition {bad[0]!r}")
-        if self.iii_variant is not None and self.iii_variant not in III_VARIANTS:
-            raise ValueError(f"unknown iii variant {self.iii_variant!r}")
+        if iii_variant is not None and iii_variant not in III_VARIANTS:
+            raise ValueError(f"unknown iii variant {iii_variant!r}")
+        return tuple.__new__(cls, (mode, tie_break, conditions, iii_variant))
+
+    @classmethod
+    def _make(cls, fields):
+        # The named tuple's own _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
     def variant_for(self, theory) -> str:
         """The iii variant in force: iii_variant if set, else Sp for C, SO for B/D.
@@ -116,7 +128,7 @@ class FingerprintOptions:
         return SP if _as_theory(theory) is Theory.C else SO
 
 
-DEFAULT_OPTIONS = FingerprintOptions()  # frozen, so one instance serves every call
+DEFAULT_OPTIONS = FingerprintOptions()  # immutable, so one instance serves every call
 
 
 class TauTable(NamedTuple):

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product, zip_longest
 from operator import itemgetter
@@ -147,7 +146,8 @@ def is_theory_member(p, theory) -> bool:
         return True
     if sum(p) % 2 != theory.theta:
         return False
-    vals = sorted([v for v in p if v % 2 == theory.paired])
+    paired = theory.paired
+    vals = sorted([v for v in p if v % 2 == paired])
     # Sorted, every value has even multiplicity exactly when the rows pair off.
     return vals[0::2] == vals[1::2]
 
@@ -232,31 +232,41 @@ def enumerate_rigid(theory, rank: int) -> list[tuple[int, ...]]:
     return _by_multiplicity(theory, rank, rigid=True)
 
 
-@dataclass(frozen=True)
-class OperatorPair:
-    """A rigid semisimple (or unipotent) operator (lambda'; lambda'')."""
-
+class _PairFields(NamedTuple):
     lambda_prime: tuple[int, ...]
     lambda_dprime: tuple[int, ...]
     theory: Theory
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_prime", validate_partition(self.lambda_prime))
-        object.__setattr__(self, "lambda_dprime", validate_partition(self.lambda_dprime))
-        object.__setattr__(self, "theory", _as_theory(self.theory))
-        side1, side2 = PAIR_SIDES[self.theory]
-        if not is_theory_member(self.lambda_prime, side1):
-            raise ValueError(
-                f"lambda' {self.lambda_prime} is not a {side1.value}-type partition"
-            )
-        if not is_theory_member(self.lambda_dprime, side2):
-            raise ValueError(
-                f"lambda'' {self.lambda_dprime} is not a {side2.value}-type partition"
-            )
-        theta = self.theory.theta
-        boxes = sum(self.lambda_prime) + sum(self.lambda_dprime) - theta
+
+class OperatorPair(_PairFields):
+    """A rigid semisimple (or unipotent) operator (lambda'; lambda'').
+
+    A named tuple, so it compares equal to the plain tuple (lambda_prime,
+    lambda_dprime, theory).  Not a dataclass: importing dataclasses loads
+    inspect and ast, a cost each fresh CLI process would pay at start.  The
+    constructor validates, and so do _make and _replace.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_prime, lambda_dprime, theory):
+        lambda_prime = validate_partition(lambda_prime)
+        lambda_dprime = validate_partition(lambda_dprime)
+        theory = _as_theory(theory)
+        side1, side2 = PAIR_SIDES[theory]
+        if not is_theory_member(lambda_prime, side1):
+            raise ValueError(f"lambda' {lambda_prime} is not a {side1.value}-type partition")
+        if not is_theory_member(lambda_dprime, side2):
+            raise ValueError(f"lambda'' {lambda_dprime} is not a {side2.value}-type partition")
+        boxes = sum(lambda_prime) + sum(lambda_dprime) - theory.theta
         if boxes < 0 or boxes % 2:
-            raise ValueError(f"pair has no integral rank (box count {boxes + theta})")
+            raise ValueError(f"pair has no integral rank (box count {boxes + theory.theta})")
+        return tuple.__new__(cls, (lambda_prime, lambda_dprime, theory))
+
+    @classmethod
+    def _make(cls, fields):
+        # The named tuple's own _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
     @property
     def rank(self) -> int:
@@ -272,10 +282,7 @@ def _unchecked_pair(lambda_prime: tuple[int, ...], lambda_dprime: tuple[int, ...
     the module loads, so a wrapper that rebinds the name OperatorPair (as a
     tracer does) does not change what this builds.
     """
-    pair = object.__new__(_cls)
-    pair.__dict__.update(lambda_prime=lambda_prime, lambda_dprime=lambda_dprime,
-                         theory=theory)
-    return pair
+    return tuple.__new__(_cls, (lambda_prime, lambda_dprime, theory))
 
 
 def format_pair(pair: OperatorPair) -> str:

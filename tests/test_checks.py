@@ -1,6 +1,5 @@
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -9,6 +8,7 @@ import rigidfp.checks
 import rigidfp.closedform
 from rigidfp.checks import (
     SUITES,
+    SuiteReport,
     run_suite,
     sp_locality_failure,
     transpose_structure_ok,
@@ -44,6 +44,15 @@ CHECKED_AT_DEFAULT = {
     "closed-form": 141,
     "collapse-bijection": 73,
 }
+
+
+def test_suite_report_record():
+    report = SuiteReport(checked=2, failures=["x"])
+    assert repr(report) == "SuiteReport(checked=2, failures=['x'], info=[])"
+    assert vars(SuiteReport(2, ["x"], ["y"])) == {"checked": 2, "failures": ["x"], "info": ["y"]}
+    assert not report.ok and SuiteReport(checked=1).ok and not SuiteReport().ok
+    # Each report starts with lists of its own.
+    assert SuiteReport().failures is not SuiteReport().failures
 
 
 def test_pins_cover_every_suite():
@@ -271,14 +280,14 @@ def _all_plus(trace, tags, theory, opts=None):
 # not asserted to miss.
 TAU_MUTANTS = {
     "condition-i-dropped": _with_options(
-        lambda o, t: replace(o, conditions=o.conditions - {"i"})),
+        lambda o, t: o._replace(conditions=o.conditions - {"i"})),
     "condition-iii-dropped": _with_options(
-        lambda o, t: replace(o, conditions=o.conditions - {"iii"})),
+        lambda o, t: o._replace(conditions=o.conditions - {"iii"})),
     "so-sp-swapped": _with_options(
-        lambda o, t: replace(o, iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])),
+        lambda o, t: o._replace(iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])),
     "all-plus": _all_plus,
     "condition-ii-dropped": _with_options(
-        lambda o, t: replace(o, conditions=o.conditions - {"ii"})),
+        lambda o, t: o._replace(conditions=o.conditions - {"ii"})),
 }
 TAU_CATCHES = {
     "condition-i-dropped": {"condition-ii": 3},

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -189,6 +190,18 @@ class TestFingerprint:
                            "--prime", "1^3", "--conditions", "i,iv")
         assert code == 2
         assert "iv" in err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI call is a fresh process that pays the package import, and
+    # dataclasses alone would load inspect, ast and dis into it.
+    src = os.path.dirname(os.path.dirname(rigidfp.cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import rigidfp, rigidfp.checks, rigidfp.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestCheck:

@@ -203,6 +203,16 @@ class TestOptions:
         assert opts.conditions == frozenset({"i", "ii"})
         assert hash(opts) == hash(FingerprintOptions(conditions={"i", "ii"}))
 
+    def test_replace_and_make_validate(self):
+        # A named tuple's own _replace and _make would skip the checks.
+        with pytest.raises(ValueError, match="unknown combine mode 'bogus'"):
+            FingerprintOptions()._replace(mode="bogus")
+        with pytest.raises(ValueError, match="unknown iii variant"):
+            FingerprintOptions._make((INTERLEAVE, PRIME_FIRST, {"i"}, "spin"))
+        opts = FingerprintOptions()._replace(conditions=["i"], tie_break=DPRIME_FIRST)
+        assert opts == FingerprintOptions(INTERLEAVE, DPRIME_FIRST, frozenset({"i"}))
+        assert type(opts) is FingerprintOptions and type(opts.conditions) is frozenset
+
 
 class TestExtraction:
     def test_beta_from_negative_tau(self):

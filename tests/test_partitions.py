@@ -375,6 +375,17 @@ class TestPairs:
         with pytest.raises(ValueError):
             OperatorPair((), (), "B")  # no integral rank
 
+    def test_replace_and_make_validate(self):
+        # A named tuple's own _replace and _make would skip the checks.
+        pair = OperatorPair((1,), (), "B")
+        with pytest.raises(ValueError, match="is not a B-type partition"):
+            pair._replace(lambda_prime=(2,))
+        with pytest.raises(ValueError, match="no integral rank"):
+            OperatorPair._make(((), (), "B"))
+        moved = pair._replace(lambda_prime=[3], theory="B")
+        assert moved == OperatorPair((3,), (), Theory.B) and moved.rank == 1
+        assert type(moved) is OperatorPair and type(moved.lambda_prime) is tuple
+
     def test_non_member_dprime_rejected(self):
         # lambda'' of a B pair is a D partition: 2 with odd multiplicity is not.
         with pytest.raises(ValueError) as exc:
@@ -422,7 +433,8 @@ class TestUncheckedPairs:
                 assert pair == checked
                 assert hash(pair) == hash(checked)
                 assert repr(pair) == repr(checked)
-                assert vars(pair) == vars(checked)
+                for field in ("lambda_prime", "lambda_dprime", "theory"):
+                    assert getattr(pair, field) == getattr(checked, field)
                 assert type(pair.lambda_prime) is type(pair.lambda_dprime) is tuple
                 assert pair.theory is theory
 
