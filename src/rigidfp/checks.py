@@ -193,7 +193,12 @@ def deficit_closure_ok(trace) -> bool:
 
 
 def check_rank_identity(max_rank: int) -> SuiteReport:
-    """|alpha| + |beta| = n under the defaults; B/D never diagnose."""
+    """|alpha| + |beta| = n under the defaults; B/D never diagnose.
+
+    A D outcome also has an even number of beta parts: read as a signed
+    cycle type, beta lists the negative cycles, and a class of W(D_n) has an
+    even number of them.
+    """
     report = SuiteReport()
 
     def check(theory, pair, opts):
@@ -212,6 +217,8 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         total = sum(res.weyl.alpha) + sum(res.weyl.beta)
         if total != pair.rank:
             return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
+        if theory is Theory.D and len(res.weyl.beta) % 2:
+            return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
     modes = [FingerprintOptions(mode=mode) for mode in MODES]
     inputs = (

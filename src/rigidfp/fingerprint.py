@@ -64,24 +64,20 @@ def sp_map(values) -> SpTrace:
     So an odd row moves one box by its sign unless the row on that side (the
     next one under '-', the previous one under '+') has the same value.
     Rows outside the list are treated as a different value.  One pass keeps
-    the running parity (odd: sign '-') and the previous row.
+    the running parity (odd: sign '-') and rewrites only the rows that move.
     """
     values = tuple(values)
     last = len(values) - 1
-    mu = []
+    mu = list(values)
     odd = False
-    prev = 0
     for i, v in enumerate(values):
-        m = v
         if v % 2:
             odd = not odd
             if odd:
                 if i == last or values[i + 1] != v:
-                    m = v - 1
-            elif v != prev:
-                m = v + 1
-        mu.append(m)
-        prev = v
+                    mu[i] = v - 1
+            elif values[i - 1] != v:  # a '+' row has an odd row above it
+                mu[i] = v + 1
     return SpTrace(values, tuple(mu))
 
 

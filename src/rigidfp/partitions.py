@@ -187,14 +187,14 @@ def _grow(out: list, prefix: tuple[int, ...], left: int, v: int, paired: int,
     ascending, so `out` receives ascending lex order.  Values of the paired
     parity take even multiplicities.  Rigid output also has every value
     from v down to 1 present and never multiplicity exactly 2 at the other
-    parity.
+    parity, except in the all-ones partition (the zero orbit, as in is_rigid).
     """
     step = 2 if v % 2 == paired else 1
     # The value 1 takes every box left, an even number for C because every
     # other value there fills an even count.
     for m in range(left if v == 1 else step, left // v + 1, step):
-        if rigid and step == 1 and m == 2:
-            continue  # exactly twice at the other parity
+        if rigid and step == 1 and m == 2 and (prefix or v > 1):
+            continue  # exactly twice at the other parity, outside the zero orbit
         p, rest = prefix + (v,) * m, left - m * v
         if not rest:
             if v == 1 or not rigid:  # a rigid partition runs down to 1
@@ -210,7 +210,6 @@ def _by_multiplicity(theory: Theory, rank: int, rigid: bool) -> list[tuple[int, 
     """Members (or rigid partitions) at the rank, generated largest value first.
 
     Values of the paired parity (Theory.paired) take even multiplicities.
-    The all-ones exception of is_rigid is left to the caller.
     """
     total = theory_total(theory, rank)
     out = [()] if total == 0 else []
@@ -226,10 +225,7 @@ def enumerate_members(theory, rank: int) -> list[tuple[int, ...]]:
 
 def enumerate_rigid(theory, rank: int) -> list[tuple[int, ...]]:
     """All rigid partitions at the given rank, ascending lex order."""
-    theory = _as_theory(theory)
-    if theory is Theory.D and rank == 1:
-        return [(1, 1)]  # the zero orbit, admitted by is_rigid's all-ones exception
-    return _by_multiplicity(theory, rank, rigid=True)
+    return _by_multiplicity(_as_theory(theory), rank, rigid=True)
 
 
 class _PairFields(NamedTuple):

@@ -6,6 +6,10 @@ Oracles, which import nothing from rigidfp:
   - prefix_signs: the running sign of the Sp rule, which the package applies
     inside sp_map's one pass and stores nowhere; the tests' row-by-row
     restatements of the rule read it here;
+  - reference_sp: the Sp rule restated group by group, a second opinion on
+    sp_map's image rows;
+  - rigid_multiplicity: the multiplicity rule of rigid partitions, which
+    rigid_count counts by and the large-rank tests draw by;
   - rigid_count: the number of rigid partitions of a theory and rank,
     counted from the multiplicity rule without listing them.
 
@@ -40,21 +44,54 @@ def prefix_signs(values):
     return tuple(signs)
 
 
+def reference_sp(values):
+    """Group-level restatement of the Sp rule, used as a second opinion.
+
+    Walks value groups top down: an odd group gains a box at its first row
+    when the box count above is odd, and drops its last box when the count
+    through the group is odd.
+    """
+    mu = list(values)
+    above = 0
+    i = 0
+    n = len(values)
+    while i < n:
+        j = i
+        while j < n and values[j] == values[i]:
+            j += 1
+        v, size = values[i], j - i
+        if v % 2 == 1:
+            if above % 2 == 1:
+                mu[i] = v + 1
+            if (above + size * v) % 2 == 1:
+                mu[j - 1] = v - 1
+        above += size * v
+        i = j
+    return tuple(mu)
+
+
+def rigid_multiplicity(v, m, paired):
+    """Whether value v may occur m >= 1 times in a rigid partition.
+
+    Values of the paired parity (odd in C, even in B and D) occur an even
+    number of times; the others any number of times except exactly twice.
+    """
+    return m % 2 == 0 if v % 2 == paired else m != 2
+
+
 def rigid_count(theory, rank):
     """How many rigid partitions the theory ("B", "C" or "D") has at the rank.
 
-    A rigid partition holds every value 1..k.  Values of the paired parity
-    (odd in C, even in B and D) occur an even number of times, at least 2;
-    the others occur at least once and never exactly twice.  The empty
-    partition is rigid, and so is D's (1, 1), the zero orbit of D_1.
+    A rigid partition holds every value 1..k, each as often as
+    rigid_multiplicity allows.  The empty partition is rigid, and so is D's
+    (1, 1), the zero orbit of D_1.
     """
     total = 2 * rank + (theory == "B")
     paired = theory == "C"
     ways = [1] + [0] * total  # ways[n]: values exactly 1..v, n boxes
     count = ways[total]
     for v in range(1, total + 1):
-        step = 2 if v % 2 == paired else 1
-        mults = [m for m in range(step, total // v + 1, step) if step == 2 or m != 2]
+        mults = [m for m in range(1, total // v + 1) if rigid_multiplicity(v, m, paired)]
         ways = [sum(ways[n - v * m] for m in mults if v * m <= n) for n in range(total + 1)]
         count += ways[total]
     return count + (theory == "D" and rank == 1)

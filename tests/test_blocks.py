@@ -22,6 +22,7 @@ from rigidfp.fingerprint import VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
+    PAIR_SIDES,
     PRIME_FIRST,
     Theory,
     enumerate_rigid_pairs,
@@ -300,6 +301,29 @@ class TestPathEquivalence:
                                         tuple(sorted(beta, reverse=True))), (pair, tb)
                 checked += 1
         assert checked == {Theory.B: 810, Theory.C: 1216, Theory.D: 684}[theory]
+
+    @pytest.mark.parametrize("tie_break", [PRIME_FIRST, DPRIME_FIRST])
+    @pytest.mark.parametrize("theory, unmixed", [(Theory.B, 59), (Theory.D, 230)],
+                             ids=["B", "D"])
+    def test_unmixed_pairs_join_their_sides(self, theory, unmixed, tie_break):
+        # Block locality: a B/D pair with no mixed block (of kind S or I, with
+        # rows of both origins) has the multiset union of the unipotent
+        # fingerprints of lambda' in its side theory and lambda'' in D.  With
+        # a mixed block the union can fail, so the condition is needed.
+        opts = FingerprintOptions(tie_break=tie_break)
+        found = Counter()
+        for _, pair in upto(enumerate_rigid_pairs, 10, (theory,)):
+            tp = combine(pair, tie_break=tie_break)
+            mixed = any(b.kind in ("S", "I") and len(set(tp.origins[b.start:b.end])) == 2
+                        for b in decompose_blocks(tp))
+            sides = [fingerprint(OperatorPair(p, (), t)).weyl
+                     for p, t in zip(pair[:2], PAIR_SIDES[theory])]
+            union = tuple(tuple(sorted(a + b, reverse=True)) for a, b in zip(*sides))
+            joined = fingerprint(pair, opts).weyl == union
+            assert joined or mixed, pair
+            found[mixed, joined] += 1
+        assert found[False, True] == unmixed
+        assert found[True, False] > 0
 
     @pytest.mark.parametrize("theory", ["C", Theory.C])
     def test_theory_as_letter_or_member(self, theory):

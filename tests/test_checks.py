@@ -28,7 +28,7 @@ from rigidfp.fingerprint import (
     tau_table,
 )
 from rigidfp.closedform import xs_inverse, xs_map, ys_map
-from rigidfp.partitions import enumerate_members, format_partition, transpose
+from rigidfp.partitions import MODES, TIE_BREAKS, enumerate_members, format_partition, transpose
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -60,9 +60,33 @@ def test_pins_cover_every_suite():
 
 
 def test_rigid_pins_match_the_count():
-    # structure and factorization sweep every rigid partition to rank 12.
-    counted = sum(rigid_count(theory, rank) for theory in "BCD" for rank in range(13))
-    assert counted == CHECKED_AT_DEFAULT["structure"] == CHECKED_AT_DEFAULT["factorization"] == 333
+    # structure and factorization sweep every rigid partition to their rank.
+    for name in ("structure", "factorization"):
+        max_rank = SUITES[name][1]
+        counted = sum(rigid_count(theory, rank) for theory in "BCD" for rank in range(max_rank + 1))
+        assert counted == CHECKED_AT_DEFAULT[name]
+
+
+def _rigid_pairs_to(max_rank):
+    """Rigid pairs of every theory to max_rank: rigid_count convolved over n' + n''."""
+    return sum(rigid_count(side1, rank - n2) * rigid_count(side2, n2)
+               for side1, side2 in ("BD", "CC", "DD")
+               for rank in range(max_rank + 1) for n2 in range(rank + 1))
+
+
+# How many inputs per rigid pair each pair suite checks.  Of the other
+# suites, sp-locality and parity sweep members, not rigid partitions, and no
+# count of rigid partitions gives these two:
+#   - closed-form keeps only the C partitions whose multiplicities are all even;
+#   - collapse-bijection checks each distinct odd part once, and partitions
+#     share odd parts.
+PER_PAIR = {"condition-ii": 1, "shift": 1, "rank-identity": len(MODES),
+            "path-equivalence": len(TIE_BREAKS)}
+
+
+@pytest.mark.parametrize("name", sorted(PER_PAIR))
+def test_pair_pins_match_the_count(name):
+    assert PER_PAIR[name] * _rigid_pairs_to(SUITES[name][1]) == CHECKED_AT_DEFAULT[name]
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
@@ -349,6 +373,14 @@ def _extraction_dropping_last_beta(trace, tau):
     return outcome
 
 
+def _extraction_merging_last_beta(trace, tau):
+    outcome = extract_weyl_pair(trace, tau)
+    if isinstance(outcome, WeylPair) and len(outcome.beta) > 1:
+        *rest, b1, b2 = outcome.beta
+        return outcome._replace(beta=(*rest, b1 + b2))
+    return outcome
+
+
 # Mutants for the suite failure lines that the tables above do not reach.
 # Each replaces one function in every rigidfp module that binds it.  Row:
 # (function, replacement, suite, failures at rank 4, how many of them take
@@ -364,6 +396,10 @@ LINE_MUTANTS = {
         extract_weyl_pair, _extraction_dropping_last_beta,
         "rank-identity", 43, 43,
         r"[BCD] \(.*\) \[(interleave|sum)\]: \|alpha\|\+\|beta\|=\d+ != \d+"),
+    # Keeps |beta| and changes the parity of its part count.
+    "extraction-merges-last-beta": (
+        extract_weyl_pair, _extraction_merging_last_beta,
+        "rank-identity", 10, 10, r"D \(.*\) \[(interleave|sum)\]: beta has \d+ parts, odd in D"),
     "sp-above-4-unmoved": (
         sp_map, _sp_mutant(lambda p, v, n, s: v if v > 4 else _correct_sp_rule(p, v, n, s)),
         "shift", 3, 3, r"[BCD] \(.*\): trace shift broken"),

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from partition_oracle import member_pairs, prefix_signs, upto
+from partition_oracle import member_pairs, prefix_signs, reference_sp, upto
 from rigidfp import (
     ExtractionDiagnostic,
     FingerprintOptions,
@@ -38,32 +38,6 @@ from rigidfp.partitions import (
 def tagged(values, origins):
     return TaggedPartition(values=tuple(values), mode=INTERLEAVE,
                            origins=tuple(origins))
-
-
-def reference_sp(values):
-    """Group-level restatement of the Sp rule, used as a second opinion.
-
-    Walks value groups top down: an odd group gains a box at its first row
-    when the box count above is odd, and drops its last box when the count
-    through the group is odd.
-    """
-    mu = list(values)
-    above = 0
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j < n and values[j] == values[i]:
-            j += 1
-        v, size = values[i], j - i
-        if v % 2 == 1:
-            if above % 2 == 1:
-                mu[i] = v + 1
-            if (above + size * v) % 2 == 1:
-                mu[j - 1] = v - 1
-        above += size * v
-        i = j
-    return tuple(mu)
 
 
 class TestSpMap:
