@@ -4,8 +4,10 @@ Oracles, which import nothing from rigidfp:
   - partitions_of: every partition of n, to hold the package's direct
     generation of member and rigid partitions against filtering;
   - prefix_signs: the running sign of the Sp rule, which the package applies
-    inside sp_map's one pass and stores nowhere; the tests' row-by-row
-    restatements of the rule read it here;
+    inside sp_map's one pass and stores nowhere;
+  - sp_row: the Sp rule of one row, the tests' one statement of it, and
+    sp_rows: a rule applied to every row with its neighbours and sign, so
+    the tests' Sp mutants are rules sp_rows applies;
   - reference_sp: the Sp rule restated group by group, a second opinion on
     sp_map's image rows;
   - rigid_multiplicity: the multiplicity rule of rigid partitions, which
@@ -16,9 +18,17 @@ Oracles, which import nothing from rigidfp:
 Sweeps of rigidfp's enumeration, the one home of the tests' input loops:
   - upto: (theory, x) over enum(theory, rank) for every rank to a bound;
   - member_pairs: every OperatorPair of member sides to a rank bound.
+
+The block locality lemma of B/D pairs, read off rigidfp's output:
+  - has_mixed_block: whether a merged pair has a block of kind S or I with
+    rows of both origins;
+  - side_union: the multiset union of the sides' unipotent fingerprints,
+    the fingerprint of every B/D pair without a mixed block.
 """
 from itertools import product
 
+from rigidfp.blocks import decompose_blocks
+from rigidfp.fingerprint import fingerprint
 from rigidfp.partitions import PAIR_SIDES, OperatorPair, Theory, enumerate_members
 
 
@@ -42,6 +52,20 @@ def prefix_signs(values):
         run = (run + v) % 2
         signs.append(1 if run == 0 else -1)
     return tuple(signs)
+
+
+def sp_row(prev, v, nxt, sign):
+    """mu of row v between rows prev and nxt, under its prefix_signs sign: an odd
+    v moves one box by the sign unless the row on that side (prev under +1,
+    nxt under -1) is also v."""
+    return v + sign if v % 2 and v != (prev if sign == 1 else nxt) else v
+
+
+def sp_rows(values, rule=sp_row):
+    """rule(prev, v, nxt, sign) of each row, with 0 beyond either end."""
+    values = tuple(values)
+    return tuple(rule(*row) for row in zip((0,) + values, values, values[1:] + (0,),
+                                           prefix_signs(values)))
 
 
 def reference_sp(values):
@@ -115,3 +139,16 @@ def _member_pairs_at(theory, rank):
 def member_pairs(max_rank, theories=tuple(Theory)):
     """Every OperatorPair of member sides in upto's order, lambda'' rank ascending."""
     return (pair for _, pair in upto(_member_pairs_at, max_rank, theories))
+
+
+def has_mixed_block(tagged):
+    """Whether a block of kind S or I holds rows of both origins."""
+    return any(b.kind in ("S", "I") and len(set(tagged.origins[b.start:b.end])) == 2
+               for b in decompose_blocks(tagged))
+
+
+def side_union(pair):
+    """[alpha;beta] joined over lambda' in its side theory and lambda'' in D."""
+    sides = [fingerprint(OperatorPair(p, (), t)).weyl
+             for p, t in zip(pair[:2], PAIR_SIDES[pair.theory])]
+    return tuple(tuple(sorted(a + b, reverse=True)) for a, b in zip(*sides))

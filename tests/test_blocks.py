@@ -3,7 +3,7 @@ import sys
 from collections import Counter
 from itertools import groupby
 
-from partition_oracle import member_pairs, upto
+from partition_oracle import has_mixed_block, member_pairs, side_union, upto
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
@@ -22,7 +22,6 @@ from rigidfp.fingerprint import VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
-    PAIR_SIDES,
     PRIME_FIRST,
     Theory,
     enumerate_rigid_pairs,
@@ -313,13 +312,8 @@ class TestPathEquivalence:
         opts = FingerprintOptions(tie_break=tie_break)
         found = Counter()
         for _, pair in upto(enumerate_rigid_pairs, 10, (theory,)):
-            tp = combine(pair, tie_break=tie_break)
-            mixed = any(b.kind in ("S", "I") and len(set(tp.origins[b.start:b.end])) == 2
-                        for b in decompose_blocks(tp))
-            sides = [fingerprint(OperatorPair(p, (), t)).weyl
-                     for p, t in zip(pair[:2], PAIR_SIDES[theory])]
-            union = tuple(tuple(sorted(a + b, reverse=True)) for a, b in zip(*sides))
-            joined = fingerprint(pair, opts).weyl == union
+            mixed = has_mixed_block(combine(pair, tie_break=tie_break))
+            joined = fingerprint(pair, opts).weyl == side_union(pair)
             assert joined or mixed, pair
             found[mixed, joined] += 1
         assert found[False, True] == unmixed

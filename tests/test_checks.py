@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from partition_oracle import partitions_of, prefix_signs, rigid_count, upto
+from partition_oracle import partitions_of, rigid_count, sp_row, sp_rows, upto
 import rigidfp.checks
 import rigidfp.closedform
 from rigidfp.checks import (
@@ -27,8 +27,9 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
-from rigidfp.closedform import xs_inverse, xs_map, ys_map
-from rigidfp.partitions import MODES, TIE_BREAKS, enumerate_members, format_partition, transpose
+from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
+from rigidfp.partitions import (
+    MODES, TIE_BREAKS, enumerate_members, format_partition, transpose, validate_partition)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -127,6 +128,13 @@ def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
     assert len(calls) == report.checked + 1265
 
 
+def _patch_everywhere(monkeypatch, attr, original, replacement):
+    """Rebind attr in every rigidfp module that binds the original."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidfp" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, replacement)
+
+
 def _shift_mutant(monkeypatch, change):
     """Apply change to the result of each shifted input of the shift suite.
 
@@ -164,9 +172,7 @@ def test_shift_builds_shifted_pairs_unvalidated(monkeypatch):
     def refuse(*args):
         raise AssertionError("a shifted pair was re-validated")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rigidfp" and hasattr(module, "validate_partition"):
-            monkeypatch.setattr(module, "validate_partition", refuse)
+    _patch_everywhere(monkeypatch, "validate_partition", validate_partition, refuse)
     report = rigidfp.checks.check_shift(4)
     assert report.ok and report.checked == 73
 
@@ -189,9 +195,7 @@ def test_collapse_bijection_splits_unvalidated(monkeypatch):
     def refuse(*args):
         raise AssertionError("split_parity re-validated an enumerated partition")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rigidfp" and hasattr(module, "split_parity"):
-            monkeypatch.setattr(module, "split_parity", refuse)
+    _patch_everywhere(monkeypatch, "split_parity", split_parity, refuse)
     report = run_suite("collapse-bijection", 12)
     assert report.ok and report.checked == CHECKED_AT_DEFAULT["collapse-bijection"]
 
@@ -209,81 +213,9 @@ def test_empty_sweep_is_not_a_pass(name):
     assert not report.ok
 
 
-# Wrong Sp rules, each as (previous row, row, next row, sign) -> mu_i.  The
-# correct rule moves an odd row v one box by its sign s unless the row on
-# that side (next n under '-', previous p under '+') has the same value.
-SP_MUTANTS = {
-    "plus-guard-dropped": lambda p, v, n, s: v + s if v % 2 and (s == 1 or v != n) else v,
-    "minus-guard-dropped": lambda p, v, n, s: v + s if v % 2 and (s == -1 or v != p) else v,
-    "sign-flipped": lambda p, v, n, s: v - s if v % 2 and v != (p if s == 1 else n) else v,
-    "guards-swapped": lambda p, v, n, s: v + s if v % 2 and v != (n if s == 1 else p) else v,
-}
-
-
-@pytest.mark.parametrize(
-    "suite", ["sp-locality", "closed-form", "rank-identity", "path-equivalence", "condition-ii"]
-)
-@pytest.mark.parametrize("mutant", sorted(SP_MUTANTS))
-def test_suite_catches_sp_mutant(suite, mutant, monkeypatch):
-    _patch_everywhere(monkeypatch, "sp_map", sp_map, _sp_mutant(SP_MUTANTS[mutant]))
-    assert run_suite(suite, 4).failures
-
-
 def _sp_mutant(rule):
-    """An sp_map that applies rule to each row."""
-    def mutated(values):
-        values = tuple(values)
-        rows = zip((0,) + values, values, values[1:] + (0,), prefix_signs(values))
-        return SpTrace(values, tuple(rule(*row) for row in rows))
-    return mutated
-
-
-def _reference_sp_locality(theory, p, sp=sp_map):
-    """sp-locality's check of one member before it became one pass.
-
-    The oracle the one-pass check is held to: the sign of each row from
-    prefix_signs, group-boundary flags from two lists, then one zip over the
-    rows.
-    """
-    trace = sp(p)
-    n = len(p)
-    first = [i == 0 or p[i - 1] != p[i] for i in range(n)]
-    last = [i == n - 1 or p[i + 1] != p[i] for i in range(n)]
-    for i, (lam, mu, sign) in enumerate(zip(p, trace.mu_values, prefix_signs(p))):
-        if lam % 2 == 1 and sign == -1 and last[i]:
-            expected = lam - 1
-        elif lam % 2 == 1 and sign == 1 and first[i]:
-            expected = lam + 1
-        else:
-            expected = lam
-        if mu != expected:
-            return (
-                f"{theory.value} {format_partition(p)} index {i}: "
-                f"mu={mu}, expected {expected}"
-            )
-
-
-@pytest.mark.parametrize("mutant", [None, *sorted(SP_MUTANTS)])
-def test_sp_locality_matches_reference(mutant, monkeypatch):
-    # Same verdict and failure string on every member, under the true Sp
-    # rule and under each pinned mutant.
-    sp = sp_map
-    if mutant is not None:
-        sp = _sp_mutant(SP_MUTANTS[mutant])
-        _patch_everywhere(monkeypatch, "sp_map", sp_map, sp)
-    failures = 0
-    for theory, p in upto(enumerate_members, 12):
-        expected = _reference_sp_locality(theory, p, sp)
-        assert sp_locality_failure(theory, p) == expected, (theory, p)
-        failures += expected is not None
-    assert (failures > 0) == (mutant is not None)
-
-
-def _patch_everywhere(monkeypatch, attr, original, replacement):
-    """Rebind attr in every rigidfp module that binds the original."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rigidfp" and getattr(module, attr, None) is original:
-            monkeypatch.setattr(module, attr, replacement)
+    """An sp_map that applies rule, as sp_row's stand-in, to each row."""
+    return lambda values: SpTrace(tuple(values), sp_rows(values, rule))
 
 
 def _with_options(change):
@@ -294,137 +226,133 @@ def _with_options(change):
     return mutated
 
 
-def _all_plus(trace, tags, theory, opts=None):
-    entries = tau_table(trace, tags, theory, opts).entries
-    return TauTable(tuple((m, 1, None) for m, _, _ in entries))
+def _without(condition):
+    return _with_options(lambda o, t: o._replace(conditions=o.conditions - {condition}))
 
 
-# Wrong tau rules, and the suites that catch each at rank 4 with their
-# failure counts.  Only catches are pinned: a suite missing from a row is
-# not asserted to miss.
-TAU_MUTANTS = {
-    "condition-i-dropped": _with_options(
-        lambda o, t: o._replace(conditions=o.conditions - {"i"})),
-    "condition-iii-dropped": _with_options(
-        lambda o, t: o._replace(conditions=o.conditions - {"iii"})),
-    "so-sp-swapped": _with_options(
-        lambda o, t: o._replace(iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])),
-    "all-plus": _all_plus,
-    "condition-ii-dropped": _with_options(
-        lambda o, t: o._replace(conditions=o.conditions - {"ii"})),
-}
-TAU_CATCHES = {
-    "condition-i-dropped": {"condition-ii": 3},
-    "condition-iii-dropped": {"rank-identity": 8, "path-equivalence": 16},
-    "so-sp-swapped": {"rank-identity": 8, "closed-form": 5, "path-equivalence": 32,
-                      "condition-ii": 207},
-    "all-plus": {"rank-identity": 9, "closed-form": 1, "path-equivalence": 22,
-                 "condition-ii": 522},
-    "condition-ii-dropped": {"condition-ii": 28},
-}
+def _tau_plus(keep):
+    """A tau_table that sets tau(m) = +1 on every value m that keep rejects."""
+    def mutated(trace, tags, theory, opts=None):
+        entries = tau_table(trace, tags, theory, opts).entries
+        return TauTable(tuple(e if keep(e[0]) else (e[0], 1, None) for e in entries))
+    return mutated
 
 
-@pytest.mark.parametrize("mutant, suite, failures", [
-    (mutant, suite, n) for mutant, row in TAU_CATCHES.items() for suite, n in row.items()
-])
-def test_suite_catches_tau_mutant(mutant, suite, failures, monkeypatch):
-    _patch_everywhere(monkeypatch, "tau_table", tau_table, TAU_MUTANTS[mutant])
-    assert len(run_suite(suite, 4).failures) == failures
+def _beta_changed(change):
+    """An extract_weyl_pair that passes each fingerprint's beta through change."""
+    def mutated(trace, tau):
+        outcome = extract_weyl_pair(trace, tau)
+        if isinstance(outcome, WeylPair):
+            return outcome._replace(beta=change(outcome.beta))
+        return outcome
+    return mutated
 
 
-# Sp mutants that reach the parity and factorization failure lines, with
-# their failure counts at rank 4, as in TAU_CATCHES.  A patched sp_map
-# feeds both sides of the B/D factorization comparison, so no Sp mutant
-# reaches that line: only the C line, where Sp must be the identity.
-SP_CATCHES = {
-    "minus-guard-dropped": {"parity": 27, "factorization": 8},
-    "plus-guard-dropped": {"parity": 27, "factorization": 8},
-    "guards-swapped": {"factorization": 8},
-}
-SP_CATCH_FORMS = {
-    "parity": r"[BCD] \S.*: odd value \d+ unpaired in \S.*",
-    "factorization": r"C \S.*: sp not the identity",
-}
+ODD_UNPAIRED = r"[BCD] \S.*: odd value \d+ unpaired in \S.*"
+# A patched sp_map feeds both sides of the B/D factorization comparison, so
+# no Sp mutant reaches that line: only the C line, where Sp is the identity.
+C_SP_MOVED = r"C \S.*: sp not the identity"
 
-
-@pytest.mark.parametrize("mutant, suite, failures", [
-    (mutant, suite, n) for mutant, row in SP_CATCHES.items() for suite, n in row.items()
-])
-def test_suite_counts_sp_mutant_failures(mutant, suite, failures, monkeypatch):
-    _patch_everywhere(monkeypatch, "sp_map", sp_map, _sp_mutant(SP_MUTANTS[mutant]))
-    report = run_suite(suite, 4)
-    assert len(report.failures) == failures
-    assert all(re.fullmatch(SP_CATCH_FORMS[suite], f) for f in report.failures)
-
-
-def _correct_sp_rule(p, v, n, s):
-    return v + s if v % 2 and v != (p if s == 1 else n) else v
-
-
-def _tau_plus_above_2(trace, tags, theory, opts=None):
-    entries = tau_table(trace, tags, theory, opts).entries
-    return TauTable(tuple((m, 1, None) if m > 2 else (m, t, w) for m, t, w in entries))
-
-
-def _extraction_dropping_last_beta(trace, tau):
-    outcome = extract_weyl_pair(trace, tau)
-    if isinstance(outcome, WeylPair):
-        return outcome._replace(beta=outcome.beta[:-1])
-    return outcome
-
-
-def _extraction_merging_last_beta(trace, tau):
-    outcome = extract_weyl_pair(trace, tau)
-    if isinstance(outcome, WeylPair) and len(outcome.beta) > 1:
-        *rest, b1, b2 = outcome.beta
-        return outcome._replace(beta=(*rest, b1 + b2))
-    return outcome
-
-
-# Mutants for the suite failure lines that the tables above do not reach.
-# Each replaces one function in every rigidfp module that binds it.  Row:
-# (function, replacement, suite, failures at rank 4, how many of them take
-# the form, the form of the line's failure string).
-LINE_MUTANTS = {
-    "transpose-reversed": (
-        transpose, lambda p: transpose(p)[::-1],
-        "structure", 5, 5, r"[BCD] \S.*: transpose \S.*"),
-    "collapse-identity": (
-        rigidfp.closedform._collapse, lambda sigma: sigma,
-        "factorization", 10, 10, r"[BD] \S.*: sp \S.* != factored \S.*"),
-    "extraction-drops-last-beta": (
-        extract_weyl_pair, _extraction_dropping_last_beta,
-        "rank-identity", 43, 43,
-        r"[BCD] \(.*\) \[(interleave|sum)\]: \|alpha\|\+\|beta\|=\d+ != \d+"),
+# Which suite catches which mutant.  Each row replaces one function in every
+# rigidfp module that binds it: (function, replacement, {suite: failures at
+# rank 4} over all ten suites, so a suite left out is pinned to pass, then
+# line forms).  A line form (suite, on_line, form) pins the form of the
+# suite's first failure string and how many of its failures take that form.
+# The rows reach every suite failure line but two: shift's diagnostic line
+# (test_shift_compares_diagnostic_entries) and path-equivalence's
+# shared_values line (the wrong-cut mutants in test_blocks.py).  The Sp
+# mutants perturb sp_row's inputs or output; a neighbour of 0 equals no row,
+# so it drops the guard on that side.
+MUTANTS = {
+    "plus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(0, v, n, s)), {
+        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 469,
+        "factorization": 8, "path-equivalence": 130, "closed-form": 15, "collapse-bijection": 8},
+        ("parity", 27, ODD_UNPAIRED), ("factorization", 8, C_SP_MOVED)),
+    "minus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(p, v, 0, s)), {
+        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 469,
+        "factorization": 8, "path-equivalence": 130, "closed-form": 15, "collapse-bijection": 8},
+        ("parity", 27, ODD_UNPAIRED), ("factorization", 8, C_SP_MOVED)),
+    "sign-flipped": (sp_map, _sp_mutant(lambda p, v, n, s: 2 * v - sp_row(p, v, n, s)), {
+        "sp-locality": 35, "rank-identity": 58, "condition-ii": 590,
+        "path-equivalence": 52, "closed-form": 10, "collapse-bijection": 6}),
+    "guards-swapped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(n, v, p, s)), {
+        "sp-locality": 44, "rank-identity": 114, "condition-ii": 371, "factorization": 8,
+        "path-equivalence": 92, "closed-form": 9, "collapse-bijection": 4},
+        ("factorization", 8, C_SP_MOVED)),
+    "sp-above-4-unmoved": (
+        sp_map, _sp_mutant(lambda p, v, n, s: v if v > 4 else sp_row(p, v, n, s)), {
+        "sp-locality": 12, "parity": 12, "condition-ii": 427, "shift": 3},
+        ("shift", 3, r"[BCD] \(.*\): trace shift broken")),
+    "condition-i-dropped": (tau_table, _without("i"), {"condition-ii": 3}),
+    "condition-ii-dropped": (tau_table, _without("ii"), {"condition-ii": 28}),
+    "condition-iii-dropped": (tau_table, _without("iii"), {
+        "rank-identity": 8, "path-equivalence": 16}),
+    "so-sp-swapped": (tau_table, _with_options(lambda o, t: o._replace(
+        iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])), {
+        "rank-identity": 8, "condition-ii": 207, "path-equivalence": 32, "closed-form": 5}),
+    "all-plus": (tau_table, _tau_plus(lambda m: False), {
+        "rank-identity": 9, "condition-ii": 522, "shift": 24, "path-equivalence": 22,
+        "closed-form": 1}),
+    # 7 of its 11 shift failures are one-sided diagnostics; the first is a
+    # shifted [alpha;beta].
+    "tau-plus-above-2": (tau_table, _tau_plus(lambda m: m <= 2), {
+        "rank-identity": 1, "condition-ii": 427, "shift": 11},
+        ("shift", 4, r"[BCD] \(.*\): \[[^;]*;[^]]*\] -> \[[^;]*;[^]]*\]")),
+    "transpose-reversed": (transpose, lambda p: transpose(p)[::-1], {"structure": 5},
+        ("structure", 5, r"[BCD] \S.*: transpose \S.*")),
+    "collapse-identity": (rigidfp.closedform._collapse, lambda sigma: sigma, {
+        "factorization": 10, "collapse-bijection": 6},
+        ("factorization", 10, r"[BD] \S.*: sp \S.* != factored \S.*")),
+    "extraction-drops-last-beta": (extract_weyl_pair, _beta_changed(lambda b: b[:-1]), {
+        "rank-identity": 43, "condition-ii": 522, "shift": 24, "path-equivalence": 22,
+        "closed-form": 1},
+        ("rank-identity", 43,
+         r"[BCD] \(.*\) \[(interleave|sum)\]: \|alpha\|\+\|beta\|=\d+ != \d+")),
     # Keeps |beta| and changes the parity of its part count.
     "extraction-merges-last-beta": (
-        extract_weyl_pair, _extraction_merging_last_beta,
-        "rank-identity", 10, 10, r"D \(.*\) \[(interleave|sum)\]: beta has \d+ parts, odd in D"),
-    "sp-above-4-unmoved": (
-        sp_map, _sp_mutant(lambda p, v, n, s: v if v > 4 else _correct_sp_rule(p, v, n, s)),
-        "shift", 3, 3, r"[BCD] \(.*\): trace shift broken"),
-    # 7 of its 11 failures are one-sided diagnostics; the first is a shifted
-    # [alpha;beta].
-    "tau-plus-above-2": (
-        tau_table, _tau_plus_above_2,
-        "shift", 11, 4, r"[BCD] \(.*\): \[[^;]*;[^]]*\] -> \[[^;]*;[^]]*\]"),
-    "xs-map-identity": (
-        xs_map, tuple,
-        "collapse-bijection", 5, 5, r"B \S.*: wrong box count"),
-    "ys-map-identity": (
-        ys_map, tuple,
-        "collapse-bijection", 1, 1, r"D \S.*: image \S.* has odd transpose row"),
-    "xs-inverse-drops-last-row": (
-        xs_inverse, lambda p: xs_inverse(p)[:-1],
-        "collapse-bijection", 5, 5, r"B \S.*: round trip broken"),
+        extract_weyl_pair, _beta_changed(lambda b: b[:-2] + (sum(b[-2:]),) if b else b), {
+        "rank-identity": 10, "condition-ii": 500, "shift": 5, "path-equivalence": 10,
+        "closed-form": 1},
+        ("rank-identity", 10, r"D \(.*\) \[(interleave|sum)\]: beta has \d+ parts, odd in D")),
+    "xs-map-identity": (xs_map, tuple, {"collapse-bijection": 5},
+        ("collapse-bijection", 5, r"B \S.*: wrong box count")),
+    "ys-map-identity": (ys_map, tuple, {"collapse-bijection": 1},
+        ("collapse-bijection", 1, r"D \S.*: image \S.* has odd transpose row")),
+    "xs-inverse-drops-last-row": (xs_inverse, lambda p: xs_inverse(p)[:-1], {
+        "collapse-bijection": 5}, ("collapse-bijection", 5, r"B \S.*: round trip broken")),
 }
 
 
-@pytest.mark.parametrize("mutant", list(LINE_MUTANTS))
-def test_suite_failure_line_reached(mutant, monkeypatch):
-    original, replacement, suite, failures, on_line, form = LINE_MUTANTS[mutant]
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_mutant_caught(mutant, monkeypatch):
+    original, replacement, caught, *line_forms = MUTANTS[mutant]
     _patch_everywhere(monkeypatch, original.__name__, original, replacement)
-    report = run_suite(suite, 4)
-    assert len(report.failures) == failures
-    assert re.fullmatch(form, report.failures[0])
-    assert sum(bool(re.fullmatch(form, f)) for f in report.failures) == on_line
+    failures = {suite: run_suite(suite, 4).failures for suite in SUITES}
+    assert {suite: len(f) for suite, f in failures.items() if f} == caught
+    for suite, on_line, form in line_forms:
+        assert re.fullmatch(form, failures[suite][0])
+        assert sum(bool(re.fullmatch(form, f)) for f in failures[suite]) == on_line
+
+
+def _reference_sp_locality(theory, p, sp=sp_map):
+    """sp-locality's check of one member, row by row against sp_rows(p)."""
+    for i, (mu, expected) in enumerate(zip(sp(p).mu_values, sp_rows(p))):
+        if mu != expected:
+            return f"{theory.value} {format_partition(p)} index {i}: mu={mu}, expected {expected}"
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(m for m, row in MUTANTS.items()
+                                                   if row[0] is sp_map)])
+def test_sp_locality_matches_reference(mutant, monkeypatch):
+    # Same verdict and failure string on every member, under the true Sp
+    # rule and under each Sp mutant of the table.
+    sp = sp_map
+    if mutant is not None:
+        sp = MUTANTS[mutant][1]
+        _patch_everywhere(monkeypatch, "sp_map", sp_map, sp)
+    failures = 0
+    for theory, p in upto(enumerate_members, 12):
+        expected = _reference_sp_locality(theory, p, sp)
+        assert sp_locality_failure(theory, p) == expected, (theory, p)
+        failures += expected is not None
+    assert (failures > 0) == (mutant is not None)

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from partition_oracle import member_pairs, prefix_signs, reference_sp, upto
+from partition_oracle import member_pairs, reference_sp, sp_rows, upto
 from rigidfp import (
     ExtractionDiagnostic,
     FingerprintOptions,
@@ -289,9 +289,9 @@ class TestPairLemmas:
         assert (pairs, changed) == expected
 
 
-# The kernels as first written (padded row copies, a Counter), kept verbatim
-# as the reference for the one-pass ones.  The running sign they read is
-# partition_oracle.prefix_signs.
+# The kernels as first written (a running sum, a dict of witnesses, a
+# Counter), kept verbatim as the reference for the one-pass ones.  Sp's
+# reference is partition_oracle.sp_rows, its row rule applied row by row.
 
 def _ref_partial_sum_delta(trace):
     delta = []
@@ -300,16 +300,6 @@ def _ref_partial_sum_delta(trace):
         d += m - lam
         delta.append(d)
     return tuple(delta)
-
-
-def _ref_sp_map(values):
-    values = tuple(values)
-    mu = [
-        v + sign if v % 2 and v != (prev if sign == 1 else nxt) else v
-        for prev, v, nxt, sign in zip((0,) + values, values, values[1:] + (0,),
-                                      prefix_signs(values))
-    ]
-    return SpTrace(values, tuple(mu))
 
 
 def _ref_tau_table(trace, tags, theory, opts):
@@ -380,7 +370,7 @@ class TestKernelsAgainstReference:
                     continue
                 seen.add(tags)
                 trace = sp_map(tags.values)
-                assert trace == _ref_sp_map(tags.values)
+                assert trace == SpTrace(tags.values, sp_rows(tags.values))
                 assert trace.partial_sum_delta == _ref_partial_sum_delta(trace)
                 for opts in TAU_OPTIONS:
                     tau = tau_table(trace, tags, theory, opts)

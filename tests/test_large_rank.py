@@ -9,17 +9,25 @@ calls the package's enumeration.  On each pair:
   - B and D give a fingerprint, never a diagnostic, with |alpha|+|beta| the
     rank in both modes, and a D fingerprint has an even number of beta
     parts.
+Under the default conventions only, which keeps the module under 1 s:
+  - adding 2 to every part of both sides adds 2 to every mu row, and takes
+    [alpha;beta] to [alpha+2;beta+1] plus a beta part 1 per deleted row, or
+    adds 2 to every diagnostic value, as the shift suite checks;
+  - swapping the sides of a D pair keeps its outcome;
+  - a B/D pair without a mixed block has the union of its sides'
+    fingerprints, the block locality lemma.
 """
 from itertools import product
 
 from hypothesis import given, strategies as st
 
-from partition_oracle import reference_sp, rigid_multiplicity
+from partition_oracle import has_mixed_block, reference_sp, rigid_multiplicity, side_union
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
     Theory,
     block_fingerprint,
+    combine,
     fingerprint,
 )
 from rigidfp.partitions import INTERLEAVE, MODES, PAIR_SIDES, TIE_BREAKS
@@ -75,3 +83,20 @@ def test_checks_hold_on_large_pairs(pair):
         assert sum(alpha) + sum(beta) == pair.rank
         if theory is Theory.D:
             assert len(beta) % 2 == 0
+    base = fingerprint(pair)
+    shifted = fingerprint(OperatorPair(*(tuple(v + 2 for v in side) for side in pair[:2]), theory))
+    assert shifted.trace.mu_values == tuple(m + 2 for m in base.trace.mu_values)
+    assert (shifted.diagnostic is None) == (base.diagnostic is None)
+    if base.diagnostic is None:
+        alpha, beta = base.weyl
+        deleted = base.trace.mu_values.count(0)
+        assert shifted.weyl == (tuple(a + 2 for a in alpha),
+                                tuple(b + 1 for b in beta) + (1,) * deleted)
+    else:
+        assert shifted.diagnostic.entries == tuple(
+            (v + 2, n, t) for v, n, t in base.diagnostic.entries)
+    if theory is Theory.D:
+        mirror = OperatorPair(pair.lambda_dprime, pair.lambda_prime, theory)
+        assert fingerprint(mirror).same_outcome(base)
+    if theory is not Theory.C and not has_mixed_block(combine(pair)):
+        assert base.weyl == side_union(pair)

@@ -295,19 +295,8 @@ def brute_force_rigid(theory, rank):
     """Independent filter used as the enumeration oracle."""
     theory = Theory(theory)
     total = 2 * rank + (1 if theory is Theory.B else 0)
-    out = []
-    for p in partitions_of(total):
-        counts = {v: p.count(v) for v in set(p)}
-        if theory is Theory.C:
-            if sum(p) % 2 or any(n % 2 for v, n in counts.items() if v % 2):
-                continue
-        else:
-            want = 1 if theory is Theory.B else 0
-            if sum(p) % 2 != want or any(n % 2 for v, n in counts.items() if v % 2 == 0):
-                continue
-        if rigid_rule(p, theory):
-            out.append(p)
-    return sorted(out)
+    return sorted(p for p in partitions_of(total)
+                  if member_reference(p, theory) and rigid_rule(p, theory))
 
 
 class TestEnumeration:
