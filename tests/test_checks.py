@@ -323,15 +323,18 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", list(MUTANTS))
-def test_mutant_caught(mutant, monkeypatch):
+@pytest.mark.parametrize("mutant,suite", [(m, s) for m in MUTANTS for s in sorted(SUITES)])
+def test_mutant_caught(mutant, suite, monkeypatch):
+    # One case per (mutant, suite), so a moved pin names its suite.
     original, replacement, caught, *line_forms = MUTANTS[mutant]
+    assert set(caught) <= set(SUITES)
     _patch_everywhere(monkeypatch, original.__name__, original, replacement)
-    failures = {suite: run_suite(suite, 4).failures for suite in SUITES}
-    assert {suite: len(f) for suite, f in failures.items() if f} == caught
-    for suite, on_line, form in line_forms:
-        assert re.fullmatch(form, failures[suite][0])
-        assert sum(bool(re.fullmatch(form, f)) for f in failures[suite]) == on_line
+    failures = run_suite(suite, 4).failures
+    assert len(failures) == caught.get(suite, 0)
+    for on_suite, on_line, form in line_forms:
+        if on_suite == suite:
+            assert re.fullmatch(form, failures[0])
+            assert sum(bool(re.fullmatch(form, f)) for f in failures) == on_line
 
 
 def _reference_sp_locality(theory, p, sp=sp_map):
