@@ -84,6 +84,13 @@ def _upto(enum, theories, max_rank):
                 yield theory, x
 
 
+def _pairs_under(options, max_rank):
+    """(theory, pair, opts) for each rigid pair to max_rank under each of options."""
+    for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank):
+        for opts in options:
+            yield theory, pair, opts
+
+
 def _sweep(report: SuiteReport, inputs, check) -> SuiteReport:
     """Count each input and collect what check(*input) returns, if not None."""
     for args in inputs:
@@ -172,24 +179,17 @@ def check_parity(max_rank: int) -> SuiteReport:
 
 
 def deficit_closure_ok(trace) -> bool:
-    """Deficits stay in {-1, 0} and close by the last surviving row.
+    """Every delta is -1 or 0, and only a deleted last row leaves the last open.
 
-    A final deleted row (only in B, where one box is lost) legitimately
-    leaves the very last delta at -1.
+    At most one row is deleted, and only the last (in B, where one box is
+    lost); the final delta is minus the number of rows deleted.  The delta
+    above a deleted last row is then lam - 1 for the row's lam >= 1 boxes,
+    and it is -1 or 0, so it is 0: it needs no check of its own.
     """
     delta = trace.partial_sum_delta
-    if any(d not in (-1, 0) for d in delta):
-        return False
-    if not delta:
-        return True
     mu = trace.mu_values
-    zeros = mu.count(0)
-    if not zeros:
-        return delta[-1] == 0
-    z = mu.index(0)
-    if zeros > 1 or z != len(delta) - 1:
-        return False
-    return delta[-1] == -1 and (z == 0 or delta[z - 1] == 0)
+    return set(delta) <= {-1, 0} and 0 not in mu[:-1] and (
+        not delta or delta[-1] == -mu.count(0))
 
 
 def check_rank_identity(max_rank: int) -> SuiteReport:
@@ -221,12 +221,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
     modes = [FingerprintOptions(mode=mode) for mode in MODES]
-    inputs = (
-        (theory, pair, opts)
-        for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
-        for opts in modes
-    )
-    return _sweep(report, inputs, check)
+    return _sweep(report, _pairs_under(modes, max_rank), check)
 
 
 def check_condition_ii(max_rank: int) -> SuiteReport:
@@ -253,13 +248,14 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
             if is_rigid(p, theory):
                 continue
             count += 1
-            name = f"{theory.value} {format_partition(p)}"
             res = fingerprint(_unchecked_pair(p, (), theory))
             without = tau_table(res.trace, res.tagged, theory, _WITHOUT_II)
+            # Named only when reported: most gapped members are neither hits nor failures.
             if res.tau.as_dict() != without.as_dict():
-                hits.append(name)
+                hits.append(f"{theory.value} {format_partition(p)}")
             if theory is not Theory.C and res.weyl != closed_form_fingerprint_BD(p, theory):
-                report.failures.append(f"{name}: pipeline differs from the closed form")
+                report.failures.append(
+                    f"{theory.value} {format_partition(p)}: pipeline differs from the closed form")
     head = ", ".join(hits[:5])
     report.info.append(
         f"gapped sweep (total <= {GAP_TOTAL}): {len(hits)} (ii)-sensitive "
@@ -397,12 +393,7 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
                     f"shared_values={via_blocks.shared_values}")
 
     ties = [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS]
-    inputs = (
-        (theory, pair, opts)
-        for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank)
-        for opts in ties
-    )
-    return _sweep(SuiteReport(), inputs, check)
+    return _sweep(SuiteReport(), _pairs_under(ties, max_rank), check)
 
 
 # Each suite with its default rank bound.

@@ -2,6 +2,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partition_oracle import partitions_of, rigid_count, sp_row, sp_rows, upto
 import rigidfp.checks
@@ -9,6 +10,7 @@ import rigidfp.closedform
 from rigidfp.checks import (
     SUITES,
     SuiteReport,
+    deficit_closure_ok,
     run_suite,
     sp_locality_failure,
     transpose_structure_ok,
@@ -29,7 +31,8 @@ from rigidfp.fingerprint import (
 )
 from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
 from rigidfp.partitions import (
-    MODES, TIE_BREAKS, enumerate_members, format_partition, transpose, validate_partition)
+    MODES, TIE_BREAKS, enumerate_members, enumerate_rigid_pairs, format_partition, transpose,
+    validate_partition)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -111,6 +114,21 @@ def test_condition_ii_info_line():
         "gapped sweep (total <= 20): 28 (ii)-sensitive of 1265 non-rigid inputs; "
         "e.g. B 5 2^2, B 7 2^2, B 5 2^4, B 9 2^2, B 7 2^4"
     ]
+
+
+def test_condition_ii_formats_only_reported_names(monkeypatch):
+    # At rank 0 only the gapped sweep's 28 (ii)-sensitive members are named,
+    # not each of its 1265 non-rigid members.
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return format_partition(p)
+
+    monkeypatch.setattr(rigidfp.checks, "format_partition", counted)
+    report = run_suite("condition-ii", 0)
+    assert report.ok and "28 (ii)-sensitive of 1265" in report.info[0]
+    assert len(calls) == 28
 
 
 def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
@@ -204,6 +222,67 @@ def test_rank_identity_reports_c_diagnostics_as_info():
     info = run_suite("rank-identity").info
     assert len(info) == 106
     assert all(line.startswith("C (") for line in info)
+
+
+def _deficit_closure_reference(trace):
+    """rank-identity's deficit rule as first written, row by row from the first 0."""
+    delta = trace.partial_sum_delta
+    if any(d not in (-1, 0) for d in delta):
+        return False
+    if not delta:
+        return True
+    mu = trace.mu_values
+    zeros = mu.count(0)
+    if not zeros:
+        return delta[-1] == 0
+    z = mu.index(0)
+    if zeros > 1 or z != len(delta) - 1:
+        return False
+    return delta[-1] == -1 and (z == 0 or delta[z - 1] == 0)
+
+
+DEFICIT_TRACES = {
+    "delta-minus-2": (SpTrace((3, 3), (1, 5)), False),
+    "two-deleted-rows": (SpTrace((1, 2, 1), (0, 3, 0)), False),
+    "deleted-row-not-last": (SpTrace((1, 2, 2), (0, 3, 1)), False),
+    "final-minus-1-none-deleted": (SpTrace((3,), (2,)), False),
+    "B-deletes-last-box": (sp_map((3, 1, 1)), True),
+    "empty": (SpTrace((), ()), True),
+}
+
+
+@pytest.mark.parametrize("name", DEFICIT_TRACES)
+def test_deficit_closure_verdict(name):
+    trace, verdict = DEFICIT_TRACES[name]
+    assert deficit_closure_ok(trace) is verdict
+    assert _deficit_closure_reference(trace) is verdict
+
+
+def test_deficit_closure_matches_reference_on_sweeps():
+    # Every trace of a rigid pair (both modes) and of a member to rank 10.
+    pairs = [fingerprint(pair, FingerprintOptions(mode=mode)).trace
+             for _, pair in upto(enumerate_rigid_pairs, 10) for mode in MODES]
+    members = [sp_map(p) for _, p in upto(enumerate_members, 10)]
+    assert (len(pairs), len(members)) == (2710, 1636)
+    for trace in pairs + members:
+        assert deficit_closure_ok(trace) == _deficit_closure_reference(trace), trace
+    # Rigid pairs close; 107 gapped members leave a deficit open.
+    assert sum(map(deficit_closure_ok, pairs)) == 2710
+    assert sum(map(deficit_closure_ok, members)) == 1529
+
+
+@settings(max_examples=500)
+@given(st.lists(st.integers(1, 5), max_size=7).flatmap(lambda xs: st.tuples(
+    st.just(tuple(sorted(xs, reverse=True))),
+    st.lists(st.sampled_from((0, 0, -1, 1, -2)), min_size=len(xs), max_size=len(xs)))))
+def test_deficit_closure_matches_reference_on_perturbed_traces(drawn):
+    # The Sp image of a partition, each row moved by a drawn offset (not
+    # below 0, so rows get deleted too); lambda rows stay positive, as in
+    # every trace.
+    lam, offsets = drawn
+    mu = tuple(max(0, m + o) for m, o in zip(sp_map(lam).mu_values, offsets))
+    trace = SpTrace(lam, mu)
+    assert deficit_closure_ok(trace) == _deficit_closure_reference(trace)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
