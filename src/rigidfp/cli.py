@@ -24,6 +24,7 @@ from .fingerprint import (
 from .partitions import (
     DPRIME,
     INTERLEAVE,
+    MAX_BOXES,
     MODES,
     PRIME_FIRST,
     TIE_BREAKS,
@@ -256,10 +257,17 @@ def cmd_render(args) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of --rank and --max-rank."""
+    """argparse type of --rank and --max-rank.
+
+    A rank's B partitions, the largest of the three theories, must fit in
+    MAX_BOXES boxes, so a huge rank is refused before anything is enumerated.
+    """
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    limit = (MAX_BOXES - Theory.B.theta) // 2
+    if not 0 <= value <= limit:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 and <= {limit} (B partitions of at most {MAX_BOXES} boxes), "
+            f"got {value}")
     return value
 
 

@@ -29,10 +29,11 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
-from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
+from rigidfp.closedform import (
+    closed_form_fingerprint_BD, split_parity, xs_inverse, xs_map, ys_map)
 from rigidfp.partitions import (
-    MODES, TIE_BREAKS, enumerate_members, enumerate_rigid_pairs, format_partition, transpose,
-    validate_partition)
+    MODES, TIE_BREAKS, Theory, enumerate_members, enumerate_rigid_pairs, format_partition,
+    is_rigid, is_theory_member, transpose, validate_partition)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -41,7 +42,7 @@ CHECKED_AT_DEFAULT = {
     "sp-locality": 3777,
     "parity": 3777,
     "rank-identity": 1136,
-    "condition-ii": 568,
+    "condition-ii": 1355,
     "shift": 217,
     "factorization": 333,
     "path-equivalence": 1136,
@@ -111,14 +112,14 @@ def test_structure_rule_on_all_partitions():
 
 def test_condition_ii_info_line():
     assert run_suite("condition-ii").info == [
-        "gapped sweep (total <= 20): 28 (ii)-sensitive of 1265 non-rigid inputs; "
+        "gapped sweep: 42 (ii)-sensitive of 1446 non-rigid inputs; "
         "e.g. B 5 2^2, B 7 2^2, B 5 2^4, B 9 2^2, B 7 2^4"
     ]
 
 
 def test_condition_ii_formats_only_reported_names(monkeypatch):
-    # At rank 0 only the gapped sweep's 28 (ii)-sensitive members are named,
-    # not each of its 1265 non-rigid members.
+    # Only the gapped sweep's 42 (ii)-sensitive members are named, not each
+    # of its 1446 non-rigid members; rigid pairs are named only on failure.
     calls = []
 
     def counted(p):
@@ -126,14 +127,13 @@ def test_condition_ii_formats_only_reported_names(monkeypatch):
         return format_partition(p)
 
     monkeypatch.setattr(rigidfp.checks, "format_partition", counted)
-    report = run_suite("condition-ii", 0)
-    assert report.ok and "28 (ii)-sensitive of 1265" in report.info[0]
-    assert len(calls) == 28
+    report = run_suite("condition-ii", 10)
+    assert report.ok and "42 (ii)-sensitive of 1446" in report.info[0]
+    assert len(calls) == 42
 
 
-def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
-    # One run per rigid pair, whose without-(ii) table reuses its trace, and
-    # one per gapped member (1265 of them, as the info line says).
+def _condition_ii_pipeline_runs(monkeypatch, max_rank):
+    """condition-ii's report at max_rank and how many pipelines it ran."""
     calls = []
 
     def counted(pair, opts=None):
@@ -141,9 +141,41 @@ def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
         return fingerprint(pair, opts)
 
     monkeypatch.setattr(rigidfp.checks, "fingerprint", counted)
-    report = run_suite("condition-ii", 4)
+    report = run_suite("condition-ii", max_rank)
     assert report.ok
-    assert len(calls) == report.checked + 1265
+    return report, len(calls)
+
+
+def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
+    # One run per rigid pair, whose without-(ii) table reuses its trace, and
+    # one per gapped member (51 of them to rank 4, as the info line says).
+    report, runs = _condition_ii_pipeline_runs(monkeypatch, 4)
+    assert "of 51 non-rigid inputs" in report.info[0]
+    assert runs == report.checked + 51
+
+
+def test_condition_ii_at_rank_0_runs_only_its_rigid_pairs(monkeypatch):
+    # The gapped sweep follows the rank: rank 0 has no non-rigid member.
+    report, runs = _condition_ii_pipeline_runs(monkeypatch, 0)
+    assert runs == report.checked == 3
+
+
+def test_condition_ii_compares_every_small_gapped_member(monkeypatch):
+    # At its default rank the gapped sweep holds every non-rigid B/D member
+    # of at most 20 boxes to the closed form.
+    compared = set()
+
+    def counted(p, theory):
+        compared.add((theory, p))
+        return closed_form_fingerprint_BD(p, theory)
+
+    monkeypatch.setattr(rigidfp.checks, "closed_form_fingerprint_BD", counted)
+    assert run_suite("condition-ii").ok
+    small = {(theory, p) for theory in (Theory.B, Theory.D) for total in range(21)
+             for p in partitions_of(total)
+             if is_theory_member(p, theory) and not is_rigid(p, theory)}
+    assert len(small) == 698
+    assert small <= compared
 
 
 def _patch_everywhere(monkeypatch, attr, original, replacement):
@@ -344,38 +376,38 @@ C_SP_MOVED = r"C \S.*: sp not the identity"
 # so it drops the guard on that side.
 MUTANTS = {
     "plus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(0, v, n, s)), {
-        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 469,
+        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 12,
         "factorization": 8, "path-equivalence": 130, "closed-form": 15, "collapse-bijection": 8},
         ("parity", 27, ODD_UNPAIRED), ("factorization", 8, C_SP_MOVED)),
     "minus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(p, v, 0, s)), {
-        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 469,
+        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 12,
         "factorization": 8, "path-equivalence": 130, "closed-form": 15, "collapse-bijection": 8},
         ("parity", 27, ODD_UNPAIRED), ("factorization", 8, C_SP_MOVED)),
     "sign-flipped": (sp_map, _sp_mutant(lambda p, v, n, s: 2 * v - sp_row(p, v, n, s)), {
-        "sp-locality": 35, "rank-identity": 58, "condition-ii": 590,
+        "sp-locality": 35, "rank-identity": 58, "condition-ii": 28,
         "path-equivalence": 52, "closed-form": 10, "collapse-bijection": 6}),
     "guards-swapped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(n, v, p, s)), {
-        "sp-locality": 44, "rank-identity": 114, "condition-ii": 371, "factorization": 8,
+        "sp-locality": 44, "rank-identity": 114, "condition-ii": 12, "factorization": 8,
         "path-equivalence": 92, "closed-form": 9, "collapse-bijection": 4},
         ("factorization", 8, C_SP_MOVED)),
     "sp-above-4-unmoved": (
         sp_map, _sp_mutant(lambda p, v, n, s: v if v > 4 else sp_row(p, v, n, s)), {
-        "sp-locality": 12, "parity": 12, "condition-ii": 427, "shift": 3},
+        "sp-locality": 12, "parity": 12, "condition-ii": 12, "shift": 3},
         ("shift", 3, r"[BCD] \(.*\): trace shift broken")),
     "condition-i-dropped": (tau_table, _without("i"), {"condition-ii": 3}),
-    "condition-ii-dropped": (tau_table, _without("ii"), {"condition-ii": 28}),
+    "condition-ii-dropped": (tau_table, _without("ii"), {"condition-ii": 1}),
     "condition-iii-dropped": (tau_table, _without("iii"), {
         "rank-identity": 8, "path-equivalence": 16}),
     "so-sp-swapped": (tau_table, _with_options(lambda o, t: o._replace(
         iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])), {
-        "rank-identity": 8, "condition-ii": 207, "path-equivalence": 32, "closed-form": 5}),
+        "rank-identity": 8, "condition-ii": 5, "path-equivalence": 32, "closed-form": 5}),
     "all-plus": (tau_table, _tau_plus(lambda m: False), {
-        "rank-identity": 9, "condition-ii": 522, "shift": 24, "path-equivalence": 22,
+        "rank-identity": 9, "condition-ii": 22, "shift": 24, "path-equivalence": 22,
         "closed-form": 1}),
     # 7 of its 11 shift failures are one-sided diagnostics; the first is a
     # shifted [alpha;beta].
     "tau-plus-above-2": (tau_table, _tau_plus(lambda m: m <= 2), {
-        "rank-identity": 1, "condition-ii": 427, "shift": 11},
+        "rank-identity": 1, "condition-ii": 12, "shift": 11},
         ("shift", 4, r"[BCD] \(.*\): \[[^;]*;[^]]*\] -> \[[^;]*;[^]]*\]")),
     "transpose-reversed": (transpose, lambda p: transpose(p)[::-1], {"structure": 5},
         ("structure", 5, r"[BCD] \S.*: transpose \S.*")),
@@ -383,14 +415,14 @@ MUTANTS = {
         "factorization": 10, "collapse-bijection": 6},
         ("factorization", 10, r"[BD] \S.*: sp \S.* != factored \S.*")),
     "extraction-drops-last-beta": (extract_weyl_pair, _beta_changed(lambda b: b[:-1]), {
-        "rank-identity": 43, "condition-ii": 522, "shift": 24, "path-equivalence": 22,
+        "rank-identity": 43, "condition-ii": 22, "shift": 24, "path-equivalence": 22,
         "closed-form": 1},
         ("rank-identity", 43,
          r"[BCD] \(.*\) \[(interleave|sum)\]: \|alpha\|\+\|beta\|=\d+ != \d+")),
     # Keeps |beta| and changes the parity of its part count.
     "extraction-merges-last-beta": (
         extract_weyl_pair, _beta_changed(lambda b: b[:-2] + (sum(b[-2:]),) if b else b), {
-        "rank-identity": 10, "condition-ii": 500, "shift": 5, "path-equivalence": 10,
+        "rank-identity": 10, "condition-ii": 17, "shift": 5, "path-equivalence": 10,
         "closed-form": 1},
         ("rank-identity", 10, r"D \(.*\) \[(interleave|sum)\]: beta has \d+ parts, odd in D")),
     "xs-map-identity": (xs_map, tuple, {"collapse-bijection": 5},

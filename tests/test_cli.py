@@ -307,6 +307,10 @@ class TestNegativeRank:
         ["enumerate", "--theory", "D", "--rank", "-1", "--pairs"],
         ["fibers", "--theory", "B", "--rank", "-1"],
         ["check", "structure", "--max-rank", "-1"],
+        # Past the box cap: a B partition of rank 5000 has 10001 boxes.
+        ["enumerate", "--theory", "B", "--rank", "100000000000"],
+        ["fibers", "--theory", "B", "--rank", "5000"],
+        ["check", "structure", "--max-rank", "5000"],
     ])
     def test_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -314,7 +318,13 @@ class TestNegativeRank:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be >= 0" in captured.err
+        assert "must be >= 0 and <= 4999" in captured.err
+
+    def test_largest_rank_accepted(self):
+        # Parsed only: nothing is enumerated at this rank.
+        parser = rigidfp.cli.build_parser()
+        assert parser.parse_args(["enumerate", "--theory", "B", "--rank", "4999"]).rank == 4999
+        assert parser.parse_args(["check", "structure", "--max-rank", "4999"]).max_rank == 4999
 
     def test_rank_zero_accepted(self, capsys):
         code, out, _ = run(capsys, "check", "structure", "--max-rank", "0")
