@@ -2,14 +2,13 @@
 
 Blocks are contiguous row segments cut wherever the cumulative box count is
 even and the row value changes, so every block starts at an even count and
-stands alone as a unipotent partition.  The block path is the closed-form
-group walk of closedform, which finds these blocks itself, reads each
-block's image and [alpha; beta], joins them and counts the image values two
-blocks share.  It must reproduce the direct pipeline's image and outcome
-with no shared value, which is the module's correctness contract, and
-shares no code with the pipeline's Sp, tau and extraction stages.
-decompose_blocks steps over the same value groups to cut and classify the
-blocks for reporting.
+stands alone as a unipotent partition.  decompose_blocks is the one place
+that cuts them, and classifies them for reporting.  The block path is the
+closed-form group walk of closedform over all the rows, which is the union
+of the walks of these blocks (the lemma in closedform._walk's docstring).
+It must reproduce the direct pipeline's image and outcome, which is the
+module's correctness contract, and shares no code with the pipeline's Sp,
+tau and extraction stages.
 """
 from __future__ import annotations
 
@@ -102,9 +101,9 @@ def decompose_blocks(tp: TaggedPartition) -> list[Block]:
 def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     """Second computation path: a closed form per block, and their union.
 
-    One group walk over the rows (closedform._walk) closes a block at each
-    even box count, where the closed forms start, and reads every block's
-    image into one table; tp must come from combine in INTERLEAVE mode.  The
+    One group walk over all the rows (closedform._walk), which is the union
+    of the walks of the decompose_blocks blocks, by the lemma its docstring
+    states; tp must come from combine in INTERLEAVE mode.  The
     closed forms fix all three conditions and the theory's default iii
     variant: C passes the origins, which are condition (iii) under the Sp
     variant; B and D pass none.

@@ -3,8 +3,9 @@
 The collapse maps act on the all-odd subpartition; the factored mu and the
 per-group fingerprint formulas give an independent second route that must
 agree with the generic pipeline.  Their group walk (_walk) also serves the
-block path (blocks.block_fingerprint): it finds the blocks itself, counts
-the image values that two blocks share, and returns a BlockResult.
+block path (blocks.block_fingerprint) and returns a BlockResult.  The walk
+cuts no blocks: its docstring states why it is the union of the walks of
+the blocks that blocks.decompose_blocks cuts.
 """
 from __future__ import annotations
 
@@ -149,18 +150,16 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
 
 
 class BlockResult(NamedTuple):
-    """What the group walk produces: the image mu as a partition, [alpha; beta]
-    or the extraction diagnostic, and the number of image values that more
-    than one block produces (0 when the blocks' union is valid).
+    """What the group walk produces: the image mu as a partition, and
+    [alpha; beta] or the extraction diagnostic.
 
     A named tuple like the pipeline's records, so it compares equal to the
-    plain tuple (mu, weyl, diagnostic, shared_values).
+    plain tuple (mu, weyl, diagnostic).
     """
 
     mu: tuple[int, ...]
     weyl: WeylPair | None
     diagnostic: ExtractionDiagnostic | None
-    shared_values: int
 
 
 def _walk(values, origins=None) -> BlockResult:
@@ -182,20 +181,22 @@ def _walk(values, origins=None) -> BlockResult:
     lambda' in origins.  Without origins (B/D, or C under the vacuous
     variant) (iii) adds nothing.
 
-    A group end at an even count closes a block: the count is even and the
-    value changes, the cut blocks.decompose_blocks reports.  Each block starts at an even count,
-    where a closed form starts, and stands alone as a unipotent partition;
-    one count table holds the multiset union of the blocks' images.  That
-    is their union only if no two blocks share an image value: each value
-    remembers the block that first produced it, and shared_values counts
-    the values a later block produces again.  Only even values can be
-    shared: an odd value comes from its own group alone, and the loss of a
-    box from v is the first to produce v - 1.  A tau = -1 value feeds beta
-    with each of its rows, every other value feeds alpha with its pairs; an
-    unpaired one makes the outcome an ExtractionDiagnostic and weyl None.
+    A tau = -1 value feeds beta with each of its rows, every other value
+    feeds alpha with its pairs; an unpaired one makes the outcome an
+    ExtractionDiagnostic and weyl None.
+
+    The walk cuts nothing, yet it is the union of the walks of the blocks
+    that blocks.decompose_blocks cuts: each block starts at an even count,
+    as the walk does, and every producer of an image value lies in one block.
+    - An odd value has only its own group.  An even value w has at most
+      three producers: the loss at w + 1, its own group, the gain at w - 1.
+    - The loss leaves the count odd, an even group keeps its parity and the
+      gain needs an odd count above it: the count stays odd from the first
+      producer to the last.
+    - A block closes only at an even count.
     """
-    counts, tau_neg, owner, shared = {}, set(), {}, set()
-    odd = block = i = 0  # odd: parity of the box count above the group
+    counts, tau_neg = {}, set()
+    odd = i = 0  # odd: parity of the box count above the group
     end = len(values)
     while i < end:
         v = values[i]
@@ -205,8 +206,6 @@ def _walk(values, origins=None) -> BlockResult:
         n = j - i
         if v % 2 == 0:
             counts[v] = counts.get(v, 0) + n
-            if owner.setdefault(v, block) != block:
-                shared.add(v)
             if odd or origins and PRIME in origins[i:j]:
                 tau_neg.add(v)
         else:
@@ -214,15 +213,11 @@ def _walk(values, origins=None) -> BlockResult:
             odd ^= n % 2
             if gain:
                 counts[v + 1] = counts.get(v + 1, 0) + 1
-                if owner.setdefault(v + 1, block) != block:
-                    shared.add(v + 1)
                 tau_neg.add(v + 1)
             counts[v] = n - gain - odd
             if odd and v > 1:
                 counts[v - 1] = 1
-                owner[v - 1] = block
                 tau_neg.add(v - 1)
-        block += not odd  # an even count after the group closes a block
         i = j
     mu, alpha, beta, bad = [], [], [], []
     for v, c in counts.items():
@@ -234,8 +229,8 @@ def _walk(values, origins=None) -> BlockResult:
         else:
             alpha += [v] * (c // 2)
     if bad:
-        return BlockResult(tuple(mu), None, ExtractionDiagnostic(tuple(bad)), len(shared))
-    return BlockResult(tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None, len(shared))
+        return BlockResult(tuple(mu), None, ExtractionDiagnostic(tuple(bad)))
+    return BlockResult(tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None)
 
 
 def closed_form_fingerprint_C(p) -> WeylPair:

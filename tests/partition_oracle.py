@@ -19,17 +19,35 @@ Sweeps of rigidfp's enumeration, the one home of the tests' input loops:
   - upto: (theory, x) over enum(theory, rank) for every rank to a bound;
   - member_pairs: every OperatorPair of member sides to a rank bound.
 
-The block locality lemma of B/D pairs, read off rigidfp's output:
+The block lemmas, read off rigidfp's output:
+  - walk_is_block_union: whether the group walk over a merged pair's rows
+    is the union of its walks over each decompose_blocks block, the union
+    lemma the block path rests on;
+  - image_producers and shared_values: the row groups that produce each
+    image value of the walk, and the count of values whose producers lie in
+    more than one block of a cut;
   - has_mixed_block: whether a merged pair has a block of kind S or I with
     rows of both origins;
   - side_union: the multiset union of the sides' unipotent fingerprints,
-    the fingerprint of every B/D pair without a mixed block.
+    the fingerprint of every B/D pair without a mixed block;
+  - block_moves and block_from_sides: the paper's per-block operators on a
+    two-origin B/D block, the union of its origins' walks plus flips and
+    pairings.
 """
-from itertools import product
+from bisect import bisect_right
+from itertools import chain, product, takewhile
 
 from rigidfp.blocks import decompose_blocks
-from rigidfp.fingerprint import fingerprint
-from rigidfp.partitions import PAIR_SIDES, OperatorPair, Theory, enumerate_members
+from rigidfp.closedform import _walk
+from rigidfp.fingerprint import WeylPair, fingerprint
+from rigidfp.partitions import (
+    DPRIME,
+    PAIR_SIDES,
+    PRIME,
+    OperatorPair,
+    Theory,
+    enumerate_members,
+)
 
 
 def partitions_of(n, max_part=None):
@@ -152,3 +170,102 @@ def side_union(pair):
     sides = [fingerprint(OperatorPair(p, (), t)).weyl
              for p, t in zip(pair[:2], PAIR_SIDES[pair.theory])]
     return tuple(tuple(sorted(a + b, reverse=True)) for a, b in zip(*sides))
+
+
+def _joined(results):
+    """mu, then [alpha; beta] or the diagnostic entries, of walk results
+    joined as multisets and sorted."""
+    def join(parts):
+        return tuple(sorted(chain.from_iterable(parts), reverse=True))
+
+    mu = join(r.mu for r in results)
+    if any(r.diagnostic for r in results):
+        return mu, join(r.diagnostic.entries for r in results if r.diagnostic)
+    return mu, join(r.weyl.alpha for r in results), join(r.weyl.beta for r in results)
+
+
+def walk_is_block_union(tagged, theory):
+    """Whether the walks of tagged's decompose_blocks blocks have disjoint
+    images and their sorted union is the walk over all its rows.  Only C
+    passes the origins, as block_fingerprint does."""
+    origins = tagged.origins if theory is Theory.C else None
+    parts = [_walk(tagged.values[b.start:b.end], origins and origins[b.start:b.end])
+             for b in decompose_blocks(tagged)]
+    images = [set(r.mu) for r in parts]
+    return (len(set().union(*images)) == sum(map(len, images))
+            and _joined(parts) == _joined([_walk(tagged.values, origins)]))
+
+
+def image_producers(values):
+    """Each image value of the group walk over values, mapped to the start
+    rows of the groups that produce it.
+
+    An even group produces its value.  An odd group v produces v + 1 by the
+    gain of a box when the count above it is odd, v while rows of v remain,
+    and v - 1 by the loss of a box when the count after it is odd.
+    """
+    producers, odd, i = {}, 0, 0
+    while i < len(values):
+        v = values[i]
+        n = sum(1 for _ in takewhile(v.__eq__, values[i:]))
+        made = [v]
+        if v % 2:
+            gain = odd
+            odd ^= n % 2
+            made = [v + 1] * gain + [v] * (n - gain - odd > 0) + [v - 1] * (odd and v > 1)
+        for w in made:
+            producers.setdefault(w, set()).add(i)
+        i += n
+    return producers
+
+
+def shared_values(values, starts):
+    """The number of image values of the walk over values whose producers
+    lie in more than one of the blocks that begin at the rows starts."""
+    return sum(len({bisect_right(starts, i) for i in rows}) > 1
+               for rows in image_producers(values).values())
+
+
+def block_moves(values, origins):
+    """The number of flipped rows and the pairing values of a two-origin block.
+
+    A row of value 2 flips when the box count above it in the block is odd
+    but the count of its own origin's rows above it is even.  An odd value v
+    pairs when each origin holds an odd number of rows of v, with an even
+    count of its own rows above its first one.
+    """
+    above, own, flipped, first_even, rows = 0, {}, 0, {}, {}
+    for v, o in zip(values, origins):
+        mine = own.get(o, 0)
+        flipped += v == 2 and above % 2 == 1 and mine % 2 == 0
+        first_even.setdefault((o, v), mine % 2 == 0)
+        rows[o, v] = rows.get((o, v), 0) + 1
+        above += v
+        own[o] = mine + v
+    pairings = [v for v in sorted(set(values), reverse=True) if v % 2 and all(
+        rows.get((o, v), 0) % 2 and first_even[o, v] for o in own)]
+    return flipped, pairings
+
+
+def block_from_sides(values, origins):
+    """[alpha;beta] of a two-origin B/D block from its origins' walks.
+
+    The multiset union of the walks of the block's lambda' rows and its
+    lambda'' rows, then each of flipped / 2 flips turns an alpha part 2 into
+    the beta parts 1, 1, and each pairing at v adds the alpha part v and
+    removes two beta parts (v-1)/2 (none when v = 1).
+    """
+    flipped, pairings = block_moves(values, origins)
+    p, q = (_walk(tuple(v for v, o in zip(values, origins) if o == side)).weyl
+            for side in (PRIME, DPRIME))
+    alpha = [*p.alpha, *q.alpha]
+    beta = [*p.beta, *q.beta]
+    for _ in range(flipped // 2):
+        alpha.remove(2)
+        beta += [1, 1]
+    for v in pairings:
+        alpha.append(v)
+        if v > 1:
+            beta.remove((v - 1) // 2)
+            beta.remove((v - 1) // 2)
+    return WeylPair(tuple(sorted(alpha, reverse=True)), tuple(sorted(beta, reverse=True)))

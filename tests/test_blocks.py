@@ -3,7 +3,18 @@ import sys
 from collections import Counter
 from itertools import groupby
 
-from partition_oracle import has_mixed_block, member_pairs, side_union, upto
+import partition_oracle
+from partition_oracle import (
+    block_from_sides,
+    block_moves,
+    has_mixed_block,
+    image_producers,
+    member_pairs,
+    shared_values,
+    side_union,
+    upto,
+    walk_is_block_union,
+)
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
@@ -14,7 +25,6 @@ from rigidfp import (
     sp_map,
 )
 import rigidfp.blocks
-import rigidfp.closedform
 from rigidfp.blocks import BlockResult
 from rigidfp.checks import run_suite
 from rigidfp.closedform import _walk
@@ -22,7 +32,10 @@ from rigidfp.fingerprint import VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
+    INTERLEAVE,
+    PRIME,
     PRIME_FIRST,
+    TaggedPartition,
     Theory,
     enumerate_rigid_pairs,
 )
@@ -35,13 +48,27 @@ OPERATOR_LABELS = frozenset({
 })
 
 
-def walk_closing_blocks(cut):
-    """closedform._walk with its block-closing step rewritten to `cut`."""
-    source = inspect.getsource(_walk)
-    assert source.count("block += not odd") == 1
-    namespace = dict(vars(rigidfp.closedform))
-    exec(source.replace("block += not odd", cut), namespace)
-    return namespace["_walk"]
+def decompose_cutting(cut):
+    """blocks.decompose_blocks with its test for an open block rewritten to `cut`."""
+    source = inspect.getsource(decompose_blocks)
+    assert source.count("if odd and i < end:") == 1
+    namespace = dict(vars(rigidfp.blocks))
+    exec(source.replace("if odd and i < end:", cut), namespace)
+    return namespace["decompose_blocks"]
+
+
+def union_sweep(theories=tuple(Theory)):
+    """(checked, failed), counted by sweep, of walk_is_block_union on rigid
+    pairs to rank 10 and member pairs to rank 6, under both tie-breaks."""
+    checked, failed = Counter(), Counter()
+    sweeps = {"rigid": (pair for _, pair in upto(enumerate_rigid_pairs, 10, theories)),
+              "member": member_pairs(6, theories)}
+    for sweep, pairs in sweeps.items():
+        for pair in pairs:
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                checked[sweep] += 1
+                failed[sweep] += not walk_is_block_union(combine(pair, tie_break=tb), pair.theory)
+    return checked, failed
 
 
 class TestDecompose:
@@ -215,44 +242,15 @@ class TestPathEquivalence:
         checked = diagnostics = 0
         for pair in member_pairs(6, (Theory.C,)):
             direct = fingerprint(pair, vac)
-            mu, weyl, diagnostic, shared_values = _walk(direct.tagged.values)
+            mu, weyl, diagnostic = _walk(direct.tagged.values)
             assert (mu, weyl, diagnostic) == (direct.mu, direct.weyl, direct.diagnostic), pair
-            assert shared_values == 0
             checked += 1
             diagnostics += diagnostic is not None
         assert (checked, diagnostics) == (645, 458)
 
-    @pytest.mark.parametrize("cut", [
-        "block += 1",  # close a block at every value change, ignoring parity
-        "block += odd",  # close one only at odd counts
-    ], ids=["every-value-change", "odd-counts-only"])
-    def test_wrong_cuts_fail_path_equivalence(self, cut, monkeypatch):
-        # The walk closes a block where its box count is even.  Closed at a
-        # wrong count, two blocks share an image value: both mutants fail the
-        # same 6 of the 146 inputs at rank 4.
-        monkeypatch.setattr(rigidfp.blocks, "_walk", walk_closing_blocks(cut))
-        report = run_suite("path-equivalence", 4)
-        assert report.checked == 146
-        assert report.failures == [
-            f"{name} [tie={tie}]: shared_values=1"
-            for name in ("B (1; 3 2^2 1)", "D (3 2^2 1; -)", "D (-; 3 2^2 1)")
-            for tie in (PRIME_FIRST, DPRIME_FIRST)
-        ]
-
-    @pytest.mark.parametrize("rows", [
-        (3, 1),  # 2: lost from 3, gained by 1
-        (3, 2, 2),  # 2: lost from 3, then its own group
-        (3, 2, 2, 1),  # 2, made in three blocks, counts once
-    ])
-    def test_shared_values_at_every_value_change(self, rows):
-        # Closed at every value change, the blocks on either side of an odd
-        # count both produce the value a box moves to; cut at even counts,
-        # no two blocks share one.
-        assert walk_closing_blocks("block += 1")(rows)[3] == 1
-        assert _walk(rows)[3] == 0
-
     def test_block_path_does_not_cut_through_bounds(self, monkeypatch):
-        # The walk finds the blocks itself; decompose_blocks only reports them.
+        # The walk over all the rows is the union of the block walks, so the
+        # path needs no cut; decompose_blocks only reports the blocks.
         def refuse(tp):
             raise AssertionError("block path called decompose_blocks")
 
@@ -261,45 +259,58 @@ class TestPathEquivalence:
         assert report.checked == 1136
         assert report.ok, report.failures
 
+    @pytest.mark.parametrize("rows", [
+        (3, 1),  # 2: lost from 3, gained by 1
+        (3, 2, 2),  # 2: lost from 3, then its own group
+        (3, 2, 2, 1),  # 2, made in three blocks, counts once
+    ])
+    def test_shared_values_at_every_value_change(self, rows):
+        # Cut at every value change, the blocks on either side of an odd
+        # count both produce the value a box moves to; cut at even counts,
+        # no two blocks share one.
+        tp = TaggedPartition(rows, INTERLEAVE, (PRIME,) * len(rows))
+        every_change = [i for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1]]
+        assert shared_values(rows, every_change) == 1
+        assert shared_values(rows, [b.start for b in decompose_blocks(tp)]) == 0
+
     @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
     def test_no_block_shares_an_image_value(self, theory):
-        # Cut where the box count is even, the blocks' images are disjoint
-        # on every member pair, rigid or not, under both tie-breaks.
+        # Cut where the box count is even, every image value's producers lie
+        # in one block, on every member pair, rigid or not, under both
+        # tie-breaks.  The producers' values are the walk's image values.
         checked = 0
         for pair in member_pairs(6, (theory,)):
             for tb in (PRIME_FIRST, DPRIME_FIRST):
-                assert block_fingerprint(combine(pair, tie_break=tb), theory).shared_values == 0, (pair, tb)
-                checked += 1
-        assert checked > 0
-
-    @pytest.mark.parametrize("theory", list(Theory), ids=lambda t: t.value)
-    def test_walk_is_the_union_of_block_walks(self, theory):
-        # Block images hold disjoint values, so walking the rows at once
-        # gives the union of walking each decompose_blocks block alone.
-        checked = 0
-        for _, pair in upto(enumerate_rigid_pairs, 10, (theory,)):
-            for tb in (PRIME_FIRST, DPRIME_FIRST):
                 tp = combine(pair, tie_break=tb)
-                origins = tp.origins if theory is Theory.C else None
-                whole = _walk(tp.values, origins)
-                assert whole[3] == 0, (pair, tb)
-                mu, alpha, beta, diagnostic = [], [], [], False
-                for s, e, _, _ in decompose_blocks(tp):
-                    part = _walk(tp.values[s:e], origins and origins[s:e])
-                    assert not set(mu) & set(part[0]), (pair, tb)
-                    mu += part[0]
-                    if part[2] is not None:
-                        diagnostic = True
-                    else:
-                        alpha += part[1].alpha
-                        beta += part[1].beta
-                assert whole[0] == tuple(sorted(mu, reverse=True)), (pair, tb)
-                assert (whole[2] is not None) == diagnostic, (pair, tb)
-                if not diagnostic:
-                    assert whole[1] == (tuple(sorted(alpha, reverse=True)),
-                                        tuple(sorted(beta, reverse=True))), (pair, tb)
+                assert set(image_producers(tp.values)) == set(_walk(tp.values).mu), (pair, tb)
+                assert shared_values(tp.values, [b.start for b in decompose_blocks(tp)]) == 0, (pair, tb)
                 checked += 1
-        assert checked == {Theory.B: 810, Theory.C: 1216, Theory.D: 684}[theory]
+        assert checked == {Theory.B: 856, Theory.C: 1290, Theory.D: 640}[theory]
+
+    @pytest.mark.parametrize("theory, rigid, members", [
+        pytest.param(Theory.B, 810, 856, id="B"),
+        pytest.param(Theory.C, 1216, 1290, id="C"),
+        pytest.param(Theory.D, 684, 640, id="D"),
+    ])
+    def test_walk_is_the_union_of_block_walks(self, theory, rigid, members):
+        # The union lemma of closedform._walk: the blocks decompose_blocks
+        # cuts have disjoint images, and walking the rows at once gives
+        # their union, diagnostics included, on rigid and member pairs.
+        checked, failed = union_sweep((theory,))
+        assert checked == {"rigid": rigid, "member": members}
+        assert not +failed, failed
+
+    @pytest.mark.parametrize("cut", [
+        "if False and i < end:",  # close a block at every value change, ignoring parity
+        "if not odd and i < end:",  # close one only at odd counts
+    ], ids=["every-value-change", "odd-counts-only"])
+    def test_wrong_cuts_fail_the_union(self, cut, monkeypatch):
+        # Cut at a wrong count, a value's producers straddle two blocks, or a
+        # block starts at an odd count, and the union lemma fails.
+        monkeypatch.setattr(partition_oracle, "decompose_blocks", decompose_cutting(cut))
+        checked, failed = union_sweep()
+        assert checked == {"rigid": 2710, "member": 2786}
+        assert failed == {"rigid": 622, "member": 854}
 
     @pytest.mark.parametrize("tie_break", [PRIME_FIRST, DPRIME_FIRST])
     @pytest.mark.parametrize("theory, unmixed", [(Theory.B, 59), (Theory.D, 230)],
@@ -318,6 +329,30 @@ class TestPathEquivalence:
             found[mixed, joined] += 1
         assert found[False, True] == unmixed
         assert found[True, False] > 0
+
+    def test_two_origin_blocks_join_their_origins(self):
+        # The paper's per-block operators on B/D: a block with rows of both
+        # origins walks to the union of its origins' walks, plus flips of
+        # alpha 2 into beta 1, 1 and pairings at odd values.  No block has
+        # both moves.
+        found = Counter()
+        for _, pair in upto(enumerate_rigid_pairs, 10, (Theory.B, Theory.D)):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = combine(pair, tie_break=tb)
+                for s, e, _, _ in decompose_blocks(tp):
+                    values, origins = tp.values[s:e], tp.origins[s:e]
+                    if len(set(origins)) < 2:
+                        continue
+                    flipped, pairings = block_moves(values, origins)
+                    assert flipped % 2 == 0, (pair, tb)
+                    assert block_from_sides(values, origins) == _walk(values).weyl, (pair, tb)
+                    found["blocks"] += 1
+                    found["flips"] += flipped > 0
+                    found["pairings"] += bool(pairings)
+                    found["both"] += flipped > 0 and bool(pairings)
+                    found.update(f"pairing at {v}" for v in pairings)
+        assert found == {"blocks": 1278, "flips": 106, "pairings": 38, "both": 0,
+                         "pairing at 3": 22, "pairing at 1": 16}
 
     @pytest.mark.parametrize("theory", ["C", Theory.C])
     def test_theory_as_letter_or_member(self, theory):
@@ -362,7 +397,7 @@ class TestPathEquivalence:
         # mu decides only where a diagnostic, not [alpha; beta], is compared.
         direct = fingerprint(OperatorPair((2, 1, 1), (), "C"), FingerprintOptions(iii_variant=VACUOUS))
         assert direct.diagnostic is not None
-        same = BlockResult(direct.mu, direct.weyl, direct.diagnostic, 0)
+        same = BlockResult(direct.mu, direct.weyl, direct.diagnostic)
         assert direct.same_outcome(same)
         assert not direct.same_outcome(same._replace(mu=(2, 2, 1, 1)))
         assert not direct.same_outcome(same._replace(diagnostic=None))

@@ -369,11 +369,10 @@ C_SP_MOVED = r"C \S.*: sp not the identity"
 # rank 4} over all ten suites, so a suite left out is pinned to pass, then
 # line forms).  A line form (suite, on_line, form) pins the form of the
 # suite's first failure string and how many of its failures take that form.
-# The rows reach every suite failure line but two: shift's diagnostic line
-# (test_shift_compares_diagnostic_entries) and path-equivalence's
-# shared_values line (the wrong-cut mutants in test_blocks.py).  The Sp
-# mutants perturb sp_row's inputs or output; a neighbour of 0 equals no row,
-# so it drops the guard on that side.
+# The rows reach every suite failure line but one: shift's diagnostic line
+# (test_shift_compares_diagnostic_entries).  The Sp mutants perturb sp_row's
+# inputs or output; a neighbour of 0 equals no row, so it drops the guard on
+# that side.
 MUTANTS = {
     "plus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(0, v, n, s)), {
         "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 12,

@@ -5,7 +5,8 @@ pairs of rank 20-500: each side takes every value 1..k with a
 multiplicity that partition_oracle.rigid_multiplicity allows, so no draw
 calls the package's enumeration.  On each pair:
   - sp_map agrees with partition_oracle.reference_sp under every merge;
-  - the block path agrees with the direct pipeline, with no shared value;
+  - the block path agrees with the direct pipeline, and the walk over all
+    the rows is the union of the walks of the decompose_blocks blocks;
   - B and D give a fingerprint, never a diagnostic, with |alpha|+|beta| the
     rank in both modes, and a D fingerprint has an even number of beta
     parts.
@@ -21,7 +22,13 @@ from itertools import product
 
 from hypothesis import given, strategies as st
 
-from partition_oracle import has_mixed_block, reference_sp, rigid_multiplicity, side_union
+from partition_oracle import (
+    has_mixed_block,
+    reference_sp,
+    rigid_multiplicity,
+    side_union,
+    walk_is_block_union,
+)
 from rigidfp import (
     FingerprintOptions,
     OperatorPair,
@@ -75,7 +82,7 @@ def test_checks_hold_on_large_pairs(pair):
         if mode == INTERLEAVE:
             via_blocks = block_fingerprint(direct.tagged, theory)
             assert direct.same_outcome(via_blocks)
-            assert via_blocks.shared_values == 0
+            assert walk_is_block_union(direct.tagged, theory)
         if theory is Theory.C:
             continue
         assert direct.diagnostic is None
