@@ -22,7 +22,6 @@ from .fingerprint import (
     fingerprint,
 )
 from .partitions import (
-    DPRIME,
     INTERLEAVE,
     MAX_BOXES,
     MODES,
@@ -251,7 +250,7 @@ def cmd_fibers(args) -> int:
 def cmd_render(args) -> int:
     """ASCII Young diagram of the merged pair; lambda''-origin rows are drawn with '*'."""
     tagged = combine(_pair_from_args(args), INTERLEAVE, args.tie_break)
-    rows = (("*" if o == DPRIME else "#") * v for v, o in zip(tagged.values, tagged.origins))
+    rows = (("*" if d is None else "#") * v for v, d in zip(tagged.values, tagged.prime_odd))
     _emit(args, [(None, "\n".join(rows))])
     return 0
 

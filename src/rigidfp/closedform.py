@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .fingerprint import ExtractionDiagnostic, WeylPair, sp_map
 from .partitions import (
-    PRIME,
     Theory,
     _as_theory,
     is_theory_member,
@@ -162,24 +161,25 @@ class BlockResult(NamedTuple):
     diagnostic: ExtractionDiagnostic | None
 
 
-def _walk(values, origins=None) -> BlockResult:
-    """The BlockResult of a B/D or C member's rows.
+def _walk(values, datum=None, so=False) -> BlockResult:
+    """The BlockResult of a B/D or C member's rows, or of a merged pair's.
 
     The walk takes one step per group of n rows of the value v, over the
     descending rows.  An odd group gains a box at its first row when the box
     count above it is odd, and loses its last box when the count through it
     is odd (a lost 1 is a deleted row).  That parity is also the open
     deficit, so the changed even values (condition (i)) and the even groups
-    inside a deficit (condition (ii)) are the tau = -1 values.  Under the SO
-    variant, condition (iii) adds none: an even image row over an odd
-    lambda'-datum is a changed row.  An odd group flips the parity by n mod
-    2 and an even group leaves it alone.
+    inside a deficit (condition (ii)) are the tau = -1 values.  An odd group
+    flips the parity by n mod 2 and an even group leaves it alone.
 
-    In C every odd value has even multiplicity, so the parity stays even and
-    nothing moves.  Then tau(m) = -1 comes from condition (iii) under the Sp
-    variant alone: exactly when some row of the even value m has origin
-    lambda' in origins.  Without origins (B/D, or C under the vacuous
-    variant) (iii) adds nothing.
+    Condition (iii) reads datum, a TaggedPartition.prime_odd column: an
+    even group's rows are unchanged, so its value also has tau = -1 when
+    so is in the group's data, an odd lambda'-datum under the SO variant
+    (so True: B/D) or an even one under Sp (so False: C).  Without datum (a
+    member's rows, or the vacuous variant) (iii) adds nothing.  In a C
+    member or an INTERLEAVE C merge every odd value has even multiplicity,
+    so the parity stays even, nothing moves, and (iii) alone makes
+    tau = -1.
 
     A tau = -1 value feeds beta with each of its rows, every other value
     feeds alpha with its pairs; an unpaired one makes the outcome an
@@ -206,7 +206,7 @@ def _walk(values, origins=None) -> BlockResult:
         n = j - i
         if v % 2 == 0:
             counts[v] = counts.get(v, 0) + n
-            if odd or origins and PRIME in origins[i:j]:
+            if odd or datum and so in datum[i:j]:
                 tau_neg.add(v)
         else:
             gain = odd

@@ -164,7 +164,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
             witnesses[m] = "i"
         elif check_ii and delta[i]:
             witnesses[m] = "ii"
-        elif check_iii and tags.iii_datum(i) == odd_datum:
+        elif check_iii and tags.prime_odd[i] == odd_datum:
             witnesses[m] = "iii"
         else:
             witnesses[m] = None

@@ -27,9 +27,6 @@ class Theory(str, Enum):
         self.paired = int(letter == "C")
 
 
-PRIME = "prime"
-DPRIME = "dprime"
-
 INTERLEAVE = "interleave"
 COMPONENTWISE = "sum"
 MODES = (INTERLEAVE, COMPONENTWISE)
@@ -301,26 +298,18 @@ def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
 
 
 class TaggedPartition(NamedTuple):
-    """The merged partition lambda = lambda' (+) lambda'' with row provenance.
+    """The merged partition lambda = lambda' (+) lambda'' and each row's lambda'-datum.
 
-    INTERLEAVE keeps one row per original part with its origin tag;
-    COMPONENTWISE stores index-wise sums plus the parity of lambda'_i
-    (None where lambda' has no part at that row).  A named tuple, so it
-    compares equal to the plain tuple (values, mode, origins, prime_odd).
+    prime_odd[i] says whether lambda''s part in row i is odd, and is None
+    where lambda' has no part there.  INTERLEAVE keeps one row per original
+    part, so its lambda' rows are exactly those with a datum; COMPONENTWISE
+    sums the parts index by index.  A named tuple, so it compares equal to
+    the plain tuple (values, mode, prime_odd).
     """
 
     values: tuple[int, ...]
     mode: str
-    origins: tuple[str, ...] | None = None
-    prime_odd: tuple[bool | None, ...] | None = None
-
-    def iii_datum(self, i: int) -> bool | None:
-        """Is the lambda'-datum at row i odd?  None when there is no datum."""
-        if self.mode == INTERLEAVE:
-            if self.origins[i] != PRIME:
-                return None
-            return self.values[i] % 2 == 1
-        return self.prime_odd[i]
+    prime_odd: tuple[bool | None, ...]
 
 
 def _check_merge(mode: str, tie_break: str) -> None:
@@ -338,7 +327,7 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
     INTERLEAVE: stable descending merge of the two part lists; among equal
     values the tie_break origin goes first, so each origin's rows of one
     value stay next to each other.  COMPONENTWISE: index-wise sums
-    zero-padded to the longer side.
+    zero-padded to the longer side.  Either mode fills prime_odd.
     """
     _check_merge(mode, tie_break)
     p1, p2 = pair.lambda_prime, pair.lambda_dprime
@@ -349,8 +338,8 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
             mode=mode,
             prime_odd=tuple(a % 2 == 1 if a else None for a, _ in rows),
         )
-    prime, dprime = [(v, PRIME) for v in p1], [(v, DPRIME) for v in p2]
+    prime, dprime = [(v, v % 2 == 1) for v in p1], [(v, None) for v in p2]
     rows = prime + dprime if tie_break == PRIME_FIRST else dprime + prime
     rows.sort(key=itemgetter(0), reverse=True)  # stable: equal values keep this order
-    values, origins = zip(*rows) if rows else ((), ())
-    return TaggedPartition(values, mode, origins)
+    values, prime_odd = zip(*rows) if rows else ((), ())
+    return TaggedPartition(values, mode, prime_odd)

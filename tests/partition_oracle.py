@@ -26,6 +26,8 @@ The block lemmas, read off rigidfp's output:
   - image_producers and shared_values: the row groups that produce each
     image value of the walk, and the count of values whose producers lie in
     more than one block of a cut;
+  - prime_rows: whether each row of an INTERLEAVE merge is lambda''s, read
+    off its datum column, the side tags the block lemmas below split by;
   - has_mixed_block: whether a merged pair has a block of kind S or I with
     rows of both origins;
   - side_union: the multiset union of the sides' unipotent fingerprints,
@@ -41,9 +43,7 @@ from rigidfp.blocks import decompose_blocks
 from rigidfp.closedform import _walk
 from rigidfp.fingerprint import WeylPair, fingerprint
 from rigidfp.partitions import (
-    DPRIME,
     PAIR_SIDES,
-    PRIME,
     OperatorPair,
     Theory,
     enumerate_members,
@@ -159,9 +159,15 @@ def member_pairs(max_rank, theories=tuple(Theory)):
     return (pair for _, pair in upto(_member_pairs_at, max_rank, theories))
 
 
+def prime_rows(tagged):
+    """Whether each row of an INTERLEAVE merge is lambda''s: the rows with a datum."""
+    return tuple(d is not None for d in tagged.prime_odd)
+
+
 def has_mixed_block(tagged):
     """Whether a block of kind S or I holds rows of both origins."""
-    return any(b.kind in ("S", "I") and len(set(tagged.origins[b.start:b.end])) == 2
+    sides = prime_rows(tagged)
+    return any(b.kind in ("S", "I") and len(set(sides[b.start:b.end])) == 2
                for b in decompose_blocks(tagged))
 
 
@@ -186,14 +192,14 @@ def _joined(results):
 
 def walk_is_block_union(tagged, theory):
     """Whether the walks of tagged's decompose_blocks blocks have disjoint
-    images and their sorted union is the walk over all its rows.  Only C
-    passes the origins, as block_fingerprint does."""
-    origins = tagged.origins if theory is Theory.C else None
-    parts = [_walk(tagged.values[b.start:b.end], origins and origins[b.start:b.end])
+    images and their sorted union is the walk over all its rows.  Each walk
+    reads condition (iii) off the datum column, as block_fingerprint does."""
+    values, datum, so = tagged.values, tagged.prime_odd, theory is not Theory.C
+    parts = [_walk(values[b.start:b.end], datum[b.start:b.end], so)
              for b in decompose_blocks(tagged)]
     images = [set(r.mu) for r in parts]
     return (len(set().union(*images)) == sum(map(len, images))
-            and _joined(parts) == _joined([_walk(tagged.values, origins)]))
+            and _joined(parts) == _joined([_walk(values, datum, so)]))
 
 
 def image_producers(values):
@@ -226,8 +232,9 @@ def shared_values(values, starts):
                for rows in image_producers(values).values())
 
 
-def block_moves(values, origins):
-    """The number of flipped rows and the pairing values of a two-origin block.
+def block_moves(values, sides):
+    """The number of flipped rows and the pairing values of a two-origin block,
+    whose rows' origins are sides (prime_rows of the block).
 
     A row of value 2 flips when the box count above it in the block is odd
     but the count of its own origin's rows above it is even.  An odd value v
@@ -235,7 +242,7 @@ def block_moves(values, origins):
     count of its own rows above its first one.
     """
     above, own, flipped, first_even, rows = 0, {}, 0, {}, {}
-    for v, o in zip(values, origins):
+    for v, o in zip(values, sides):
         mine = own.get(o, 0)
         flipped += v == 2 and above % 2 == 1 and mine % 2 == 0
         first_even.setdefault((o, v), mine % 2 == 0)
@@ -247,7 +254,7 @@ def block_moves(values, origins):
     return flipped, pairings
 
 
-def block_from_sides(values, origins):
+def block_from_sides(values, sides):
     """[alpha;beta] of a two-origin B/D block from its origins' walks.
 
     The multiset union of the walks of the block's lambda' rows and its
@@ -255,9 +262,9 @@ def block_from_sides(values, origins):
     the beta parts 1, 1, and each pairing at v adds the alpha part v and
     removes two beta parts (v-1)/2 (none when v = 1).
     """
-    flipped, pairings = block_moves(values, origins)
-    p, q = (_walk(tuple(v for v, o in zip(values, origins) if o == side)).weyl
-            for side in (PRIME, DPRIME))
+    flipped, pairings = block_moves(values, sides)
+    p, q = (_walk(tuple(v for v, o in zip(values, sides) if o == side)).weyl
+            for side in (True, False))
     alpha = [*p.alpha, *q.alpha]
     beta = [*p.beta, *q.beta]
     for _ in range(flipped // 2):

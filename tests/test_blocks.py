@@ -10,6 +10,7 @@ from partition_oracle import (
     has_mixed_block,
     image_producers,
     member_pairs,
+    prime_rows,
     shared_values,
     side_union,
     upto,
@@ -33,7 +34,7 @@ from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
     INTERLEAVE,
-    PRIME,
+    MODES,
     PRIME_FIRST,
     TaggedPartition,
     Theory,
@@ -143,12 +144,13 @@ class TestDecompose:
             for tb in (PRIME_FIRST, DPRIME_FIRST):
                 tp = combine(pair, tie_break=tb)
                 # The stable merge: each (origin, value) run occurs once.
-                runs = [key for key, _ in groupby(zip(tp.origins, tp.values))]
+                sides = prime_rows(tp)
+                runs = [key for key, _ in groupby(zip(sides, tp.values))]
                 assert len(runs) == len(set(runs)), (pair, tb)
                 blocks = decompose_blocks(tp)
                 for b in blocks:
                     values = tp.values[b.start:b.end]
-                    rows = Counter(zip(tp.origins[b.start:b.end], values))
+                    rows = Counter(zip(sides[b.start:b.end], values))
                     if all(n % 2 == 0 for n in rows.values()):
                         assert len(set(values)) == 1, (pair, tb, b)
                     if sum(values) % 2:
@@ -222,21 +224,39 @@ class TestBlockSp:
 class TestPathEquivalence:
     def test_member_pairs_match_direct(self):
         # Non-rigid members exercise the closed forms on gapped rows and on
-        # extraction diagnostics, which rigid pairs rarely reach.
-        checked = diagnostics = 0
+        # extraction diagnostics, which rigid pairs rarely reach.  Both
+        # merge modes, and both tie-breaks in each.
+        checked, diagnostics = Counter(), Counter()
         for pair in member_pairs(6):
-            for tb in (PRIME_FIRST, DPRIME_FIRST):
-                opts = FingerprintOptions(tie_break=tb)
-                direct = fingerprint(pair, opts)
-                via_blocks = block_fingerprint(direct.tagged, pair.theory)
-                assert direct.same_outcome(via_blocks), (pair, tb)
-                assert (via_blocks.weyl, via_blocks.diagnostic) == (direct.weyl, direct.diagnostic)
-                checked += 1
-                diagnostics += direct.diagnostic is not None
-        assert (checked, diagnostics) == (2786, 486)
+            for mode in MODES:
+                for tb in (PRIME_FIRST, DPRIME_FIRST):
+                    direct = fingerprint(pair, FingerprintOptions(mode=mode, tie_break=tb))
+                    via_blocks = block_fingerprint(direct.tagged, pair.theory)
+                    assert direct.same_outcome(via_blocks), (pair, mode, tb)
+                    assert (via_blocks.weyl, via_blocks.diagnostic) == (
+                        direct.weyl, direct.diagnostic), (pair, mode, tb)
+                    checked[mode] += 1
+                    diagnostics[mode] += direct.diagnostic is not None
+        assert checked == {INTERLEAVE: 2786, COMPONENTWISE: 2786}
+        assert diagnostics == {INTERLEAVE: 486, COMPONENTWISE: 224}
+
+    def test_componentwise_rigid_pairs_match_direct(self):
+        # The walk reads condition (iii) off the index-wise datum column as
+        # it does off the merged one: every rigid pair to rank 10.
+        opts = FingerprintOptions(mode=COMPONENTWISE)
+        checked = Counter()
+        for _, pair in upto(enumerate_rigid_pairs, 10):
+            direct = fingerprint(pair, opts)
+            via_blocks = block_fingerprint(direct.tagged, pair.theory)
+            assert direct.same_outcome(via_blocks), pair
+            assert (via_blocks.weyl, via_blocks.diagnostic) == (
+                direct.weyl, direct.diagnostic), pair
+            checked[pair.theory.value] += 1
+            checked["diagnostics"] += direct.diagnostic is not None
+        assert checked == {"B": 405, "C": 608, "D": 342, "diagnostics": 94}
 
     def test_vacuous_c_member_pairs_match_direct(self):
-        # The walk without origins is the vacuous iii variant: every C tau
+        # The walk without a datum column is the vacuous iii variant: every C tau
         # is +1, so only pairs or diagnostics remain.
         vac = FingerprintOptions(iii_variant=VACUOUS)
         checked = diagnostics = 0
@@ -268,7 +288,7 @@ class TestPathEquivalence:
         # Cut at every value change, the blocks on either side of an odd
         # count both produce the value a box moves to; cut at even counts,
         # no two blocks share one.
-        tp = TaggedPartition(rows, INTERLEAVE, (PRIME,) * len(rows))
+        tp = TaggedPartition(rows, INTERLEAVE, tuple(v % 2 == 1 for v in rows))
         every_change = [i for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1]]
         assert shared_values(rows, every_change) == 1
         assert shared_values(rows, [b.start for b in decompose_blocks(tp)]) == 0
@@ -340,12 +360,12 @@ class TestPathEquivalence:
             for tb in (PRIME_FIRST, DPRIME_FIRST):
                 tp = combine(pair, tie_break=tb)
                 for s, e, _, _ in decompose_blocks(tp):
-                    values, origins = tp.values[s:e], tp.origins[s:e]
-                    if len(set(origins)) < 2:
+                    values, sides = tp.values[s:e], prime_rows(tp)[s:e]
+                    if len(set(sides)) < 2:
                         continue
-                    flipped, pairings = block_moves(values, origins)
+                    flipped, pairings = block_moves(values, sides)
                     assert flipped % 2 == 0, (pair, tb)
-                    assert block_from_sides(values, origins) == _walk(values).weyl, (pair, tb)
+                    assert block_from_sides(values, sides) == _walk(values).weyl, (pair, tb)
                     found["blocks"] += 1
                     found["flips"] += flipped > 0
                     found["pairings"] += bool(pairings)
@@ -359,11 +379,6 @@ class TestPathEquivalence:
         pair = OperatorPair((2, 2, 1, 1), (1, 1), "C")
         assert fingerprint(pair).same_outcome(block_fingerprint(combine(pair), theory))
 
-    def test_componentwise_rejected(self):
-        pair = OperatorPair((2, 2, 1), (1, 1), Theory.B)
-        with pytest.raises(ValueError, match="INTERLEAVE"):
-            block_fingerprint(combine(pair, mode=COMPONENTWISE), pair.theory)
-
     def test_unknown_theory_rejected(self):
         with pytest.raises(ValueError, match="'E' is not a valid Theory"):
             block_fingerprint(combine(OperatorPair((1, 1), (), "C")), "E")
@@ -372,8 +387,9 @@ class TestPathEquivalence:
         # The block path reads the closed forms only: with every pipeline
         # stage raising, it still reproduces the direct results.
         cases = [
-            fingerprint(pair, FingerprintOptions(tie_break=tb))
+            fingerprint(pair, FingerprintOptions(mode=mode, tie_break=tb))
             for pair in member_pairs(4)
+            for mode in MODES
             for tb in (PRIME_FIRST, DPRIME_FIRST)
         ]
 

@@ -32,8 +32,9 @@ from rigidfp.fingerprint import (
 from rigidfp.closedform import (
     closed_form_fingerprint_BD, split_parity, xs_inverse, xs_map, ys_map)
 from rigidfp.partitions import (
-    MODES, TIE_BREAKS, Theory, enumerate_members, enumerate_rigid_pairs, format_partition,
-    is_rigid, is_theory_member, transpose, validate_partition)
+    INTERLEAVE, MODES, PRIME_FIRST, TIE_BREAKS, Theory, combine, enumerate_members,
+    enumerate_rigid_pairs, format_partition, is_rigid, is_theory_member, transpose,
+    validate_partition)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -349,6 +350,14 @@ def _tau_plus(keep):
     return mutated
 
 
+def _datum_flipped(pair, mode=INTERLEAVE, tie_break=PRIME_FIRST):
+    """A combine that negates every lambda'-datum of an INTERLEAVE merge."""
+    tagged = combine(pair, mode, tie_break)
+    if mode != INTERLEAVE:
+        return tagged
+    return tagged._replace(prime_odd=tuple(d if d is None else not d for d in tagged.prime_odd))
+
+
 def _beta_changed(change):
     """An extract_weyl_pair that passes each fingerprint's beta through change."""
     def mutated(trace, tau):
@@ -400,6 +409,9 @@ MUTANTS = {
     "so-sp-swapped": (tau_table, _with_options(lambda o, t: o._replace(
         iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])), {
         "rank-identity": 8, "condition-ii": 5, "path-equivalence": 32, "closed-form": 5}),
+    # Both paths read the datum from combine, so path-equivalence cannot
+    # see this fault; the unipotent closed forms, which read no datum, do.
+    "datum-parity-flipped": (combine, _datum_flipped, {"condition-ii": 5, "closed-form": 5}),
     "all-plus": (tau_table, _tau_plus(lambda m: False), {
         "rank-identity": 9, "condition-ii": 22, "shift": 24, "path-equivalence": 22,
         "closed-form": 1}),

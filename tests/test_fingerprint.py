@@ -22,9 +22,7 @@ from rigidfp import (
 from rigidfp.fingerprint import SO, SP, VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
-    DPRIME,
     DPRIME_FIRST,
-    PRIME,
     PRIME_FIRST,
     TaggedPartition,
     INTERLEAVE,
@@ -35,9 +33,10 @@ from rigidfp.partitions import (
 )
 
 
-def tagged(values, origins):
-    return TaggedPartition(values=tuple(values), mode=INTERLEAVE,
-                           origins=tuple(origins))
+def tagged(values, primes):
+    """An INTERLEAVE merge of values whose first `primes` rows are lambda''s."""
+    return TaggedPartition(tuple(values), INTERLEAVE, tuple(
+        v % 2 == 1 if i < primes else None for i, v in enumerate(values)))
 
 
 class TestSpMap:
@@ -89,7 +88,7 @@ class TestSpMap:
 class TestTau:
     def test_condition_i(self):
         values = (3, 2, 2, 1, 1, 1, 1)
-        tp = tagged(values, (PRIME,) * 7)
+        tp = tagged(values, 7)
         tau = tau_table(sp_map(values), tp, "B",
                         FingerprintOptions(conditions=frozenset({"i"})))
         assert tau.as_dict() == {2: -1}
@@ -97,20 +96,21 @@ class TestTau:
 
     def test_condition_iii_sp(self):
         values = (2, 1, 1, 1, 1)
-        tp = tagged(values, (PRIME, PRIME, PRIME, DPRIME, DPRIME))
+        tp = tagged(values, 3)
+        assert tp.prime_odd == (False, True, True, None, None)
         tau = tau_table(sp_map(values), tp, "C", FingerprintOptions())
         assert tau.as_dict() == {2: -1}
         assert tau.entries[0][2] == "iii"
 
     def test_condition_iii_so_not_triggered_by_even_prime(self):
         values = (2, 2, 1, 1, 1)
-        tp = tagged(values, (PRIME, PRIME, PRIME, DPRIME, DPRIME))
+        tp = tagged(values, 3)
         tau = tau_table(sp_map(values), tp, "B", FingerprintOptions())
         assert tau.as_dict() == {2: 1}
 
     def test_vacuous(self):
         values = (2, 1, 1, 1, 1)
-        tp = tagged(values, (PRIME, PRIME, PRIME, DPRIME, DPRIME))
+        tp = tagged(values, 3)
         tau = tau_table(sp_map(values), tp, "C",
                         FingerprintOptions(iii_variant=VACUOUS))
         assert tau.as_dict() == {2: 1}
@@ -248,7 +248,6 @@ class TestFingerprint:
         tp = combine(pair, COMPONENTWISE)
         assert tp.values == (3, 2, 1)
         assert tp.prime_odd == (True, True, None)
-        assert tp.iii_datum(2) is None
 
 
 class TestPairLemmas:
@@ -290,8 +289,10 @@ class TestPairLemmas:
 
 
 # The kernels as first written (a running sum, a dict of witnesses, a
-# Counter), kept verbatim as the reference for the one-pass ones.  Sp's
-# reference is partition_oracle.sp_rows, its row rule applied row by row.
+# Counter), kept as the reference for the one-pass ones; the tau reference
+# reads each row's lambda'-datum off the tagged partition's prime_odd
+# column.  Sp's reference is partition_oracle.sp_rows, its row rule applied
+# row by row.
 
 def _ref_partial_sum_delta(trace):
     delta = []
@@ -315,7 +316,7 @@ def _ref_tau_table(trace, tags, theory, opts):
         elif "ii" in opts.conditions and delta[i] != 0:
             witness = "ii"
         elif "iii" in opts.conditions and variant != VACUOUS:
-            datum = tags.iii_datum(i)
+            datum = tags.prime_odd[i]
             if datum is not None and datum == (variant == SO):
                 witness = "iii"
         witnesses[m] = witness

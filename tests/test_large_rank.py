@@ -5,8 +5,9 @@ pairs of rank 20-500: each side takes every value 1..k with a
 multiplicity that partition_oracle.rigid_multiplicity allows, so no draw
 calls the package's enumeration.  On each pair:
   - sp_map agrees with partition_oracle.reference_sp under every merge;
-  - the block path agrees with the direct pipeline, and the walk over all
-    the rows is the union of the walks of the decompose_blocks blocks;
+  - the block path agrees with the direct pipeline in both modes, and in
+    INTERLEAVE, the one mode with blocks, the walk over all the rows is the
+    union of the walks of the decompose_blocks blocks;
   - B and D give a fingerprint, never a diagnostic, with |alpha|+|beta| the
     rank in both modes, and a D fingerprint has an even number of beta
     parts.
@@ -79,9 +80,8 @@ def test_checks_hold_on_large_pairs(pair):
         opts = FingerprintOptions(mode=mode, tie_break=tie_break)
         direct = fingerprint(pair, opts)
         assert direct.trace.mu_values == reference_sp(direct.tagged.values)
+        assert direct.same_outcome(block_fingerprint(direct.tagged, theory))
         if mode == INTERLEAVE:
-            via_blocks = block_fingerprint(direct.tagged, theory)
-            assert direct.same_outcome(via_blocks)
             assert walk_is_block_union(direct.tagged, theory)
         if theory is Theory.C:
             continue

@@ -20,11 +20,9 @@ from rigidfp import (
 )
 from rigidfp.partitions import (
     COMPONENTWISE,
-    DPRIME,
     DPRIME_FIRST,
     INTERLEAVE,
     PAIR_SIDES,
-    PRIME,
     PRIME_FIRST,
     MAX_BOXES,
     enumerate_members,
@@ -469,7 +467,7 @@ class TestCombine:
     def test_interleave_example(self):
         tp = combine(OperatorPair((2, 2, 1), (1, 1), "B"))
         assert tp.values == (2, 2, 1, 1, 1)
-        assert tp.origins == (PRIME, PRIME, PRIME, DPRIME, DPRIME)
+        assert tp.prime_odd == (False, False, True, None, None)
 
     def test_componentwise_example(self):
         tp = combine(OperatorPair((2, 1, 1), (1, 1), "C"), COMPONENTWISE)
@@ -479,15 +477,24 @@ class TestCombine:
     def test_unipotent_identity(self):
         pair = OperatorPair((2, 2, 1), (), "B")
         for mode in (INTERLEAVE, COMPONENTWISE):
-            assert combine(pair, mode).values == (2, 2, 1)
-        assert combine(pair).origins == (PRIME,) * 3
+            assert combine(pair, mode) == ((2, 2, 1), mode, (False, False, True))
 
     def test_tie_break(self):
         pair = OperatorPair((1, 1, 1), (1, 1), "B")
-        assert combine(pair, tie_break=PRIME_FIRST).origins == (
-            PRIME, PRIME, PRIME, DPRIME, DPRIME)
-        assert combine(pair, tie_break=DPRIME_FIRST).origins == (
-            DPRIME, DPRIME, PRIME, PRIME, PRIME)
+        assert combine(pair, tie_break=PRIME_FIRST).prime_odd == (
+            True, True, True, None, None)
+        assert combine(pair, tie_break=DPRIME_FIRST).prime_odd == (
+            None, None, True, True, True)
+
+    def test_interleave_datum_marks_prime_rows(self):
+        # An INTERLEAVE row is lambda''s exactly when it has a datum, and
+        # the datum is the parity of its part.
+        for pair in enumerate_rigid_pairs(Theory.B, 5):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = combine(pair, tie_break=tb)
+                rows = list(zip(tp.values, tp.prime_odd))
+                assert [v for v, d in rows if d is not None] == list(pair.lambda_prime)
+                assert all(d in (None, v % 2 == 1) for v, d in rows), (pair, tb)
 
     def test_unknown_convention_rejected(self):
         pair = OperatorPair((1, 1, 1), (1, 1), "B")

@@ -17,7 +17,7 @@ from rigidfp import (
     WeylPair,
     fingerprint,
 )
-from rigidfp.partitions import DPRIME, INTERLEAVE, PRIME
+from rigidfp.partitions import INTERLEAVE
 
 
 def _result(conditions=("i",)):
@@ -52,16 +52,16 @@ RECORDS = {
         "FingerprintResult(options=FingerprintOptions("
         "mode='interleave', tie_break='prime', conditions=frozenset({'i'}), "
         "iii_variant=None), tagged=TaggedPartition(values=(1,), mode='interleave', "
-        "origins=('prime',), prime_odd=None), trace=SpTrace(lambda_values=(1,), "
+        "prime_odd=(True,)), trace=SpTrace(lambda_values=(1,), "
         "mu_values=(0,)), tau=TauTable(entries=()), weyl=WeylPair(alpha=(), beta=()), "
         "diagnostic=None, pair=OperatorPair(lambda_prime=(1,), "
         "lambda_dprime=(), theory=<Theory.B: 'B'>))",
     ),
     "TaggedPartition": (
-        lambda: TaggedPartition((2, 1, 1), INTERLEAVE, (PRIME, DPRIME, DPRIME)),
-        TaggedPartition((2, 1, 1), INTERLEAVE, (DPRIME, PRIME, PRIME)),
+        lambda: TaggedPartition((2, 1, 1), INTERLEAVE, (False, None, None)),
+        TaggedPartition((2, 1, 1), INTERLEAVE, (None, True, True)),
         "TaggedPartition(values=(2, 1, 1), mode='interleave', "
-        "origins=('prime', 'dprime', 'dprime'), prime_odd=None)",
+        "prime_odd=(False, None, None))",
     ),
     "Block": (
         lambda: Block(0, 3, "S", None),

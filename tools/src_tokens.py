@@ -3,10 +3,12 @@
 A token is what the standard tokenize module yields, without comments and
 layout (newlines, indents and dedents); a string, docstrings included, is one
 token.  Python 3.12 and later split an f-string into several tokens, so
-compare counts made with the same Python minor version.
+compare counts made with the same Python minor version: the first line
+printed names the interpreter's version.
 
     python3 tools/src_tokens.py [DIR]    # DIR defaults to src/rigidfp
 """
+import platform
 import sys
 import tokenize
 from pathlib import Path
@@ -23,6 +25,7 @@ def count_tokens(path: Path) -> int:
 def main() -> None:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else (
         Path(__file__).resolve().parent.parent / "src" / "rigidfp")
+    print(f"python {platform.python_version()}")
     total = 0
     for path in sorted(root.glob("*.py")):
         n = count_tokens(path)
