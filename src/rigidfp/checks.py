@@ -32,10 +32,11 @@ from .partitions import (
     OperatorPair,
     Theory,
     _as_theory,
+    _rigid_pairs,
+    _side_lists,
     _unchecked_pair,
     enumerate_members,
     enumerate_rigid,
-    enumerate_rigid_pairs,
     format_pair,
     format_partition,
     is_rigid,
@@ -81,9 +82,21 @@ def _upto(enum, theories, max_rank):
                 yield theory, x
 
 
+def _rigid_pairs_upto(max_rank):
+    """(theory, pair) for each rigid pair to max_rank, in _upto's order.
+
+    Each theory's side lists are built once, for every rank.
+    """
+    for theory in Theory:
+        sides = _side_lists(theory, max_rank)
+        for rank in range(max_rank + 1):
+            for pair in _rigid_pairs(theory, rank, *sides):
+                yield theory, pair
+
+
 def _pairs_under(options, max_rank):
     """(theory, pair, opts) for each rigid pair to max_rank under each of options."""
-    for theory, pair in _upto(enumerate_rigid_pairs, Theory, max_rank):
+    for theory, pair in _rigid_pairs_upto(max_rank):
         for opts in options:
             yield theory, pair, opts
 
@@ -237,7 +250,7 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
         if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
             return _fmt_pair(pair)
 
-    report = _sweep(SuiteReport(), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
+    report = _sweep(SuiteReport(), _rigid_pairs_upto(max_rank), check)
     hits = []
     count = 0
     for theory, p in _upto(enumerate_members, Theory, max_rank):
@@ -297,7 +310,7 @@ def check_shift(max_rank: int) -> SuiteReport:
                 f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
-    return _sweep(SuiteReport(), _upto(enumerate_rigid_pairs, Theory, max_rank), check)
+    return _sweep(SuiteReport(), _rigid_pairs_upto(max_rank), check)
 
 
 def check_factorization(max_rank: int) -> SuiteReport:

@@ -39,6 +39,25 @@ from .partitions import (
 )
 
 
+# enumerate and fibers list at most MAX_LISTED rigid partitions (pairs for
+# fibers and enumerate --pairs).  Each theory's largest rank within the cap,
+# as (partitions, pairs), follows from the multiplicity rule; the counts
+# never fall as the rank grows.  A larger rank is refused before anything is
+# enumerated.
+MAX_LISTED = 10**6
+MAX_LISTED_RANK = {Theory.B: (86, 43), Theory.C: (83, 41), Theory.D: (86, 44)}
+
+
+def _check_listed(theory: Theory, rank: int, pairs: bool) -> None:
+    """Raise ValueError if the theory's rigid partitions (or pairs) at rank exceed MAX_LISTED."""
+    limit = MAX_LISTED_RANK[theory][pairs]
+    if rank > limit:
+        what = "pairs" if pairs else "partitions"
+        raise ValueError(
+            f"rank {rank} has more than {MAX_LISTED} rigid {theory.value} {what}, "
+            f"the most this command lists (largest rank {limit})")
+
+
 def _emit(args, items) -> None:
     """Print (record, text) items: each record as JSON under --json, else each text.
 
@@ -161,6 +180,7 @@ def _result_text(res: FingerprintResult, record: dict) -> str:
 
 def cmd_enumerate(args) -> int:
     theory = _as_theory(args.theory)
+    _check_listed(theory, args.rank, args.pairs)
     head = {"theory": theory.value, "rank": args.rank}
     if args.pairs:
         items = (({**head, **_pair_fields(pair)}, format_pair(pair))
@@ -218,6 +238,7 @@ def _fiber_key(pair: OperatorPair):
 
 def cmd_fibers(args) -> int:
     theory = _as_theory(args.theory)
+    _check_listed(theory, args.rank, pairs=True)
     firsts: dict = {}  # fiber key -> first pair with it
     for pair in enumerate_rigid_pairs(theory, args.rank):
         firsts.setdefault(_fiber_key(pair), pair)

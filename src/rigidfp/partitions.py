@@ -8,8 +8,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
-from itertools import accumulate, product, zip_longest
-from operator import itemgetter
+from itertools import accumulate, product
+from operator import add, itemgetter
 from typing import NamedTuple
 
 
@@ -283,18 +283,34 @@ def format_pair(pair: OperatorPair) -> str:
     return f"({format_partition(pair.lambda_prime)}; {format_partition(pair.lambda_dprime)})"
 
 
-def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
-    """All pairs of rigid partitions with rank split n' + n'' = rank.
+def _side_lists(theory: Theory, max_rank: int) -> tuple[list, list]:
+    """Each pair side's rigid partitions by rank 0..max_rank: (primes, dprimes).
+
+    primes[n] holds lambda''s rigid partitions of rank n and dprimes[n]
+    lambda'''s.  Two sides of one theory share one list.
+    """
+    side1, side2 = PAIR_SIDES[theory]
+    lists = {side: [enumerate_rigid(side, n) for n in range(max_rank + 1)]
+             for side in dict.fromkeys((side1, side2))}
+    return lists[side1], lists[side2]
+
+
+def _rigid_pairs(theory: Theory, rank: int, primes, dprimes) -> list[OperatorPair]:
+    """The rigid pairs of the rank, read off side lists from _side_lists that reach it.
 
     Ordered by lambda'' rank ascending, then by the partitions themselves.
     """
-    theory = _as_theory(theory)
-    side1, side2 = PAIR_SIDES[theory]
     return [
         _unchecked_pair(p1, p2, theory)
         for n2 in range(rank + 1)
-        for p1, p2 in product(enumerate_rigid(side1, rank - n2), enumerate_rigid(side2, n2))
+        for p1, p2 in product(primes[rank - n2], dprimes[n2])
     ]
+
+
+def enumerate_rigid_pairs(theory, rank: int) -> list[OperatorPair]:
+    """All pairs of rigid partitions with rank split n' + n'' = rank, in _rigid_pairs' order."""
+    theory = _as_theory(theory)
+    return _rigid_pairs(theory, rank, *_side_lists(theory, rank))
 
 
 class TaggedPartition(NamedTuple):
@@ -327,19 +343,20 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
     INTERLEAVE: stable descending merge of the two part lists; among equal
     values the tie_break origin goes first, so each origin's rows of one
     value stay next to each other.  COMPONENTWISE: index-wise sums
-    zero-padded to the longer side.  Either mode fills prime_odd.
+    zero-padded to the longer side.  Either mode fills prime_odd.  With a
+    side empty the modes agree, and the other side's rows are kept as they
+    stand, with no sort.
     """
     _check_merge(mode, tie_break)
     p1, p2 = pair.lambda_prime, pair.lambda_dprime
-    if mode == COMPONENTWISE:
-        rows = list(zip_longest(p1, p2, fillvalue=0))
-        return TaggedPartition(
-            values=tuple(a + b for a, b in rows),
-            mode=mode,
-            prime_odd=tuple(a % 2 == 1 if a else None for a, _ in rows),
-        )
+    if mode == COMPONENTWISE or not (p1 and p2):
+        # The common rows summed, then the longer side's tail; lambda''s
+        # data, then None on the rows past its end.
+        values = tuple(map(add, p1, p2)) + p1[len(p2):] + p2[len(p1):]
+        prime_odd = tuple([v % 2 == 1 for v in p1]) + (None,) * (len(p2) - len(p1))
+        return TaggedPartition(values, mode, prime_odd)
     prime, dprime = [(v, v % 2 == 1) for v in p1], [(v, None) for v in p2]
     rows = prime + dprime if tie_break == PRIME_FIRST else dprime + prime
     rows.sort(key=itemgetter(0), reverse=True)  # stable: equal values keep this order
-    values, prime_odd = zip(*rows) if rows else ((), ())
+    values, prime_odd = zip(*rows)
     return TaggedPartition(values, mode, prime_odd)

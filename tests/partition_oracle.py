@@ -13,7 +13,10 @@ Oracles, which import nothing from rigidfp:
   - rigid_multiplicity: the multiplicity rule of rigid partitions, which
     rigid_count counts by and the large-rank tests draw by;
   - rigid_count: the number of rigid partitions of a theory and rank,
-    counted from the multiplicity rule without listing them.
+    counted from the multiplicity rule without listing them;
+  - reference_combine: the merge of a pair's sides by one rule for every
+    pair, a stable sort of (value, datum) rows or zero-padded index-wise
+    sums; it names the modes and tie-breaks by rigidfp's strings.
 
 Sweeps of rigidfp's enumeration, the one home of the tests' input loops:
   - upto: (theory, x) over enum(theory, rank) for every rank to a bound;
@@ -37,7 +40,7 @@ The block lemmas, read off rigidfp's output:
     pairings.
 """
 from bisect import bisect_right
-from itertools import chain, product, takewhile
+from itertools import chain, product, takewhile, zip_longest
 
 from rigidfp.blocks import decompose_blocks
 from rigidfp.closedform import _walk
@@ -137,6 +140,26 @@ def rigid_count(theory, rank):
         ways = [sum(ways[n - v * m] for m in mults if v * m <= n) for n in range(total + 1)]
         count += ways[total]
     return count + (theory == "D" and rank == 1)
+
+
+def reference_combine(pair, mode, tie_break):
+    """(values, mode, prime_odd) of the merged pair, as combine returns it.
+
+    "sum" adds the sides index by index, zero-padded; a row's datum is the
+    parity of lambda''s part there, None past its end.  "interleave" sorts
+    the rows (value, datum) by value, descending and stable, with lambda''s
+    rows first under the tie-break "prime"; lambda'''s rows have datum None.
+    """
+    p1, p2 = pair.lambda_prime, pair.lambda_dprime
+    if mode == "sum":
+        rows = list(zip_longest(p1, p2, fillvalue=0))
+        return (tuple(a + b for a, b in rows), mode,
+                tuple(a % 2 == 1 if a else None for a, _ in rows))
+    prime, dprime = [(v, v % 2 == 1) for v in p1], [(v, None) for v in p2]
+    rows = prime + dprime if tie_break == "prime" else dprime + prime
+    rows.sort(key=lambda row: row[0], reverse=True)
+    values, prime_odd = zip(*rows) if rows else ((), ())
+    return values, mode, prime_odd
 
 
 def upto(enum, max_rank, theories=tuple(Theory)):

@@ -32,9 +32,9 @@ from rigidfp.fingerprint import (
 from rigidfp.closedform import (
     closed_form_fingerprint_BD, split_parity, xs_inverse, xs_map, ys_map)
 from rigidfp.partitions import (
-    INTERLEAVE, MODES, PRIME_FIRST, TIE_BREAKS, Theory, combine, enumerate_members,
-    enumerate_rigid_pairs, format_partition, is_rigid, is_theory_member, transpose,
-    validate_partition)
+    INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS, Theory, combine,
+    enumerate_members, enumerate_rigid, enumerate_rigid_pairs, format_partition, is_rigid,
+    is_theory_member, transpose, validate_partition)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -93,6 +93,22 @@ PER_PAIR = {"condition-ii": 1, "shift": 1, "rank-identity": len(MODES),
 @pytest.mark.parametrize("name", sorted(PER_PAIR))
 def test_pair_pins_match_the_count(name):
     assert PER_PAIR[name] * _rigid_pairs_to(SUITES[name][1]) == CHECKED_AT_DEFAULT[name]
+
+
+@pytest.mark.parametrize("name", sorted(PER_PAIR))
+def test_pair_suites_build_side_lists_once(name, monkeypatch):
+    # Each theory enumerates each of its side theories once per rank, for
+    # every rank of the sweep: 4 side lists (B and D for B, C, D) of 7 ranks.
+    calls = []
+
+    def counted(theory, rank):
+        calls.append((theory, rank))
+        return enumerate_rigid(theory, rank)
+
+    _patch_everywhere(monkeypatch, "enumerate_rigid", enumerate_rigid, counted)
+    run_suite(name, 6)
+    lists = sum(len(set(PAIR_SIDES[theory])) for theory in Theory)
+    assert len(calls) == lists * 7 == 28
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))

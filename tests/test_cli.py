@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+from partition_oracle import rigid_count
 import rigidfp.blocks
 import rigidfp.cli
 from rigidfp.checks import SuiteReport
 from rigidfp import OperatorPair, block_fingerprint, fingerprint
-from rigidfp.cli import main, result_record
+from rigidfp.cli import MAX_LISTED, MAX_LISTED_RANK, main, result_record
+from rigidfp.partitions import PAIR_SIDES
 
 
 def run(capsys, *argv):
@@ -330,6 +332,56 @@ class TestNegativeRank:
         code, out, _ = run(capsys, "check", "structure", "--max-rank", "0")
         assert code == 0
         assert out.splitlines() == ["suite structure: checked 3 inputs", "PASS"]
+
+
+def _rigid_pair_count(theory, rank):
+    side1, side2 = (side.value for side in PAIR_SIDES[theory])
+    return sum(rigid_count(side1, rank - n2) * rigid_count(side2, n2) for n2 in range(rank + 1))
+
+
+class TestListedCap:
+    @pytest.mark.parametrize("pairs", [False, True], ids=["partitions", "pairs"])
+    def test_limits_follow_from_the_count(self, pairs):
+        # Two more rows of 1 map each rigid partition (and each pair, on
+        # lambda') into the next rank, so the counts never fall: the first
+        # rank past the cap bounds every larger one.
+        count = _rigid_pair_count if pairs else (lambda t, n: rigid_count(t.value, n))
+        for theory, limits in MAX_LISTED_RANK.items():
+            limit = limits[pairs]
+            assert count(theory, limit) <= MAX_LISTED < count(theory, limit + 1), theory
+        assert {t.value: r[pairs] for t, r in MAX_LISTED_RANK.items()} == (
+            {"B": 43, "C": 41, "D": 44} if pairs else {"B": 86, "C": 83, "D": 86})
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--theory", "B", "--rank", "87"],
+        ["enumerate", "--theory", "C", "--rank", "84", "--json"],
+        ["enumerate", "--theory", "D", "--rank", "87"],
+        ["enumerate", "--theory", "B", "--rank", "44", "--pairs"],
+        ["enumerate", "--theory", "C", "--rank", "42", "--pairs"],
+        ["enumerate", "--theory", "D", "--rank", "45", "--pairs"],
+        ["enumerate", "--theory", "B", "--rank", "4999", "--pairs"],
+        ["fibers", "--theory", "B", "--rank", "44"],
+        ["fibers", "--theory", "C", "--rank", "42", "--json"],
+        ["fibers", "--theory", "D", "--rank", "4999"],
+    ])
+    def test_refused_before_enumerating(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("enumerated past the cap")
+
+        for name in ("enumerate_rigid", "enumerate_rigid_pairs"):
+            monkeypatch.setattr(rigidfp.cli, name, refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"more than {MAX_LISTED} rigid" in err
+
+    @pytest.mark.parametrize("command", ["enumerate", "enumerate --pairs", "fibers"])
+    def test_largest_ranks_accepted(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(rigidfp.cli, "enumerate_rigid", lambda *args: [])
+        monkeypatch.setattr(rigidfp.cli, "enumerate_rigid_pairs", lambda *args: [])
+        pairs = command != "enumerate"
+        for theory, limits in MAX_LISTED_RANK.items():
+            argv = [*command.split(), "--theory", theory.value, "--rank", str(limits[pairs])]
+            assert run(capsys, *argv) == (0, "", "")
 
 
 class TestRender:

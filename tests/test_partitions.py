@@ -1,10 +1,11 @@
 import re
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from partition_oracle import partitions_of, rigid_count
+from partition_oracle import member_pairs, partitions_of, reference_combine, rigid_count
 import rigidfp.partitions
 from rigidfp import (
     OperatorPair,
@@ -22,9 +23,11 @@ from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
     INTERLEAVE,
+    MODES,
     PAIR_SIDES,
     PRIME_FIRST,
     MAX_BOXES,
+    TIE_BREAKS,
     enumerate_members,
     theory_total,
     validate_partition,
@@ -388,7 +391,7 @@ class TestPairs:
             OperatorPair((3,), (part, 1), "B")
 
     @pytest.mark.parametrize("theory", list(Theory))
-    def test_each_side_enumerated_once_per_split(self, theory, monkeypatch):
+    def test_each_side_theory_enumerated_once_per_rank(self, theory, monkeypatch):
         calls = []
         enum = rigidfp.partitions.enumerate_rigid
 
@@ -399,8 +402,9 @@ class TestPairs:
         monkeypatch.setattr(rigidfp.partitions, "enumerate_rigid", counted)
         rank = 6
         pairs = enumerate_rigid_pairs(theory, rank)
-        assert len(calls) == 2 * (rank + 1)
         side1, side2 = PAIR_SIDES[theory]
+        # C and D pairs read both sides from one list.
+        assert sorted(calls) == sorted(product({side1, side2}, range(rank + 1)))
         assert [(q.lambda_prime, q.lambda_dprime) for q in pairs] == [
             (p1, p2)
             for n2 in range(rank + 1)
@@ -495,6 +499,18 @@ class TestCombine:
                 rows = list(zip(tp.values, tp.prime_odd))
                 assert [v for v, d in rows if d is not None] == list(pair.lambda_prime)
                 assert all(d in (None, v % 2 == 1) for v, d in rows), (pair, tb)
+
+    def test_matches_reference_combine(self):
+        # Every member pair to rank 6, under both modes and both tie-breaks.
+        inputs = empty = 0
+        for pair in member_pairs(6):
+            inputs += 1
+            empty += not (pair.lambda_prime and pair.lambda_dprime)
+            for mode, tb in product(MODES, TIE_BREAKS):
+                got = combine(pair, mode, tb)
+                assert got == reference_combine(pair, mode, tb), (pair, mode, tb)
+                assert type(got.values) is type(got.prime_odd) is tuple
+        assert (inputs, empty) == (1393, 395)
 
     def test_unknown_convention_rejected(self):
         pair = OperatorPair((1, 1, 1), (1, 1), "B")
