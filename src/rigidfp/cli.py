@@ -46,15 +46,22 @@ from .partitions import (
 # enumerated.
 MAX_LISTED = 10**6
 MAX_LISTED_RANK = {Theory.B: (86, 43), Theory.C: (83, 41), Theory.D: (86, 44)}
+# check sweeps a suite rank by rank, so each suite's largest --max-rank is
+# the least limit over the lists it builds at one rank: members (B 40, C 38,
+# D 40 within the cap) for sp-locality, parity and condition-ii, rigid pairs
+# for the pair suites, and rigid partitions for the rest.
+MAX_CHECK_RANK = {
+    "structure": 83, "sp-locality": 38, "parity": 38, "rank-identity": 41,
+    "condition-ii": 38, "shift": 41, "factorization": 83, "path-equivalence": 41,
+    "closed-form": 83, "collapse-bijection": 86,
+}
 
 
-def _check_listed(theory: Theory, rank: int, pairs: bool) -> None:
-    """Raise ValueError if the theory's rigid partitions (or pairs) at rank exceed MAX_LISTED."""
-    limit = MAX_LISTED_RANK[theory][pairs]
+def _check_listed(rank: int, limit: int, what: str) -> None:
+    """Raise ValueError for a rank past limit, where a list of what outgrows MAX_LISTED."""
     if rank > limit:
-        what = "pairs" if pairs else "partitions"
         raise ValueError(
-            f"rank {rank} has more than {MAX_LISTED} rigid {theory.value} {what}, "
+            f"rank {rank} has more than {MAX_LISTED} {what}, "
             f"the most this command lists (largest rank {limit})")
 
 
@@ -180,7 +187,8 @@ def _result_text(res: FingerprintResult, record: dict) -> str:
 
 def cmd_enumerate(args) -> int:
     theory = _as_theory(args.theory)
-    _check_listed(theory, args.rank, args.pairs)
+    what = "pairs" if args.pairs else "partitions"
+    _check_listed(args.rank, MAX_LISTED_RANK[theory][args.pairs], f"rigid {theory.value} {what}")
     head = {"theory": theory.value, "rank": args.rank}
     if args.pairs:
         items = (({**head, **_pair_fields(pair)}, format_pair(pair))
@@ -210,6 +218,9 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.max_rank is not None:
+        _check_listed(args.max_rank, MAX_CHECK_RANK[args.suite],
+                      f"entries in one list of {args.suite}")
     report = run_suite(args.suite, args.max_rank)
     record = {
         "suite": args.suite,
@@ -238,7 +249,7 @@ def _fiber_key(pair: OperatorPair):
 
 def cmd_fibers(args) -> int:
     theory = _as_theory(args.theory)
-    _check_listed(theory, args.rank, pairs=True)
+    _check_listed(args.rank, MAX_LISTED_RANK[theory][True], f"rigid {theory.value} pairs")
     firsts: dict = {}  # fiber key -> first pair with it
     for pair in enumerate_rigid_pairs(theory, args.rank):
         firsts.setdefault(_fiber_key(pair), pair)

@@ -185,6 +185,12 @@ def _grow(out: list, prefix: tuple[int, ...], left: int, v: int, paired: int,
     parity take even multiplicities.  Rigid output also has every value
     from v down to 1 present and never multiplicity exactly 2 at the other
     parity, except in the all-ones partition (the zero orbit, as in is_rigid).
+
+    A member branch closes its tail in place: after prefix + v^m come
+    1^rest, then 2^k 1^(rest-2k) for each valid k ascending, so the values
+    2 and 1 take no call of their own below a branch.  It recurses only
+    into values of 3 or more that can take a valid multiplicity in the
+    boxes left.
     """
     step = 2 if v % 2 == paired else 1
     # The value 1 takes every box left, an even number for C because every
@@ -197,8 +203,14 @@ def _grow(out: list, prefix: tuple[int, ...], left: int, v: int, paired: int,
             if v == 1 or not rigid:  # a rigid partition runs down to 1
                 out.append(p)
         elif not rigid:
-            for u in range(1, min(v - 1, rest) + 1):
-                _grow(out, p, rest, u, paired, rigid)
+            out.append(p + (1,) * rest)
+            if v > 2:
+                two = 2 - paired  # the value 2's step: even multiplicities in B/D
+                out.extend([p + (2,) * k + (1,) * (rest - 2 * k)
+                            for k in range(two, rest // 2 + 1, two)])
+            for u in range(3, min(v - 1, rest) + 1):
+                if u % 2 != paired or rest >= 2 * u:  # a paired u fits twice
+                    _grow(out, p, rest, u, paired, rigid)
         elif 2 * rest >= v * (v - 1):  # one row each of v-1..1 must fit
             _grow(out, p, rest, v - 1, paired, rigid)
 

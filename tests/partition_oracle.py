@@ -14,6 +14,8 @@ Oracles, which import nothing from rigidfp:
     rigid_count counts by and the large-rank tests draw by;
   - rigid_count: the number of rigid partitions of a theory and rank,
     counted from the multiplicity rule without listing them;
+  - member_count: the number of member partitions of a theory and rank,
+    counted the same way;
   - reference_combine: the merge of a pair's sides by one rule for every
     pair, a stable sort of (value, datum) rows or zero-padded index-wise
     sums; it names the modes and tie-breaks by rigidfp's strings.
@@ -140,6 +142,22 @@ def rigid_count(theory, rank):
         ways = [sum(ways[n - v * m] for m in mults if v * m <= n) for n in range(total + 1)]
         count += ways[total]
     return count + (theory == "D" and rank == 1)
+
+
+def member_count(theory, rank):
+    """How many member partitions the theory ("B", "C" or "D") has at the rank.
+
+    Values of the paired parity (odd in C, even in B and D) occur an even
+    number of times, so each takes 2v boxes at a time; the others take v.
+    """
+    total = 2 * rank + (theory == "B")
+    paired = theory == "C"
+    ways = [1] + [0] * total  # ways[n]: values 1..v so far, n boxes
+    for v in range(1, total + 1):
+        step = 2 * v if v % 2 == paired else v
+        for n in range(step, total + 1):
+            ways[n] += ways[n - step]
+    return ways[total]
 
 
 def reference_combine(pair, mode, tie_break):

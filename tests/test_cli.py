@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -6,13 +7,13 @@ import sys
 
 import pytest
 
-from partition_oracle import rigid_count
+from partition_oracle import member_count, rigid_count
 import rigidfp.blocks
 import rigidfp.cli
-from rigidfp.checks import SuiteReport
 from rigidfp import OperatorPair, block_fingerprint, fingerprint
-from rigidfp.cli import MAX_LISTED, MAX_LISTED_RANK, main, result_record
-from rigidfp.partitions import PAIR_SIDES
+from rigidfp.checks import SUITES, SuiteReport
+from rigidfp.cli import MAX_CHECK_RANK, MAX_LISTED, MAX_LISTED_RANK, main, result_record
+from rigidfp.partitions import PAIR_SIDES, Theory
 
 
 def run(capsys, *argv):
@@ -334,9 +335,21 @@ class TestNegativeRank:
         assert out.splitlines() == ["suite structure: checked 3 inputs", "PASS"]
 
 
+# Each pair count sums many rigid counts: count each (theory, rank) once.
+_rigid_count = functools.cache(rigid_count)
+
+
 def _rigid_pair_count(theory, rank):
     side1, side2 = (side.value for side in PAIR_SIDES[theory])
-    return sum(rigid_count(side1, rank - n2) * rigid_count(side2, n2) for n2 in range(rank + 1))
+    return sum(_rigid_count(side1, rank - n2) * _rigid_count(side2, n2) for n2 in range(rank + 1))
+
+
+def _rigid_partition_count(theory, rank):
+    return _rigid_count(theory.value, rank)
+
+
+def _member_count(theory, rank):
+    return member_count(theory.value, rank)
 
 
 class TestListedCap:
@@ -345,7 +358,7 @@ class TestListedCap:
         # Two more rows of 1 map each rigid partition (and each pair, on
         # lambda') into the next rank, so the counts never fall: the first
         # rank past the cap bounds every larger one.
-        count = _rigid_pair_count if pairs else (lambda t, n: rigid_count(t.value, n))
+        count = _rigid_pair_count if pairs else _rigid_partition_count
         for theory, limits in MAX_LISTED_RANK.items():
             limit = limits[pairs]
             assert count(theory, limit) <= MAX_LISTED < count(theory, limit + 1), theory
@@ -382,6 +395,54 @@ class TestListedCap:
         for theory, limits in MAX_LISTED_RANK.items():
             argv = [*command.split(), "--theory", theory.value, "--rank", str(limits[pairs])]
             assert run(capsys, *argv) == (0, "", "")
+
+
+# What each check suite lists at one rank, counted over the theories it sweeps.
+_ALL = tuple(Theory)
+CHECK_LISTS = {
+    "structure": [(_rigid_partition_count, _ALL)],
+    "sp-locality": [(_member_count, _ALL)],
+    "parity": [(_member_count, _ALL)],
+    "rank-identity": [(_rigid_pair_count, _ALL)],
+    "condition-ii": [(_rigid_pair_count, _ALL), (_member_count, _ALL)],
+    "shift": [(_rigid_pair_count, _ALL)],
+    "factorization": [(_rigid_partition_count, _ALL)],
+    "path-equivalence": [(_rigid_pair_count, _ALL)],
+    "closed-form": [(_rigid_partition_count, _ALL)],
+    "collapse-bijection": [(_rigid_partition_count, (Theory.B, Theory.D))],
+}
+
+
+class TestCheckCap:
+    def test_limits_follow_from_the_count(self):
+        # As for enumerate: the counts never fall as the rank grows, so the
+        # first rank past the cap bounds every larger one.
+        assert CHECK_LISTS.keys() == MAX_CHECK_RANK.keys() == SUITES.keys()
+        for suite, lists in CHECK_LISTS.items():
+            def most(rank):
+                return max(count(t, rank) for count, theories in lists for t in theories)
+
+            limit = MAX_CHECK_RANK[suite]
+            assert most(limit) <= MAX_LISTED < most(limit + 1), suite
+        assert [MAX_CHECK_RANK[s] for s in ("sp-locality", "shift", "structure")] == [38, 41, 83]
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_refused_before_enumerating(self, capsys, monkeypatch, suite):
+        def refuse(*args):
+            raise AssertionError("swept past the cap")
+
+        monkeypatch.setattr(rigidfp.cli, "run_suite", refuse)
+        for rank in (MAX_CHECK_RANK[suite] + 1, 4999):
+            code, out, err = run(capsys, "check", suite, "--max-rank", str(rank), "--json")
+            assert (code, out) == (2, "")
+            assert f"more than {MAX_LISTED} entries" in err
+            assert f"largest rank {MAX_CHECK_RANK[suite]}" in err
+
+    def test_largest_ranks_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(rigidfp.cli, "run_suite", lambda *args: SuiteReport(checked=1))
+        for suite, limit in MAX_CHECK_RANK.items():
+            code, out, err = run(capsys, "check", suite, "--max-rank", str(limit))
+            assert (code, out.splitlines()[-1], err) == (0, "PASS", "")
 
 
 class TestRender:

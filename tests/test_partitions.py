@@ -5,7 +5,13 @@ from itertools import product
 
 import pytest
 
-from partition_oracle import member_pairs, partitions_of, reference_combine, rigid_count
+from partition_oracle import (
+    member_count,
+    member_pairs,
+    partitions_of,
+    reference_combine,
+    rigid_count,
+)
 import rigidfp.partitions
 from rigidfp import (
     OperatorPair,
@@ -326,6 +332,32 @@ class TestEnumeration:
             total = theory_total(theory, rank)
             assert enumerate_members(theory, rank) == sorted(
                 p for p in partitions_of(total) if is_theory_member(p, theory))
+
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_member_counts_match_the_multiplicity_rule(self, theory):
+        # Past the filter's reach: a dropped or repeated member would change a count.
+        for rank in range(25):
+            assert len(enumerate_members(theory, rank)) == member_count(theory, rank), rank
+
+    def test_member_counts(self):
+        assert [member_count(t, 24) for t in "BCD"] == [18803, 23528, 16357]
+        assert [member_count(t, 40) for t in "BCD"] == [985043, 1263272, 880896]
+
+    def test_member_tails_closed_in_place(self, monkeypatch):
+        # A member branch appends its 2s and 1s itself and enters only the
+        # values of 3 or more that fit.
+        grow, calls = rigidfp.partitions._grow, []
+
+        def counted(*args):
+            calls.append(args)
+            return grow(*args)
+
+        monkeypatch.setattr(rigidfp.partitions, "_grow", counted)
+        for theory in Theory:
+            for rank in range(17):
+                enumerate_members(theory, rank)
+        assert len(calls) == 4451
+        assert min(v for _, prefix, _, v, _, _ in calls if prefix) == 3
 
     def test_generated_without_filtering(self):
         # Enumeration never lists all partitions of the total: at rank 30
