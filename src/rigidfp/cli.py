@@ -23,7 +23,6 @@ from .fingerprint import (
 )
 from .partitions import (
     INTERLEAVE,
-    MAX_BOXES,
     MODES,
     PRIME_FIRST,
     TIE_BREAKS,
@@ -290,15 +289,12 @@ def cmd_render(args) -> int:
 def nonnegative_int(text: str) -> int:
     """argparse type of --rank and --max-rank.
 
-    A rank's B partitions, the largest of the three theories, must fit in
-    MAX_BOXES boxes, so a huge rank is refused before anything is enumerated.
+    Only negatives are refused here: a rank too large to list is refused by
+    _check_listed before anything is enumerated.
     """
     value = int(text)
-    limit = (MAX_BOXES - Theory.B.theta) // 2
-    if not 0 <= value <= limit:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 and <= {limit} (B partitions of at most {MAX_BOXES} boxes), "
-            f"got {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 

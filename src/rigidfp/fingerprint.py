@@ -201,13 +201,12 @@ class ExtractionDiagnostic(NamedTuple):
         )
 
 
-def extract_weyl_pair(trace: SpTrace, tau: TauTable):
+def extract_weyl_pair(mu: tuple[int, ...], tau: TauTable):
     """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta.
 
-    Each value's multiplicity is the length of its run in mu read as a
-    partition; the zeros of deleted rows are not read.
+    mu is the Sp image read as a partition (SpTrace.mu_partition), so each
+    value's multiplicity is the length of its run.
     """
-    mu = trace.mu_partition()
     taus = tau.as_dict()
     alpha: list[int] = []
     beta: list[int] = []
@@ -235,23 +234,20 @@ def extract_weyl_pair(trace: SpTrace, tau: TauTable):
 class FingerprintResult(NamedTuple):
     """Everything the pipeline produced for one operator.
 
-    The operator's theory and rank are facts of the pair: read them as
+    mu is the Sp image as a partition, sorted once from the trace.  The
+    operator's theory and rank are facts of the pair: read them as
     pair.theory and pair.rank.  A named tuple, so it compares equal to the
-    plain tuple of its seven fields in order.
+    plain tuple of its eight fields in order.
     """
 
     options: FingerprintOptions
     tagged: TaggedPartition
     trace: SpTrace
+    mu: tuple[int, ...]
     tau: TauTable
     weyl: WeylPair | None
     diagnostic: ExtractionDiagnostic | None
     pair: OperatorPair
-
-    @property
-    def mu(self):
-        """The Sp image as a partition."""
-        return self.trace.mu_partition()
 
     def same_outcome(self, other) -> bool:
         """Same image mu, [alpha; beta] and diagnostic; other may be a closedform.BlockResult."""
@@ -273,7 +269,8 @@ def fingerprint(pair: OperatorPair,
     tagged = combine(pair, opts.mode, opts.tie_break)
     trace = sp_map(tagged.values)
     tau = tau_table(trace, tagged, pair.theory, opts)
-    outcome = extract_weyl_pair(trace, tau)
+    mu = trace.mu_partition()
+    outcome = extract_weyl_pair(mu, tau)
     if isinstance(outcome, WeylPair):
-        return FingerprintResult(opts, tagged, trace, tau, outcome, None, pair)
-    return FingerprintResult(opts, tagged, trace, tau, None, outcome, pair)
+        return FingerprintResult(opts, tagged, trace, mu, tau, outcome, None, pair)
+    return FingerprintResult(opts, tagged, trace, mu, tau, None, outcome, pair)

@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from enum import Enum
 from itertools import accumulate, product
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 
@@ -221,9 +221,11 @@ def _by_multiplicity(theory: Theory, rank: int, rigid: bool) -> list[tuple[int, 
     Values of the paired parity (Theory.paired) take even multiplicities.
     """
     total = theory_total(theory, rank)
+    paired = theory.paired
     out = [()] if total == 0 else []
     for top in range(1, total + 1):
-        _grow(out, (), total, top, theory.paired, rigid)
+        if top % 2 != paired or 2 * top <= total:  # a paired top fits twice
+            _grow(out, (), total, top, paired, rigid)
     return out
 
 
@@ -352,12 +354,12 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
             tie_break: str = PRIME_FIRST) -> TaggedPartition:
     """Merge the pair into a tagged partition.
 
-    INTERLEAVE: stable descending merge of the two part lists; among equal
-    values the tie_break origin goes first, so each origin's rows of one
-    value stay next to each other.  COMPONENTWISE: index-wise sums
+    INTERLEAVE: one linear merge of the two descending part lists; among
+    equal values the tie_break origin goes first, so each origin's rows of
+    one value stay next to each other.  COMPONENTWISE: index-wise sums
     zero-padded to the longer side.  Either mode fills prime_odd.  With a
     side empty the modes agree, and the other side's rows are kept as they
-    stand, with no sort.
+    stand.
     """
     _check_merge(mode, tie_break)
     p1, p2 = pair.lambda_prime, pair.lambda_dprime
@@ -367,8 +369,22 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
         values = tuple(map(add, p1, p2)) + p1[len(p2):] + p2[len(p1):]
         prime_odd = tuple([v % 2 == 1 for v in p1]) + (None,) * (len(p2) - len(p1))
         return TaggedPartition(values, mode, prime_odd)
-    prime, dprime = [(v, v % 2 == 1) for v in p1], [(v, None) for v in p2]
-    rows = prime + dprime if tie_break == PRIME_FIRST else dprime + prime
-    rows.sort(key=itemgetter(0), reverse=True)  # stable: equal values keep this order
-    values, prime_odd = zip(*rows)
-    return TaggedPartition(values, mode, prime_odd)
+    data1, data2 = [v % 2 == 1 for v in p1], (None,) * len(p2)
+    # The side comes from tie_break, not from identity: in C and D both
+    # sides may be one tuple object.
+    if tie_break == PRIME_FIRST:
+        first, first_data, second, second_data = p1, data1, p2, data2
+    else:
+        first, first_data, second, second_data = p2, data2, p1, data1
+    values, prime_odd = [], []
+    j, n = 0, len(second)
+    for v, d in zip(first, first_data):
+        while j < n and second[j] > v:  # only larger values of the other side go ahead
+            values.append(second[j])
+            prime_odd.append(second_data[j])
+            j += 1
+        values.append(v)
+        prime_odd.append(d)
+    values += second[j:]
+    prime_odd += second_data[j:]
+    return TaggedPartition(tuple(values), mode, tuple(prime_odd))

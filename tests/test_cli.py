@@ -305,29 +305,40 @@ class TestFibers:
 
 
 class TestNegativeRank:
-    @pytest.mark.parametrize("argv", [
-        ["enumerate", "--theory", "B", "--rank", "-3"],
-        ["enumerate", "--theory", "D", "--rank", "-1", "--pairs"],
-        ["fibers", "--theory", "B", "--rank", "-1"],
-        ["check", "structure", "--max-rank", "-1"],
-        # Past the box cap: a B partition of rank 5000 has 10001 boxes.
-        ["enumerate", "--theory", "B", "--rank", "100000000000"],
-        ["fibers", "--theory", "B", "--rank", "5000"],
-        ["check", "structure", "--max-rank", "5000"],
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--theory", "B", "--rank", "-3"], "must be >= 0"),
+        (["enumerate", "--theory", "D", "--rank", "-1", "--pairs"], "must be >= 0"),
+        (["fibers", "--theory", "B", "--rank", "-1"], "must be >= 0"),
+        (["check", "structure", "--max-rank", "-1"], "must be >= 0"),
+        # int() refuses more than 4300 digits.
+        (["fibers", "--theory", "B", "--rank", "9" * 4301], "invalid nonnegative_int value"),
     ])
-    def test_usage_error(self, capsys, argv):
+    def test_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be >= 0 and <= 4999" in captured.err
+        assert message in captured.err
+
+    @pytest.mark.parametrize("argv, limit", [
+        # Far past every listing cap; parsing lets them through.
+        (["enumerate", "--theory", "B", "--rank", "100000000000"], 86),
+        (["fibers", "--theory", "B", "--rank", "5000"], 43),
+        (["check", "structure", "--max-rank", "5000"], 83),
+    ])
+    def test_over_large_rank_refused_before_listing(self, capsys, argv, limit):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"the most this command lists (largest rank {limit})" in err
 
     def test_largest_rank_accepted(self):
-        # Parsed only: nothing is enumerated at this rank.
+        # Parsed only: the parser bounds no rank from above, and nothing is
+        # enumerated here.
         parser = rigidfp.cli.build_parser()
-        assert parser.parse_args(["enumerate", "--theory", "B", "--rank", "4999"]).rank == 4999
-        assert parser.parse_args(["check", "structure", "--max-rank", "4999"]).max_rank == 4999
+        assert parser.parse_args(["enumerate", "--theory", "B", "--rank", "5000"]).rank == 5000
+        big = 10**30
+        assert parser.parse_args(["check", "structure", "--max-rank", str(big)]).max_rank == big
 
     def test_rank_zero_accepted(self, capsys):
         code, out, _ = run(capsys, "check", "structure", "--max-rank", "0")

@@ -13,12 +13,14 @@ from rigidfp import (
     TauTable,
     Theory,
     WeylPair,
+    block_fingerprint,
     combine,
     extract_weyl_pair,
     fingerprint,
     sp_map,
     tau_table,
 )
+from rigidfp.cli import result_record
 from rigidfp.fingerprint import SO, SP, VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
@@ -129,9 +131,8 @@ class TestTau:
             FingerprintOptions().variant_for("E")
 
 
-def extract(mu_values, tau):
-    trace = SpTrace(tuple(mu_values), tuple(mu_values))
-    return extract_weyl_pair(trace, TauTable(tuple((m, t, None) for m, t in tau.items())))
+def extract(mu, tau):
+    return extract_weyl_pair(tuple(mu), TauTable(tuple((m, t, None) for m, t in tau.items())))
 
 
 class TestOptions:
@@ -220,6 +221,25 @@ class TestFingerprint:
         pair = OperatorPair((2, 2, 1), (1, 1), "B")
         monkeypatch.setattr(OperatorPair, "rank", property(boom))
         assert fingerprint(pair).weyl == ((2, 1), ())
+
+    def test_image_sorted_once(self, monkeypatch):
+        # The result stores mu: comparing it with the block path and writing
+        # the CLI record read the field, and sort the trace no more.
+        sort, calls = SpTrace.mu_partition, []
+
+        def counted(trace):
+            calls.append(trace)
+            return sort(trace)
+
+        monkeypatch.setattr(SpTrace, "mu_partition", counted)
+        results = 0
+        for theory in Theory:
+            for pair in enumerate_rigid_pairs(theory, 6):
+                res = fingerprint(pair)
+                assert res.same_outcome(block_fingerprint(res.tagged, theory))
+                assert result_record(res)["mu"] == list(res.mu)
+                results += 1
+        assert len(calls) == results == 89
 
     def test_c_example(self):
         res = fingerprint(OperatorPair((2, 1, 1), (1, 1), "C"))
@@ -376,7 +396,7 @@ class TestKernelsAgainstReference:
                 for opts in TAU_OPTIONS:
                     tau = tau_table(trace, tags, theory, opts)
                     assert tau == _ref_tau_table(trace, tags, theory, opts)
-                    out = extract_weyl_pair(trace, tau)
+                    out = extract_weyl_pair(trace.mu_partition(), tau)
                     assert out == _ref_extract_weyl_pair(trace, tau)
                     outcomes.update(w for _, _, w in tau.entries)
                     outcomes[type(out).__name__] += 1
@@ -389,4 +409,4 @@ class TestKernelsAgainstReference:
         taus = [data.draw(st.sampled_from((1, -1))) for _ in evens]
         tau = TauTable(tuple((m, t, "i" if t < 0 else None) for m, t in zip(evens, taus)))
         trace = SpTrace(tuple(sorted(mu, reverse=True)), tuple(mu))
-        assert extract_weyl_pair(trace, tau) == _ref_extract_weyl_pair(trace, tau)
+        assert extract_weyl_pair(trace.mu_partition(), tau) == _ref_extract_weyl_pair(trace, tau)

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 from collections import Counter
@@ -356,7 +357,7 @@ class TestEnumeration:
         for theory in Theory:
             for rank in range(17):
                 enumerate_members(theory, rank)
-        assert len(calls) == 4451
+        assert len(calls) == 4243
         assert min(v for _, prefix, _, v, _, _ in calls if prefix) == 3
 
     def test_generated_without_filtering(self):
@@ -543,6 +544,31 @@ class TestCombine:
                 assert got == reference_combine(pair, mode, tb), (pair, mode, tb)
                 assert type(got.values) is type(got.prime_odd) is tuple
         assert (inputs, empty) == (1393, 395)
+
+    def test_matches_reference_combine_on_large_pairs(self):
+        # Sides of rank 10-24, merged into 20-100 rows.  A C or D side paired
+        # with itself is one tuple object, so only the tie-break can tell the
+        # merge which side goes first.
+        rng = random.Random(31)
+        pairs = []
+        for theory in Theory:
+            side1, side2 = PAIR_SIDES[theory]
+            rigid = {(side, rank): enumerate_rigid(side, rank)
+                     for side in (side1, side2) for rank in range(10, 25)}
+
+            def side(name):
+                return rng.choice(rigid[name, rng.randrange(10, 25)])
+
+            pairs += [OperatorPair(side(side1), side(side2), theory) for _ in range(200)]
+            if side1 is side2:
+                pairs += [OperatorPair(p, p, theory) for p in (side(side1) for _ in range(50))]
+        pairs = [p for p in pairs if 20 <= len(p.lambda_prime) + len(p.lambda_dprime) <= 100]
+        for pair in pairs:
+            for tb in TIE_BREAKS:
+                assert combine(pair, INTERLEAVE, tb) == reference_combine(pair, INTERLEAVE, tb), (
+                    pair, tb)
+        same = sum(p.lambda_prime is p.lambda_dprime for p in pairs)
+        assert (len(pairs), same) == (697, 98)
 
     def test_unknown_convention_rejected(self):
         pair = OperatorPair((1, 1, 1), (1, 1), "B")

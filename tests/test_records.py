@@ -53,7 +53,7 @@ RECORDS = {
         "mode='interleave', tie_break='prime', conditions=frozenset({'i'}), "
         "iii_variant=None), tagged=TaggedPartition(values=(1,), mode='interleave', "
         "prime_odd=(True,)), trace=SpTrace(lambda_values=(1,), "
-        "mu_values=(0,)), tau=TauTable(entries=()), weyl=WeylPair(alpha=(), beta=()), "
+        "mu_values=(0,)), mu=(), tau=TauTable(entries=()), weyl=WeylPair(alpha=(), beta=()), "
         "diagnostic=None, pair=OperatorPair(lambda_prime=(1,), "
         "lambda_dprime=(), theory=<Theory.B: 'B'>))",
     ),
