@@ -38,8 +38,8 @@ def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     One pass over the value groups, the steps of closedform._walk, with no
     slice of the rows: a group end where the box count is even closes a
     block, and so does the last row.  tp must come from combine in
-    INTERLEAVE mode, whose stable merge keeps each origin's rows of one
-    value together, so a group is the run of its first origin's rows and
+    INTERLEAVE mode, whose merge keeps each origin's rows of one value
+    together, so a group is the run of its first origin's rows and
     then the other origin's.  A row is lambda''s when it has a datum in
     tp.prime_odd, and within a group the lambda' rows share one datum, so a
     run is a stretch of equal data.  The kind follows from the last group

@@ -57,10 +57,14 @@ MAX_CHECK_RANK = {
 
 
 def _check_listed(rank: int, limit: int, what: str) -> None:
-    """Raise ValueError for a rank past limit, where a list of what outgrows MAX_LISTED."""
+    """Raise ValueError for a rank past limit, where a list of what outgrows MAX_LISTED.
+
+    The message names the limit, not the rank, which may run to thousands
+    of digits.
+    """
     if rank > limit:
         raise ValueError(
-            f"rank {rank} has more than {MAX_LISTED} {what}, "
+            f"the rank has more than {MAX_LISTED} {what}, "
             f"the most this command lists (largest rank {limit})")
 
 

@@ -354,9 +354,10 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
             tie_break: str = PRIME_FIRST) -> TaggedPartition:
     """Merge the pair into a tagged partition.
 
-    INTERLEAVE: one linear merge of the two descending part lists; among
-    equal values the tie_break origin goes first, so each origin's rows of
-    one value stay next to each other.  COMPONENTWISE: index-wise sums
+    INTERLEAVE: one linear merge of the two descending part lists by one
+    comparison: a lambda'' row goes ahead of a lambda' row when its value
+    is larger, or equal under DPRIME_FIRST.  So each origin's rows of one
+    value stay next to each other.  COMPONENTWISE: index-wise sums
     zero-padded to the longer side.  Either mode fills prime_odd.  With a
     side empty the modes agree, and the other side's rows are kept as they
     stand.
@@ -369,22 +370,16 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
         values = tuple(map(add, p1, p2)) + p1[len(p2):] + p2[len(p1):]
         prime_odd = tuple([v % 2 == 1 for v in p1]) + (None,) * (len(p2) - len(p1))
         return TaggedPartition(values, mode, prime_odd)
-    data1, data2 = [v % 2 == 1 for v in p1], (None,) * len(p2)
-    # The side comes from tie_break, not from identity: in C and D both
-    # sides may be one tuple object.
-    if tie_break == PRIME_FIRST:
-        first, first_data, second, second_data = p1, data1, p2, data2
-    else:
-        first, first_data, second, second_data = p2, data2, p1, data1
+    lead = tie_break == DPRIME_FIRST
     values, prime_odd = [], []
-    j, n = 0, len(second)
-    for v, d in zip(first, first_data):
-        while j < n and second[j] > v:  # only larger values of the other side go ahead
-            values.append(second[j])
-            prime_odd.append(second_data[j])
+    j, n = 0, len(p2)
+    for v in p1:
+        while j < n and p2[j] + lead > v:
+            values.append(p2[j])
+            prime_odd.append(None)
             j += 1
         values.append(v)
-        prime_odd.append(d)
-    values += second[j:]
-    prime_odd += second_data[j:]
+        prime_odd.append(v % 2 == 1)
+    values += p2[j:]
+    prime_odd += (None,) * (n - j)
     return TaggedPartition(tuple(values), mode, tuple(prime_odd))

@@ -326,11 +326,16 @@ class TestNegativeRank:
         (["enumerate", "--theory", "B", "--rank", "100000000000"], 86),
         (["fibers", "--theory", "B", "--rank", "5000"], 43),
         (["check", "structure", "--max-rank", "5000"], 83),
+        # The message names the limit, not the refused rank's 4000 digits.
+        (["enumerate", "--theory", "B", "--rank", "9" * 4000], 86),
+        (["fibers", "--theory", "B", "--rank", "9" * 4000], 43),
+        (["check", "structure", "--max-rank", "9" * 4000], 83),
     ])
     def test_over_large_rank_refused_before_listing(self, capsys, argv, limit):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"the most this command lists (largest rank {limit})" in err
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200
 
     def test_largest_rank_accepted(self):
         # Parsed only: the parser bounds no rank from above, and nothing is

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations, product
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from rigidfp import (
     tau_table,
 )
 from rigidfp.cli import result_record
-from rigidfp.fingerprint import SO, SP, VACUOUS
+from rigidfp.fingerprint import III_VARIANTS, SO, SP, VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
@@ -306,6 +307,31 @@ class TestPairLemmas:
                                  for tb in (PRIME_FIRST, DPRIME_FIRST))
                 )
         assert (pairs, changed) == expected
+
+    def test_what_the_tie_break_can_change(self):
+        # The tie-break reorders only the datum column inside a value group,
+        # so the merged values and the Sp trace never change.  A moved odd
+        # row's even image already has condition (i), so only (iii) on a
+        # moved row can see the order: with (i) the outcome never changes,
+        # and without it only under the SO variant.
+        subsets = [frozenset(c) for k in range(4) for c in combinations("i ii iii".split(), k)]
+        outcome = attrgetter("mu", "tau", "weyl", "diagnostic")
+        pairs, changed = 0, Counter()
+        for pair in member_pairs(5):
+            pairs += 1
+            for conditions, variant in product(subsets, (None, *III_VARIANTS)):
+                prime, dprime = (
+                    fingerprint(pair, FingerprintOptions(tie_break=tb, conditions=conditions,
+                                                         iii_variant=variant))
+                    for tb in (PRIME_FIRST, DPRIME_FIRST))
+                assert prime.trace == dprime.trace
+                if outcome(prime) != outcome(dprime):
+                    assert "i" not in conditions, (pair, conditions, variant)
+                    assert prime.options.variant_for(pair.theory) == SO
+                    changed[pair.theory.value, " ".join(sorted(conditions))] += 1
+        assert pairs == 638
+        assert changed == {("B", "iii"): 72, ("B", "ii iii"): 28,
+                           ("D", "iii"): 34, ("D", "ii iii"): 16}
 
 
 # The kernels as first written (a running sum, a dict of witnesses, a
