@@ -6,13 +6,13 @@ SuiteReport; a failing suite carries minimal counterexample strings.
 from __future__ import annotations
 
 from itertools import chain
+from typing import NamedTuple
 
 from . import blocks as blocks_mod
 from .closedform import (
     _split,
     closed_form_fingerprint_BD,
     closed_form_fingerprint_C,
-    has_all_even_transpose_rows,
     unipotent_mu_factored,
     xs_inverse,
     xs_map,
@@ -44,22 +44,12 @@ from .partitions import (
 )
 
 
-class SuiteReport:
-    """How many inputs a suite checked, its counterexamples and its info lines.
+class SuiteReport(NamedTuple):
+    """How many inputs a suite checked, its counterexamples and its info lines."""
 
-    A plain class, not a dataclass, for the cold start: see
-    partitions.OperatorPair.
-    """
-
-    def __init__(self, checked: int = 0, failures: list[str] | None = None,
-                 info: list[str] | None = None):
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.info = [] if info is None else info
-
-    def __repr__(self) -> str:
-        return (f"SuiteReport(checked={self.checked!r}, failures={self.failures!r}, "
-                f"info={self.info!r})")
+    checked: int
+    failures: list[str]
+    info: list[str]
 
     @property
     def ok(self) -> bool:
@@ -101,14 +91,16 @@ def _pairs_under(options, max_rank):
             yield theory, pair, opts
 
 
-def _sweep(report: SuiteReport, inputs, check) -> SuiteReport:
+def _sweep(inputs, check) -> SuiteReport:
     """Count each input and collect what check(*input) returns, if not None."""
+    checked = 0
+    failures = []
     for args in inputs:
-        report.checked += 1
+        checked += 1
         failure = check(*args)
         if failure is not None:
-            report.failures.append(failure)
-    return report
+            failures.append(failure)
+    return SuiteReport(checked, failures, [])
 
 
 def transpose_structure_ok(p, theory) -> bool:
@@ -136,7 +128,7 @@ def check_structure(max_rank: int) -> SuiteReport:
                 f"transpose {format_partition(transpose(p))}"
             )
 
-    return _sweep(SuiteReport(), _upto(enumerate_rigid, Theory, max_rank), check)
+    return _sweep(_upto(enumerate_rigid, Theory, max_rank), check)
 
 
 def sp_locality_failure(theory, p) -> str | None:
@@ -171,7 +163,7 @@ def sp_locality_failure(theory, p) -> str | None:
 def check_sp_locality(max_rank: int) -> SuiteReport:
     """Changes only at value-group boundaries, direction set by the sign."""
     inputs = _upto(enumerate_members, Theory, max_rank)
-    return _sweep(SuiteReport(), inputs, sp_locality_failure)
+    return _sweep(inputs, sp_locality_failure)
 
 
 def check_parity(max_rank: int) -> SuiteReport:
@@ -185,7 +177,7 @@ def check_parity(max_rank: int) -> SuiteReport:
                     f"odd value {v} unpaired in {format_partition(mu)}"
                 )
 
-    return _sweep(SuiteReport(), _upto(enumerate_members, Theory, max_rank), check)
+    return _sweep(_upto(enumerate_members, Theory, max_rank), check)
 
 
 def deficit_closure_ok(trace) -> bool:
@@ -209,7 +201,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
     cycle type, beta lists the negative cycles, and a class of W(D_n) has an
     even number of them.
     """
-    report = SuiteReport()
+    info = []
 
     def check(theory, pair, opts):
         mode = opts.mode
@@ -219,7 +211,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         if res.diagnostic is not None:
             if theory is not Theory.C:
                 return f"{_fmt_pair(pair)} [{mode}]: " + res.diagnostic.message()
-            report.info.append(
+            info.append(
                 f"{_fmt_pair(pair)} [{mode}, iii={res.options.variant_for(theory)}]: "
                 + res.diagnostic.message()
             )
@@ -231,7 +223,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
     modes = [FingerprintOptions(mode=mode) for mode in MODES]
-    return _sweep(report, _pairs_under(modes, max_rank), check)
+    return _sweep(_pairs_under(modes, max_rank), check)._replace(info=info)
 
 
 def check_condition_ii(max_rank: int) -> SuiteReport:
@@ -250,7 +242,7 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
         if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
             return _fmt_pair(pair)
 
-    report = _sweep(SuiteReport(), _rigid_pairs_upto(max_rank), check)
+    report = _sweep(_rigid_pairs_upto(max_rank), check)
     hits = []
     count = 0
     for theory, p in _upto(enumerate_members, Theory, max_rank):
@@ -310,7 +302,7 @@ def check_shift(max_rank: int) -> SuiteReport:
                 f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
-    return _sweep(SuiteReport(), _rigid_pairs_upto(max_rank), check)
+    return _sweep(_rigid_pairs_upto(max_rank), check)
 
 
 def check_factorization(max_rank: int) -> SuiteReport:
@@ -329,7 +321,7 @@ def check_factorization(max_rank: int) -> SuiteReport:
             )
 
     inputs = _upto(enumerate_rigid, (Theory.B, Theory.D, Theory.C), max_rank)
-    return _sweep(SuiteReport(), inputs, check)
+    return _sweep(inputs, check)
 
 
 def check_collapse_bijection(max_rank: int) -> SuiteReport:
@@ -341,7 +333,7 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
             image, inverse, lost = ys_map(sigma), ys_inverse, 0
         if sum(sigma) - sum(image) != lost:
             return f"{theory.value} {format_partition(sigma)}: wrong box count"
-        if not has_all_even_transpose_rows(image):
+        if any(r % 2 for r in transpose(image)):
             return (
                 f"{theory.value} {format_partition(sigma)}: "
                 f"image {format_partition(image)} has odd transpose row"
@@ -354,7 +346,7 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
         (theory, _split(p).odd_part)
         for theory, p in _upto(enumerate_rigid, (Theory.B, Theory.D), max_rank)
     )
-    return _sweep(SuiteReport(), inputs, check)
+    return _sweep(inputs, check)
 
 
 def check_closed_form(max_rank: int) -> SuiteReport:
@@ -383,7 +375,7 @@ def check_closed_form(max_rank: int) -> SuiteReport:
         if not any(p.count(v) % 2 for v in set(p))
     )
     inputs = chain(_upto(enumerate_rigid, (Theory.B, Theory.D), max_rank), even_c)
-    return _sweep(SuiteReport(), inputs, check)
+    return _sweep(inputs, check)
 
 
 def check_path_equivalence(max_rank: int) -> SuiteReport:
@@ -395,24 +387,29 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 
     ties = [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS]
-    return _sweep(SuiteReport(), _pairs_under(ties, max_rank), check)
+    return _sweep(_pairs_under(ties, max_rank), check)
 
 
-# Each suite with its default rank bound.
+# Each suite with its default rank bound and its largest rank.  check sweeps
+# a suite rank by rank, so the largest rank is the largest at which every
+# list the suite builds for one rank stays within cli.MAX_LISTED entries:
+# members (B 40, C 38, D 40 within the cap) for sp-locality, parity and
+# condition-ii, rigid pairs for the pair suites, and rigid partitions for
+# the rest.
 SUITES = {
-    "structure": (check_structure, 12),
-    "sp-locality": (check_sp_locality, 12),
-    "parity": (check_parity, 12),
-    "rank-identity": (check_rank_identity, 8),
-    "condition-ii": (check_condition_ii, 10),
-    "shift": (check_shift, 6),
-    "factorization": (check_factorization, 12),
-    "path-equivalence": (check_path_equivalence, 8),
-    "closed-form": (check_closed_form, 10),
-    "collapse-bijection": (check_collapse_bijection, 12),
+    "structure": (check_structure, 12, 83),
+    "sp-locality": (check_sp_locality, 12, 38),
+    "parity": (check_parity, 12, 38),
+    "rank-identity": (check_rank_identity, 8, 41),
+    "condition-ii": (check_condition_ii, 10, 38),
+    "shift": (check_shift, 6, 41),
+    "factorization": (check_factorization, 12, 83),
+    "path-equivalence": (check_path_equivalence, 8, 41),
+    "closed-form": (check_closed_form, 10, 83),
+    "collapse-bijection": (check_collapse_bijection, 12, 86),
 }
 
 
 def run_suite(name: str, max_rank: int | None = None) -> SuiteReport:
-    suite, default_rank = SUITES[name]
+    suite, default_rank, _ = SUITES[name]
     return suite(default_rank if max_rank is None else max_rank)

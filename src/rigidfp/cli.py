@@ -42,18 +42,9 @@ from .partitions import (
 # fibers and enumerate --pairs).  Each theory's largest rank within the cap,
 # as (partitions, pairs), follows from the multiplicity rule; the counts
 # never fall as the rank grows.  A larger rank is refused before anything is
-# enumerated.
+# enumerated.  check's largest ranks are in checks.SUITES.
 MAX_LISTED = 10**6
 MAX_LISTED_RANK = {Theory.B: (86, 43), Theory.C: (83, 41), Theory.D: (86, 44)}
-# check sweeps a suite rank by rank, so each suite's largest --max-rank is
-# the least limit over the lists it builds at one rank: members (B 40, C 38,
-# D 40 within the cap) for sp-locality, parity and condition-ii, rigid pairs
-# for the pair suites, and rigid partitions for the rest.
-MAX_CHECK_RANK = {
-    "structure": 83, "sp-locality": 38, "parity": 38, "rank-identity": 41,
-    "condition-ii": 38, "shift": 41, "factorization": 83, "path-equivalence": 41,
-    "closed-form": 83, "collapse-bijection": 86,
-}
 
 
 def _check_listed(rank: int, limit: int, what: str) -> None:
@@ -222,7 +213,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_check(args) -> int:
     if args.max_rank is not None:
-        _check_listed(args.max_rank, MAX_CHECK_RANK[args.suite],
+        _check_listed(args.max_rank, SUITES[args.suite][2],
                       f"entries in one list of {args.suite}")
     report = run_suite(args.suite, args.max_rank)
     record = {
@@ -342,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=emit, help="run a named invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    defaults = {name: default for name, (_, default) in SUITES.items()}
+    defaults = {name: default for name, (_, default, _) in SUITES.items()}
     p.add_argument("--max-rank", type=nonnegative_int,
                    help=f"rank bound (defaults: {defaults})")
     p.set_defaults(func=cmd_check)

@@ -18,7 +18,6 @@ from .partitions import (
     Theory,
     _as_theory,
     is_theory_member,
-    transpose,
     validate_partition,
 )
 
@@ -261,7 +260,3 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
     _require_member(p, theory)
     return _walk(p).weyl
-
-
-def has_all_even_transpose_rows(p) -> bool:
-    return all(r % 2 == 0 for r in transpose(p))

@@ -100,10 +100,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
         if boxes > MAX_BOXES:
             raise ValueError(f"partition has more than {MAX_BOXES} boxes")
         parts.extend([b] * e)
-    for prev, cur in zip(parts, parts[1:]):
-        if cur > prev:
-            raise ValueError(f"parts not descending at token {cur!r}")
-    return tuple(parts)
+    return validate_partition(parts)
 
 
 def format_partition(p) -> str:

@@ -53,12 +53,18 @@ CHECKED_AT_DEFAULT = {
 
 
 def test_suite_report_record():
-    report = SuiteReport(checked=2, failures=["x"])
+    report = SuiteReport(2, ["x"], [])
     assert repr(report) == "SuiteReport(checked=2, failures=['x'], info=[])"
-    assert vars(SuiteReport(2, ["x"], ["y"])) == {"checked": 2, "failures": ["x"], "info": ["y"]}
-    assert not report.ok and SuiteReport(checked=1).ok and not SuiteReport().ok
-    # Each report starts with lists of its own.
-    assert SuiteReport().failures is not SuiteReport().failures
+    assert report == (2, ["x"], []) and SuiteReport._field_defaults == {}
+    with pytest.raises(AttributeError):
+        report.checked = 3
+    assert not report.ok and SuiteReport(1, [], []).ok and not SuiteReport(0, [], []).ok
+
+
+def test_default_ranks_within_largest():
+    # A raised default must stay within the suite's largest rank.
+    for name, (_, default, largest) in SUITES.items():
+        assert default <= largest, name
 
 
 def test_pins_cover_every_suite():

@@ -12,7 +12,7 @@ import rigidfp.blocks
 import rigidfp.cli
 from rigidfp import OperatorPair, block_fingerprint, fingerprint
 from rigidfp.checks import SUITES, SuiteReport
-from rigidfp.cli import MAX_CHECK_RANK, MAX_LISTED, MAX_LISTED_RANK, main, result_record
+from rigidfp.cli import MAX_LISTED, MAX_LISTED_RANK, main, result_record
 from rigidfp.partitions import PAIR_SIDES, Theory
 
 
@@ -207,6 +207,26 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
+def run_module(*argv):
+    """`python -m rigidfp argv` in a fresh process: exit code, stdout, stderr."""
+    src = os.path.dirname(os.path.dirname(rigidfp.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "rigidfp", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestMainModule:
+    def test_check_passes(self):
+        code, out, err = run_module("check", "shift", "--max-rank", "0")
+        assert (code, out.splitlines()[-1], err) == (0, "PASS", "")
+
+    def test_usage_error(self):
+        code, out, err = run_module("fingerprint", "--theory", "B", "--prime", "1 3")
+        assert (code, out) == (2, "")
+        assert err == "error: partition not weakly decreasing at part 3\n"
+
+
 class TestCheck:
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "structure", "--max-rank", "6")
@@ -239,7 +259,7 @@ class TestCheck:
             def fileno(self):
                 return self.fd
 
-        report = SuiteReport(checked=1, failures=failures)
+        report = SuiteReport(1, failures, [])
         monkeypatch.setattr(rigidfp.cli, "run_suite", lambda name, rank: report)
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
@@ -433,14 +453,14 @@ class TestCheckCap:
     def test_limits_follow_from_the_count(self):
         # As for enumerate: the counts never fall as the rank grows, so the
         # first rank past the cap bounds every larger one.
-        assert CHECK_LISTS.keys() == MAX_CHECK_RANK.keys() == SUITES.keys()
+        assert CHECK_LISTS.keys() == SUITES.keys()
         for suite, lists in CHECK_LISTS.items():
             def most(rank):
                 return max(count(t, rank) for count, theories in lists for t in theories)
 
-            limit = MAX_CHECK_RANK[suite]
+            limit = SUITES[suite][2]
             assert most(limit) <= MAX_LISTED < most(limit + 1), suite
-        assert [MAX_CHECK_RANK[s] for s in ("sp-locality", "shift", "structure")] == [38, 41, 83]
+        assert [SUITES[s][2] for s in ("sp-locality", "shift", "structure")] == [38, 41, 83]
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_refused_before_enumerating(self, capsys, monkeypatch, suite):
@@ -448,15 +468,16 @@ class TestCheckCap:
             raise AssertionError("swept past the cap")
 
         monkeypatch.setattr(rigidfp.cli, "run_suite", refuse)
-        for rank in (MAX_CHECK_RANK[suite] + 1, 4999):
+        largest = SUITES[suite][2]
+        for rank in (largest + 1, 4999):
             code, out, err = run(capsys, "check", suite, "--max-rank", str(rank), "--json")
             assert (code, out) == (2, "")
             assert f"more than {MAX_LISTED} entries" in err
-            assert f"largest rank {MAX_CHECK_RANK[suite]}" in err
+            assert f"largest rank {largest}" in err
 
     def test_largest_ranks_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(rigidfp.cli, "run_suite", lambda *args: SuiteReport(checked=1))
-        for suite, limit in MAX_CHECK_RANK.items():
+        monkeypatch.setattr(rigidfp.cli, "run_suite", lambda *args: SuiteReport(1, [], []))
+        for suite, (_, _, limit) in SUITES.items():
             code, out, err = run(capsys, "check", suite, "--max-rank", str(limit))
             assert (code, out.splitlines()[-1], err) == (0, "PASS", "")
 

@@ -64,7 +64,7 @@ class TestParse:
         assert parse_partition("-") == ()
 
     def test_not_descending(self):
-        with pytest.raises(ValueError, match="descending"):
+        with pytest.raises(ValueError, match="^partition not weakly decreasing at part 2$"):
             parse_partition("1,2")
 
     # Parts and exponents are plain ASCII digits: "2_1" is not 21, "1^1_0"
