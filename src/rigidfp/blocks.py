@@ -11,8 +11,6 @@ must reproduce the direct pipeline's image and outcome, which is the
 module's correctness contract, and shares no code with the pipeline's Sp,
 tau and extraction stages.
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .closedform import BlockResult, _walk  # re-exported: block_fingerprint returns it

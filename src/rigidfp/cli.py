@@ -4,8 +4,6 @@ Text output uses exponent form; --json emits one JSON object per line
 (UTF-8 JSONL) with a stable field order.  Exit codes: 0 success / suite
 pass, 1 invariant violation, 2 usage error.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import os

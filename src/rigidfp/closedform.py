@@ -7,8 +7,6 @@ block path (blocks.block_fingerprint) and returns a BlockResult.  The walk
 cuts no blocks: its docstring states why it is the union of the walks of
 the blocks that blocks.decompose_blocks cuts.
 """
-from __future__ import annotations
-
 from itertools import repeat
 from operator import ge, mod
 from typing import NamedTuple

@@ -1,6 +1,4 @@
 """The fingerprint pipeline: the Sp map, tau, and [alpha;beta]."""
-from __future__ import annotations
-
 from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
@@ -140,14 +138,15 @@ class TauTable(NamedTuple):
 
 
 def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
-              opts: FingerprintOptions | None = None) -> TauTable:
+              opts: FingerprintOptions) -> TauTable:
     """Evaluate tau(m) for each even positive value m of mu.
 
     tau(m) = -1 iff some index with mu_i = m satisfies an active condition:
     (i) mu_i != lambda_i, (ii) running sums differ, (iii) the lambda'-datum
     at the row is odd (SO) / even (Sp).  Deleted rows (mu_i = 0) are ignored.
+    Each value enters at its first row, and sp_map keeps the rows descending,
+    so the entries come out descending.
     """
-    opts = opts or DEFAULT_OPTIONS
     conditions = opts.conditions
     check_i = "i" in conditions
     check_ii = "ii" in conditions
@@ -168,10 +167,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
             witnesses[m] = "iii"
         else:
             witnesses[m] = None
-    entries = tuple([
-        (m, -1 if w else 1, w) for m, w in sorted(witnesses.items(), reverse=True)
-    ])
-    return TauTable(entries)
+    return TauTable(tuple([(m, -1 if w else 1, w) for m, w in witnesses.items()]))
 
 
 class WeylPair(NamedTuple):
@@ -259,13 +255,12 @@ class FingerprintResult(NamedTuple):
 
 
 def fingerprint(pair: OperatorPair,
-                opts: FingerprintOptions | None = None) -> FingerprintResult:
+                opts: FingerprintOptions = DEFAULT_OPTIONS) -> FingerprintResult:
     """Full pipeline: combine -> Sp -> tau -> [alpha; beta].
 
     Rigidity is not required.  Extraction failures surface as a
     diagnostic, not an exception.
     """
-    opts = opts or DEFAULT_OPTIONS
     tagged = combine(pair, opts.mode, opts.tie_break)
     trace = sp_map(tagged.values)
     tau = tau_table(trace, tagged, pair.theory, opts)

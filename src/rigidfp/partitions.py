@@ -3,8 +3,6 @@
 A partition is represented as a tuple of weakly decreasing positive ints
 (the row lengths of its Young diagram).  The empty partition is ().
 """
-from __future__ import annotations
-
 import re
 from collections import Counter
 from enum import Enum

@@ -5,6 +5,7 @@ from itertools import groupby
 
 import partition_oracle
 from partition_oracle import (
+    _joined,
     block_from_sides,
     block_moves,
     has_mixed_block,
@@ -373,6 +374,46 @@ class TestPathEquivalence:
                     found.update(f"pairing at {v}" for v in pairings)
         assert found == {"blocks": 1278, "flips": 106, "pairings": 38, "both": 0,
                          "pairing at 3": 22, "pairing at 1": 16}
+
+    def test_c_blocks_against_their_unipotent_walks(self):
+        # The C rule per block: each block's walk against the unipotent C
+        # walks of its rows, which read (iii) off each row's own parity.  A
+        # two-origin block is the union of its sides' walks and a λ'-only
+        # block is its own walk.  λ'' rows carry no datum, so in a λ''-only
+        # block (iii) never fires: it may diagnose, or differ without
+        # diagnosing.  Every diagnostic lies in a λ''-only block.
+        def unipotent(rows):
+            return _walk(rows, tuple(v % 2 == 1 for v in rows), False)
+
+        found = Counter()
+        for _, pair in upto(enumerate_rigid_pairs, 10, (Theory.C,)):
+            for tb in (PRIME_FIRST, DPRIME_FIRST):
+                tp = combine(pair, tie_break=tb)
+                diagnosed = block_fingerprint(tp, Theory.C).diagnostic is not None
+                found["inputs"] += 1
+                found["diagnosed inputs"] += diagnosed
+                in_dprime_only = False
+                for s, e, _, _ in decompose_blocks(tp):
+                    values, sides = tp.values[s:e], prime_rows(tp)[s:e]
+                    walk = _walk(values, tp.prime_odd[s:e], False)
+                    if len(set(sides)) == 2:
+                        parts = [unipotent(tuple(v for v, o in zip(values, sides) if o == side))
+                                 for side in (True, False)]
+                        assert _joined([walk]) == _joined(parts), (pair, tb)
+                        assert not walk.diagnostic, (pair, tb)
+                        found["two-origin"] += 1
+                    elif sides[0]:
+                        assert walk == unipotent(values), (pair, tb)
+                        found["prime-only"] += 1
+                    else:
+                        outcome = ("diagnoses" if walk.diagnostic else
+                                   "equals" if walk == unipotent(values) else "differs")
+                        found[f"dprime-only {outcome}"] += 1
+                        in_dprime_only |= walk.diagnostic is not None
+                assert diagnosed == in_dprime_only, (pair, tb)
+        assert found == {"inputs": 1216, "diagnosed inputs": 308, "two-origin": 1232,
+                         "prime-only": 740, "dprime-only diagnoses": 336,
+                         "dprime-only equals": 320, "dprime-only differs": 84}
 
     @pytest.mark.parametrize("theory", ["C", Theory.C])
     def test_theory_as_letter_or_member(self, theory):

@@ -159,9 +159,9 @@ def _condition_ii_pipeline_runs(monkeypatch, max_rank):
     """condition-ii's report at max_rank and how many pipelines it ran."""
     calls = []
 
-    def counted(pair, opts=None):
+    def counted(pair, *opts):
         calls.append(pair)
-        return fingerprint(pair, opts)
+        return fingerprint(pair, *opts)
 
     monkeypatch.setattr(rigidfp.checks, "fingerprint", counted)
     report = run_suite("condition-ii", max_rank)
@@ -216,8 +216,8 @@ def _shift_mutant(monkeypatch, change):
     """
     calls = []
 
-    def mutated(pair, opts=None):
-        res = fingerprint(pair, opts)
+    def mutated(pair, *opts):
+        res = fingerprint(pair, *opts)
         calls.append(pair)
         return change(res) if len(calls) % 2 == 0 else res
 
@@ -354,8 +354,7 @@ def _sp_mutant(rule):
 
 def _with_options(change):
     """A tau_table that evaluates with change(opts, theory) in place of opts."""
-    def mutated(trace, tags, theory, opts=None):
-        opts = opts or FingerprintOptions()
+    def mutated(trace, tags, theory, opts):
         return tau_table(trace, tags, theory, change(opts, theory))
     return mutated
 
@@ -366,7 +365,7 @@ def _without(condition):
 
 def _tau_plus(keep):
     """A tau_table that sets tau(m) = +1 on every value m that keep rejects."""
-    def mutated(trace, tags, theory, opts=None):
+    def mutated(trace, tags, theory, opts):
         entries = tau_table(trace, tags, theory, opts).entries
         return TauTable(tuple(e if keep(e[0]) else (e[0], 1, None) for e in entries))
     return mutated

@@ -89,6 +89,20 @@ class TestSpMap:
 
 
 class TestTau:
+    def test_entries_descend_in_trace_order(self):
+        # tau lists each value at its first row, so the row-order lemma
+        # makes the entries strictly descending.  The sweeps of
+        # test_rows_stay_in_order, run through the pipeline.
+        runs = [(OperatorPair(p, (), theory), FingerprintOptions())
+                for theory, p in upto(enumerate_members, 12)]
+        runs += [(pair, FingerprintOptions(mode, tie))
+                 for _, pair in upto(enumerate_rigid_pairs, 8)
+                 for mode, tie in product(MODES, TIE_BREAKS)]
+        assert len(runs) == 6049
+        for pair, opts in runs:
+            values = [m for m, _, _ in fingerprint(pair, opts).tau.entries]
+            assert all(a > b for a, b in zip(values, values[1:])), (pair, opts)
+
     def test_condition_i(self):
         values = (3, 2, 2, 1, 1, 1, 1)
         tp = tagged(values, 7)
