@@ -270,7 +270,7 @@ def check_shift(max_rank: int) -> SuiteReport:
     keeps the row order.  A row deleted by Sp reappears as a beta part of 1
     after the shift; the result-level check accounts for exactly that.  A
     diagnostic shifts too: both sides have one or neither, and each
-    unpairable value rises by 2 with the same multiplicity and tau.
+    unpairable value rises by 2 with the same multiplicity.
     """
     def check(theory, pair):
         base = fingerprint(pair)
@@ -284,7 +284,7 @@ def check_shift(max_rank: int) -> SuiteReport:
         if (base.diagnostic is None) != (shifted.diagnostic is None):
             return f"{_fmt_pair(pair)}: diagnostic on one side of the shift only"
         if base.diagnostic is not None:
-            want = tuple((v + 2, n, t) for v, n, t in base.diagnostic.entries)
+            want = tuple((v + 2, n) for v, n in base.diagnostic.entries)
             if shifted.diagnostic.entries != want:
                 return (
                     f"{_fmt_pair(pair)}: diagnostic {base.diagnostic.message()} "

@@ -100,8 +100,8 @@ def result_record(res: FingerprintResult) -> dict:
     diagnostics = []
     if res.diagnostic is not None:
         diagnostics = [
-            {"value": v, "multiplicity": n, "tau": t}
-            for v, n, t in res.diagnostic.entries
+            {"value": v, "multiplicity": n, "tau": 1}
+            for v, n in res.diagnostic.entries
         ]
     blocks = []
     if res.tagged.mode == INTERLEAVE:
@@ -118,7 +118,7 @@ def result_record(res: FingerprintResult) -> dict:
         "combine_mode": res.options.mode,
         "iii_variant": res.options.variant_for(pair.theory),
         "tie_break": res.options.tie_break,
-        "mu": list(res.mu),
+        "mu": res.mu,
         **_weyl_fields(res),
         "diagnostics": diagnostics,
         "blocks": blocks,
@@ -133,16 +133,13 @@ def _outcome_text(res: FingerprintResult) -> str:
 
 
 def _pair_fields(pair: OperatorPair) -> dict:
-    return {"lambda_prime": list(pair.lambda_prime),
-            "lambda_dprime": list(pair.lambda_dprime)}
+    return {"lambda_prime": pair.lambda_prime, "lambda_dprime": pair.lambda_dprime}
 
 
 def _weyl_fields(res: FingerprintResult) -> dict:
-    """alpha and beta as lists, both None under a diagnostic."""
-    weyl = res.weyl
-    if weyl is None:
-        return {"alpha": None, "beta": None}
-    return {"alpha": list(weyl.alpha), "beta": list(weyl.beta)}
+    """alpha and beta, both None under a diagnostic."""
+    alpha, beta = res.weyl or (None, None)
+    return {"alpha": alpha, "beta": beta}
 
 
 def _result_text(res: FingerprintResult, record: dict) -> str:
@@ -186,7 +183,7 @@ def cmd_enumerate(args) -> int:
         items = (({**head, **_pair_fields(pair)}, format_pair(pair))
                  for pair in enumerate_rigid_pairs(theory, args.rank))
     else:
-        items = (({**head, "partition": list(p)}, format_partition(p))
+        items = (({**head, "partition": p}, format_partition(p))
                  for p in enumerate_rigid(theory, args.rank))
     _emit(args, items)
     return 0

@@ -222,7 +222,7 @@ def _walk(values, datum=None, so=False) -> BlockResult:
         if v in tau_neg:
             beta += [v // 2] * c
         elif c % 2:
-            bad.append((v, c, 1))
+            bad.append((v, c))
         else:
             alpha += [v] * (c // 2)
     if bad:

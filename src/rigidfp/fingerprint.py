@@ -154,7 +154,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     check_iii = "iii" in conditions and variant != VACUOUS
     odd_datum = variant == SO  # (iii) fires on an odd datum under SO, even under Sp
     lam = trace.lambda_values
-    delta = trace.partial_sum_delta if check_ii else ()
+    delta = trace.partial_sum_delta
     witnesses: dict[int, str | None] = {}  # even value -> witness; None: tau=+1
     for i, m in enumerate(trace.mu_values):
         if m <= 0 or m % 2 or witnesses.get(m):
@@ -183,17 +183,18 @@ class WeylPair(NamedTuple):
 class ExtractionDiagnostic(NamedTuple):
     """Unpairable values found while reading [alpha; beta] off (mu, tau).
 
-    Each entry is (value, multiplicity, tau); signals a convention
+    Each entry is (value, multiplicity): a value of tau = +1, or an odd
+    value, with an odd number of rows.  A tau = -1 value feeds beta
+    whatever its count, so every entry's tau is +1.  Signals a convention
     inconsistency rather than a crash.  A named tuple, so it compares equal
     to the plain tuple (entries,).
     """
 
-    entries: tuple[tuple[int, int, int], ...]
+    entries: tuple[tuple[int, int], ...]
 
     def message(self) -> str:
         return "; ".join(
-            f"value {v} has odd multiplicity {n} under tau={t:+d}"
-            for v, n, t in self.entries
+            f"value {v} has odd multiplicity {n} under tau=+1" for v, n in self.entries
         )
 
 
@@ -206,7 +207,7 @@ def extract_weyl_pair(mu: tuple[int, ...], tau: TauTable):
     taus = tau.as_dict()
     alpha: list[int] = []
     beta: list[int] = []
-    bad: list[tuple[int, int, int]] = []
+    bad: list[tuple[int, int]] = []
     start, n = 0, len(mu)
     while start < n:
         v = mu[start]
@@ -216,7 +217,7 @@ def extract_weyl_pair(mu: tuple[int, ...], tau: TauTable):
         c = stop - start
         if v % 2 or taus[v] == 1:
             if c % 2:
-                bad.append((v, c, 1))
+                bad.append((v, c))
             else:
                 alpha += [v] * (c // 2)
         else:

@@ -80,8 +80,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
     "-" denote the empty partition.  More than MAX_BOXES boxes in total is
     rejected.
     """
-    text = text.strip()
-    if text in ("", "-"):
+    if text.strip() == "-":
         return ()
     parts: list[int] = []
     boxes = 0
@@ -103,13 +102,10 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 def format_partition(p) -> str:
     """Render a partition in exponent form: "2^2 1"; the empty one is "-"."""
-    p = tuple(p)
-    if not p:
-        return "-"
     chunks = []
     for v, n in sorted(Counter(p).items(), reverse=True):
         chunks.append(f"{v}^{n}" if n > 1 else str(v))
-    return " ".join(chunks)
+    return " ".join(chunks) or "-"
 
 
 def transpose(p) -> tuple[int, ...]:
@@ -119,9 +115,7 @@ def transpose(p) -> tuple[int, ...]:
     over the values, largest first: O(rows + largest part).
     """
     mult = Counter(p)
-    if not mult:
-        return ()
-    return tuple(accumulate(map(mult.__getitem__, range(max(mult), 0, -1))))[::-1]
+    return tuple(accumulate(map(mult.__getitem__, range(max(mult, default=0), 0, -1))))[::-1]
 
 
 def is_theory_member(p, theory) -> bool:
@@ -155,13 +149,12 @@ def is_rigid(p, theory) -> bool:
     """
     theory = _as_theory(theory)
     p = tuple(p)
-    if not p:
-        return True
     if set(p) == {1}:
         return True  # the zero orbit is never induced (covers (1,1) in D_1)
     mult = Counter(p)
     # max(mult) distinct values, all in 1..max(mult): every one of them occurs.
-    return len(mult) == max(mult) and all(
+    # The empty partition has no values, and 0 stands for its largest.
+    return len(mult) == max(mult, default=0) and all(
         n != 2 for v, n in mult.items() if v % 2 != theory.paired
     )
 
@@ -261,7 +254,8 @@ class OperatorPair(_PairFields):
         if not is_theory_member(lambda_dprime, side2):
             raise ValueError(f"lambda'' {lambda_dprime} is not a {side2.value}-type partition")
         boxes = sum(lambda_prime) + sum(lambda_dprime) - theory.theta
-        if boxes < 0 or boxes % 2:
+        # The only negative count is -1, both sides empty in B, and it is odd.
+        if boxes % 2:
             raise ValueError(f"pair has no integral rank (box count {boxes + theory.theta})")
         return tuple.__new__(cls, (lambda_prime, lambda_dprime, theory))
 
@@ -354,12 +348,12 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
     is larger, or equal under DPRIME_FIRST.  So each origin's rows of one
     value stay next to each other.  COMPONENTWISE: index-wise sums
     zero-padded to the longer side.  Either mode fills prime_odd.  With a
-    side empty the modes agree, and the other side's rows are kept as they
-    stand.
+    side empty both merges keep the other side's rows as they stand, so
+    the modes agree.
     """
     _check_merge(mode, tie_break)
     p1, p2 = pair.lambda_prime, pair.lambda_dprime
-    if mode == COMPONENTWISE or not (p1 and p2):
+    if mode == COMPONENTWISE:
         # The common rows summed, then the longer side's tail; lambda''s
         # data, then None on the rows past its end.
         values = tuple(map(add, p1, p2)) + p1[len(p2):] + p2[len(p1):]

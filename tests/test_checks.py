@@ -230,7 +230,7 @@ def test_shift_fails_on_one_sided_diagnostic(monkeypatch):
     def change(res):
         if res.weyl is None:
             return res
-        return res._replace(weyl=None, diagnostic=ExtractionDiagnostic(((3, 1, 1),)))
+        return res._replace(weyl=None, diagnostic=ExtractionDiagnostic(((3, 1),)))
 
     _shift_mutant(monkeypatch, change)
     report = run_suite("shift", 4)
@@ -255,7 +255,7 @@ def test_shift_compares_diagnostic_entries(monkeypatch):
     def change(res):
         if res.diagnostic is None:
             return res
-        entries = tuple((v + 1, n, t) for v, n, t in res.diagnostic.entries)
+        entries = tuple((v + 1, n) for v, n in res.diagnostic.entries)
         return res._replace(diagnostic=ExtractionDiagnostic(entries))
 
     _shift_mutant(monkeypatch, change)

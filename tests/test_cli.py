@@ -94,7 +94,7 @@ class TestFingerprint:
         assert code == 0
         rec = json.loads(out)
         assert rec["alpha"] is None
-        assert rec["diagnostics"]
+        assert rec["diagnostics"] == [{"value": 2, "multiplicity": 1, "tau": 1}]
 
     def test_compare_shows_all_conventions(self, capsys):
         code, out, _ = run(capsys, "fingerprint", "--theory", "B",

@@ -101,7 +101,7 @@ def test_checks_hold_on_large_pairs(pair):
                                 tuple(b + 1 for b in beta) + (1,) * deleted)
     else:
         assert shifted.diagnostic.entries == tuple(
-            (v + 2, n, t) for v, n, t in base.diagnostic.entries)
+            (v + 2, n) for v, n in base.diagnostic.entries)
     if theory is Theory.D:
         mirror = OperatorPair(pair.lambda_dprime, pair.lambda_prime, theory)
         assert fingerprint(mirror).same_outcome(base)

@@ -61,7 +61,11 @@ class TestParse:
 
     def test_empty(self):
         assert parse_partition("") == ()
+        assert parse_partition("  ") == ()
         assert parse_partition("-") == ()
+        assert parse_partition(" - ") == ()
+        # The round trip would pass with "" too; the empty partition prints "-".
+        assert format_partition(()) == "-"
 
     def test_not_descending(self):
         with pytest.raises(ValueError, match="^partition not weakly decreasing at part 2$"):

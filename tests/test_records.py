@@ -42,9 +42,9 @@ RECORDS = {
         "WeylPair(alpha=(2,), beta=(1, 1))",
     ),
     "ExtractionDiagnostic": (
-        lambda: ExtractionDiagnostic(((2, 1, 1),)),
-        ExtractionDiagnostic(((2, 3, 1),)),
-        "ExtractionDiagnostic(entries=((2, 1, 1),))",
+        lambda: ExtractionDiagnostic(((2, 1),)),
+        ExtractionDiagnostic(((2, 3),)),
+        "ExtractionDiagnostic(entries=((2, 1),))",
     ),
     "FingerprintResult": (
         _result,
