@@ -14,7 +14,7 @@ tau and extraction stages.
 from typing import NamedTuple
 
 from .closedform import BlockResult, _walk  # re-exported: block_fingerprint returns it
-from .partitions import INTERLEAVE, TaggedPartition, Theory, _as_theory
+from .partitions import INTERLEAVE, TaggedPartition, _as_theory
 
 
 class Block(NamedTuple):
@@ -103,4 +103,4 @@ def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     reads condition (iii) off tp.prime_odd, under SO in B and D and under
     Sp in C.
     """
-    return _walk(tp.values, tp.prime_odd, _as_theory(theory) is not Theory.C)
+    return _walk(tp.values, tp.prime_odd, not _as_theory(theory).paired)

@@ -207,7 +207,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         if not deficit_closure_ok(res.trace):
             return f"{_fmt_pair(pair)} [{mode}]: deficit open"
         if res.diagnostic is not None:
-            if theory is not Theory.C:
+            if not theory.paired:
                 return f"{_fmt_pair(pair)} [{mode}]: " + res.diagnostic.message()
             info.append(
                 f"{_fmt_pair(pair)} [{mode}, iii={res.options.variant_for(theory)}]: "

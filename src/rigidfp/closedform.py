@@ -226,8 +226,10 @@ def _walk(values, datum=None, so=False) -> BlockResult:
         else:
             alpha += [v] * (c // 2)
     if bad:
-        return BlockResult(tuple(mu), None, ExtractionDiagnostic(tuple(bad)))
-    return BlockResult(tuple(mu), WeylPair(tuple(alpha), tuple(beta)), None)
+        return tuple.__new__(BlockResult, (
+            tuple(mu), None, tuple.__new__(ExtractionDiagnostic, (tuple(bad),))))
+    return tuple.__new__(BlockResult, (
+        tuple(mu), tuple.__new__(WeylPair, (tuple(alpha), tuple(beta))), None))
 
 
 def closed_form_fingerprint_C(p) -> WeylPair:

@@ -8,7 +8,6 @@ from .partitions import (
     PRIME_FIRST,
     OperatorPair,
     TaggedPartition,
-    Theory,
     _as_theory,
     _check_merge,
     combine,
@@ -76,7 +75,7 @@ def sp_map(values) -> SpTrace:
                     mu[i] = v - 1
             elif values[i - 1] != v:  # a '+' row has an odd row above it
                 mu[i] = v + 1
-    return SpTrace(values, tuple(mu))
+    return tuple.__new__(SpTrace, (values, tuple(mu)))
 
 
 class _OptionFields(NamedTuple):
@@ -119,7 +118,7 @@ class FingerprintOptions(_OptionFields):
         """
         if self.iii_variant is not None:
             return self.iii_variant
-        return SP if _as_theory(theory) is Theory.C else SO
+        return SP if _as_theory(theory).paired else SO
 
 
 DEFAULT_OPTIONS = FingerprintOptions()  # immutable, so one instance serves every call
@@ -167,7 +166,8 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
             witnesses[m] = "iii"
         else:
             witnesses[m] = None
-    return TauTable(tuple([(m, -1 if w else 1, w) for m, w in witnesses.items()]))
+    return tuple.__new__(TauTable, (
+        tuple([(m, -1 if w else 1, w) for m, w in witnesses.items()]),))
 
 
 class WeylPair(NamedTuple):
@@ -224,8 +224,8 @@ def extract_weyl_pair(mu: tuple[int, ...], tau: TauTable):
             beta += [v // 2] * c
         start = stop
     if bad:
-        return ExtractionDiagnostic(tuple(bad))
-    return WeylPair(tuple(alpha), tuple(beta))
+        return tuple.__new__(ExtractionDiagnostic, (tuple(bad),))
+    return tuple.__new__(WeylPair, (tuple(alpha), tuple(beta)))
 
 
 class FingerprintResult(NamedTuple):
@@ -267,6 +267,5 @@ def fingerprint(pair: OperatorPair,
     tau = tau_table(trace, tagged, pair.theory, opts)
     mu = trace.mu_partition()
     outcome = extract_weyl_pair(mu, tau)
-    if isinstance(outcome, WeylPair):
-        return FingerprintResult(opts, tagged, trace, mu, tau, outcome, None, pair)
-    return FingerprintResult(opts, tagged, trace, mu, tau, None, outcome, pair)
+    weyl, diagnostic = (outcome, None) if isinstance(outcome, WeylPair) else (None, outcome)
+    return tuple.__new__(FingerprintResult, (opts, tagged, trace, mu, tau, weyl, diagnostic, pair))

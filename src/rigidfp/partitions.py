@@ -20,7 +20,10 @@ class Theory(str, Enum):
         # Plain attributes, not properties: membership and rank tests read
         # them on every call.  theta is the box-count offset over twice the
         # rank; paired is the parity of the values that need even
-        # multiplicity.
+        # multiplicity, so it is 1 only in C.  On Python 3.11 a class
+        # lookup such as Theory.C goes through EnumType.__getattr__, several
+        # times the cost of reading a member's attribute, so tests made once
+        # per input read paired or theta.
         self.theta = int(letter == "B")
         self.paired = int(letter == "C")
 
@@ -358,7 +361,7 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
         # data, then None on the rows past its end.
         values = tuple(map(add, p1, p2)) + p1[len(p2):] + p2[len(p1):]
         prime_odd = tuple([v % 2 == 1 for v in p1]) + (None,) * (len(p2) - len(p1))
-        return TaggedPartition(values, mode, prime_odd)
+        return tuple.__new__(TaggedPartition, (values, mode, prime_odd))
     lead = tie_break == DPRIME_FIRST
     values, prime_odd = [], []
     j, n = 0, len(p2)
@@ -371,4 +374,4 @@ def combine(pair: OperatorPair, mode: str = INTERLEAVE,
         prime_odd.append(v % 2 == 1)
     values += p2[j:]
     prime_odd += (None,) * (n - j)
-    return TaggedPartition(tuple(values), mode, tuple(prime_odd))
+    return tuple.__new__(TaggedPartition, (tuple(values), mode, tuple(prime_odd)))

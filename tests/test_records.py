@@ -1,7 +1,9 @@
 """The contract of the pipeline's immutable records.
 
 Each record is built twice from equal fields and once with one field
-changed.  The repr keeps the Name(field=value) format.
+changed.  The repr keeps the Name(field=value) format.  The records the
+pipeline and the block path build for each input skip the named tuple's
+constructor, so their type and arity are checked on the records they return.
 """
 import pytest
 
@@ -9,15 +11,21 @@ from rigidfp import (
     Block,
     ExtractionDiagnostic,
     FingerprintOptions,
+    FingerprintResult,
     OperatorPair,
     ParitySplit,
     SpTrace,
     TaggedPartition,
     TauTable,
+    Theory,
     WeylPair,
+    block_fingerprint,
+    enumerate_rigid_pairs,
     fingerprint,
 )
-from rigidfp.partitions import INTERLEAVE
+from rigidfp.blocks import BlockResult
+from rigidfp.fingerprint import VACUOUS
+from rigidfp.partitions import INTERLEAVE, MODES, TIE_BREAKS, enumerate_members
 
 
 def _result(conditions=("i",)):
@@ -73,6 +81,11 @@ RECORDS = {
         ParitySplit((3, 1), ()),
         "ParitySplit(odd_part=(3, 1), even_part=(2, 2))",
     ),
+    "BlockResult": (
+        lambda: BlockResult((2, 2), WeylPair((2,), ()), None),
+        BlockResult((2, 2), WeylPair((), (1, 1)), None),
+        "BlockResult(mu=(2, 2), weyl=WeylPair(alpha=(2,), beta=()), diagnostic=None)",
+    ),
 }
 
 
@@ -105,3 +118,52 @@ def test_equal_to_the_plain_tuple_of_its_fields(name):
     # Named tuples: documented in each type's docstring.
     record = RECORDS[name][0]()
     assert record == tuple(getattr(record, f) for f in type(record).__annotations__)
+
+
+# The class of each record-valued field, by field name, in the records that
+# fingerprint and block_fingerprint return.
+NESTED = {
+    "options": FingerprintOptions,
+    "tagged": TaggedPartition,
+    "trace": SpTrace,
+    "tau": TauTable,
+    "weyl": WeylPair,
+    "diagnostic": ExtractionDiagnostic,
+    "pair": OperatorPair,
+}
+
+
+def _nested_records(record):
+    """record and every record it nests, each checked for its class and arity."""
+    cls = type(record)
+    assert len(record) == len(cls._fields), record
+    yield record
+    for name, value in zip(cls._fields, record):
+        if name in NESTED and value is not None:
+            assert type(value) is NESTED[name], (name, value)
+            yield from _nested_records(value)
+
+
+def test_built_records_have_their_class_and_arity():
+    # Every rigid pair and every member taken as (p; -) to rank 6, under each
+    # mode and tie-break, and a C pair that diagnoses under the vacuous (iii).
+    pairs = [
+        pair for theory in Theory for n in range(7)
+        for pair in enumerate_rigid_pairs(theory, n)
+        + [OperatorPair(p, (), theory) for p in enumerate_members(theory, n)]
+    ]
+    runs = [(pair, FingerprintOptions(mode=mode, tie_break=tie_break))
+            for pair in pairs for mode in MODES for tie_break in TIE_BREAKS]
+    runs.append((OperatorPair((2, 1, 1), (), "C"), FingerprintOptions(iii_variant=VACUOUS)))
+    assert fingerprint(*runs[-1]).diagnostic is not None
+    seen, seen_blocks = set(), set()
+    for pair, opts in runs:
+        res = fingerprint(pair, opts)
+        assert type(res) is FingerprintResult
+        via_blocks = block_fingerprint(res.tagged, pair.theory)
+        assert type(via_blocks) is BlockResult
+        seen.update(map(type, _nested_records(res)))
+        seen_blocks.update(map(type, _nested_records(via_blocks)))
+    # Both outcomes of each path were built.
+    assert seen == {FingerprintResult, *NESTED.values()}
+    assert seen_blocks == {BlockResult, WeylPair, ExtractionDiagnostic}
