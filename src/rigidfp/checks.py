@@ -110,7 +110,7 @@ def transpose_structure_ok(p, theory) -> bool:
     """
     theory = _as_theory(theory)
     rows = transpose(p)
-    if theory is not Theory.C and rows:
+    if not theory.paired and rows:
         if rows[0] % 2 != theory.theta:
             return False
         rows = rows[1:]
@@ -252,7 +252,7 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
         # Named only when reported: most gapped members are neither hits nor failures.
         if res.tau.as_dict() != without.as_dict():
             hits.append(f"{theory.value} {format_partition(p)}")
-        if theory is not Theory.C and res.weyl != closed_form_fingerprint_BD(p, theory):
+        if not theory.paired and res.weyl != closed_form_fingerprint_BD(p, theory):
             report.failures.append(
                 f"{theory.value} {format_partition(p)}: pipeline differs from the closed form")
     head = ", ".join(hits[:5])
@@ -304,10 +304,14 @@ def check_shift(max_rank: int) -> SuiteReport:
 
 
 def check_factorization(max_rank: int) -> SuiteReport:
-    """Collapse-factored mu equals Sp for rigid B/D; Sp is the identity for C."""
+    """Collapse-factored mu equals Sp for rigid B/D; Sp is the identity for C.
+
+    The factored mu runs on the closed forms' group walk, never on sp_map,
+    so the B/D comparison cross-checks the pipeline's Sp stage.
+    """
     def check(theory, p):
         direct = sp_map(p).mu_partition()
-        if theory is Theory.C:
+        if theory.paired:
             if direct != p:
                 return f"C {format_partition(p)}: sp not the identity"
             return None
@@ -350,7 +354,7 @@ def check_closed_form(max_rank: int) -> SuiteReport:
     vac = FingerprintOptions(iii_variant=VACUOUS)
 
     def check(theory, p):
-        if theory is Theory.C:
+        if theory.paired:
             pipe = fingerprint(_unchecked_pair(p, (), theory), vac)
             if pipe.weyl != closed_form_fingerprint_C(p):
                 return f"C {format_partition(p)}: closed form disagrees with pipeline"

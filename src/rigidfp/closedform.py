@@ -1,17 +1,20 @@
 """Closed forms for unipotent operators: parity split, collapse maps, group formulas.
 
-The collapse maps act on the all-odd subpartition; the factored mu and the
-per-group fingerprint formulas give an independent second route that must
-agree with the generic pipeline.  Their group walk (_walk) also serves the
-block path (blocks.block_fingerprint) and returns a BlockResult.  The walk
-cuts no blocks: its docstring states why it is the union of the walks of
-the blocks that blocks.decompose_blocks cuts.
+Every closed form runs on one engine, the group walk (_walk): the collapse
+maps on the all-odd subpartition, their inverses' confirming forward map,
+the factored mu and the per-group fingerprint formulas.  From fingerprint
+the module imports only record types, never a pipeline stage, so the
+closed forms are a second route, independent of the pipeline, that must
+agree with it.  The walk also serves the block path
+(blocks.block_fingerprint) and returns a BlockResult.  It cuts no blocks:
+its docstring states why it is the union of the walks of the blocks that
+blocks.decompose_blocks cuts.
 """
 from itertools import repeat
 from operator import ge, mod
 from typing import NamedTuple
 
-from .fingerprint import ExtractionDiagnostic, WeylPair, sp_map
+from .fingerprint import ExtractionDiagnostic, WeylPair
 from .partitions import (
     Theory,
     _as_theory,
@@ -58,12 +61,12 @@ def _require_all_odd(sigma, lost: int) -> tuple[int, ...]:
 
 
 def _collapse(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Sp image of an all-odd partition, unchecked: the collapse maps' core.
+    """_walk's image of an all-odd partition, unchecked: the collapse maps' core.
 
     sigma must be valid with all-odd parts; its total's parity is the
     number of boxes the map loses.
     """
-    return sp_map(sigma).mu_partition()
+    return _walk(sigma).mu
 
 
 def _expand(p, lost: int) -> tuple[int, ...]:
@@ -139,7 +142,7 @@ def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     theory = _as_theory(theory)
     p = validate_partition(p)
     _require_member(p, theory)
-    if theory is Theory.C:
+    if theory.paired:
         return p
     odd_part, even_part = _split(p)
     return tuple(sorted(_collapse(odd_part) + even_part, reverse=True))
@@ -256,7 +259,7 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
     """
     theory = _as_theory(theory)
     p = validate_partition(p)
-    if theory is Theory.C:
+    if theory.paired:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
     _require_member(p, theory)
     return _walk(p).weyl

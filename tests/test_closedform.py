@@ -1,6 +1,11 @@
+import ast
+import inspect
+import sys
+
 import pytest
 
 from partition_oracle import partitions_of
+import rigidfp.blocks
 import rigidfp.closedform
 from rigidfp import (
     WeylPair,
@@ -114,13 +119,13 @@ class TestInverseOracle:
 
     def test_one_forward_map_per_inverse(self, monkeypatch):
         calls = []
-        original = rigidfp.closedform.sp_map
+        original = rigidfp.closedform._collapse
 
-        def counted(values):
-            calls.append(values)
-            return original(values)
+        def counted(sigma):
+            calls.append(sigma)
+            return original(sigma)
 
-        monkeypatch.setattr(rigidfp.closedform, "sp_map", counted)
+        monkeypatch.setattr(rigidfp.closedform, "_collapse", counted)
         stair = tuple(range(21, 0, -2))
         for image, inverse in (((2, 2, 1, 1), xs_inverse), ((2, 2), ys_inverse),
                                (xs_map(stair), xs_inverse)):
@@ -223,3 +228,25 @@ class TestMembershipGate:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+PIPELINE_STAGES = {"sp_map", "tau_table", "extract_weyl_pair", "fingerprint"}
+
+
+@pytest.mark.parametrize("module", [rigidfp.closedform, rigidfp.blocks],
+                         ids=lambda m: m.__name__)
+def test_imports_only_record_types_from_fingerprint(module):
+    # The closed forms and the block path are the pipeline's oracles only if
+    # they run none of its stages: neither module may import a stage, by
+    # name from the package or the fingerprint module, or the module itself.
+    home = sys.modules["rigidfp.fingerprint"]
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            assert "rigidfp.fingerprint" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                assert alias.name not in PIPELINE_STAGES | {"*"}, (node.module, alias.name)
+                if node.module in ("fingerprint", "rigidfp.fingerprint"):
+                    record = getattr(home, alias.name)
+                    assert isinstance(record, type) and issubclass(record, tuple), alias.name
+                    assert hasattr(record, "_fields"), alias.name

@@ -10,7 +10,8 @@ the same class.  A class of W(D_n) has an even number of negative cycles.
 """
 import pytest
 
-from rigidfp import OperatorPair, Theory, enumerate_rigid_pairs, fingerprint
+from rigidfp import FingerprintOptions, OperatorPair, Theory, enumerate_rigid_pairs, fingerprint
+from rigidfp.fingerprint import SO, SP, VACUOUS
 from rigidfp.partitions import enumerate_members, theory_total
 
 MAX_RANK = 10
@@ -67,3 +68,31 @@ def test_d_fingerprints_have_an_even_number_of_negative_cycles():
     assert len(pairs) == 342
     for pair in pairs:
         assert len(fingerprint(pair).weyl.beta) % 2 == 0, pair
+
+
+def test_only_the_theory_default_variant_passes_in_every_theory():
+    # Per iii variant and theory, to rank 8: (members, members without a
+    # class, members whose class an earlier member of their rank has).
+    # The default (None) is SO in B/D and Sp in C.  SO and vacuous leave C
+    # members, the regular orbit among them, without a class; Sp gives B and
+    # D members shared classes.  So no single variant passes everywhere.
+    found = {}
+    for variant in (None, SO, SP, VACUOUS):
+        opts = FingerprintOptions(iii_variant=variant)
+        for theory in Theory:
+            members = unclassed = shared = 0
+            for rank in range(9):
+                seen = set()
+                for p in enumerate_members(theory, rank):
+                    weyl = fingerprint(OperatorPair(p, (), theory), opts).weyl
+                    members += 1
+                    if weyl is None:
+                        unclassed += 1
+                    elif weyl in seen:
+                        shared += 1
+                    seen.add(weyl)
+            found[variant, theory.value] = (members, unclassed, shared)
+    sizes = {"B": 224, "C": 257, "D": 177}
+    misses = {(SO, "C"): (190, 0), (SP, "B"): (0, 60), (SP, "D"): (0, 55), (VACUOUS, "C"): (190, 0)}
+    assert found == {(variant, theory): (sizes[theory], *misses.get((variant, theory), (0, 0)))
+                     for variant in (None, SO, SP, VACUOUS) for theory in sizes}
