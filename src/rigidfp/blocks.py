@@ -33,7 +33,7 @@ class Block(NamedTuple):
 def decompose_blocks(tp: TaggedPartition) -> list[Block]:
     """Cut the tagged partition into blocks and classify each one.
 
-    One pass over the value groups, the steps of closedform._walk, with no
+    One pass over the value groups, the steps of closedform._groups, with no
     slice of the rows: a group end where the box count is even closes a
     block, and so does the last row.  tp must come from combine in
     INTERLEAVE mode, whose merge keeps each origin's rows of one value

@@ -1,14 +1,15 @@
 """Closed forms for unipotent operators: parity split, collapse maps, group formulas.
 
-Every closed form runs on one engine, the group walk (_walk): the collapse
-maps on the all-odd subpartition, their inverses' confirming forward map,
-the factored mu and the per-group fingerprint formulas.  From fingerprint
-the module imports only record types, never a pipeline stage, so the
-closed forms are a second route, independent of the pipeline, that must
-agree with it.  The walk also serves the block path
-(blocks.block_fingerprint) and returns a BlockResult.  It cuts no blocks:
-its docstring states why it is the union of the walks of the blocks that
-blocks.decompose_blocks cuts.
+Every closed form runs on one engine, the group walk's pass (_groups), which
+has two readers.  The collapse maps on the all-odd subpartition, their
+inverses' confirming forward map and the factored mu read it through
+_collapse, which builds only the image.  The per-group fingerprint formulas
+read it through _walk, which builds the image and [alpha; beta] as a
+BlockResult.  From fingerprint the module imports only record types, never
+a pipeline stage, so the closed forms are a second route, independent of
+the pipeline, that must agree with it.  The walk also serves the block path
+(blocks.block_fingerprint).  It cuts no blocks: its docstring states why it
+is the union of the walks of the blocks that blocks.decompose_blocks cuts.
 """
 from itertools import repeat
 from operator import ge, mod
@@ -61,12 +62,16 @@ def _require_all_odd(sigma, lost: int) -> tuple[int, ...]:
 
 
 def _collapse(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """_walk's image of an all-odd partition, unchecked: the collapse maps' core.
+    """The image of an all-odd partition, unchecked: the collapse maps' core.
 
-    sigma must be valid with all-odd parts; its total's parity is the
-    number of boxes the map loses.
+    It reads the walk's group pass (_groups) and builds only the image,
+    with no [alpha; beta] and no record.  sigma must be valid with all-odd
+    parts; its total's parity is the number of boxes the map loses.
     """
-    return _walk(sigma).mu
+    mu = []
+    for v, c in _groups(sigma)[0].items():
+        mu += [v] * c
+    return tuple(mu)
 
 
 def _expand(p, lost: int) -> tuple[int, ...]:
@@ -161,8 +166,8 @@ class BlockResult(NamedTuple):
     diagnostic: ExtractionDiagnostic | None
 
 
-def _walk(values, datum=None, so=False) -> BlockResult:
-    """The BlockResult of a B/D or C member's rows, or of a merged pair's.
+def _groups(values, datum=None, so=False) -> tuple[dict[int, int], set[int]]:
+    """The group walk's pass: the image's multiplicities and its tau = -1 values.
 
     The walk takes one step per group of n rows of the value v, over the
     descending rows.  An odd group gains a box at its first row when the box
@@ -181,19 +186,9 @@ def _walk(values, datum=None, so=False) -> BlockResult:
     so the parity stays even, nothing moves, and (iii) alone makes
     tau = -1.
 
-    A tau = -1 value feeds beta with each of its rows, every other value
-    feeds alpha with its pairs; an unpaired one makes the outcome an
-    ExtractionDiagnostic and weyl None.
-
-    The walk cuts nothing, yet it is the union of the walks of the blocks
-    that blocks.decompose_blocks cuts: each block starts at an even count,
-    as the walk does, and every producer of an image value lies in one block.
-    - An odd value has only its own group.  An even value w has at most
-      three producers: the loss at w + 1, its own group, the gain at w - 1.
-    - The loss leaves the count odd, an even group keeps its parity and the
-      gain needs an odd count above it: the count stays odd from the first
-      producer to the last.
-    - A block closes only at an even count.
+    The multiplicities come keyed by value, largest first; a value may
+    appear with multiplicity 0.  Two readers share the pass: _walk and the
+    collapse maps' _collapse.
     """
     counts, tau_neg = {}, set()
     odd = i = 0  # odd: parity of the box count above the group
@@ -219,6 +214,28 @@ def _walk(values, datum=None, so=False) -> BlockResult:
                 counts[v - 1] = 1
                 tau_neg.add(v - 1)
         i = j
+    return counts, tau_neg
+
+
+def _walk(values, datum=None, so=False) -> BlockResult:
+    """The BlockResult of a B/D or C member's rows, or of a merged pair's.
+
+    It reads the group pass (_groups, which states the walk's rules): a
+    tau = -1 value feeds beta with each of its rows, every other value
+    feeds alpha with its pairs; an unpaired one makes the outcome an
+    ExtractionDiagnostic and weyl None.
+
+    The walk cuts nothing, yet it is the union of the walks of the blocks
+    that blocks.decompose_blocks cuts: each block starts at an even count,
+    as the walk does, and every producer of an image value lies in one block.
+    - An odd value has only its own group.  An even value w has at most
+      three producers: the loss at w + 1, its own group, the gain at w - 1.
+    - The loss leaves the count odd, an even group keeps its parity and the
+      gain needs an odd count above it: the count stays odd from the first
+      producer to the last.
+    - A block closes only at an even count.
+    """
+    counts, tau_neg = _groups(values, datum, so)
     mu, alpha, beta, bad = [], [], [], []
     for v, c in counts.items():
         mu += [v] * c

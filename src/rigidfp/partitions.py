@@ -4,9 +4,10 @@ A partition is represented as a tuple of weakly decreasing positive ints
 (the row lengths of its Young diagram).  The empty partition is ().
 """
 import re
+from bisect import bisect_left
 from collections import Counter
 from enum import Enum
-from itertools import accumulate, product
+from itertools import product
 from operator import add
 from typing import NamedTuple
 
@@ -114,11 +115,13 @@ def format_partition(p) -> str:
 def transpose(p) -> tuple[int, ...]:
     """Transpose of the Young diagram: row r of the result counts parts >= r.
 
-    The rows of p may come in any order.  One counting pass and a suffix sum
-    over the values, largest first: O(rows + largest part).
+    The rows of p may come in any order.  One sort of the rows, then a
+    bisection per column: the rows below r number bisect_left(q, r) in the
+    ascending rows q.  O(rows log rows + largest part * log rows).
     """
-    mult = Counter(p)
-    return tuple(accumulate(map(mult.__getitem__, range(max(mult, default=0), 0, -1))))[::-1]
+    q = sorted(p)
+    n = len(q)
+    return tuple([n - bisect_left(q, r) for r in range(1, q[-1] + 1)]) if q else ()
 
 
 def is_theory_member(p, theory) -> bool:

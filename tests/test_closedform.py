@@ -93,6 +93,8 @@ class TestInverseOracle:
             for sigma in _odd_partitions(total):
                 image = collapse(sigma)
                 assert inverse(image) == sigma == _brute_inverse(image, lost)
+                # The two readers of the group pass agree on the image.
+                assert rigidfp.closedform._collapse(sigma) == rigidfp.closedform._walk(sigma).mu
                 checked += 1
         assert checked == 904
 

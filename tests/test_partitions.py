@@ -238,7 +238,7 @@ def transpose_reference(p):
     p = tuple(p)
     if not p:
         return ()
-    return tuple(sum(1 for x in p if x >= r) for r in range(1, p[0] + 1))
+    return tuple(sum(1 for x in p if x >= r) for r in range(1, max(p) + 1))
 
 
 def outcome(f, *args):
@@ -283,7 +283,7 @@ class TestLoopReferences:
                         == outcome(member_reference, p, theory)), (p, theory)
 
     def test_transpose(self):
-        for p in SMALL_PARTITIONS:
+        for p in SMALL_PARTITIONS + UNSORTED + [(40,), (30, 1), (25, 25), (1,) * 30]:
             assert transpose(p) == transpose_reference(p), p
         assert transpose(()) == transpose_reference(()) == ()
 
