@@ -5,7 +5,6 @@ Text output uses exponent form; --json emits one JSON object per line
 pass, 1 invariant violation, 2 usage error.
 """
 import argparse
-import json
 import os
 import sys
 from itertools import product
@@ -64,6 +63,8 @@ def _emit(args, items) -> None:
     is pointed at os.devnull, so the interpreter's final flush of what is
     left cannot raise again, and the command keeps its own exit code.
     """
+    if args.json:
+        import json  # loaded here: text output, the default, never needs it
     text = "\n".join(json.dumps(record) if args.json else t for record, t in items)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -107,7 +107,9 @@ def _expand(p, lost: int) -> tuple[int, ...]:
 def xs_map(sigma) -> tuple[int, ...]:
     """Collapse an all-odd partition of odd total; loses exactly one box.
 
-    The image has all-even transpose rows and is C-type.
+    The image is C-type.  On the odd part of a rigid B partition (every odd
+    value up to the largest present, none exactly twice) its transpose rows
+    are also all even; off that domain one may be odd: (3,) -> (2,).
     """
     return _collapse(_require_all_odd(sigma, 1))
 
@@ -115,7 +117,9 @@ def xs_map(sigma) -> tuple[int, ...]:
 def ys_map(sigma) -> tuple[int, ...]:
     """Collapse an all-odd partition of even total; box count is preserved.
 
-    The image has all-even transpose rows and is D-type.
+    On the odd part of a rigid D partition (every odd value up to the
+    largest present, none exactly twice) the image has all-even transpose
+    rows and is D-type.  Off that domain neither need hold: (5, 1) -> (4, 2).
     """
     return _collapse(_require_all_odd(sigma, 0))
 

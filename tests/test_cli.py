@@ -195,16 +195,18 @@ class TestFingerprint:
         assert "iv" in err
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # Every CLI call is a fresh process that pays the package import, and
-    # dataclasses alone would load inspect, ast and dis into it.
+def test_cli_loads_no_dataclasses_inspect_or_json():
+    # Every CLI call is a fresh process that pays the package import:
+    # dataclasses alone would load inspect, ast and dis into it, and only
+    # --json output needs json.
     src = os.path.dirname(os.path.dirname(rigidfp.cli.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r})\n"
-            "import rigidfp, rigidfp.checks, rigidfp.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    for statements in ("import rigidfp, rigidfp.checks, rigidfp.cli",
+                       "import rigidfp.cli; rigidfp.cli.main(['check', 'structure'])"):
+        code = (f"import sys; sys.path.insert(0, {src!r})\n{statements}\n"
+                "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 def run_module(*argv):

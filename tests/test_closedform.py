@@ -11,6 +11,7 @@ from rigidfp import (
     WeylPair,
     closed_form_fingerprint_BD,
     closed_form_fingerprint_C,
+    is_theory_member,
     sp_map,
     split_parity,
     unipotent_mu_factored,
@@ -65,6 +66,8 @@ class TestCollapseMaps:
         assert ys_map((3, 1)) == (2, 2)
         assert ys_map((1, 1)) == (1, 1)
         assert ys_map((3, 3, 3, 1)) == (3, 3, 2, 2)
+        # Outside the domain (3 is missing): transpose (2, 2, 1, 1), not D-type.
+        assert ys_map((5, 1)) == (4, 2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -93,6 +96,9 @@ class TestInverseOracle:
             for sigma in _odd_partitions(total):
                 image = collapse(sigma)
                 assert inverse(image) == sigma == _brute_inverse(image, lost)
+                if lost:
+                    # xs_map's image is C-type on every all-odd input.
+                    assert is_theory_member(image, Theory.C)
                 # The two readers of the group pass agree on the image.
                 assert rigidfp.closedform._collapse(sigma) == rigidfp.closedform._walk(sigma).mu
                 checked += 1
