@@ -3,10 +3,9 @@
 Each suite sweeps enumerated inputs up to a rank bound and returns a
 SuiteReport; a failing suite carries minimal counterexample strings.
 """
-from itertools import chain
 from typing import NamedTuple
 
-from . import blocks as blocks_mod
+from .blocks import block_fingerprint
 from .closedform import (
     _split,
     closed_form_fingerprint_BD,
@@ -18,6 +17,7 @@ from .closedform import (
     ys_map,
 )
 from .fingerprint import (
+    DEFAULT_OPTIONS,
     VACUOUS,
     FingerprintOptions,
     fingerprint,
@@ -104,16 +104,15 @@ def _sweep(inputs, check) -> SuiteReport:
 def transpose_structure_ok(p, theory) -> bool:
     """Row-parity structure of the transpose diagram of a rigid partition.
 
-    B and D first need the first row odd (B) or even (D), and drop it.  The
-    rows left, padded with one 0 to an even count, then pair off in order,
-    and the two rows of each pair have equal parity.
+    The rows, padded with one 0 to an even count, pair off in order, and
+    the two rows of each pair have equal parity.  A nonempty B or D diagram
+    first gains a leading row of parity theta, which pairs with the first
+    row: that row must be odd (B) or even (D), and the rest pair off after it.
     """
     theory = _as_theory(theory)
     rows = transpose(p)
     if not theory.paired and rows:
-        if rows[0] % 2 != theory.theta:
-            return False
-        rows = rows[1:]
+        rows = (theory.theta, *rows)
     rows += (0,) * (len(rows) % 2)
     return all(a % 2 == b % 2 for a, b in zip(rows[::2], rows[1::2]))
 
@@ -304,26 +303,23 @@ def check_shift(max_rank: int) -> SuiteReport:
 
 
 def check_factorization(max_rank: int) -> SuiteReport:
-    """Collapse-factored mu equals Sp for rigid B/D; Sp is the identity for C.
+    """Sp equals the collapse-factored mu in B and D, and p itself in C.
 
-    The factored mu runs on the closed forms' group walk, never on sp_map,
-    so the B/D comparison cross-checks the pipeline's Sp stage.
+    Only the expected image depends on the theory.  The factored mu runs on
+    the closed forms' group walk, never on sp_map, so the B/D comparison
+    cross-checks the pipeline's Sp stage; in C, Sp must be the identity,
+    the fixed point that the factored mu also reaches.
     """
     def check(theory, p):
         direct = sp_map(p).mu_partition()
-        if theory.paired:
-            if direct != p:
-                return f"C {format_partition(p)}: sp not the identity"
-            return None
-        factored = unipotent_mu_factored(p, theory)
+        factored = p if theory.paired else unipotent_mu_factored(p, theory)
         if direct != factored:
             return (
                 f"{theory.value} {format_partition(p)}: sp {format_partition(direct)} "
                 f"!= factored {format_partition(factored)}"
             )
 
-    inputs = _upto(enumerate_rigid, (Theory.B, Theory.D, Theory.C), max_rank)
-    return _sweep(inputs, check)
+    return _sweep(_upto(enumerate_rigid, Theory, max_rank), check)
 
 
 def check_collapse_bijection(max_rank: int) -> SuiteReport:
@@ -350,17 +346,21 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
 
 
 def check_closed_form(max_rank: int) -> SuiteReport:
-    """Group-formula fingerprints equal the pipeline on their domains."""
+    """Group-formula fingerprints equal the pipeline on their domains.
+
+    Only the closed form and the pipeline's options depend on the theory:
+    closed_form_fingerprint_C under the vacuous variant on the C partitions
+    whose rows pair off, closed_form_fingerprint_BD under the defaults on
+    every rigid B/D partition.
+    """
     vac = FingerprintOptions(iii_variant=VACUOUS)
 
     def check(theory, p):
         if theory.paired:
-            pipe = fingerprint(_unchecked_pair(p, (), theory), vac)
-            if pipe.weyl != closed_form_fingerprint_C(p):
-                return f"C {format_partition(p)}: closed form disagrees with pipeline"
-            return None
-        closed = closed_form_fingerprint_BD(p, theory)
-        pipe = fingerprint(_unchecked_pair(p, (), theory))
+            closed, opts = closed_form_fingerprint_C(p), vac
+        else:
+            closed, opts = closed_form_fingerprint_BD(p, theory), DEFAULT_OPTIONS
+        pipe = fingerprint(_unchecked_pair(p, (), theory), opts)
         if pipe.weyl != closed:
             got = "diagnostic" if pipe.weyl is None else (
                 f"[{format_partition(pipe.weyl.alpha)};{format_partition(pipe.weyl.beta)}]"
@@ -370,11 +370,11 @@ def check_closed_form(max_rank: int) -> SuiteReport:
                 f"{format_partition(closed.beta)}] vs pipeline {got}"
             )
 
-    even_c = (
-        (theory, p) for theory, p in _upto(enumerate_rigid, (Theory.C,), max_rank)
-        if p[0::2] == p[1::2]  # the rows pair off: every multiplicity is even
+    inputs = (
+        (theory, p) for theory, p in _upto(enumerate_rigid, Theory, max_rank)
+        # In C the rows must pair off: every multiplicity is even.
+        if not theory.paired or p[0::2] == p[1::2]
     )
-    inputs = chain(_upto(enumerate_rigid, (Theory.B, Theory.D), max_rank), even_c)
     return _sweep(inputs, check)
 
 
@@ -382,7 +382,7 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
     """The per-block closed forms, joined, equal the direct pipeline's mu and result."""
     def check(theory, pair, opts):
         direct = fingerprint(pair, opts)
-        via_blocks = blocks_mod.block_fingerprint(direct.tagged, theory)
+        via_blocks = block_fingerprint(direct.tagged, theory)
         if not direct.same_outcome(via_blocks):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 

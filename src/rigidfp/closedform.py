@@ -143,16 +143,15 @@ def _require_member(p: tuple[int, ...], theory: Theory) -> None:
 def unipotent_mu_factored(p, theory) -> tuple[int, ...]:
     """mu of a unipotent operator via the collapse of its odd parts.
 
-    B: xs_map(odd parts) joined with the even parts; D: ys_map likewise;
-    C: the partition itself.  A member's odd parts are a valid all-odd
-    partition whose total has the member's parity, so they are collapsed
-    without a second check.
+    B: xs_map(odd parts) joined with the even parts; D: ys_map likewise.
+    In C the result is the partition itself: every odd value of a C member
+    has even multiplicity, so the walk moves none of its rows (_groups).  A
+    member's odd parts are a valid all-odd partition whose total has the
+    member's parity, so they are collapsed without a second check.
     """
     theory = _as_theory(theory)
     p = validate_partition(p)
     _require_member(p, theory)
-    if theory.paired:
-        return p
     odd_part, even_part = _split(p)
     return tuple(sorted(_collapse(odd_part) + even_part, reverse=True))
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from partition_oracle import partitions_of
+from partition_oracle import partitions_of, upto
 import rigidfp.blocks
 import rigidfp.closedform
 from rigidfp import (
@@ -20,7 +20,7 @@ from rigidfp import (
     ys_inverse,
     ys_map,
 )
-from rigidfp.partitions import Theory
+from rigidfp.partitions import Theory, enumerate_members
 
 
 def _odd_partitions(total, max_part=None):
@@ -161,6 +161,14 @@ class TestFactoredMu:
         assert unipotent_mu_factored((3, 2, 2, 1, 1, 1, 1), "B") == (2, 2, 2, 2, 1, 1)
         assert unipotent_mu_factored((3, 2, 2, 1), "D") == (2, 2, 2, 2)
         assert unipotent_mu_factored((2, 1, 1), "C") == (2, 1, 1)
+
+    def test_c_members_are_fixed(self):
+        # The group walk moves no row of a C member's odd part, so the
+        # joined image is the member itself.
+        members = [p for _, p in upto(enumerate_members, 12, (Theory.C,))]
+        assert len(members) == 1491
+        for p in members:
+            assert unipotent_mu_factored(p, Theory.C) == p, p
 
     def test_validates_once(self, monkeypatch):
         # A member's odd parts are collapsed without a second check and
