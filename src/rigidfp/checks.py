@@ -17,8 +17,6 @@ from .closedform import (
     ys_map,
 )
 from .fingerprint import (
-    DEFAULT_OPTIONS,
-    VACUOUS,
     FingerprintOptions,
     fingerprint,
     sp_map,
@@ -223,15 +221,30 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
     return _sweep(_pairs_under(modes, max_rank), check)._replace(info=info)
 
 
+def _closed_form_failure(theory, p, weyl) -> str | None:
+    """Where weyl, the pipeline's result for the member (p; -), differs from
+    the theory's closed form, or None."""
+    closed = (closed_form_fingerprint_C(p) if theory.paired
+              else closed_form_fingerprint_BD(p, theory))
+    if weyl == closed:
+        return None
+    got = "diagnostic" if weyl is None else (
+        f"[{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]")
+    return (
+        f"{theory.value} {format_partition(p)}: closed [{format_partition(closed.alpha)};"
+        f"{format_partition(closed.beta)}] vs pipeline {got}"
+    )
+
+
 def check_condition_ii(max_rank: int) -> SuiteReport:
     """{i,iii} equals {i,ii,iii} on rigid pairs; gapped members are checked too.
 
     Only gapped (non-rigid) members can show condition (ii), so the suite
-    also sweeps the non-rigid members to max_rank.  Each gapped B/D
-    member's pipeline result must equal closed_form_fingerprint_BD, whose
-    open-deficit rule is condition (ii); a mismatch is a failure.  The
-    members where dropping (ii) changes tau are reported in an info line.
-    checked counts the rigid pairs only.
+    also sweeps the non-rigid members to max_rank.  Each gapped member's
+    pipeline result must equal its theory's closed form, whose open-deficit
+    rule is condition (ii); a mismatch is a failure, in closed-form's line
+    form.  The members where dropping (ii) changes tau are reported in an
+    info line.  checked counts the rigid pairs only.
     """
     def check(theory, pair):
         # Same trace, so the same tau table gives the same outcome.
@@ -251,9 +264,9 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
         # Named only when reported: most gapped members are neither hits nor failures.
         if res.tau.as_dict() != without.as_dict():
             hits.append(f"{theory.value} {format_partition(p)}")
-        if not theory.paired and res.weyl != closed_form_fingerprint_BD(p, theory):
-            report.failures.append(
-                f"{theory.value} {format_partition(p)}: pipeline differs from the closed form")
+        failure = _closed_form_failure(theory, p, res.weyl)
+        if failure:
+            report.failures.append(failure)
     head = ", ".join(hits[:5])
     report.info.append(
         f"gapped sweep: {len(hits)} (ii)-sensitive of {count} non-rigid inputs"
@@ -346,29 +359,13 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
 
 
 def check_closed_form(max_rank: int) -> SuiteReport:
-    """Group-formula fingerprints equal the pipeline on their domains.
+    """Group-formula fingerprints equal the pipeline under the defaults.
 
-    Only the closed form and the pipeline's options depend on the theory:
-    closed_form_fingerprint_C under the vacuous variant on the C partitions
-    whose rows pair off, closed_form_fingerprint_BD under the defaults on
-    every rigid B/D partition.
+    closed_form_fingerprint_BD on every rigid B/D partition,
+    closed_form_fingerprint_C on the rigid C partitions whose rows pair off.
     """
-    vac = FingerprintOptions(iii_variant=VACUOUS)
-
     def check(theory, p):
-        if theory.paired:
-            closed, opts = closed_form_fingerprint_C(p), vac
-        else:
-            closed, opts = closed_form_fingerprint_BD(p, theory), DEFAULT_OPTIONS
-        pipe = fingerprint(_unchecked_pair(p, (), theory), opts)
-        if pipe.weyl != closed:
-            got = "diagnostic" if pipe.weyl is None else (
-                f"[{format_partition(pipe.weyl.alpha)};{format_partition(pipe.weyl.beta)}]"
-            )
-            return (
-                f"{theory.value} {format_partition(p)}: closed [{format_partition(closed.alpha)};"
-                f"{format_partition(closed.beta)}] vs pipeline {got}"
-            )
+        return _closed_form_failure(theory, p, fingerprint(_unchecked_pair(p, (), theory)).weyl)
 
     inputs = (
         (theory, p) for theory, p in _upto(enumerate_rigid, Theory, max_rank)

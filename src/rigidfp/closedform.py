@@ -5,11 +5,13 @@ has two readers.  The collapse maps on the all-odd subpartition, their
 inverses' confirming forward map and the factored mu read it through
 _collapse, which builds only the image.  The per-group fingerprint formulas
 read it through _walk, which builds the image and [alpha; beta] as a
-BlockResult.  From fingerprint the module imports only record types, never
-a pipeline stage, so the closed forms are a second route, independent of
-the pipeline, that must agree with it.  The walk also serves the block path
-(blocks.block_fingerprint).  It cuts no blocks: its docstring states why it
-is the union of the walks of the blocks that blocks.decompose_blocks cuts.
+BlockResult; the C form passes the member's own parity column as its datum,
+so no closed form reads combine.  From fingerprint the module imports only
+record types, never a pipeline stage, so the closed forms are a second
+route, independent of the pipeline, that must agree with it.  The walk also
+serves the block path (blocks.block_fingerprint).  It cuts no blocks: its
+docstring states why it is the union of the walks of the blocks that
+blocks.decompose_blocks cuts.
 """
 from itertools import repeat
 from operator import ge, mod
@@ -184,7 +186,7 @@ def _groups(values, datum=None, so=False) -> tuple[dict[int, int], set[int]]:
     even group's rows are unchanged, so its value also has tau = -1 when
     so is in the group's data, an odd lambda'-datum under the SO variant
     (so True: B/D) or an even one under Sp (so False: C).  Without datum (a
-    member's rows, or the vacuous variant) (iii) adds nothing.  In a C
+    B/D member's rows, or the vacuous variant) (iii) adds nothing.  In a C
     member or an INTERLEAVE C merge every odd value has even multiplicity,
     so the parity stays even, nothing moves, and (iii) alone makes
     tau = -1.
@@ -256,26 +258,28 @@ def _walk(values, datum=None, so=False) -> BlockResult:
 
 
 def closed_form_fingerprint_C(p) -> WeylPair:
-    """[prod i^(n_i/2); ()] for a C partition with all-even multiplicities.
+    """Fingerprint of a C unipotent operator (p; -) from its value groups (_walk).
 
-    The group walk of C rows with every tau = +1.
+    The datum is the member's own lambda'-parity column, never combine's.
+    Under the Sp variant of (iii) the walk moves no row of a member and
+    every even value has tau = -1: beta halves each even row, alpha takes
+    each odd value with half its multiplicity, and the result is never a
+    diagnostic.
     """
     p = validate_partition(p)
     _require_member(p, Theory.C)
-    res = _walk(p)
-    if res.diagnostic:
-        raise ValueError(f"{res.diagnostic.message()}: its exponent is not integral")
-    return res.weyl
+    return _walk(p, [v % 2 == 1 for v in p]).weyl
 
 
 def closed_form_fingerprint_BD(p, theory) -> WeylPair:
     """Fingerprint of a B/D unipotent operator from its value groups (_walk).
 
     Never runs the index-wise pipeline; serves as its independent oracle on
-    every B/D member partition, rigid or not: the closed-form suite checks
-    the rigid ones and condition-ii's gapped sweep the non-rigid ones.  The
-    Sp image of a member pairs every value outside beta, so the result is
-    never a diagnostic.
+    every B/D member partition, rigid or not, as closed_form_fingerprint_C
+    is on every C member.  It passes no datum: a member's datum is odd only
+    on odd rows, and (iii) reads even groups only.  The Sp image of a
+    member pairs every value outside beta, so the result is never a
+    diagnostic.
     """
     theory = _as_theory(theory)
     p = validate_partition(p)

@@ -29,8 +29,7 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
-from rigidfp.closedform import (
-    closed_form_fingerprint_BD, split_parity, xs_inverse, xs_map, ys_map)
+from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
 from rigidfp.partitions import (
     INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS, Theory, combine,
     enumerate_members, enumerate_rigid, enumerate_rigid_pairs, format_partition, is_rigid,
@@ -184,20 +183,23 @@ def test_condition_ii_at_rank_0_runs_only_its_rigid_pairs(monkeypatch):
 
 
 def test_condition_ii_compares_every_small_gapped_member(monkeypatch):
-    # At its default rank the gapped sweep holds every non-rigid B/D member
-    # of at most 20 boxes to the closed form.
+    # At its default rank the gapped sweep holds every non-rigid member of
+    # at most 20 boxes to its theory's closed form: B/D members, and the C
+    # members to rank 10.
     compared = set()
+    original = rigidfp.checks._closed_form_failure
 
-    def counted(p, theory):
+    def counted(theory, p, weyl):
         compared.add((theory, p))
-        return closed_form_fingerprint_BD(p, theory)
+        return original(theory, p, weyl)
 
-    monkeypatch.setattr(rigidfp.checks, "closed_form_fingerprint_BD", counted)
+    monkeypatch.setattr(rigidfp.checks, "_closed_form_failure", counted)
     assert run_suite("condition-ii").ok
-    small = {(theory, p) for theory in (Theory.B, Theory.D) for total in range(21)
+    small = {(theory, p) for theory in Theory for total in range(21)
              for p in partitions_of(total)
              if is_theory_member(p, theory) and not is_rigid(p, theory)}
-    assert len(small) == 698
+    assert sum(theory.paired for theory, _ in small) == 567
+    assert len(small) == 698 + 567
     assert small <= compared
 
 
@@ -393,6 +395,10 @@ ODD_UNPAIRED = r"[BCD] \S.*: odd value \d+ unpaired in \S.*"
 # The factored mu runs on the group walk, not on sp_map, so an Sp mutant
 # reaches the factorization line in every theory.
 SP_VS_FACTORED = r"[BCD] \S.*: sp \S.* != factored \S.*"
+# condition-ii's gapped sweep and closed-form share one comparison of a
+# member with its theory's closed form.
+WEYL = r"\[[^;]*;[^]]*\]"
+CLOSED_VS_PIPELINE = rf"[BCD] \S.*: closed {WEYL} vs pipeline (diagnostic|{WEYL})"
 
 # Which suite catches which mutant.  Each row replaces one function in every
 # rigidfp module that binds it: (function, replacement, {suite: failures at
@@ -406,18 +412,18 @@ SP_VS_FACTORED = r"[BCD] \S.*: sp \S.* != factored \S.*"
 # that side.
 MUTANTS = {
     "plus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(0, v, n, s)), {
-        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 12,
+        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 21,
         "factorization": 19, "path-equivalence": 130, "closed-form": 15},
         ("parity", 27, ODD_UNPAIRED), ("factorization", 19, SP_VS_FACTORED)),
     "minus-guard-dropped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(p, v, 0, s)), {
-        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 12,
+        "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 21,
         "factorization": 19, "path-equivalence": 130, "closed-form": 15},
         ("parity", 27, ODD_UNPAIRED), ("factorization", 19, SP_VS_FACTORED)),
     "sign-flipped": (sp_map, _sp_mutant(lambda p, v, n, s: 2 * v - sp_row(p, v, n, s)), {
         "sp-locality": 35, "rank-identity": 58, "condition-ii": 28, "factorization": 10,
         "path-equivalence": 52, "closed-form": 10}),
     "guards-swapped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(n, v, p, s)), {
-        "sp-locality": 44, "rank-identity": 114, "condition-ii": 12, "factorization": 13,
+        "sp-locality": 44, "rank-identity": 114, "condition-ii": 21, "factorization": 13,
         "path-equivalence": 92, "closed-form": 9},
         ("factorization", 13, SP_VS_FACTORED)),
     "sp-above-4-unmoved": (
@@ -427,20 +433,22 @@ MUTANTS = {
     "condition-i-dropped": (tau_table, _without("i"), {"condition-ii": 3}),
     "condition-ii-dropped": (tau_table, _without("ii"), {"condition-ii": 1}),
     "condition-iii-dropped": (tau_table, _without("iii"), {
-        "rank-identity": 8, "path-equivalence": 16}),
+        "rank-identity": 8, "condition-ii": 18, "path-equivalence": 16}),
     "so-sp-swapped": (tau_table, _with_options(lambda o, t: o._replace(
         iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])), {
-        "rank-identity": 8, "condition-ii": 5, "path-equivalence": 32, "closed-form": 5}),
+        "rank-identity": 8, "condition-ii": 23, "path-equivalence": 32, "closed-form": 5},
+        ("condition-ii", 23, CLOSED_VS_PIPELINE), ("closed-form", 5, CLOSED_VS_PIPELINE)),
     # Both paths read the datum from combine, so path-equivalence cannot
-    # see this fault; the unipotent closed forms, which read no datum, do.
-    "datum-parity-flipped": (combine, _datum_flipped, {"condition-ii": 5, "closed-form": 5}),
+    # see this fault; the unipotent closed forms read none from combine, so
+    # they do.
+    "datum-parity-flipped": (combine, _datum_flipped, {"condition-ii": 23, "closed-form": 5}),
     "all-plus": (tau_table, _tau_plus(lambda m: False), {
-        "rank-identity": 9, "condition-ii": 22, "shift": 24, "path-equivalence": 22,
+        "rank-identity": 9, "condition-ii": 40, "shift": 24, "path-equivalence": 22,
         "closed-form": 1}),
     # 7 of its 11 shift failures are one-sided diagnostics; the first is a
     # shifted [alpha;beta].
     "tau-plus-above-2": (tau_table, _tau_plus(lambda m: m <= 2), {
-        "rank-identity": 1, "condition-ii": 12, "shift": 11},
+        "rank-identity": 1, "condition-ii": 23, "shift": 11},
         ("shift", 4, r"[BCD] \(.*\): \[[^;]*;[^]]*\] -> \[[^;]*;[^]]*\]")),
     "transpose-reversed": (transpose, lambda p: transpose(p)[::-1], {"structure": 5},
         ("structure", 5, r"[BCD] \S.*: transpose \S.*")),
@@ -448,14 +456,14 @@ MUTANTS = {
         "factorization": 10, "collapse-bijection": 6},
         ("factorization", 10, SP_VS_FACTORED)),
     "extraction-drops-last-beta": (extract_weyl_pair, _beta_changed(lambda b: b[:-1]), {
-        "rank-identity": 43, "condition-ii": 22, "shift": 24, "path-equivalence": 22,
+        "rank-identity": 43, "condition-ii": 40, "shift": 24, "path-equivalence": 22,
         "closed-form": 1},
         ("rank-identity", 43,
          r"[BCD] \(.*\) \[(interleave|sum)\]: \|alpha\|\+\|beta\|=\d+ != \d+")),
     # Keeps |beta| and changes the parity of its part count.
     "extraction-merges-last-beta": (
         extract_weyl_pair, _beta_changed(lambda b: b[:-2] + (sum(b[-2:]),) if b else b), {
-        "rank-identity": 10, "condition-ii": 17, "shift": 5, "path-equivalence": 10,
+        "rank-identity": 10, "condition-ii": 27, "shift": 5, "path-equivalence": 10,
         "closed-form": 1},
         ("rank-identity", 10, r"D \(.*\) \[(interleave|sum)\]: beta has \d+ parts, odd in D")),
     "xs-map-identity": (xs_map, tuple, {"collapse-bijection": 5},

@@ -8,9 +8,11 @@ from partition_oracle import partitions_of, upto
 import rigidfp.blocks
 import rigidfp.closedform
 from rigidfp import (
+    OperatorPair,
     WeylPair,
     closed_form_fingerprint_BD,
     closed_form_fingerprint_C,
+    fingerprint,
     is_theory_member,
     sp_map,
     split_parity,
@@ -195,12 +197,18 @@ class TestFactoredMu:
 
 class TestClosedFormC:
     def test_examples(self):
-        assert closed_form_fingerprint_C((2, 2, 2, 2, 1, 1)) == WeylPair((2, 2, 1), ())
+        # beta halves each even row; alpha takes each odd value with half
+        # its multiplicity.
+        assert closed_form_fingerprint_C((2, 2, 2, 2, 1, 1)) == WeylPair((1,), (1, 1, 1, 1))
         assert closed_form_fingerprint_C((1, 1, 1, 1)) == WeylPair((1, 1), ())
+        assert closed_form_fingerprint_C((2, 1, 1)) == WeylPair((1,), (1,))
 
-    def test_odd_multiplicity_rejected(self):
-        with pytest.raises(ValueError, match="not integral"):
-            closed_form_fingerprint_C((2, 1, 1))
+    def test_every_member_matches_the_pipeline(self):
+        # Under the default options, on every C member to rank 12.
+        members = [p for _, p in upto(enumerate_members, 12, (Theory.C,))]
+        assert len(members) == 1491
+        for p in members:
+            assert closed_form_fingerprint_C(p) == fingerprint(OperatorPair(p, (), "C")).weyl, p
 
 
 class TestClosedFormBD:

@@ -286,22 +286,32 @@ class TestFingerprint:
 
 
 class TestPairLemmas:
-    def test_c_diagnostic_at_unmatched_even_value(self):
+    def test_c_pair_lemma(self):
         # Sp fixes a C member, and under the Sp variant tau(m) = -1 exactly
-        # when a row of m comes from lambda'.  So a C pair gives a diagnostic
-        # exactly when an even value occurs an odd number of times in
-        # lambda'' and never in lambda'.
-        pairs = diagnostics = 0
+        # when lambda' holds a row of m.  So the outcome of a C pair is read
+        # off its sides: beta halves every row of an even value that lambda'
+        # holds, alpha takes every other value with half its total count, and
+        # an even value absent from lambda' with an odd total count diagnoses.
+        inputs = diagnostics = 0
         for _, pair in upto(enumerate_rigid_pairs, 10, (Theory.C,)):
-            prime = set(pair.lambda_prime)
-            predicted = any(v % 2 == 0 and n % 2 and v not in prime
-                            for v, n in Counter(pair.lambda_dprime).items())
-            for tb in (PRIME_FIRST, DPRIME_FIRST):
+            counts = Counter(pair.lambda_prime + pair.lambda_dprime)
+            held = {v for v in pair.lambda_prime if v % 2 == 0}
+            alpha, beta, bad = [], [], []
+            for v in sorted(counts, reverse=True):
+                n = counts[v]
+                if v in held:
+                    beta += [v // 2] * n
+                elif n % 2:
+                    bad.append((v, n))
+                else:
+                    alpha += [v] * (n // 2)
+            expected = (None, (tuple(bad),)) if bad else ((tuple(alpha), tuple(beta)), None)
+            for tb in TIE_BREAKS:
                 res = fingerprint(pair, FingerprintOptions(tie_break=tb))
-                assert (res.diagnostic is not None) == predicted, (pair, tb)
-            pairs += 1
-            diagnostics += predicted
-        assert (pairs, diagnostics) == (608, 154)
+                assert (res.weyl, res.diagnostic) == expected, (pair, tb)
+                inputs += 1
+                diagnostics += bool(bad)
+        assert (inputs, diagnostics) == (1216, 308)
 
     @pytest.mark.parametrize("theory, expected", [
         (Theory.D, (332, 0)),  # cli._fiber_key merges D mirror pairs on this
