@@ -79,9 +79,7 @@ def _emit(args, items) -> None:
 
 
 def _pair_from_args(args) -> OperatorPair:
-    return OperatorPair(
-        parse_partition(args.prime), parse_partition(args.dprime), _as_theory(args.theory)
-    )
+    return OperatorPair(parse_partition(args.prime), parse_partition(args.dprime), args.theory)
 
 
 def _options_from_args(args) -> FingerprintOptions:
@@ -156,9 +154,7 @@ def _result_text(res: FingerprintResult, record: dict) -> str:
         f"  conditions: {','.join(sorted(res.options.conditions))}"
     )
     lines.append(f"mu: {format_partition(record['mu'])}")
-    taus = "  ".join(
-        f"{m}:{t:+d}" + (f"({w})" if w else "") for m, t, w in res.tau.entries
-    )
+    taus = "  ".join(f"{m}:-1({w})" if w else f"{m}:+1" for m, w in res.tau.entries)
     lines.append(f"tau: {taus if taus else '-'}")
     if res.weyl is not None:
         lines.append(f"alpha: {format_partition(res.weyl.alpha)}")

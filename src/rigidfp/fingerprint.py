@@ -125,15 +125,19 @@ DEFAULT_OPTIONS = FingerprintOptions()  # immutable, so one instance serves ever
 
 
 class TauTable(NamedTuple):
-    """tau on the distinct positive even values of mu, with -1 witnesses.
+    """tau on the distinct positive even values of mu, read off its witnesses.
 
-    A named tuple, so it compares equal to the plain tuple (entries,).
+    Each entry is (value, witness): the condition that fired at a row of the
+    value, or None.  tau is -1 exactly where a witness fired, so no entry
+    holds a sign of its own.  A named tuple, so it compares equal to the
+    plain tuple (entries,).
     """
 
-    entries: tuple[tuple[int, int, str | None], ...]  # (value, tau, witness)
+    entries: tuple[tuple[int, str | None], ...]  # (value, witness)
 
     def as_dict(self) -> dict[int, int]:
-        return {value: t for value, t, _ in self.entries}
+        """tau by value: -1 where a witness fired, else +1."""
+        return {value: -1 if w else 1 for value, w in self.entries}
 
 
 def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
@@ -142,9 +146,10 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
 
     tau(m) = -1 iff some index with mu_i = m satisfies an active condition:
     (i) mu_i != lambda_i, (ii) running sums differ, (iii) the lambda'-datum
-    at the row is odd (SO) / even (Sp).  Deleted rows (mu_i = 0) are ignored.
-    Each value enters at its first row, and sp_map keeps the rows descending,
-    so the entries come out descending.
+    at the row is odd (SO) / even (Sp).  The first condition found is the
+    value's witness; a value none fires at keeps None, tau = +1.  Deleted
+    rows (mu_i = 0) are ignored.  Each value enters at its first row, and
+    sp_map keeps the rows descending, so the entries come out descending.
     """
     conditions = opts.conditions
     check_i = "i" in conditions
@@ -166,8 +171,7 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
             witnesses[m] = "iii"
         else:
             witnesses[m] = None
-    return tuple.__new__(TauTable, (
-        tuple([(m, -1 if w else 1, w) for m, w in witnesses.items()]),))
+    return tuple.__new__(TauTable, (tuple(witnesses.items()),))
 
 
 class WeylPair(NamedTuple):
@@ -202,9 +206,10 @@ def extract_weyl_pair(mu: tuple[int, ...], tau: TauTable):
     """Read [alpha; beta] off mu: paired values feed alpha, tau=-1 evens beta.
 
     mu is the Sp image read as a partition (SpTrace.mu_partition), so each
-    value's multiplicity is the length of its run.
+    value's multiplicity is the length of its run.  An even value has
+    tau = -1, and feeds beta, exactly when its tau entry has a witness.
     """
-    taus = tau.as_dict()
+    witnesses = dict(tau.entries)
     alpha: list[int] = []
     beta: list[int] = []
     bad: list[tuple[int, int]] = []
@@ -215,7 +220,7 @@ def extract_weyl_pair(mu: tuple[int, ...], tau: TauTable):
         while stop < n and mu[stop] == v:
             stop += 1
         c = stop - start
-        if v % 2 or taus[v] == 1:
+        if v % 2 or not witnesses[v]:
             if c % 2:
                 bad.append((v, c))
             else:

@@ -369,7 +369,7 @@ def _tau_plus(keep):
     """A tau_table that sets tau(m) = +1 on every value m that keep rejects."""
     def mutated(trace, tags, theory, opts):
         entries = tau_table(trace, tags, theory, opts).entries
-        return TauTable(tuple(e if keep(e[0]) else (e[0], 1, None) for e in entries))
+        return TauTable(tuple(e if keep(e[0]) else (e[0], None) for e in entries))
     return mutated
 
 
@@ -391,7 +391,7 @@ def _beta_changed(change):
     return mutated
 
 
-ODD_UNPAIRED = r"[BCD] \S.*: odd value \d+ unpaired in \S.*"
+ODD_UNPAIRED = r"[BCD] \S.*: Sp image \S.* is not C-type"
 # The factored mu runs on the group walk, not on sp_map, so an Sp mutant
 # reaches the factorization line in every theory.
 SP_VS_FACTORED = r"[BCD] \S.*: sp \S.* != factored \S.*"
@@ -512,3 +512,32 @@ def test_sp_locality_matches_reference(mutant, monkeypatch):
         assert sp_locality_failure(theory, p) == expected, (theory, p)
         failures += expected is not None
     assert (failures > 0) == (mutant is not None)
+
+
+def _reference_parity(theory, p, sp=sp_map):
+    """parity's check of one member by its first rule: count each odd value of the Sp image."""
+    mu = sp(p).mu_partition()
+    for v in set(mu):
+        if v % 2 == 1 and mu.count(v) % 2 == 1:
+            return (f"{theory.value} {format_partition(p)}: "
+                    f"Sp image {format_partition(mu)} is not C-type")
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(m for m, row in MUTANTS.items()
+                                                   if row[0] is sp_map)])
+def test_parity_matches_reference(mutant, monkeypatch):
+    # The suite's C membership test gives the per-value rule's verdict on
+    # every member, under the true Sp rule and under each Sp mutant of the
+    # table: paired odd values leave an even total.
+    sp = sp_map
+    if mutant is not None:
+        sp = MUTANTS[mutant][1]
+        _patch_everywhere(monkeypatch, "sp_map", sp_map, sp)
+    members = list(upto(enumerate_members, 12))
+    expected = [f for f in (_reference_parity(theory, p, sp) for theory, p in members) if f]
+    report = run_suite("parity", 12)
+    assert report.checked == len(members)
+    assert report.failures == expected
+    # sign-flipped and guards-swapped leave the image C-type to rank 12 as
+    # at rank 4; every other Sp mutant is caught.
+    assert bool(expected) == (mutant is not None and "parity" in MUTANTS[mutant][2])

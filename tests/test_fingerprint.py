@@ -100,7 +100,7 @@ class TestTau:
                  for mode, tie in product(MODES, TIE_BREAKS)]
         assert len(runs) == 6049
         for pair, opts in runs:
-            values = [m for m, _, _ in fingerprint(pair, opts).tau.entries]
+            values = [m for m, _ in fingerprint(pair, opts).tau.entries]
             assert all(a > b for a, b in zip(values, values[1:])), (pair, opts)
 
     def test_condition_i(self):
@@ -109,7 +109,7 @@ class TestTau:
         tau = tau_table(sp_map(values), tp, "B",
                         FingerprintOptions(conditions=frozenset({"i"})))
         assert tau.as_dict() == {2: -1}
-        assert tau.entries[0][2] == "i"
+        assert tau.entries[0][1] == "i"
 
     def test_condition_iii_sp(self):
         values = (2, 1, 1, 1, 1)
@@ -117,7 +117,7 @@ class TestTau:
         assert tp.prime_odd == (False, True, True, None, None)
         tau = tau_table(sp_map(values), tp, "C", FingerprintOptions())
         assert tau.as_dict() == {2: -1}
-        assert tau.entries[0][2] == "iii"
+        assert tau.entries[0][1] == "iii"
 
     def test_condition_iii_so_not_triggered_by_even_prime(self):
         values = (2, 2, 1, 1, 1)
@@ -147,7 +147,8 @@ class TestTau:
 
 
 def extract(mu, tau):
-    return extract_weyl_pair(tuple(mu), TauTable(tuple((m, t, None) for m, t in tau.items())))
+    witnesses = tuple((m, "i" if t < 0 else None) for m, t in tau.items())
+    return extract_weyl_pair(tuple(mu), TauTable(witnesses))
 
 
 class TestOptions:
@@ -390,10 +391,7 @@ def _ref_tau_table(trace, tags, theory, opts):
             if datum is not None and datum == (variant == SO):
                 witness = "iii"
         witnesses[m] = witness
-    entries = tuple(
-        (m, -1 if w else 1, w) for m, w in sorted(witnesses.items(), reverse=True)
-    )
-    return TauTable(entries)
+    return TauTable(tuple(sorted(witnesses.items(), reverse=True)))
 
 
 def _ref_extract_weyl_pair(trace, tau):
@@ -448,7 +446,7 @@ class TestKernelsAgainstReference:
                     assert tau == _ref_tau_table(trace, tags, theory, opts)
                     out = extract_weyl_pair(trace.mu_partition(), tau)
                     assert out == _ref_extract_weyl_pair(trace, tau)
-                    outcomes.update(w for _, _, w in tau.entries)
+                    outcomes.update(w for _, w in tau.entries)
                     outcomes[type(out).__name__] += 1
         # The sweep reaches every witness and both extraction outcomes.
         assert set(outcomes) == {None, "i", "ii", "iii", "WeylPair", "ExtractionDiagnostic"}
@@ -457,6 +455,6 @@ class TestKernelsAgainstReference:
     def test_extraction_on_unsorted_mu(self, mu, data):
         evens = sorted({m for m in mu if m > 0 and m % 2 == 0}, reverse=True)
         taus = [data.draw(st.sampled_from((1, -1))) for _ in evens]
-        tau = TauTable(tuple((m, t, "i" if t < 0 else None) for m, t in zip(evens, taus)))
+        tau = TauTable(tuple((m, "i" if t < 0 else None) for m, t in zip(evens, taus)))
         trace = SpTrace(tuple(sorted(mu, reverse=True)), tuple(mu))
         assert extract_weyl_pair(trace.mu_partition(), tau) == _ref_extract_weyl_pair(trace, tau)

@@ -40,9 +40,9 @@ RECORDS = {
         "SpTrace(lambda_values=(3, 1), mu_values=(2, 2))",
     ),
     "TauTable": (
-        lambda: TauTable(((2, -1, "i"),)),
-        TauTable(((2, 1, None),)),
-        "TauTable(entries=((2, -1, 'i'),))",
+        lambda: TauTable(((2, "i"),)),
+        TauTable(((2, None),)),
+        "TauTable(entries=((2, 'i'),))",
     ),
     "WeylPair": (
         lambda: WeylPair((2,), (1, 1)),
@@ -134,9 +134,15 @@ NESTED = {
 
 
 def _nested_records(record):
-    """record and every record it nests, each checked for its class and arity."""
+    """record and every record it nests, each checked for its class and arity.
+
+    A tau entry is a (value, witness) pair; tuple.__new__ checks no arity,
+    so each entry's length is checked here.
+    """
     cls = type(record)
     assert len(record) == len(cls._fields), record
+    if cls is TauTable:
+        assert all(len(entry) == 2 for entry in record.entries), record
     yield record
     for name, value in zip(cls._fields, record):
         if name in NESTED and value is not None:
