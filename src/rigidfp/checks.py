@@ -5,7 +5,7 @@ SuiteReport; a failing suite carries minimal counterexample strings.
 """
 from typing import NamedTuple
 
-from .blocks import block_fingerprint
+from .blocks import side_fingerprint
 from .closedform import (
     _split,
     closed_form_fingerprint_BD,
@@ -18,6 +18,7 @@ from .closedform import (
 )
 from .fingerprint import (
     FingerprintOptions,
+    _from_merge,
     fingerprint,
     sp_map,
     tau_table,
@@ -31,6 +32,7 @@ from .partitions import (
     _rigid_pairs,
     _side_lists,
     _unchecked_pair,
+    combine,
     enumerate_members,
     enumerate_rigid,
     format_pair,
@@ -82,10 +84,27 @@ def _rigid_pairs_upto(max_rank):
 
 
 def _pairs_under(options, max_rank):
-    """(theory, pair, opts) for each rigid pair to max_rank under each of options."""
+    """(theory, pair, opts, res) for each rigid pair to max_rank under each of options.
+
+    res has fingerprint(pair, opts)'s outcome.  combine runs under every
+    option set, and the stages after it only when the merge's values or
+    prime_odd differ from the previous option set's: a pair with an empty
+    side merges alike in both modes and under both tie-breaks.  Two
+    tie-breaks give the same values, so the second run reuses the Sp trace
+    and mu and redoes only tau and extraction.  A shared res keeps the
+    earlier option set in res.options, so a check labels its input from
+    opts.  The option sets may differ only in mode and tie-break, the
+    fields that only combine reads.
+    """
     for theory, pair in _rigid_pairs_upto(max_rank):
+        res = None
         for opts in options:
-            yield theory, pair, opts
+            tagged = combine(pair, opts.mode, opts.tie_break)
+            if res is None or tagged.values != res.tagged.values:
+                res = _from_merge(pair, opts, tagged)
+            elif tagged.prime_odd != res.tagged.prime_odd:
+                res = _from_merge(pair, opts, tagged, res)
+            yield theory, pair, opts, res
 
 
 def _sweep(inputs, check) -> SuiteReport:
@@ -167,9 +186,11 @@ def check_parity(max_rank: int) -> SuiteReport:
 
     Paired odd values leave an even total, so C membership asks no more.
     """
+    c = Theory.C  # a class lookup, read once per sweep
+
     def check(theory, p):
         mu = sp_map(p).mu_partition()
-        if not is_theory_member(mu, Theory.C):
+        if not is_theory_member(mu, c):
             return (f"{theory.value} {format_partition(p)}: "
                     f"Sp image {format_partition(mu)} is not C-type")
 
@@ -199,16 +220,15 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
     """
     info = []
 
-    def check(theory, pair, opts):
+    def check(theory, pair, opts, res):
         mode = opts.mode
-        res = fingerprint(pair, opts)
         if not deficit_closure_ok(res.trace):
             return f"{_fmt_pair(pair)} [{mode}]: deficit open"
         if res.diagnostic is not None:
             if not theory.paired:
                 return f"{_fmt_pair(pair)} [{mode}]: " + res.diagnostic.message()
             info.append(
-                f"{_fmt_pair(pair)} [{mode}, iii={res.options.variant_for(theory)}]: "
+                f"{_fmt_pair(pair)} [{mode}, iii={opts.variant_for(theory)}]: "
                 + res.diagnostic.message()
             )
             return None
@@ -377,11 +397,19 @@ def check_closed_form(max_rank: int) -> SuiteReport:
 
 
 def check_path_equivalence(max_rank: int) -> SuiteReport:
-    """The per-block closed forms, joined, equal the direct pipeline's mu and result."""
-    def check(theory, pair, opts):
-        direct = fingerprint(pair, opts)
-        via_blocks = block_fingerprint(direct.tagged, theory)
-        if not direct.same_outcome(via_blocks):
+    """The per-block closed forms, joined, equal the direct pipeline's mu and result.
+
+    The block path (blocks.side_fingerprint) reads only the pair's two
+    sides, so it runs once per pair and reads no output of combine, while
+    the pipeline runs under each tie-break: a fault in combine's merge
+    shows here.
+    """
+    walked = [None, None]  # the pair last walked and its BlockResult
+
+    def check(theory, pair, opts, direct):
+        if walked[0] is not pair:
+            walked[:] = pair, side_fingerprint(pair)
+        if not direct.same_outcome(walked[1]):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 
     ties = [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS]

@@ -267,10 +267,25 @@ def fingerprint(pair: OperatorPair,
     Rigidity is not required.  Extraction failures surface as a
     diagnostic, not an exception.
     """
-    tagged = combine(pair, opts.mode, opts.tie_break)
-    trace = sp_map(tagged.values)
+    return _from_merge(pair, opts, combine(pair, opts.mode, opts.tie_break))
+
+
+def _from_merge(pair: OperatorPair, opts: FingerprintOptions, tagged: TaggedPartition,
+                same_rows: FingerprintResult | None = None) -> FingerprintResult:
+    """fingerprint's stages after combine: Sp, tau, the sort of mu, extraction.
+
+    tagged is the pair's merge under opts.  The stages read its values and
+    prime_odd, and of opts only the conditions and the iii variant, so two
+    option sets that merge alike get the same outcome from it.  Sp and the
+    sort read the values alone: same_rows, a result whose merge has the
+    same values, lends its trace and mu, and only tau and extraction run.
+    """
+    if same_rows is None:
+        trace = sp_map(tagged.values)
+        mu = trace.mu_partition()
+    else:
+        trace, mu = same_rows.trace, same_rows.mu
     tau = tau_table(trace, tagged, pair.theory, opts)
-    mu = trace.mu_partition()
     outcome = extract_weyl_pair(mu, tau)
     weyl, diagnostic = (outcome, None) if isinstance(outcome, WeylPair) else (None, outcome)
     return tuple.__new__(FingerprintResult, (opts, tagged, trace, mu, tau, weyl, diagnostic, pair))

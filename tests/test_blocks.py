@@ -27,7 +27,7 @@ from rigidfp import (
     sp_map,
 )
 import rigidfp.blocks
-from rigidfp.blocks import BlockResult
+from rigidfp.blocks import BlockResult, side_fingerprint
 from rigidfp.checks import run_suite
 from rigidfp.closedform import _walk
 from rigidfp.fingerprint import VACUOUS
@@ -37,6 +37,7 @@ from rigidfp.partitions import (
     INTERLEAVE,
     MODES,
     PRIME_FIRST,
+    TIE_BREAKS,
     TaggedPartition,
     Theory,
     enumerate_rigid_pairs,
@@ -226,9 +227,11 @@ class TestPathEquivalence:
     def test_member_pairs_match_direct(self):
         # Non-rigid members exercise the closed forms on gapped rows and on
         # extraction diagnostics, which rigid pairs rarely reach.  Both
-        # merge modes, and both tie-breaks in each.
+        # merge modes, and both tie-breaks in each; the side walk is the
+        # INTERLEAVE path.
         checked, diagnostics = Counter(), Counter()
         for pair in member_pairs(6):
+            via_sides = side_fingerprint(pair)
             for mode in MODES:
                 for tb in (PRIME_FIRST, DPRIME_FIRST):
                     direct = fingerprint(pair, FingerprintOptions(mode=mode, tie_break=tb))
@@ -236,10 +239,28 @@ class TestPathEquivalence:
                     assert direct.same_outcome(via_blocks), (pair, mode, tb)
                     assert (via_blocks.weyl, via_blocks.diagnostic) == (
                         direct.weyl, direct.diagnostic), (pair, mode, tb)
+                    if mode == INTERLEAVE:
+                        assert via_sides == via_blocks, (pair, tb)
                     checked[mode] += 1
                     diagnostics[mode] += direct.diagnostic is not None
         assert checked == {INTERLEAVE: 2786, COMPONENTWISE: 2786}
         assert diagnostics == {INTERLEAVE: 486, COMPONENTWISE: 224}
+
+    def test_side_walk_is_the_merged_walk(self):
+        # Under the default options the INTERLEAVE outcome depends on the
+        # two sides only: the walk of their sorted rows, with (iii) on the
+        # even values lambda' holds in C, equals the pipeline and the walk
+        # of combine's merge under both tie-breaks.
+        checked = Counter()
+        for _, pair in upto(enumerate_rigid_pairs, 10):
+            via_sides = side_fingerprint(pair)
+            for tb in TIE_BREAKS:
+                direct = fingerprint(pair, FingerprintOptions(tie_break=tb))
+                assert direct.same_outcome(via_sides), (pair, tb)
+                assert block_fingerprint(combine(pair, tie_break=tb), pair.theory) == via_sides
+                checked[pair.theory.value] += 1
+                checked["diagnostics"] += via_sides.diagnostic is not None
+        assert checked == {"B": 810, "C": 1216, "D": 684, "diagnostics": 308}
 
     def test_componentwise_rigid_pairs_match_direct(self):
         # The walk reads condition (iii) off the index-wise datum column as

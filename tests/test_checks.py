@@ -116,6 +116,59 @@ def test_pair_suites_build_side_lists_once(name, monkeypatch):
     assert len(calls) == lists * 7 == 28
 
 
+def _pipeline_runs(monkeypatch, name):
+    """run_suite(name, 8), how often it ran the stages after combine, and
+    how often Sp among them."""
+    original = rigidfp.checks._from_merge
+    runs, traces = [], []
+
+    def counted_run(pair, *args):
+        runs.append(pair)
+        return original(pair, *args)
+
+    def counted_sp(values):
+        traces.append(values)
+        return sp_map(values)
+
+    monkeypatch.setattr(rigidfp.checks, "_from_merge", counted_run)
+    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted_sp)
+    return run_suite(name, 8), len(runs), len(traces)
+
+
+@pytest.mark.parametrize("name", ["path-equivalence", "rank-identity"])
+def test_alike_merges_share_one_run(name, monkeypatch):
+    # A pair with an empty side merges alike in both modes and under both
+    # tie-breaks, so its two inputs share one run; every other pair has a
+    # shared value (1) or a summed row, and gets a run per input.  The two
+    # tie-breaks merge the same rows, so a pair's runs share one Sp trace.
+    pairs = [pair for theory in Theory for rank in range(9)
+             for pair in enumerate_rigid_pairs(theory, rank)]
+    one_sided = sum(not pair.lambda_prime or not pair.lambda_dprime for pair in pairs)
+    report, runs, traces = _pipeline_runs(monkeypatch, name)
+    assert report.ok and report.checked == 2 * len(pairs) == 1136
+    assert runs == report.checked - one_sided
+    assert traces == (len(pairs) if name == "path-equivalence" else runs)
+
+
+@pytest.mark.parametrize("name", ["path-equivalence", "rank-identity"])
+@pytest.mark.parametrize("field, pad", [("values", 0), ("prime_odd", None)])
+def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
+    # A combine that lengthens one field of the merge under the second
+    # option set only: no two inputs of a pair merge alike any more, and
+    # moved values also get their own Sp trace.
+    def moved(pair, mode=INTERLEAVE, tie_break=PRIME_FIRST):
+        tagged = combine(pair, mode, tie_break)
+        if (mode, tie_break) == (INTERLEAVE, PRIME_FIRST):
+            return tagged
+        return tagged._replace(**{field: getattr(tagged, field) + (pad,)})
+
+    monkeypatch.setattr(rigidfp.checks, "combine", moved)
+    report, runs, traces = _pipeline_runs(monkeypatch, name)
+    assert runs == report.checked == 1136
+    if field == "values":
+        assert traces == runs
+
+
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
 def test_default_sweep_size(name):
     report = run_suite(name)
@@ -438,10 +491,11 @@ MUTANTS = {
         iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])), {
         "rank-identity": 8, "condition-ii": 23, "path-equivalence": 32, "closed-form": 5},
         ("condition-ii", 23, CLOSED_VS_PIPELINE), ("closed-form", 5, CLOSED_VS_PIPELINE)),
-    # Both paths read the datum from combine, so path-equivalence cannot
-    # see this fault; the unipotent closed forms read none from combine, so
-    # they do.
-    "datum-parity-flipped": (combine, _datum_flipped, {"condition-ii": 23, "closed-form": 5}),
+    # Only the pipeline reads the datum from combine: path-equivalence's
+    # block path reads the pair's two sides and the unipotent closed forms
+    # read the member's own rows, so each of them sees this fault.
+    "datum-parity-flipped": (combine, _datum_flipped, {
+        "condition-ii": 23, "path-equivalence": 32, "closed-form": 5}),
     "all-plus": (tau_table, _tau_plus(lambda m: False), {
         "rank-identity": 9, "condition-ii": 40, "shift": 24, "path-equivalence": 22,
         "closed-form": 1}),
