@@ -7,16 +7,16 @@ that cuts them, and classifies them for reporting; only its tp must come
 from combine in INTERLEAVE mode.  The block path is the closed-form group
 walk of closedform over all the rows, in either mode, which is the union of
 the walks of these blocks (the lemma in closedform._walk's docstring).
-side_fingerprint walks the same rows read off the pair's two sides, with
-no merge, so it reads no output of combine.  Both must reproduce the
-direct pipeline's image and outcome, which is the module's correctness
-contract, and share no code with the pipeline's Sp, tau and extraction
-stages.
+closedform.side_fingerprint walks the same rows read off the pair's two
+sides, with no merge, and the unipotent closed forms are its lambda'' = ()
+case.  The block path must reproduce the direct pipeline's image and
+outcome, which is the module's correctness contract, and shares no code
+with the pipeline's Sp, tau and extraction stages.
 """
 from typing import NamedTuple
 
 from .closedform import BlockResult, _walk  # re-exported: block_fingerprint returns it
-from .partitions import INTERLEAVE, OperatorPair, TaggedPartition, _as_theory
+from .partitions import INTERLEAVE, TaggedPartition, _as_theory
 
 
 class Block(NamedTuple):
@@ -107,21 +107,3 @@ def block_fingerprint(tp: TaggedPartition, theory) -> BlockResult:
     """
     return _walk(tp.values, tp.prime_odd, not _as_theory(theory).paired)
 
-
-def side_fingerprint(pair: OperatorPair) -> BlockResult:
-    """The block path under the default options, read off the two sides.
-
-    Under either tie-break the INTERLEAVE merge's rows are
-    sorted(lambda' + lambda''), and the walk reads the datum on even groups
-    only, where a lambda' row's datum is even.  So in B and D (SO) the
-    datum never fires (iii) and none is passed, and in C (Sp) (iii) fires
-    on exactly the even values lambda' holds: the column is False on the
-    rows whose value lambda' holds.  The result therefore equals
-    block_fingerprint(combine(pair, tie_break=t), pair.theory) for both t.
-    """
-    prime = pair.lambda_prime
-    values = sorted(prime + pair.lambda_dprime, reverse=True)
-    if not pair.theory.paired:
-        return _walk(values)
-    held = set(prime)
-    return _walk(values, [v not in held for v in values])

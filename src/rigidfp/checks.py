@@ -5,11 +5,9 @@ SuiteReport; a failing suite carries minimal counterexample strings.
 """
 from typing import NamedTuple
 
-from .blocks import side_fingerprint
 from .closedform import (
     _split,
-    closed_form_fingerprint_BD,
-    closed_form_fingerprint_C,
+    side_fingerprint,
     unipotent_mu_factored,
     xs_inverse,
     xs_map,
@@ -244,9 +242,9 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
 
 def _closed_form_failure(theory, p, weyl) -> str | None:
     """Where weyl, the pipeline's result for the member (p; -), differs from
-    the theory's closed form, or None."""
-    closed = (closed_form_fingerprint_C(p) if theory.paired
-              else closed_form_fingerprint_BD(p, theory))
+    its closed form, the side walk of (p; ()), or None.  p is enumerated,
+    so valid by construction."""
+    closed = side_fingerprint(p, (), theory).weyl
     if weyl == closed:
         return None
     got = "diagnostic" if weyl is None else (
@@ -382,8 +380,9 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
 def check_closed_form(max_rank: int) -> SuiteReport:
     """Group-formula fingerprints equal the pipeline under the defaults.
 
-    closed_form_fingerprint_BD on every rigid B/D partition,
-    closed_form_fingerprint_C on the rigid C partitions whose rows pair off.
+    The closed form of (p; -) is the side walk of (p; ()), which
+    closed_form_fingerprint_BD and closed_form_fingerprint_C return, on
+    every rigid B/D partition and the rigid C partitions whose rows pair off.
     """
     def check(theory, p):
         return _closed_form_failure(theory, p, fingerprint(_unchecked_pair(p, (), theory)).weyl)
@@ -399,16 +398,16 @@ def check_closed_form(max_rank: int) -> SuiteReport:
 def check_path_equivalence(max_rank: int) -> SuiteReport:
     """The per-block closed forms, joined, equal the direct pipeline's mu and result.
 
-    The block path (blocks.side_fingerprint) reads only the pair's two
-    sides, so it runs once per pair and reads no output of combine, while
-    the pipeline runs under each tie-break: a fault in combine's merge
-    shows here.
+    The block path (closedform.side_fingerprint, whose lambda'' = () case
+    is the unipotent closed forms) reads only the pair's two sides, so it
+    runs once per pair and reads no output of combine, while the pipeline
+    runs under each tie-break: a fault in combine's merge shows here.
     """
     walked = [None, None]  # the pair last walked and its BlockResult
 
     def check(theory, pair, opts, direct):
         if walked[0] is not pair:
-            walked[:] = pair, side_fingerprint(pair)
+            walked[:] = pair, side_fingerprint(*pair)
         if not direct.same_outcome(walked[1]):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 

@@ -3,13 +3,14 @@
 Every closed form runs on one engine, the group walk's pass (_groups), which
 has two readers.  The collapse maps on the all-odd subpartition, their
 inverses' confirming forward map and the factored mu read it through
-_collapse, which builds only the image.  The per-group fingerprint formulas
-read it through _walk, which builds the image and [alpha; beta] as a
-BlockResult; the C form passes the member's own parity column as its datum,
-so no closed form reads combine.  From fingerprint the module imports only
-record types, never a pipeline stage, so the closed forms are a second
-route, independent of the pipeline, that must agree with it.  The walk also
-serves the block path (blocks.block_fingerprint).  It cuts no blocks: its
+_collapse, which builds only the image.  The fingerprint formulas read it
+through _walk, which builds the image and [alpha; beta] as a BlockResult.
+side_fingerprint is the one default-options walk of a pair's two sides, and
+the unipotent closed forms are its lambda'' = () case, so no closed form
+reads combine.  From fingerprint the module imports only record types,
+never a pipeline stage, so the closed forms are a second route,
+independent of the pipeline, that must agree with it.  The walk also serves
+the block path (blocks.block_fingerprint).  It cuts no blocks: its
 docstring states why it is the union of the walks of the blocks that
 blocks.decompose_blocks cuts.
 """
@@ -257,27 +258,45 @@ def _walk(values, datum=None, so=False) -> BlockResult:
         tuple(mu), tuple.__new__(WeylPair, (tuple(alpha), tuple(beta))), None))
 
 
-def closed_form_fingerprint_C(p) -> WeylPair:
-    """Fingerprint of a C unipotent operator (p; -) from its value groups (_walk).
+def side_fingerprint(prime, dprime, theory: Theory) -> BlockResult:
+    """The walk of a pair's two sides under the default options, with no merge.
 
-    The datum is the member's own lambda'-parity column, never combine's.
+    Under either tie-break the INTERLEAVE merge's rows are
+    sorted(lambda' + lambda''), and the walk reads the datum on even groups
+    only, where a lambda' row's datum is even.  So in B and D (SO) the
+    datum never fires (iii) and none is passed, and in C (Sp) (iii) fires
+    on exactly the even values lambda' holds: the column is False on the
+    rows whose value lambda' holds.  The result therefore equals
+    block_fingerprint(combine(pair, tie_break=t), theory) for both t.  The
+    sides are taken as valid, theory as a Theory; at dprime = () this is
+    the walk of the unipotent operator (prime; -).
+    """
+    values = sorted(prime + dprime, reverse=True)
+    if not theory.paired:
+        return _walk(values)
+    held = set(prime)
+    return _walk(values, [v not in held for v in values])
+
+
+def closed_form_fingerprint_C(p) -> WeylPair:
+    """Fingerprint of a C unipotent operator (p; -): the side walk of (p; ()).
+
     Under the Sp variant of (iii) the walk moves no row of a member and
-    every even value has tau = -1: beta halves each even row, alpha takes
-    each odd value with half its multiplicity, and the result is never a
-    diagnostic.
+    every even value has tau = -1, as lambda' = p holds it: beta halves
+    each even row, alpha takes each odd value with half its multiplicity,
+    and the result is never a diagnostic.
     """
     p = validate_partition(p)
     _require_member(p, Theory.C)
-    return _walk(p, [v % 2 == 1 for v in p]).weyl
+    return side_fingerprint(p, (), Theory.C).weyl
 
 
 def closed_form_fingerprint_BD(p, theory) -> WeylPair:
-    """Fingerprint of a B/D unipotent operator from its value groups (_walk).
+    """Fingerprint of a B/D unipotent operator (p; -): the side walk of (p; ()).
 
     Never runs the index-wise pipeline; serves as its independent oracle on
     every B/D member partition, rigid or not, as closed_form_fingerprint_C
-    is on every C member.  It passes no datum: a member's datum is odd only
-    on odd rows, and (iii) reads even groups only.  The Sp image of a
+    is on every C member.  Under SO, (iii) adds nothing.  The Sp image of a
     member pairs every value outside beta, so the result is never a
     diagnostic.
     """
@@ -286,4 +305,4 @@ def closed_form_fingerprint_BD(p, theory) -> WeylPair:
     if theory.paired:
         raise ValueError("closed_form_fingerprint_BD covers B and D only")
     _require_member(p, theory)
-    return _walk(p).weyl
+    return side_fingerprint(p, (), theory).weyl

@@ -27,9 +27,9 @@ from rigidfp import (
     sp_map,
 )
 import rigidfp.blocks
-from rigidfp.blocks import BlockResult, side_fingerprint
+from rigidfp.blocks import BlockResult
 from rigidfp.checks import run_suite
-from rigidfp.closedform import _walk
+from rigidfp.closedform import _walk, side_fingerprint
 from rigidfp.fingerprint import VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
@@ -231,7 +231,7 @@ class TestPathEquivalence:
         # INTERLEAVE path.
         checked, diagnostics = Counter(), Counter()
         for pair in member_pairs(6):
-            via_sides = side_fingerprint(pair)
+            via_sides = side_fingerprint(*pair)
             for mode in MODES:
                 for tb in (PRIME_FIRST, DPRIME_FIRST):
                     direct = fingerprint(pair, FingerprintOptions(mode=mode, tie_break=tb))
@@ -253,7 +253,7 @@ class TestPathEquivalence:
         # of combine's merge under both tie-breaks.
         checked = Counter()
         for _, pair in upto(enumerate_rigid_pairs, 10):
-            via_sides = side_fingerprint(pair)
+            via_sides = side_fingerprint(*pair)
             for tb in TIE_BREAKS:
                 direct = fingerprint(pair, FingerprintOptions(tie_break=tb))
                 assert direct.same_outcome(via_sides), (pair, tb)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from rigidfp import (
     ys_inverse,
     ys_map,
 )
+from rigidfp.closedform import side_fingerprint
 from rigidfp.partitions import Theory, enumerate_members
 
 
@@ -204,11 +206,19 @@ class TestClosedFormC:
         assert closed_form_fingerprint_C((2, 1, 1)) == WeylPair((1,), (1,))
 
     def test_every_member_matches_the_pipeline(self):
-        # Under the default options, on every C member to rank 12.
-        members = [p for _, p in upto(enumerate_members, 12, (Theory.C,))]
-        assert len(members) == 1491
-        for p in members:
-            assert closed_form_fingerprint_C(p) == fingerprint(OperatorPair(p, (), "C")).weyl, p
+        # Under the default options, on every B, C and D member to rank 12:
+        # the side walk of (p; ()) has the pipeline's outcome on (p; -),
+        # and each theory's public closed form returns its [alpha; beta].
+        members = Counter()
+        for theory, p in upto(enumerate_members, 12):
+            walked = side_fingerprint(p, (), theory)
+            assert fingerprint(OperatorPair(p, (), theory)).same_outcome(walked), (theory, p)
+            closed = (closed_form_fingerprint_C(p) if theory.paired
+                      else closed_form_fingerprint_BD(p, theory))
+            assert closed == walked.weyl, (theory, p)
+            members[theory.value] += 1
+            members["diagnostics"] += walked.diagnostic is not None
+        assert members == {"B": 1257, "C": 1491, "D": 1029, "diagnostics": 0}
 
 
 class TestClosedFormBD:
