@@ -15,8 +15,9 @@ from .closedform import (
     ys_map,
 )
 from .fingerprint import (
+    DEFAULT_OPTIONS,
     FingerprintOptions,
-    _from_merge,
+    _run,
     fingerprint,
     sp_map,
     tau_table,
@@ -30,7 +31,6 @@ from .partitions import (
     _rigid_pairs,
     _side_lists,
     _unchecked_pair,
-    combine,
     enumerate_members,
     enumerate_rigid,
     format_pair,
@@ -69,40 +69,26 @@ def _upto(enum, theories, max_rank):
                 yield theory, x
 
 
-def _rigid_pairs_upto(max_rank):
-    """(theory, pair) for each rigid pair to max_rank, in _upto's order.
+def _pairs_under(max_rank, options=(DEFAULT_OPTIONS,)):
+    """(theory, pair, opts, res) for each rigid pair to max_rank under each of options.
 
-    Each theory's side lists are built once, for every rank.
+    The pairs come in _upto's order, read from each theory's side lists,
+    built once for every rank.  res is fingerprint(pair, opts), chained
+    along each pair through fingerprint._run, which shares with the
+    previous run the stages that read alike: Sp and the sort of mu read the
+    merge's values, and tau also its prime_odd.  A pair with an empty side
+    merges alike in both modes and under both tie-breaks, and the two
+    tie-breaks merge the same values.  The option sets may differ only in
+    mode and tie-break, the fields that only combine reads.
     """
     for theory in Theory:
         sides = _side_lists(theory, max_rank)
         for rank in range(max_rank + 1):
             for pair in _rigid_pairs(theory, rank, *sides):
-                yield theory, pair
-
-
-def _pairs_under(options, max_rank):
-    """(theory, pair, opts, res) for each rigid pair to max_rank under each of options.
-
-    res has fingerprint(pair, opts)'s outcome.  combine runs under every
-    option set, and the stages after it only when the merge's values or
-    prime_odd differ from the previous option set's: a pair with an empty
-    side merges alike in both modes and under both tie-breaks.  Two
-    tie-breaks give the same values, so the second run reuses the Sp trace
-    and mu and redoes only tau and extraction.  A shared res keeps the
-    earlier option set in res.options, so a check labels its input from
-    opts.  The option sets may differ only in mode and tie-break, the
-    fields that only combine reads.
-    """
-    for theory, pair in _rigid_pairs_upto(max_rank):
-        res = None
-        for opts in options:
-            tagged = combine(pair, opts.mode, opts.tie_break)
-            if res is None or tagged.values != res.tagged.values:
-                res = _from_merge(pair, opts, tagged)
-            elif tagged.prime_odd != res.tagged.prime_odd:
-                res = _from_merge(pair, opts, tagged, res)
-            yield theory, pair, opts, res
+                res = None
+                for opts in options:
+                    res = _run(pair, opts, res)
+                    yield theory, pair, opts, res
 
 
 def _sweep(inputs, check) -> SuiteReport:
@@ -237,7 +223,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
     modes = [FingerprintOptions(mode=mode) for mode in MODES]
-    return _sweep(_pairs_under(modes, max_rank), check)._replace(info=info)
+    return _sweep(_pairs_under(max_rank, modes), check)._replace(info=info)
 
 
 def _closed_form_failure(theory, p, weyl) -> str | None:
@@ -265,13 +251,12 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
     form.  The members where dropping (ii) changes tau are reported in an
     info line.  checked counts the rigid pairs only.
     """
-    def check(theory, pair):
+    def check(theory, pair, opts, res):
         # Same trace, so the same tau table gives the same outcome.
-        res = fingerprint(pair)
         if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
             return _fmt_pair(pair)
 
-    report = _sweep(_rigid_pairs_upto(max_rank), check)
+    report = _sweep(_pairs_under(max_rank), check)
     hits = []
     count = 0
     for theory, p in _upto(enumerate_members, Theory, max_rank):
@@ -303,8 +288,7 @@ def check_shift(max_rank: int) -> SuiteReport:
     diagnostic shifts too: both sides have one or neither, and each
     unpairable value rises by 2 with the same multiplicity.
     """
-    def check(theory, pair):
-        base = fingerprint(pair)
+    def check(theory, pair, opts, base):
         sides = [tuple(v + 2 for v in side) for side in (pair.lambda_prime, pair.lambda_dprime)]
         # +2 keeps every part's parity, every multiplicity and the box count's
         # parity, so the shifted pair is valid by construction.
@@ -331,7 +315,7 @@ def check_shift(max_rank: int) -> SuiteReport:
                 f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
-    return _sweep(_rigid_pairs_upto(max_rank), check)
+    return _sweep(_pairs_under(max_rank), check)
 
 
 def check_factorization(max_rank: int) -> SuiteReport:
@@ -412,7 +396,7 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 
     ties = [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS]
-    return _sweep(_pairs_under(ties, max_rank), check)
+    return _sweep(_pairs_under(max_rank, ties), check)
 
 
 # Each suite with its default rank bound and its largest rank.  check sweeps

@@ -267,24 +267,29 @@ def fingerprint(pair: OperatorPair,
     Rigidity is not required.  Extraction failures surface as a
     diagnostic, not an exception.
     """
-    return _from_merge(pair, opts, combine(pair, opts.mode, opts.tie_break))
+    return _run(pair, opts)
 
 
-def _from_merge(pair: OperatorPair, opts: FingerprintOptions, tagged: TaggedPartition,
-                same_rows: FingerprintResult | None = None) -> FingerprintResult:
-    """fingerprint's stages after combine: Sp, tau, the sort of mu, extraction.
+def _run(pair: OperatorPair, opts: FingerprintOptions,
+         prev: FingerprintResult | None = None) -> FingerprintResult:
+    """fingerprint(pair, opts), sharing with prev the stages that read alike.
 
-    tagged is the pair's merge under opts.  The stages read its values and
-    prime_odd, and of opts only the conditions and the iii variant, so two
-    option sets that merge alike get the same outcome from it.  Sp and the
-    sort read the values alone: same_rows, a result whose merge has the
-    same values, lends its trace and mu, and only tau and extraction run.
+    prev is the same pair's run under options that differ from opts at most
+    in mode and tie-break, the fields only combine reads.  Sp and the sort
+    of mu read the merge's values; tau also reads its prime_odd, and of
+    opts the conditions and iii variant, which prev shares; extraction
+    reads mu and tau.  So a merge with prev's values borrows prev's trace
+    and mu and redoes tau and extraction, and one with prev's values and
+    prime_odd takes prev's outcome under this run's opts and merge.
     """
-    if same_rows is None:
+    tagged = combine(pair, opts.mode, opts.tie_break)
+    if prev is None or tagged.values != prev.tagged.values:
         trace = sp_map(tagged.values)
         mu = trace.mu_partition()
+    elif tagged.prime_odd == prev.tagged.prime_odd:
+        return tuple.__new__(FingerprintResult, (opts, tagged, *prev[2:]))
     else:
-        trace, mu = same_rows.trace, same_rows.mu
+        trace, mu = prev.trace, prev.mu
     tau = tau_table(trace, tagged, pair.theory, opts)
     outcome = extract_weyl_pair(mu, tau)
     weyl, diagnostic = (outcome, None) if isinstance(outcome, WeylPair) else (None, outcome)

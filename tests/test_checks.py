@@ -117,22 +117,23 @@ def test_pair_suites_build_side_lists_once(name, monkeypatch):
 
 
 def _pipeline_runs(monkeypatch, name):
-    """run_suite(name, 8), how often it ran the stages after combine, and
-    how often Sp among them."""
-    original = rigidfp.checks._from_merge
-    runs, traces = [], []
+    """run_suite(name, 8), how many tau tables the pipeline computed (one
+    per run that did not take a previous run's outcome whole), and how many
+    Sp traces among them."""
+    pipeline = sys.modules["rigidfp.fingerprint"]
+    tables, traces = [], []
 
-    def counted_run(pair, *args):
-        runs.append(pair)
-        return original(pair, *args)
+    def counted_tau(trace, *args):
+        tables.append(trace)
+        return tau_table(trace, *args)
 
     def counted_sp(values):
         traces.append(values)
         return sp_map(values)
 
-    monkeypatch.setattr(rigidfp.checks, "_from_merge", counted_run)
-    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted_sp)
-    return run_suite(name, 8), len(runs), len(traces)
+    monkeypatch.setattr(pipeline, "tau_table", counted_tau)
+    monkeypatch.setattr(pipeline, "sp_map", counted_sp)
+    return run_suite(name, 8), len(tables), len(traces)
 
 
 @pytest.mark.parametrize("name", ["path-equivalence", "rank-identity"])
@@ -146,7 +147,7 @@ def test_alike_merges_share_one_run(name, monkeypatch):
     one_sided = sum(not pair.lambda_prime or not pair.lambda_dprime for pair in pairs)
     report, runs, traces = _pipeline_runs(monkeypatch, name)
     assert report.ok and report.checked == 2 * len(pairs) == 1136
-    assert runs == report.checked - one_sided
+    assert runs == report.checked - one_sided == 963
     assert traces == (len(pairs) if name == "path-equivalence" else runs)
 
 
@@ -162,11 +163,26 @@ def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
             return tagged
         return tagged._replace(**{field: getattr(tagged, field) + (pad,)})
 
-    monkeypatch.setattr(rigidfp.checks, "combine", moved)
+    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "combine", moved)
     report, runs, traces = _pipeline_runs(monkeypatch, name)
     assert runs == report.checked == 1136
     if field == "values":
         assert traces == runs
+
+
+@pytest.mark.parametrize("options", [
+    [FingerprintOptions()],
+    [FingerprintOptions(mode=mode) for mode in MODES],
+    [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS],
+], ids=["default", "modes", "tie-breaks"])
+def test_pair_stream_runs_are_exact(options):
+    # Each record the pair stream yields is the pipeline's own result for its
+    # input, options and merge included, also where a run shares work.
+    count = 0
+    for _, pair, opts, res in rigidfp.checks._pairs_under(8, options):
+        count += 1
+        assert tuple(res) == tuple(fingerprint(pair, opts))
+    assert count == 568 * len(options)
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
@@ -208,17 +224,18 @@ def test_condition_ii_formats_only_reported_names(monkeypatch):
 
 
 def _condition_ii_pipeline_runs(monkeypatch, max_rank):
-    """condition-ii's report at max_rank and how many pipelines it ran."""
-    calls = []
+    """condition-ii's report at max_rank and how many Sp traces the
+    pipeline computed."""
+    traces = []
 
-    def counted(pair, *opts):
-        calls.append(pair)
-        return fingerprint(pair, *opts)
+    def counted(values):
+        traces.append(values)
+        return sp_map(values)
 
-    monkeypatch.setattr(rigidfp.checks, "fingerprint", counted)
+    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted)
     report = run_suite("condition-ii", max_rank)
     assert report.ok
-    return report, len(calls)
+    return report, len(traces)
 
 
 def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
@@ -266,15 +283,11 @@ def _patch_everywhere(monkeypatch, attr, original, replacement):
 def _shift_mutant(monkeypatch, change):
     """Apply change to the result of each shifted input of the shift suite.
 
-    check_shift fingerprints the base pair, then the shifted one, so every
-    second call is a shifted input.
+    check_shift reads each base run from the pair stream, so every call
+    it makes to fingerprint is a shifted input.
     """
-    calls = []
-
     def mutated(pair, *opts):
-        res = fingerprint(pair, *opts)
-        calls.append(pair)
-        return change(res) if len(calls) % 2 == 0 else res
+        return change(fingerprint(pair, *opts))
 
     monkeypatch.setattr(rigidfp.checks, "fingerprint", mutated)
 
