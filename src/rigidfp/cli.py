@@ -1,8 +1,10 @@
 """Command line front end: enumerate, fingerprint, check, fibers, render.
 
-Text output uses exponent form; --json emits one JSON object per line
-(UTF-8 JSONL) with a stable field order.  Exit codes: 0 success / suite
-pass, 1 invariant violation, 2 usage error.
+Each cmd_* writes nothing: it returns its (record, text) items and its
+exit code, and main writes the items once through _emit, mapping ValueError
+and OSError to exit 2.  Text output uses exponent form; --json emits one
+JSON object per line (UTF-8 JSONL) with a stable field order.  Exit codes:
+0 success / suite pass, 1 invariant violation, 2 usage error.
 """
 import argparse
 import os
@@ -171,7 +173,7 @@ def _result_text(res: FingerprintResult, record: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple:
     theory = _as_theory(args.theory)
     what = "pairs" if args.pairs else "partitions"
     _check_listed(args.rank, MAX_LISTED_RANK[theory][args.pairs], f"rigid {theory.value} {what}")
@@ -182,11 +184,10 @@ def cmd_enumerate(args) -> int:
     else:
         items = (({**head, "partition": p}, format_partition(p))
                  for p in enumerate_rigid(theory, args.rank))
-    _emit(args, items)
-    return 0
+    return items, 0
 
 
-def cmd_fingerprint(args) -> int:
+def cmd_fingerprint(args) -> tuple:
     pair = _pair_from_args(args)
     opts = _options_from_args(args)
     if args.compare:
@@ -199,11 +200,10 @@ def cmd_fingerprint(args) -> int:
         res = fingerprint(pair, opts)
         record = result_record(res)
         items = [(record, _result_text(res, record))]
-    _emit(args, items)
-    return 0
+    return items, 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     if args.max_rank is not None:
         _check_listed(args.max_rank, SUITES[args.suite][2],
                       f"entries in one list of {args.suite}")
@@ -222,8 +222,7 @@ def cmd_check(args) -> int:
     else:
         lines.append(f"FAIL ({len(report.failures)} counterexamples)")
         lines.extend(f"  {c}" for c in report.failures[:10])
-    _emit(args, [(record, "\n".join(lines))])
-    return 0 if report.ok else 1
+    return [(record, "\n".join(lines))], 0 if report.ok else 1
 
 
 def _fiber_key(pair: OperatorPair):
@@ -233,7 +232,7 @@ def _fiber_key(pair: OperatorPair):
     return (pair.lambda_prime, pair.lambda_dprime)
 
 
-def cmd_fibers(args) -> int:
+def cmd_fibers(args) -> tuple:
     theory = _as_theory(args.theory)
     _check_listed(args.rank, MAX_LISTED_RANK[theory][True], f"rigid {theory.value} pairs")
     firsts: dict = {}  # fiber key -> first pair with it
@@ -261,16 +260,14 @@ def cmd_fibers(args) -> int:
         lines = [f"fiber {outcome}: {len(members)} members"]
         lines.extend(f"  {format_pair(m)}" for m in members)
         items.append((record, "\n".join(lines)))
-    _emit(args, items)
-    return 0
+    return items, 0
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> tuple:
     """ASCII Young diagram of the merged pair; lambda''-origin rows are drawn with '*'."""
     tagged = combine(_pair_from_args(args), INTERLEAVE, args.tie_break)
     rows = (("*" if d is None else "#") * v for v, d in zip(tagged.values, tagged.prime_odd))
-    _emit(args, [(None, "\n".join(rows))])
-    return 0
+    return [(None, "\n".join(rows))], 0
 
 
 def nonnegative_int(text: str) -> int:
@@ -345,7 +342,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        items, code = args.func(args)
+        _emit(args, items)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -229,6 +229,29 @@ class TestMainModule:
         assert err == "error: partition not weakly decreasing at part 3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--theory", "B", "--rank", "2"],
+    ["fingerprint", "--theory", "C", "--prime", "2 1^2", "--dprime", "1^2", "--compare"],
+    ["check", "structure", "--max-rank", "6", "--json"],
+    ["fibers", "--theory", "B", "--rank", "1"],
+    ["render", "--theory", "B", "--prime", "2^2 1", "--dprime", "1^2"],
+], ids=lambda argv: argv[0])
+def test_commands_return_what_main_writes(capsys, monkeypatch, argv):
+    # A command writes nothing: it returns its (record, text) items and its
+    # exit code, and main writes them in one _emit call.
+    args = rigidfp.cli.build_parser().parse_args(argv)
+    items, code = args.func(args)
+    items = list(items)
+    assert capsys.readouterr() == ("", "")
+    assert code == 0 and items
+    emit = rigidfp.cli._emit
+    calls = []
+    monkeypatch.setattr(rigidfp.cli, "_emit", lambda *a: calls.append(a) or emit(*a))
+    assert run(capsys, *argv) == (code, "".join(
+        f"{json.dumps(record) if args.json else text}\n" for record, text in items), "")
+    assert len(calls) == 1
+
+
 class TestCheck:
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "structure", "--max-rank", "6")

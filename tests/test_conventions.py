@@ -4,10 +4,12 @@ The merge mode decides how fine the invariant is; the tie-break reaches an
 outcome only when condition (iii) alone is in force.  Each count is derived
 by enumeration.  The KL lemmas by iii variant are in test_kl_lemmas.
 """
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from partition_oracle import rigid_count, upto
 from rigidfp import (
     FingerprintOptions,
     combine,
@@ -16,8 +18,16 @@ from rigidfp import (
     fingerprint,
 )
 from rigidfp.cli import _fiber_key
+from rigidfp.closedform import closed_form_fingerprint_BD
 from rigidfp.fingerprint import ALL_CONDITIONS, III_VARIANTS
-from rigidfp.partitions import COMPONENTWISE, DPRIME_FIRST, INTERLEAVE, Theory
+from rigidfp.partitions import (
+    COMPONENTWISE,
+    DPRIME_FIRST,
+    INTERLEAVE,
+    TIE_BREAKS,
+    Theory,
+    is_rigid,
+)
 
 
 def test_tie_break_reaches_an_outcome_only_under_iii_alone():
@@ -66,3 +76,34 @@ def test_classes_per_mode_at_rank_10(theory, operators, interleave, componentwis
         classes = {res.weyl for res in results if res.weyl is not None}
         diagnostics = sum(res.diagnostic is not None for res in results)
         assert (len(classes), diagnostics) == want, mode
+
+
+def test_what_the_default_reading_reduces_to():
+    # Under the union reading a B/D pair's fingerprint is the unipotent
+    # fingerprint of the union of its sides, which is a member of the same
+    # theory but not always rigid: it forgets which side each row came from,
+    # and no B/D tau entry has witness (iii).  Only the sum reading lets the
+    # lambda'-datum reach a B/D outcome.
+    bd = (Theory.B, Theory.D)
+    pairs = [pair for _, pair in upto(enumerate_rigid_pairs, 12, bd)]
+    assert len(pairs) == sum(rigid_count(side1, rank - n2) * rigid_count(side2, n2)
+                             for side1, side2 in ("BD", "DD")
+                             for rank in range(13) for n2 in range(rank + 1)) == 1639
+    inputs = not_rigid = 0
+    for pair in pairs:
+        union = tuple(sorted(pair.lambda_prime + pair.lambda_dprime, reverse=True))
+        not_rigid += not is_rigid(union, pair.theory)
+        for tie in TIE_BREAKS:
+            res = fingerprint(pair, FingerprintOptions(tie_break=tie))
+            assert res.weyl == closed_form_fingerprint_BD(union, pair.theory), (pair, tie)
+            inputs += 1
+    assert (inputs, not_rigid) == (3278, 83)
+
+    def witnesses(theories, mode=INTERLEAVE):
+        opts = FingerprintOptions(mode=mode)
+        return Counter(w for _, pair in upto(enumerate_rigid_pairs, 12, theories)
+                       for _, w in fingerprint(pair, opts).tau.entries)
+
+    assert witnesses(bd) == {"i": 796, None: 776}
+    assert witnesses((Theory.C,)) == {"iii": 954, None: 475}
+    assert witnesses(bd, COMPONENTWISE) == {"iii": 1317, "i": 569, None: 517}

@@ -314,11 +314,13 @@ class TestPairLemmas:
                 diagnostics += bool(bad)
         assert (inputs, diagnostics) == (1216, 308)
 
-    @pytest.mark.parametrize("theory, expected", [
-        (Theory.D, (332, 0)),  # cli._fiber_key merges D mirror pairs on this
-        (Theory.C, (594, 390)),
-    ], ids=["D", "C"])
-    def test_mirror_pair_outcomes(self, theory, expected):
+    @pytest.mark.parametrize("theory, mode, expected", [
+        (Theory.D, INTERLEAVE, (332, 0)),  # cli._fiber_key merges D mirror pairs on this
+        (Theory.C, INTERLEAVE, (594, 390)),
+        (Theory.D, COMPONENTWISE, (332, 0)),  # test_classes_per_mode_at_rank_10 folds them in sum mode too
+        (Theory.C, COMPONENTWISE, (594, 260)),
+    ], ids=["D", "C", "D-sum", "C-sum"])
+    def test_mirror_pair_outcomes(self, theory, mode, expected):
         # Pairs with two different sides, and how many of them change
         # outcome when the sides are swapped, under either tie-break.
         pairs = changed = 0
@@ -328,7 +330,7 @@ class TestPairLemmas:
                 pairs += 1
                 changed += any(
                     not fingerprint(pair, opts).same_outcome(fingerprint(mirror, opts))
-                    for opts in (FingerprintOptions(tie_break=tb)
+                    for opts in (FingerprintOptions(mode=mode, tie_break=tb)
                                  for tb in (PRIME_FIRST, DPRIME_FIRST))
                 )
         assert (pairs, changed) == expected
