@@ -73,22 +73,19 @@ def _pairs_under(max_rank, options=(DEFAULT_OPTIONS,)):
     """(theory, pair, opts, res) for each rigid pair to max_rank under each of options.
 
     The pairs come in _upto's order, read from each theory's side lists,
-    built once for every rank.  res is fingerprint(pair, opts), chained
-    along each pair through fingerprint._run, which shares with the
-    previous run the stages that read alike: Sp and the sort of mu read the
-    merge's values, and tau also its prime_odd.  A pair with an empty side
-    merges alike in both modes and under both tie-breaks, and the two
-    tie-breaks merge the same values.  The option sets may differ only in
-    mode and tie-break, the fields that only combine reads.
+    built once for every rank.  res is fingerprint(pair, opts), run through
+    fingerprint._run with one memo per theory and rank, so each distinct
+    merge computes its Sp trace and mu once, and each distinct (mu, tau)
+    its extraction once.  Merges of different ranks have different box
+    counts and share no stage, so no memo outlives its rank.
     """
     for theory in Theory:
         sides = _side_lists(theory, max_rank)
         for rank in range(max_rank + 1):
+            seen = {}
             for pair in _rigid_pairs(theory, rank, *sides):
-                res = None
                 for opts in options:
-                    res = _run(pair, opts, res)
-                    yield theory, pair, opts, res
+                    yield theory, pair, opts, _run(pair, opts, seen)
 
 
 def _sweep(inputs, check) -> SuiteReport:
@@ -203,6 +200,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
     even number of them.
     """
     info = []
+    d = Theory.D  # a class lookup, read once per sweep
 
     def check(theory, pair, opts, res):
         mode = opts.mode
@@ -219,7 +217,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         total = sum(res.weyl.alpha) + sum(res.weyl.beta)
         if total != pair.rank:
             return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
-        if theory is Theory.D and len(res.weyl.beta) % 2:
+        if theory is d and len(res.weyl.beta) % 2:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
     modes = [FingerprintOptions(mode=mode) for mode in MODES]

@@ -271,26 +271,32 @@ def fingerprint(pair: OperatorPair,
 
 
 def _run(pair: OperatorPair, opts: FingerprintOptions,
-         prev: FingerprintResult | None = None) -> FingerprintResult:
-    """fingerprint(pair, opts), sharing with prev the stages that read alike.
+         seen: dict | None = None) -> FingerprintResult:
+    """fingerprint(pair, opts), taking its pure stages from seen where it can.
 
-    prev is the same pair's run under options that differ from opts at most
-    in mode and tie-break, the fields only combine reads.  Sp and the sort
-    of mu read the merge's values; tau also reads its prime_odd, and of
-    opts the conditions and iii variant, which prev shares; extraction
-    reads mu and tau.  So a merge with prev's values borrows prev's trace
-    and mu and redoes tau and extraction, and one with prev's values and
-    prime_odd takes prev's outcome under this run's opts and merge.
+    seen, if given, keeps each pure stage's output under that stage's full
+    arguments: the merge's values give the Sp trace and mu, and (mu, tau)
+    the extraction's outcome.  tau reads the merge's prime_odd and opts as
+    well, and runs on every call.  So runs under any options may share one
+    seen.  fingerprint passes none, and a single run hashes nothing.
     """
     tagged = combine(pair, opts.mode, opts.tie_break)
-    if prev is None or tagged.values != prev.tagged.values:
-        trace = sp_map(tagged.values)
-        mu = trace.mu_partition()
-    elif tagged.prime_odd == prev.tagged.prime_odd:
-        return tuple.__new__(FingerprintResult, (opts, tagged, *prev[2:]))
-    else:
-        trace, mu = prev.trace, prev.mu
+    values = tagged.values
+    # A values key holds ints and a (mu, tau) key two tuples, so they never
+    # collide.  Each kept output is a non-empty tuple, so a lookup reads
+    # false only on a miss or with no seen (or an empty one).
+    staged = seen and seen.get(values)
+    if not staged:
+        trace = sp_map(values)
+        staged = trace, trace.mu_partition()
+        if seen is not None:
+            seen[values] = staged
+    trace, mu = staged
     tau = tau_table(trace, tagged, pair.theory, opts)
-    outcome = extract_weyl_pair(mu, tau)
+    outcome = seen and seen.get((mu, tau))
+    if not outcome:
+        outcome = extract_weyl_pair(mu, tau)
+        if seen is not None:
+            seen[mu, tau] = outcome
     weyl, diagnostic = (outcome, None) if isinstance(outcome, WeylPair) else (None, outcome)
     return tuple.__new__(FingerprintResult, (opts, tagged, trace, mu, tau, weyl, diagnostic, pair))

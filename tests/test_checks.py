@@ -31,9 +31,9 @@ from rigidfp.fingerprint import (
 )
 from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
 from rigidfp.partitions import (
-    INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS, Theory, combine,
-    enumerate_members, enumerate_rigid, enumerate_rigid_pairs, format_partition, is_rigid,
-    is_theory_member, transpose, validate_partition)
+    COMPONENTWISE, DPRIME_FIRST, INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS, Theory,
+    combine, enumerate_members, enumerate_rigid, enumerate_rigid_pairs, format_partition,
+    is_rigid, is_theory_member, transpose, validate_partition)
 
 # Inputs each suite sweeps at its default rank.  A change to an input
 # generator that drops or repeats inputs shows up here.
@@ -116,47 +116,71 @@ def test_pair_suites_build_side_lists_once(name, monkeypatch):
     assert len(calls) == lists * 7 == 28
 
 
+# The option sets each suite sweeps its rigid pairs under.
+SUITE_OPTIONS = {
+    "path-equivalence": [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS],
+    "rank-identity": [FingerprintOptions(mode=mode) for mode in MODES],
+}
+
+
+def _distinct_stages(options, max_rank=8):
+    """How many Sp traces and extractions the pair stream to max_rank under
+    options needs, with one memo per theory and rank: its distinct
+    (theory, rank, values) of the merges, and distinct (theory, rank, mu,
+    tau).  Counted over plain fingerprint runs, which keep no memo."""
+    merges, extractions = set(), set()
+    for theory in Theory:
+        for rank in range(max_rank + 1):
+            for pair in enumerate_rigid_pairs(theory, rank):
+                for opts in options:
+                    res = fingerprint(pair, opts)
+                    merges.add((theory, rank, res.tagged.values))
+                    extractions.add((theory, rank, res.mu, res.tau))
+    return len(merges), len(extractions)
+
+
 def _pipeline_runs(monkeypatch, name):
-    """run_suite(name, 8), how many tau tables the pipeline computed (one
-    per run that did not take a previous run's outcome whole), and how many
-    Sp traces among them."""
+    """run_suite(name, 8) and how many tau tables, Sp traces and
+    extractions the pipeline computed."""
     pipeline = sys.modules["rigidfp.fingerprint"]
-    tables, traces = [], []
+    counts = {}
 
-    def counted_tau(trace, *args):
-        tables.append(trace)
-        return tau_table(trace, *args)
+    def count(stage):
+        original = getattr(pipeline, stage)
+        counts[stage] = 0
 
-    def counted_sp(values):
-        traces.append(values)
-        return sp_map(values)
+        def counted(*args):
+            counts[stage] += 1
+            return original(*args)
 
-    monkeypatch.setattr(pipeline, "tau_table", counted_tau)
-    monkeypatch.setattr(pipeline, "sp_map", counted_sp)
-    return run_suite(name, 8), len(tables), len(traces)
+        monkeypatch.setattr(pipeline, stage, counted)
+
+    for stage in ("tau_table", "sp_map", "extract_weyl_pair"):
+        count(stage)
+    report = run_suite(name, 8)
+    return report, counts["tau_table"], counts["sp_map"], counts["extract_weyl_pair"]
 
 
-@pytest.mark.parametrize("name", ["path-equivalence", "rank-identity"])
-def test_alike_merges_share_one_run(name, monkeypatch):
-    # A pair with an empty side merges alike in both modes and under both
-    # tie-breaks, so its two inputs share one run; every other pair has a
-    # shared value (1) or a summed row, and gets a run per input.  The two
-    # tie-breaks merge the same rows, so a pair's runs share one Sp trace.
-    pairs = [pair for theory in Theory for rank in range(9)
-             for pair in enumerate_rigid_pairs(theory, rank)]
-    one_sided = sum(not pair.lambda_prime or not pair.lambda_dprime for pair in pairs)
-    report, runs, traces = _pipeline_runs(monkeypatch, name)
-    assert report.ok and report.checked == 2 * len(pairs) == 1136
-    assert runs == report.checked - one_sided == 963
-    assert traces == (len(pairs) if name == "path-equivalence" else runs)
+@pytest.mark.parametrize("name, merges, extractions", [
+    ("path-equivalence", 117, 149), ("rank-identity", 307, 394)])
+def test_alike_merges_share_one_run(name, merges, extractions, monkeypatch):
+    # Every input computes its own tau table.  The Sp trace and the
+    # extraction read only the merge's values and (mu, tau), which many
+    # inputs of one theory and rank share: the two tie-breaks merge the
+    # same values, and so do a pair with an empty side in both modes.
+    assert _distinct_stages(SUITE_OPTIONS[name]) == (merges, extractions)
+    report, tables, traces, extracted = _pipeline_runs(monkeypatch, name)
+    assert report.ok and report.checked == tables == 1136
+    assert (traces, extracted) == (merges, extractions)
 
 
 @pytest.mark.parametrize("name", ["path-equivalence", "rank-identity"])
 @pytest.mark.parametrize("field, pad", [("values", 0), ("prime_odd", None)])
 def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
     # A combine that lengthens one field of the merge under the second
-    # option set only: no two inputs of a pair merge alike any more, and
-    # moved values also get their own Sp trace.
+    # option set only.  Every input still gets its own tau table; moved
+    # values are merges of their own, with their own Sp trace and
+    # extraction, while a moved prime_odd shares both.
     def moved(pair, mode=INTERLEAVE, tie_break=PRIME_FIRST):
         tagged = combine(pair, mode, tie_break)
         if (mode, tie_break) == (INTERLEAVE, PRIME_FIRST):
@@ -164,25 +188,44 @@ def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
         return tagged._replace(**{field: getattr(tagged, field) + (pad,)})
 
     monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "combine", moved)
-    report, runs, traces = _pipeline_runs(monkeypatch, name)
-    assert runs == report.checked == 1136
-    if field == "values":
-        assert traces == runs
+    distinct = _distinct_stages(SUITE_OPTIONS[name])
+    report, tables, traces, extracted = _pipeline_runs(monkeypatch, name)
+    assert tables == report.checked == 1136
+    assert (traces, extracted) == distinct
 
 
 @pytest.mark.parametrize("options", [
     [FingerprintOptions()],
     [FingerprintOptions(mode=mode) for mode in MODES],
     [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS],
-], ids=["default", "modes", "tie-breaks"])
+    [FingerprintOptions(), FingerprintOptions(conditions={"i", "iii"}),
+     FingerprintOptions(mode=COMPONENTWISE, iii_variant=VACUOUS),
+     FingerprintOptions(tie_break=DPRIME_FIRST, conditions={"iii"}, iii_variant=SP)],
+], ids=["default", "modes", "tie-breaks", "mixed"])
 def test_pair_stream_runs_are_exact(options):
     # Each record the pair stream yields is the pipeline's own result for its
-    # input, options and merge included, also where a run shares work.
+    # input, options and merge included, also where a run shares work, and
+    # under option sets that differ in conditions and iii variant.
     count = 0
     for _, pair, opts, res in rigidfp.checks._pairs_under(8, options):
         count += 1
         assert tuple(res) == tuple(fingerprint(pair, opts))
     assert count == 568 * len(options)
+
+
+def test_no_memo_outlives_a_sweep(monkeypatch):
+    # sp_map patched between two sweeps sees every distinct merge of the
+    # second: the first sweep left no trace behind for it to reuse.
+    run_suite("rank-identity", 4)
+    traces = []
+
+    def counted(values):
+        traces.append(values)
+        return sp_map(values)
+
+    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted)
+    assert run_suite("rank-identity", 4).ok
+    assert len(traces) == _distinct_stages(SUITE_OPTIONS["rank-identity"], 4)[0] > 0
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
@@ -239,11 +282,13 @@ def _condition_ii_pipeline_runs(monkeypatch, max_rank):
 
 
 def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
-    # One run per rigid pair, whose without-(ii) table reuses its trace, and
-    # one per gapped member (51 of them to rank 4, as the info line says).
+    # One Sp trace per distinct merge of the rigid pairs of a theory and
+    # rank, whose without-(ii) tables reuse it, and one per gapped member
+    # (51 of them to rank 4, as the info line says).
     report, runs = _condition_ii_pipeline_runs(monkeypatch, 4)
+    merges, _ = _distinct_stages([FingerprintOptions()], 4)
     assert "of 51 non-rigid inputs" in report.info[0]
-    assert runs == report.checked + 51
+    assert report.checked == 73 and runs == merges + 51 == 78
 
 
 def test_condition_ii_at_rank_0_runs_only_its_rigid_pairs(monkeypatch):

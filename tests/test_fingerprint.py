@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import combinations, product
 from operator import attrgetter
@@ -256,6 +257,24 @@ class TestFingerprint:
                 assert result_record(res)["mu"] == res.mu
                 results += 1
         assert len(calls) == results == 89
+
+    def test_keeps_no_memo(self, monkeypatch):
+        # A plain fingerprint call computes every stage itself: the same pair
+        # run three times takes three Sp traces and three extractions.
+        pipeline = sys.modules["rigidfp.fingerprint"]
+        calls = []
+
+        def counted(stage):
+            def run(*args):
+                calls.append(stage.__name__)
+                return stage(*args)
+            return run
+
+        monkeypatch.setattr(pipeline, "sp_map", counted(sp_map))
+        monkeypatch.setattr(pipeline, "extract_weyl_pair", counted(extract_weyl_pair))
+        pair = OperatorPair((2, 2, 1), (1, 1), "B")
+        assert len({fingerprint(pair) for _ in range(3)}) == 1
+        assert Counter(calls) == {"sp_map": 3, "extract_weyl_pair": 3}
 
     def test_c_example(self):
         res = fingerprint(OperatorPair((2, 1, 1), (1, 1), "C"))
