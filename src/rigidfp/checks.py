@@ -88,8 +88,19 @@ def _pairs_under(max_rank, options=(DEFAULT_OPTIONS,)):
                     yield theory, pair, opts, _run(pair, opts, seen)
 
 
-def _sweep(inputs, check) -> SuiteReport:
-    """Count each input and collect what check(*input) returns, if not None."""
+def _rigid(max_rank):
+    """(theory, p) for each rigid partition p of every theory to max_rank."""
+    return _upto(enumerate_rigid, Theory, max_rank)
+
+
+def _members(max_rank):
+    """(theory, p) for each member p of every theory to max_rank."""
+    return _upto(enumerate_members, Theory, max_rank)
+
+
+def _sweep(inputs, check, report: SuiteReport) -> SuiteReport:
+    """Count each input and list what check(*input) returns, if not None,
+    ahead of the failures that report already holds; its info lines stay."""
     checked = 0
     failures = []
     for args in inputs:
@@ -97,7 +108,7 @@ def _sweep(inputs, check) -> SuiteReport:
         failure = check(*args)
         if failure is not None:
             failures.append(failure)
-    return SuiteReport(checked, failures, [])
+    return SuiteReport(checked, failures + report.failures, report.info)
 
 
 def transpose_structure_ok(p, theory) -> bool:
@@ -116,7 +127,7 @@ def transpose_structure_ok(p, theory) -> bool:
     return all(a % 2 == b % 2 for a, b in zip(rows[::2], rows[1::2]))
 
 
-def check_structure(max_rank: int) -> SuiteReport:
+def check_structure(max_rank, report):
     def check(theory, p):
         if not transpose_structure_ok(p, theory):
             return (
@@ -124,7 +135,7 @@ def check_structure(max_rank: int) -> SuiteReport:
                 f"transpose {format_partition(transpose(p))}"
             )
 
-    return _sweep(_upto(enumerate_rigid, Theory, max_rank), check)
+    return check
 
 
 def sp_locality_failure(theory, p) -> str | None:
@@ -156,18 +167,17 @@ def sp_locality_failure(theory, p) -> str | None:
     return None
 
 
-def check_sp_locality(max_rank: int) -> SuiteReport:
+def check_sp_locality(max_rank, report):
     """Changes only at value-group boundaries, direction set by the sign."""
-    inputs = _upto(enumerate_members, Theory, max_rank)
-    return _sweep(inputs, sp_locality_failure)
+    return sp_locality_failure
 
 
-def check_parity(max_rank: int) -> SuiteReport:
+def check_parity(max_rank, report):
     """The Sp image is a C-type partition: its odd values pair off.
 
     Paired odd values leave an even total, so C membership asks no more.
     """
-    c = Theory.C  # a class lookup, read once per sweep
+    c = Theory.C  # a class lookup, read once per run
 
     def check(theory, p):
         mu = sp_map(p).mu_partition()
@@ -175,7 +185,7 @@ def check_parity(max_rank: int) -> SuiteReport:
             return (f"{theory.value} {format_partition(p)}: "
                     f"Sp image {format_partition(mu)} is not C-type")
 
-    return _sweep(_upto(enumerate_members, Theory, max_rank), check)
+    return check
 
 
 def deficit_closure_ok(trace) -> bool:
@@ -192,15 +202,14 @@ def deficit_closure_ok(trace) -> bool:
         not delta or delta[-1] == -mu.count(0))
 
 
-def check_rank_identity(max_rank: int) -> SuiteReport:
+def check_rank_identity(max_rank, report):
     """|alpha| + |beta| = n under the defaults; B/D never diagnose.
 
     A D outcome also has an even number of beta parts: read as a signed
     cycle type, beta lists the negative cycles, and a class of W(D_n) has an
     even number of them.
     """
-    info = []
-    d = Theory.D  # a class lookup, read once per sweep
+    d = Theory.D  # a class lookup, read once per run
 
     def check(theory, pair, opts, res):
         mode = opts.mode
@@ -209,7 +218,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         if res.diagnostic is not None:
             if not theory.paired:
                 return f"{_fmt_pair(pair)} [{mode}]: " + res.diagnostic.message()
-            info.append(
+            report.info.append(
                 f"{_fmt_pair(pair)} [{mode}, iii={opts.variant_for(theory)}]: "
                 + res.diagnostic.message()
             )
@@ -220,8 +229,7 @@ def check_rank_identity(max_rank: int) -> SuiteReport:
         if theory is d and len(res.weyl.beta) % 2:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
-    modes = [FingerprintOptions(mode=mode) for mode in MODES]
-    return _sweep(_pairs_under(max_rank, modes), check)._replace(info=info)
+    return check
 
 
 def _closed_form_failure(theory, p, weyl) -> str | None:
@@ -239,7 +247,7 @@ def _closed_form_failure(theory, p, weyl) -> str | None:
     )
 
 
-def check_condition_ii(max_rank: int) -> SuiteReport:
+def check_condition_ii(max_rank, report):
     """{i,iii} equals {i,ii,iii} on rigid pairs; gapped members are checked too.
 
     Only gapped (non-rigid) members can show condition (ii), so the suite
@@ -247,17 +255,12 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
     pipeline result must equal its theory's closed form, whose open-deficit
     rule is condition (ii); a mismatch is a failure, in closed-form's line
     form.  The members where dropping (ii) changes tau are reported in an
-    info line.  checked counts the rigid pairs only.
+    info line.  checked counts the rigid pairs only, whose failures come
+    first.
     """
-    def check(theory, pair, opts, res):
-        # Same trace, so the same tau table gives the same outcome.
-        if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
-            return _fmt_pair(pair)
-
-    report = _sweep(_pairs_under(max_rank), check)
     hits = []
     count = 0
-    for theory, p in _upto(enumerate_members, Theory, max_rank):
+    for theory, p in _members(max_rank):
         if is_rigid(p, theory):
             continue
         count += 1
@@ -274,23 +277,33 @@ def check_condition_ii(max_rank: int) -> SuiteReport:
         f"gapped sweep: {len(hits)} (ii)-sensitive of {count} non-rigid inputs"
         + (f"; e.g. {head}" if hits else "")
     )
-    return report
+
+    def check(theory, pair, opts, res):
+        # Same trace, so the same tau table gives the same outcome.
+        if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
+            return _fmt_pair(pair)
+
+    return check
 
 
-def check_shift(max_rank: int) -> SuiteReport:
+def check_shift(max_rank, report):
     """Adding 2 to every row shifts the trace by 2 and [alpha;beta] by [2;1].
 
     Adding 2 to every part of both sides adds 2 to every merged row and
     keeps the row order.  A row deleted by Sp reappears as a beta part of 1
     after the shift; the result-level check accounts for exactly that.  A
     diagnostic shifts too: both sides have one or neither, and each
-    unpairable value rises by 2 with the same multiplicity.
+    unpairable value rises by 2 with the same multiplicity.  The shift keeps
+    which pairs share a merge, so the shifted runs share one memo, as the
+    base runs of a theory and rank do.
     """
+    seen = {}
+
     def check(theory, pair, opts, base):
         sides = [tuple(v + 2 for v in side) for side in (pair.lambda_prime, pair.lambda_dprime)]
         # +2 keeps every part's parity, every multiplicity and the box count's
         # parity, so the shifted pair is valid by construction.
-        shifted = fingerprint(_unchecked_pair(*sides, theory))
+        shifted = _run(_unchecked_pair(*sides, theory), opts, seen)
         want_mu = tuple(m + 2 for m in base.trace.mu_values)
         if shifted.trace.mu_values != want_mu:
             return f"{_fmt_pair(pair)}: trace shift broken"
@@ -313,10 +326,10 @@ def check_shift(max_rank: int) -> SuiteReport:
                 f"-> [{format_partition(weyl.alpha)};{format_partition(weyl.beta)}]"
             )
 
-    return _sweep(_pairs_under(max_rank), check)
+    return check
 
 
-def check_factorization(max_rank: int) -> SuiteReport:
+def check_factorization(max_rank, report):
     """Sp equals the collapse-factored mu in B and D, and p itself in C.
 
     Only the expected image depends on the theory.  The factored mu runs on
@@ -333,10 +346,10 @@ def check_factorization(max_rank: int) -> SuiteReport:
                 f"!= factored {format_partition(factored)}"
             )
 
-    return _sweep(_upto(enumerate_rigid, Theory, max_rank), check)
+    return check
 
 
-def check_collapse_bijection(max_rank: int) -> SuiteReport:
+def check_collapse_bijection(max_rank, report):
     """Box-count deltas, round trips, and all-even transpose images."""
     def check(theory, sigma):
         collapse, inverse = (xs_map, xs_inverse) if theory.theta else (ys_map, ys_inverse)
@@ -351,15 +364,19 @@ def check_collapse_bijection(max_rank: int) -> SuiteReport:
         if inverse(image) != sigma:
             return f"{theory.value} {format_partition(sigma)}: round trip broken"
 
+    return check
+
+
+def _odd_parts(max_rank):
+    """(theory, odd part) for each distinct odd part of a rigid B or D partition to max_rank."""
     # Enumerated rigid partitions are valid by construction: split unchecked.
-    inputs = dict.fromkeys(
+    return dict.fromkeys(
         (theory, _split(p).odd_part)
         for theory, p in _upto(enumerate_rigid, (Theory.B, Theory.D), max_rank)
     )
-    return _sweep(inputs, check)
 
 
-def check_closed_form(max_rank: int) -> SuiteReport:
+def check_closed_form(max_rank, report):
     """Group-formula fingerprints equal the pipeline under the defaults.
 
     The closed form of (p; -) is the side walk of (p; ()), which
@@ -369,15 +386,19 @@ def check_closed_form(max_rank: int) -> SuiteReport:
     def check(theory, p):
         return _closed_form_failure(theory, p, fingerprint(_unchecked_pair(p, (), theory)).weyl)
 
-    inputs = (
-        (theory, p) for theory, p in _upto(enumerate_rigid, Theory, max_rank)
+    return check
+
+
+def _closed_forms(max_rank):
+    """(theory, p) for each rigid p to max_rank that has a closed form to compare."""
+    return (
+        (theory, p) for theory, p in _rigid(max_rank)
         # In C the rows must pair off: every multiplicity is even.
         if not theory.paired or p[0::2] == p[1::2]
     )
-    return _sweep(inputs, check)
 
 
-def check_path_equivalence(max_rank: int) -> SuiteReport:
+def check_path_equivalence(max_rank, report):
     """The per-block closed forms, joined, equal the direct pipeline's mu and result.
 
     The block path (closedform.side_fingerprint, whose lambda'' = () case
@@ -393,30 +414,36 @@ def check_path_equivalence(max_rank: int) -> SuiteReport:
         if not direct.same_outcome(walked[1]):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 
-    ties = [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS]
-    return _sweep(_pairs_under(max_rank, ties), check)
+    return check
 
 
-# Each suite with its default rank bound and its largest rank.  check sweeps
-# a suite rank by rank, so the largest rank is the largest at which every
-# list the suite builds for one rank stays within cli.MAX_LISTED entries:
-# members (B 40, C 38, D 40 within the cap) for sp-locality, parity and
-# condition-ii, rigid pairs for the pair suites, and rigid partitions for
+# Each suite's row: (check, default rank, largest rank, inputs).
+# check(max_rank, report) builds the suite's per-run state, records any
+# failure or info line of its own in report, and returns the per-input check;
+# inputs(max_rank) is the stream it reads, and suites that read the same
+# inputs name the same stream.  The largest rank is the largest at which
+# every list the suite builds for one rank stays within cli.MAX_LISTED
+# entries: members (B 40, C 38, D 40 within the cap) for sp-locality, parity
+# and condition-ii, rigid pairs for the pair suites, and rigid partitions for
 # the rest.
 SUITES = {
-    "structure": (check_structure, 12, 83),
-    "sp-locality": (check_sp_locality, 12, 38),
-    "parity": (check_parity, 12, 38),
-    "rank-identity": (check_rank_identity, 8, 41),
-    "condition-ii": (check_condition_ii, 10, 38),
-    "shift": (check_shift, 6, 41),
-    "factorization": (check_factorization, 12, 83),
-    "path-equivalence": (check_path_equivalence, 8, 41),
-    "closed-form": (check_closed_form, 10, 83),
-    "collapse-bijection": (check_collapse_bijection, 12, 86),
+    "structure": (check_structure, 12, 83, _rigid),
+    "sp-locality": (check_sp_locality, 12, 38, _members),
+    "parity": (check_parity, 12, 38, _members),
+    "rank-identity": (check_rank_identity, 8, 41, lambda max_rank: _pairs_under(
+        max_rank, [FingerprintOptions(mode=mode) for mode in MODES])),
+    "condition-ii": (check_condition_ii, 10, 38, _pairs_under),
+    "shift": (check_shift, 6, 41, _pairs_under),
+    "factorization": (check_factorization, 12, 83, _rigid),
+    "path-equivalence": (check_path_equivalence, 8, 41, lambda max_rank: _pairs_under(
+        max_rank, [FingerprintOptions(tie_break=tie) for tie in TIE_BREAKS])),
+    "closed-form": (check_closed_form, 10, 83, _closed_forms),
+    "collapse-bijection": (check_collapse_bijection, 12, 86, _odd_parts),
 }
 
 
 def run_suite(name: str, max_rank: int | None = None) -> SuiteReport:
-    suite, default_rank, _ = SUITES[name]
-    return suite(default_rank if max_rank is None else max_rank)
+    check, default_rank, _, inputs = SUITES[name]
+    max_rank = default_rank if max_rank is None else max_rank
+    report = SuiteReport(0, [], [])
+    return _sweep(inputs(max_rank), check(max_rank, report), report)

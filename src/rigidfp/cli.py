@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=emit, help="run a named invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    defaults = {name: default for name, (_, default, _) in SUITES.items()}
+    defaults = {name: row[1] for name, row in SUITES.items()}
     p.add_argument("--max-rank", type=nonnegative_int,
                    help=f"rank bound (defaults: {defaults})")
     p.set_defaults(func=cmd_check)

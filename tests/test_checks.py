@@ -31,7 +31,8 @@ from rigidfp.fingerprint import (
 )
 from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
 from rigidfp.partitions import (
-    COMPONENTWISE, DPRIME_FIRST, INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS, Theory,
+    COMPONENTWISE, DPRIME_FIRST, INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS,
+    OperatorPair, Theory,
     combine, enumerate_members, enumerate_rigid, enumerate_rigid_pairs, format_partition,
     is_rigid, is_theory_member, transpose, validate_partition)
 
@@ -62,7 +63,7 @@ def test_suite_report_record():
 
 def test_default_ranks_within_largest():
     # A raised default must stay within the suite's largest rank.
-    for name, (_, default, largest) in SUITES.items():
+    for name, (_, default, largest, _) in SUITES.items():
         assert default <= largest, name
 
 
@@ -213,10 +214,27 @@ def test_pair_stream_runs_are_exact(options):
     assert count == 568 * len(options)
 
 
-def test_no_memo_outlives_a_sweep(monkeypatch):
-    # sp_map patched between two sweeps sees every distinct merge of the
-    # second: the first sweep left no trace behind for it to reuse.
-    run_suite("rank-identity", 4)
+def _shift_traces(max_rank):
+    """How many Sp traces the shift suite to max_rank needs: the distinct
+    merges of its rigid pairs per theory and rank, and the distinct merges
+    of the shifted pairs over the whole run.  Counted over plain
+    fingerprint runs, which keep no memo."""
+    shifted = {
+        fingerprint(OperatorPair(*(tuple(v + 2 for v in side) for side in pair[:2]),
+                                 theory)).tagged.values
+        for theory, pair in upto(enumerate_rigid_pairs, max_rank)}
+    return _distinct_stages([FingerprintOptions()], max_rank)[0] + len(shifted)
+
+
+# The Sp traces a run of each memo-keeping suite needs, by rank.
+SUITE_TRACES = {
+    "rank-identity": lambda max_rank: _distinct_stages(SUITE_OPTIONS["rank-identity"], max_rank)[0],
+    "shift": _shift_traces,
+}
+
+
+def _sp_traces(monkeypatch, name, max_rank):
+    """run_suite(name, max_rank) and how many Sp traces the pipeline computed."""
     traces = []
 
     def counted(values):
@@ -224,8 +242,43 @@ def test_no_memo_outlives_a_sweep(monkeypatch):
         return sp_map(values)
 
     monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted)
-    assert run_suite("rank-identity", 4).ok
-    assert len(traces) == _distinct_stages(SUITE_OPTIONS["rank-identity"], 4)[0] > 0
+    return run_suite(name, max_rank), len(traces)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_TRACES))
+def test_no_memo_outlives_a_sweep(name, monkeypatch):
+    # sp_map patched between two sweeps sees every distinct merge of the
+    # second: the first sweep left no trace behind for it to reuse.
+    run_suite(name, 4)
+    report, traces = _sp_traces(monkeypatch, name, 4)
+    assert report.ok
+    assert traces == SUITE_TRACES[name](4) > 0
+
+
+def test_shift_runs_one_trace_per_distinct_merge(monkeypatch):
+    # Shifting every row by 2 keeps which pairs share a merge.  At rank 12
+    # the base runs hold 388 distinct merges per theory and rank, and the
+    # 3015 shifted runs 336 in all: 724 Sp traces, where one per shifted
+    # run took 3403.
+    report, traces = _sp_traces(monkeypatch, "shift", 12)
+    assert report.ok and report.checked == 3015
+    assert traces == _shift_traces(12) == 724
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_run_state_dies_with_its_run(name):
+    # Each run builds its own per-run state (memos, info lines, the last
+    # side walk), so a second run reports exactly what the first did.
+    assert run_suite(name, 4) == run_suite(name, 4)
+
+
+def test_suites_reading_the_same_inputs_name_one_stream():
+    streams = {}
+    for name, (*_, inputs) in SUITES.items():
+        streams.setdefault(inputs, []).append(name)
+    assert sorted(streams.values()) == [
+        ["closed-form"], ["collapse-bijection"], ["condition-ii", "shift"], ["path-equivalence"],
+        ["rank-identity"], ["sp-locality", "parity"], ["structure", "factorization"]]
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_AT_DEFAULT))
@@ -269,16 +322,9 @@ def test_condition_ii_formats_only_reported_names(monkeypatch):
 def _condition_ii_pipeline_runs(monkeypatch, max_rank):
     """condition-ii's report at max_rank and how many Sp traces the
     pipeline computed."""
-    traces = []
-
-    def counted(values):
-        traces.append(values)
-        return sp_map(values)
-
-    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted)
-    report = run_suite("condition-ii", max_rank)
+    report, traces = _sp_traces(monkeypatch, "condition-ii", max_rank)
     assert report.ok
-    return report, len(traces)
+    return report, traces
 
 
 def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
@@ -328,13 +374,24 @@ def _patch_everywhere(monkeypatch, attr, original, replacement):
 def _shift_mutant(monkeypatch, change):
     """Apply change to the result of each shifted input of the shift suite.
 
-    check_shift reads each base run from the pair stream, so every call
-    it makes to fingerprint is a shifted input.
+    The base runs and the shifted runs both go through checks._run; the
+    base pairs are the ones _rigid_pairs built, so every other run is a
+    shifted input.
     """
-    def mutated(pair, *opts):
-        return change(fingerprint(pair, *opts))
+    rigid_pairs, run = rigidfp.checks._rigid_pairs, rigidfp.checks._run
+    built = {}  # id -> pair; holding each pair keeps its id from being reused
 
-    monkeypatch.setattr(rigidfp.checks, "fingerprint", mutated)
+    def listed(*args):
+        pairs = rigid_pairs(*args)
+        built.update((id(pair), pair) for pair in pairs)
+        return pairs
+
+    def mutated(pair, *args):
+        res = run(pair, *args)
+        return res if id(pair) in built else change(res)
+
+    monkeypatch.setattr(rigidfp.checks, "_rigid_pairs", listed)
+    monkeypatch.setattr(rigidfp.checks, "_run", mutated)
 
 
 def test_shift_fails_on_one_sided_diagnostic(monkeypatch):
@@ -359,7 +416,7 @@ def test_shift_builds_shifted_pairs_unvalidated(monkeypatch):
         raise AssertionError("a shifted pair was re-validated")
 
     _patch_everywhere(monkeypatch, "validate_partition", validate_partition, refuse)
-    report = rigidfp.checks.check_shift(4)
+    report = run_suite("shift", 4)
     assert report.ok and report.checked == 73
 
 
@@ -530,9 +587,11 @@ MUTANTS = {
         "sp-locality": 40, "parity": 27, "rank-identity": 117, "condition-ii": 21,
         "factorization": 19, "path-equivalence": 130, "closed-form": 15},
         ("parity", 27, ODD_UNPAIRED), ("factorization", 19, SP_VS_FACTORED)),
+    # condition-ii lists its rigid-pair failures ahead of its gapped sweep's.
     "sign-flipped": (sp_map, _sp_mutant(lambda p, v, n, s: 2 * v - sp_row(p, v, n, s)), {
         "sp-locality": 35, "rank-identity": 58, "condition-ii": 28, "factorization": 10,
-        "path-equivalence": 52, "closed-form": 10}),
+        "path-equivalence": 52, "closed-form": 10},
+        ("condition-ii", 3, r"[BCD] \(.*\)"), ("condition-ii", 25, CLOSED_VS_PIPELINE)),
     "guards-swapped": (sp_map, _sp_mutant(lambda p, v, n, s: sp_row(n, v, p, s)), {
         "sp-locality": 44, "rank-identity": 114, "condition-ii": 21, "factorization": 13,
         "path-equivalence": 92, "closed-form": 9},

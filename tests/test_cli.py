@@ -502,7 +502,7 @@ class TestCheckCap:
 
     def test_largest_ranks_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(rigidfp.cli, "run_suite", lambda *args: SuiteReport(1, [], []))
-        for suite, (_, _, limit) in SUITES.items():
+        for suite, (_, _, limit, _) in SUITES.items():
             code, out, err = run(capsys, "check", suite, "--max-rank", str(limit))
             assert (code, out.splitlines()[-1], err) == (0, "PASS", "")
 
