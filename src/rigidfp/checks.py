@@ -207,13 +207,18 @@ def check_rank_identity(max_rank, report):
 
     A D outcome also has an even number of beta parts: read as a signed
     cycle type, beta lists the negative cycles, and a class of W(D_n) has an
-    even number of them.
+    even number of them.  The deficit verdict reads only the Sp trace, which
+    many inputs share, so the run keeps each distinct trace's verdict.
     """
     d = Theory.D  # a class lookup, read once per run
+    closed = {}  # Sp trace -> deficit_closure_ok(trace)
 
     def check(theory, pair, opts, res):
         mode = opts.mode
-        if not deficit_closure_ok(res.trace):
+        ok = closed.get(res.trace)
+        if ok is None:
+            ok = closed[res.trace] = deficit_closure_ok(res.trace)
+        if not ok:
             return f"{_fmt_pair(pair)} [{mode}]: deficit open"
         if res.diagnostic is not None:
             if not theory.paired:
@@ -403,15 +408,20 @@ def check_path_equivalence(max_rank, report):
 
     The block path (closedform.side_fingerprint, whose lambda'' = () case
     is the unipotent closed forms) reads only the pair's two sides, so it
-    runs once per pair and reads no output of combine, while the pipeline
-    runs under each tie-break: a fault in combine's merge shows here.
+    reads no output of combine, while the pipeline runs under each
+    tie-break: a fault in combine's merge shows here.  The walk reads the
+    sorted union of the sides and, in C, which values lambda' holds, so the
+    run keeps one walk per such key, built from the sides alone.
     """
-    walked = [None, None]  # the pair last walked and its BlockResult
+    walks = {}  # (theory, sorted union, set of lambda' in C) -> BlockResult
 
     def check(theory, pair, opts, direct):
-        if walked[0] is not pair:
-            walked[:] = pair, side_fingerprint(*pair)
-        if not direct.same_outcome(walked[1]):
+        prime, dprime, _ = pair
+        key = theory, tuple(sorted(prime + dprime)), theory.paired and frozenset(prime)
+        walked = walks.get(key)
+        if walked is None:
+            walked = walks[key] = side_fingerprint(*pair)
+        if not direct.same_outcome(walked):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 
     return check

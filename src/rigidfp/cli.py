@@ -59,7 +59,9 @@ def _check_listed(rank: int, limit: int, what: str) -> None:
 
 
 def _emit(args, items) -> None:
-    """Print (record, text) items: each record as JSON under --json, else each text.
+    """Print (record, text) items, one line each: the record as JSON under
+    --json, else the text.  Each line is written as it is made, so the
+    output is never held as one string.
 
     A reader that closes the pipe early (`| head`) is not an error: stdout
     is pointed at os.devnull, so the interpreter's final flush of what is
@@ -67,13 +69,15 @@ def _emit(args, items) -> None:
     """
     if args.json:
         import json  # loaded here: text output, the default, never needs it
-    text = "\n".join(json.dumps(record) if args.json else t for record, t in items)
+    lines = ((json.dumps(record) if args.json else text) + "\n" for record, text in items)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + ("\n" if text else ""))
-    elif text:
+            fh.writelines(lines)
+    else:
         try:
-            print(text, flush=True)
+            for line in lines:
+                sys.stdout.write(line)
+            sys.stdout.flush()
         except BrokenPipeError:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

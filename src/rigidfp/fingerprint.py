@@ -24,8 +24,9 @@ ALL_CONDITIONS = frozenset({"i", "ii", "iii"})
 class SpTrace(NamedTuple):
     """Index-wise record of mu = Sp(lambda); mu_values keeps deleted parts as 0.
 
-    The partial-sum deltas follow from the two rows and are computed where
-    they are read.  A named tuple, so it compares equal to the plain tuple
+    The partial-sum deltas follow from the two rows: tau_table keeps its own
+    running sum, and partial_sum_delta builds them for its other readers.
+    A named tuple, so it compares equal to the plain tuple
     (lambda_values, mu_values).
     """
 
@@ -150,6 +151,8 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     value's witness; a value none fires at keeps None, tau = +1.  Deleted
     rows (mu_i = 0) are ignored.  Each value enters at its first row, and
     sp_map keeps the rows descending, so the entries come out descending.
+    One pass over the rows keeps the running sum of mu - lambda, the
+    trace's partial_sum_delta, so no delta tuple is built.
     """
     conditions = opts.conditions
     check_i = "i" in conditions
@@ -157,17 +160,17 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     variant = opts.variant_for(theory)
     check_iii = "iii" in conditions and variant != VACUOUS
     odd_datum = variant == SO  # (iii) fires on an odd datum under SO, even under Sp
-    lam = trace.lambda_values
-    delta = trace.partial_sum_delta
+    delta = 0
     witnesses: dict[int, str | None] = {}  # even value -> witness; None: tau=+1
-    for i, m in enumerate(trace.mu_values):
+    for m, lam, datum in zip(trace.mu_values, trace.lambda_values, tags.prime_odd):
+        delta += m - lam
         if m <= 0 or m % 2 or witnesses.get(m):
             continue
-        if check_i and m != lam[i]:
+        if check_i and m != lam:
             witnesses[m] = "i"
-        elif check_ii and delta[i]:
+        elif check_ii and delta:
             witnesses[m] = "ii"
-        elif check_iii and tags.prime_odd[i] == odd_datum:
+        elif check_iii and datum == odd_datum:
             witnesses[m] = "iii"
         else:
             witnesses[m] = None

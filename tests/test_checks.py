@@ -29,7 +29,7 @@ from rigidfp.fingerprint import (
     sp_map,
     tau_table,
 )
-from rigidfp.closedform import split_parity, xs_inverse, xs_map, ys_map
+from rigidfp.closedform import side_fingerprint, split_parity, xs_inverse, xs_map, ys_map
 from rigidfp.partitions import (
     COMPONENTWISE, DPRIME_FIRST, INTERLEAVE, MODES, PAIR_SIDES, PRIME_FIRST, TIE_BREAKS,
     OperatorPair, Theory,
@@ -226,33 +226,108 @@ def _shift_traces(max_rank):
     return _distinct_stages([FingerprintOptions()], max_rank)[0] + len(shifted)
 
 
-# The Sp traces a run of each memo-keeping suite needs, by rank.
-SUITE_TRACES = {
-    "rank-identity": lambda max_rank: _distinct_stages(SUITE_OPTIONS["rank-identity"], max_rank)[0],
-    "shift": _shift_traces,
+def _distinct_traces(max_rank):
+    """How many deficit verdicts rank-identity to max_rank needs: the
+    distinct Sp traces of its inputs over the whole run, as its memo keys
+    them.  Counted over plain fingerprint runs, which keep no memo."""
+    return len({fingerprint(pair, opts).trace
+                for _, pair in upto(enumerate_rigid_pairs, max_rank)
+                for opts in SUITE_OPTIONS["rank-identity"]})
+
+
+def _walk_key(theory, pair):
+    """What the side walk of a pair reads: its theory, the sorted union of
+    its sides and, in C only, the values lambda' holds."""
+    prime, dprime, _ = pair
+    return theory, tuple(sorted(prime + dprime)), frozenset(prime) if theory.paired else None
+
+
+def _distinct_walks(max_rank):
+    """How many side walks path-equivalence to max_rank needs: the distinct
+    walk keys of its rigid pairs."""
+    return len({_walk_key(theory, pair) for theory, pair in upto(enumerate_rigid_pairs, max_rank)})
+
+
+# Each stage a run of a memo-keeping suite computes once per distinct key:
+# (suite, module that binds the stage, stage) -> its count by rank.
+SUITE_STAGES = {
+    ("rank-identity", "rigidfp.fingerprint", "sp_map"):
+        lambda max_rank: _distinct_stages(SUITE_OPTIONS["rank-identity"], max_rank)[0],
+    ("shift", "rigidfp.fingerprint", "sp_map"): _shift_traces,
+    ("rank-identity", "rigidfp.checks", "deficit_closure_ok"): _distinct_traces,
+    ("path-equivalence", "rigidfp.checks", "side_fingerprint"): _distinct_walks,
 }
 
 
-def _sp_traces(monkeypatch, name, max_rank):
-    """run_suite(name, max_rank) and how many Sp traces the pipeline computed."""
-    traces = []
+def _stage_calls(monkeypatch, name, max_rank, module="rigidfp.fingerprint", stage="sp_map"):
+    """run_suite(name, max_rank) and how many times it called stage, by
+    default how many Sp traces the pipeline computed."""
+    calls = []
+    original = getattr(sys.modules[module], stage)
 
-    def counted(values):
-        traces.append(values)
-        return sp_map(values)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "sp_map", counted)
-    return run_suite(name, max_rank), len(traces)
+    monkeypatch.setattr(sys.modules[module], stage, counted)
+    return run_suite(name, max_rank), len(calls)
 
 
-@pytest.mark.parametrize("name", sorted(SUITE_TRACES))
-def test_no_memo_outlives_a_sweep(name, monkeypatch):
-    # sp_map patched between two sweeps sees every distinct merge of the
-    # second: the first sweep left no trace behind for it to reuse.
+@pytest.mark.parametrize("name, module, stage", sorted(SUITE_STAGES))
+def test_no_memo_outlives_a_sweep(name, module, stage, monkeypatch):
+    # The stage patched between two sweeps sees every distinct key of the
+    # second: the first sweep left nothing behind for it to reuse.
     run_suite(name, 4)
-    report, traces = _sp_traces(monkeypatch, name, 4)
+    report, calls = _stage_calls(monkeypatch, name, 4, module, stage)
     assert report.ok
-    assert traces == SUITE_TRACES[name](4) > 0
+    assert calls == SUITE_STAGES[name, module, stage](4) > 0
+
+
+def test_rank_identity_checks_each_trace_once(monkeypatch):
+    # Many inputs share an Sp trace, and the deficit verdict reads only the
+    # trace: the 1136 inputs at rank 8 hold fewer distinct traces.
+    report, calls = _stage_calls(monkeypatch, "rank-identity", 8,
+                                 "rigidfp.checks", "deficit_closure_ok")
+    assert report.ok and report.checked == 1136
+    assert calls == _distinct_traces(8) < 1136
+
+
+def test_the_pipeline_builds_no_delta(monkeypatch):
+    # tau keeps its own running sum: the pipeline never reads the trace's
+    # delta, and rank-identity reads it once per deficit verdict.
+    reads = []
+    delta = SpTrace.partial_sum_delta
+
+    def counted(trace):
+        reads.append(trace)
+        return delta.fget(trace)
+
+    monkeypatch.setattr(SpTrace, "partial_sum_delta", property(counted))
+    options = SUITE_OPTIONS["rank-identity"] + SUITE_OPTIONS["path-equivalence"]
+    runs = list(rigidfp.checks._pairs_under(8, options))
+    runs += [fingerprint(pair) for _, pair in upto(enumerate_rigid_pairs, 8)]
+    assert len(runs) == 568 * 5 and reads == []
+    assert run_suite("rank-identity", 8).ok and len(reads) == _distinct_traces(8)
+
+
+def test_path_equivalence_walks_each_key_once(monkeypatch):
+    # The two tie-breaks of a pair, and pairs whose sides hold the same
+    # union, read one walk: at rank 8, fewer walks than the 568 pairs.
+    report, calls = _stage_calls(monkeypatch, "path-equivalence", 8,
+                                 "rigidfp.checks", "side_fingerprint")
+    assert report.ok and report.checked == 1136
+    assert calls == _distinct_walks(8) < 568
+
+
+def test_the_walk_key_determines_the_walk():
+    # Pairs with one key have one side walk.  In C the key needs the values
+    # lambda' holds: without them, some pairs with one union walk apart.
+    walks, unions = {}, {}
+    for theory, pair in upto(enumerate_rigid_pairs, 8):
+        walked = side_fingerprint(*pair)
+        assert walks.setdefault(_walk_key(theory, pair), walked) == walked
+        unions.setdefault(_walk_key(theory, pair)[:2], set()).add(walked)
+    assert any(len(outcomes) > 1 for outcomes in unions.values())
 
 
 def test_shift_runs_one_trace_per_distinct_merge(monkeypatch):
@@ -260,7 +335,7 @@ def test_shift_runs_one_trace_per_distinct_merge(monkeypatch):
     # the base runs hold 388 distinct merges per theory and rank, and the
     # 3015 shifted runs 336 in all: 724 Sp traces, where one per shifted
     # run took 3403.
-    report, traces = _sp_traces(monkeypatch, "shift", 12)
+    report, traces = _stage_calls(monkeypatch, "shift", 12)
     assert report.ok and report.checked == 3015
     assert traces == _shift_traces(12) == 724
 
@@ -322,7 +397,7 @@ def test_condition_ii_formats_only_reported_names(monkeypatch):
 def _condition_ii_pipeline_runs(monkeypatch, max_rank):
     """condition-ii's report at max_rank and how many Sp traces the
     pipeline computed."""
-    report, traces = _sp_traces(monkeypatch, "condition-ii", max_rank)
+    report, traces = _stage_calls(monkeypatch, "condition-ii", max_rank)
     assert report.ok
     return report, traces
 

@@ -252,6 +252,32 @@ def test_commands_return_what_main_writes(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_emit_writes_each_line_as_it_goes(capsys, monkeypatch, tmp_path, fmt):
+    # One write per item, each a whole line, never the output joined into
+    # one string; --out gets the same bytes.
+    argv = ["enumerate", "--theory", "B", "--rank", "8", *fmt]
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+
+    class Lines:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, text):
+            self.chunks.append(text)
+
+        def flush(self):
+            pass
+
+    stdout = Lines()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert len(stdout.chunks) == rigid_count("B", 8)
+    assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in stdout.chunks)
+    assert "".join(stdout.chunks) == target.read_text(encoding="utf-8")
+
+
 class TestCheck:
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "structure", "--max-rank", "6")
