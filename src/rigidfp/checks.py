@@ -75,9 +75,12 @@ def _pairs_under(max_rank, options=(DEFAULT_OPTIONS,)):
     The pairs come in _upto's order, read from each theory's side lists,
     built once for every rank.  res is fingerprint(pair, opts), run through
     fingerprint._run with one memo per theory and rank, so each distinct
-    merge computes its Sp trace and mu once, and each distinct (mu, tau)
-    its extraction once.  Merges of different ranks have different box
-    counts and share no stage, so no memo outlives its rank.
+    merge computes its Sp trace and mu once, each distinct (merge,
+    conditions) its tau plan once, and each distinct (mu, tau) its
+    extraction once; only tau's (iii) pass runs per input.  A pair's
+    inputs under each of options come one after the other.  Merges of
+    different ranks have different box counts and share no stage, so no
+    memo outlives its rank.
     """
     for theory in Theory:
         sides = _side_lists(theory, max_rank)
@@ -208,12 +211,22 @@ def check_rank_identity(max_rank, report):
     A D outcome also has an even number of beta parts: read as a signed
     cycle type, beta lists the negative cycles, and a class of W(D_n) has an
     even number of them.  The deficit verdict reads only the Sp trace, which
-    many inputs share, so the run keeps each distinct trace's verdict.
+    many inputs share, so the run keeps each distinct trace's verdict.  A
+    trace's box count fixes its rank, so the verdicts are dropped when the
+    rank changes.  A pair's two modes come one after the other, so the
+    rank is read once per pair.
     """
     d = Theory.D  # a class lookup, read once per run
-    closed = {}  # Sp trace -> deficit_closure_ok(trace)
+    closed = {}  # Sp trace -> deficit_closure_ok(trace), for one rank
+    last = rank = None
 
     def check(theory, pair, opts, res):
+        nonlocal last, rank
+        if pair is not last:
+            last = pair
+            rank, was = pair.rank, rank
+            if rank != was:
+                closed.clear()
         mode = opts.mode
         ok = closed.get(res.trace)
         if ok is None:
@@ -229,8 +242,8 @@ def check_rank_identity(max_rank, report):
             )
             return None
         total = sum(res.weyl.alpha) + sum(res.weyl.beta)
-        if total != pair.rank:
-            return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
+        if total != rank:
+            return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {rank}"
         if theory is d and len(res.weyl.beta) % 2:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
@@ -411,16 +424,26 @@ def check_path_equivalence(max_rank, report):
     reads no output of combine, while the pipeline runs under each
     tie-break: a fault in combine's merge shows here.  The walk reads the
     sorted union of the sides and, in C, which values lambda' holds, so the
-    run keeps one walk per such key, built from the sides alone.
+    run keeps one walk per such key, built from the sides alone.  A pair's
+    two tie-breaks come one after the other and share its walk, and a
+    union's box count fixes its rank, so the walks are dropped when the
+    rank changes.
     """
-    walks = {}  # (theory, sorted union, set of lambda' in C) -> BlockResult
+    walks = {}  # (theory, sorted union, set of lambda' in C) -> BlockResult, for one rank
+    last = rank = walked = None
 
     def check(theory, pair, opts, direct):
-        prime, dprime, _ = pair
-        key = theory, tuple(sorted(prime + dprime)), theory.paired and frozenset(prime)
-        walked = walks.get(key)
-        if walked is None:
-            walked = walks[key] = side_fingerprint(*pair)
+        nonlocal last, rank, walked
+        if pair is not last:
+            last = pair
+            rank, was = pair.rank, rank
+            if rank != was:
+                walks.clear()
+            prime, dprime, _ = pair
+            key = theory, tuple(sorted(prime + dprime)), theory.paired and frozenset(prime)
+            walked = walks.get(key)
+            if walked is None:
+                walked = walks[key] = side_fingerprint(*pair)
         if not direct.same_outcome(walked):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 

@@ -1,5 +1,5 @@
 """The fingerprint pipeline: the Sp map, tau, and [alpha;beta]."""
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import sub
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ ALL_CONDITIONS = frozenset({"i", "ii", "iii"})
 class SpTrace(NamedTuple):
     """Index-wise record of mu = Sp(lambda); mu_values keeps deleted parts as 0.
 
-    The partial-sum deltas follow from the two rows: tau_table keeps its own
+    The partial-sum deltas follow from the two rows: tau's plan keeps its own
     running sum, and partial_sum_delta builds them for its other readers.
     A named tuple, so it compares equal to the plain tuple
     (lambda_values, mu_values).
@@ -151,18 +151,29 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     value's witness; a value none fires at keeps None, tau = +1.  Deleted
     rows (mu_i = 0) are ignored.  Each value enters at its first row, and
     sp_map keeps the rows descending, so the entries come out descending.
-    One pass over the rows keeps the running sum of mu - lambda, the
-    trace's partial_sum_delta, so no delta tuple is built.
+    (i) and (ii) read only the trace and (iii) only the merge's datum, so
+    tau is _tau_pass run on the trace's _tau_plan: _run keeps each plan
+    for the inputs that share its trace and conditions.
     """
-    conditions = opts.conditions
+    return _tau_pass(_tau_plan(trace, opts.conditions), tags, theory, opts)
+
+
+def _tau_plan(trace: SpTrace, conditions) -> tuple[TauTable, list, tuple]:
+    """The trace's half of tau: (table, open rows, trace.mu_values).
+
+    table holds each even value's witness under (i) and (ii) alone.  The
+    open rows are each row of an even value above the first row where (i)
+    or (ii) fires, if any: only (iii) can fire there, and it would fire
+    first.  One pass keeps the running sum of mu - lambda, the trace's
+    partial_sum_delta, so no delta tuple is built.
+    """
     check_i = "i" in conditions
     check_ii = "ii" in conditions
-    variant = opts.variant_for(theory)
-    check_iii = "iii" in conditions and variant != VACUOUS
-    odd_datum = variant == SO  # (iii) fires on an odd datum under SO, even under Sp
     delta = 0
     witnesses: dict[int, str | None] = {}  # even value -> witness; None: tau=+1
-    for m, lam, datum in zip(trace.mu_values, trace.lambda_values, tags.prime_odd):
+    open_rows = []
+    mu = trace.mu_values
+    for row, m, lam in zip(count(), mu, trace.lambda_values):
         delta += m - lam
         if m <= 0 or m % 2 or witnesses.get(m):
             continue
@@ -170,10 +181,32 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
             witnesses[m] = "i"
         elif check_ii and delta:
             witnesses[m] = "ii"
-        elif check_iii and datum == odd_datum:
-            witnesses[m] = "iii"
         else:
             witnesses[m] = None
+            open_rows.append(row)
+    return tuple.__new__(TauTable, (tuple(witnesses.items()),)), open_rows, mu
+
+
+def _tau_pass(plan, tags: TaggedPartition, theory, opts: FingerprintOptions) -> TauTable:
+    """The input's half of tau: (iii) at the plan's open rows.
+
+    A value whose datum fires (odd under SO, even under Sp) at one of its
+    open rows gets witness "iii"; every other value keeps the plan's.
+    """
+    table, open_rows, mu = plan
+    variant = opts.variant_for(theory)
+    if not open_rows or "iii" not in opts.conditions or variant == VACUOUS:
+        return table
+    odd_datum = variant == SO
+    prime_odd = tags.prime_odd
+    witnesses = None  # the plan's witnesses, copied when (iii) first fires
+    for row in open_rows:
+        if prime_odd[row] == odd_datum:
+            if witnesses is None:
+                witnesses = dict(table.entries)
+            witnesses[mu[row]] = "iii"
+    if witnesses is None:
+        return table
     return tuple.__new__(TauTable, (tuple(witnesses.items()),))
 
 
@@ -278,10 +311,12 @@ def _run(pair: OperatorPair, opts: FingerprintOptions,
     """fingerprint(pair, opts), taking its pure stages from seen where it can.
 
     seen, if given, keeps each pure stage's output under that stage's full
-    arguments: the merge's values give the Sp trace and mu, and (mu, tau)
-    the extraction's outcome.  tau reads the merge's prime_odd and opts as
+    arguments: the merge's values give the Sp trace and mu, and next to
+    them each tau plan by opts.conditions; (mu, tau) gives the extraction's
+    outcome.  tau's per-input pass reads the merge's prime_odd and opts as
     well, and runs on every call.  So runs under any options may share one
-    seen.  fingerprint passes none, and a single run hashes nothing.
+    seen.  fingerprint passes none: a single run hashes nothing and calls
+    tau_table, both halves at once.
     """
     tagged = combine(pair, opts.mode, opts.tie_break)
     values = tagged.values
@@ -291,11 +326,17 @@ def _run(pair: OperatorPair, opts: FingerprintOptions,
     staged = seen and seen.get(values)
     if not staged:
         trace = sp_map(values)
-        staged = trace, trace.mu_partition()
+        staged = trace, trace.mu_partition(), {}
         if seen is not None:
             seen[values] = staged
-    trace, mu = staged
-    tau = tau_table(trace, tagged, pair.theory, opts)
+    trace, mu, plans = staged
+    if seen is None:
+        tau = tau_table(trace, tagged, pair.theory, opts)
+    else:
+        plan = plans.get(opts.conditions)
+        if plan is None:
+            plan = plans[opts.conditions] = _tau_plan(trace, opts.conditions)
+        tau = _tau_pass(plan, tagged, pair.theory, opts)
     outcome = seen and seen.get((mu, tau))
     if not outcome:
         outcome = extract_weyl_pair(mu, tau)

@@ -7,7 +7,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from enum import Enum
-from itertools import product
+from itertools import groupby, product
 from operator import add
 from typing import NamedTuple
 
@@ -105,9 +105,14 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 def format_partition(p) -> str:
-    """Render a partition in exponent form: "2^2 1"; the empty one is "-"."""
+    """Render a partition in exponent form: "2^2 1"; the empty one is "-".
+
+    The rows may come in any order: one descending sort, then one chunk
+    per run of equal rows.
+    """
     chunks = []
-    for v, n in sorted(Counter(p).items(), reverse=True):
+    for v, run in groupby(sorted(p, reverse=True)):
+        n = len(list(run))
         chunks.append(f"{v}^{n}" if n > 1 else str(v))
     return " ".join(chunks) or "-"
 

@@ -1,3 +1,4 @@
+import inspect
 import re
 import sys
 
@@ -24,10 +25,11 @@ from rigidfp.fingerprint import (
     SpTrace,
     TauTable,
     WeylPair,
+    _tau_pass,
+    _tau_plan,
     extract_weyl_pair,
     fingerprint,
     sp_map,
-    tau_table,
 )
 from rigidfp.closedform import side_fingerprint, split_parity, xs_inverse, xs_map, ys_map
 from rigidfp.partitions import (
@@ -125,30 +127,30 @@ SUITE_OPTIONS = {
 
 
 def _distinct_stages(options, max_rank=8):
-    """How many Sp traces and extractions the pair stream to max_rank under
-    options needs, with one memo per theory and rank: its distinct
-    (theory, rank, values) of the merges, and distinct (theory, rank, mu,
-    tau).  Counted over plain fingerprint runs, which keep no memo."""
-    merges, extractions = set(), set()
+    """How many Sp traces, tau plans and extractions the pair stream to
+    max_rank under options needs, with one memo per theory and rank: its
+    distinct (theory, rank, values) of the merges, (theory, rank, values,
+    conditions) and (theory, rank, mu, tau).  Counted over plain
+    fingerprint runs, which keep no memo."""
+    merges, plans, extractions = set(), set(), set()
     for theory in Theory:
         for rank in range(max_rank + 1):
             for pair in enumerate_rigid_pairs(theory, rank):
                 for opts in options:
                     res = fingerprint(pair, opts)
                     merges.add((theory, rank, res.tagged.values))
+                    plans.add((theory, rank, res.tagged.values, opts.conditions))
                     extractions.add((theory, rank, res.mu, res.tau))
-    return len(merges), len(extractions)
+    return len(merges), len(plans), len(extractions)
 
 
-def _pipeline_runs(monkeypatch, name):
-    """run_suite(name, 8) and how many tau tables, Sp traces and
-    extractions the pipeline computed."""
+def _counted_stages(monkeypatch, *stages):
+    """Counts, by stage, of the pipeline's calls to each of stages from now on."""
     pipeline = sys.modules["rigidfp.fingerprint"]
-    counts = {}
+    counts = dict.fromkeys(stages, 0)
 
     def count(stage):
         original = getattr(pipeline, stage)
-        counts[stage] = 0
 
         def counted(*args):
             counts[stage] += 1
@@ -156,32 +158,40 @@ def _pipeline_runs(monkeypatch, name):
 
         monkeypatch.setattr(pipeline, stage, counted)
 
-    for stage in ("tau_table", "sp_map", "extract_weyl_pair"):
+    for stage in stages:
         count(stage)
+    return counts
+
+
+def _pipeline_runs(monkeypatch, name):
+    """run_suite(name, 8) and how many Sp traces, tau plans, tau passes
+    and extractions the pipeline computed."""
+    counts = _counted_stages(monkeypatch, "sp_map", "_tau_plan", "_tau_pass", "extract_weyl_pair")
     report = run_suite(name, 8)
-    return report, counts["tau_table"], counts["sp_map"], counts["extract_weyl_pair"]
+    return report, *counts.values()
 
 
 @pytest.mark.parametrize("name, merges, extractions", [
     ("path-equivalence", 117, 149), ("rank-identity", 307, 394)])
 def test_alike_merges_share_one_run(name, merges, extractions, monkeypatch):
-    # Every input computes its own tau table.  The Sp trace and the
-    # extraction read only the merge's values and (mu, tau), which many
-    # inputs of one theory and rank share: the two tie-breaks merge the
-    # same values, and so do a pair with an empty side in both modes.
-    assert _distinct_stages(SUITE_OPTIONS[name]) == (merges, extractions)
-    report, tables, traces, extracted = _pipeline_runs(monkeypatch, name)
-    assert report.ok and report.checked == tables == 1136
-    assert (traces, extracted) == (merges, extractions)
+    # Every input runs its own tau pass.  The Sp trace, the tau plan and
+    # the extraction read only the merge's values (the plan also the
+    # conditions, one set in both suites) and (mu, tau), which many inputs
+    # of one theory and rank share: the two tie-breaks merge the same
+    # values, and so do a pair with an empty side in both modes.
+    assert _distinct_stages(SUITE_OPTIONS[name]) == (merges, merges, extractions)
+    report, traces, plans, passes, extracted = _pipeline_runs(monkeypatch, name)
+    assert report.ok and report.checked == passes == 1136
+    assert (traces, plans, extracted) == (merges, merges, extractions)
 
 
 @pytest.mark.parametrize("name", ["path-equivalence", "rank-identity"])
 @pytest.mark.parametrize("field, pad", [("values", 0), ("prime_odd", None)])
 def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
     # A combine that lengthens one field of the merge under the second
-    # option set only.  Every input still gets its own tau table; moved
-    # values are merges of their own, with their own Sp trace and
-    # extraction, while a moved prime_odd shares both.
+    # option set only.  Every input still runs its own tau pass; moved
+    # values are merges of their own, with their own Sp trace, tau plan
+    # and extraction, while a moved prime_odd shares all three.
     def moved(pair, mode=INTERLEAVE, tie_break=PRIME_FIRST):
         tagged = combine(pair, mode, tie_break)
         if (mode, tie_break) == (INTERLEAVE, PRIME_FIRST):
@@ -190,9 +200,9 @@ def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
 
     monkeypatch.setattr(sys.modules["rigidfp.fingerprint"], "combine", moved)
     distinct = _distinct_stages(SUITE_OPTIONS[name])
-    report, tables, traces, extracted = _pipeline_runs(monkeypatch, name)
-    assert tables == report.checked == 1136
-    assert (traces, extracted) == distinct
+    report, traces, plans, passes, extracted = _pipeline_runs(monkeypatch, name)
+    assert passes == report.checked == 1136
+    assert (traces, plans, extracted) == distinct
 
 
 @pytest.mark.parametrize("options", [
@@ -214,6 +224,21 @@ def test_pair_stream_runs_are_exact(options):
     assert count == 568 * len(options)
 
 
+def test_each_condition_set_gets_its_own_plan(monkeypatch):
+    # A tau plan reads the merge's values and the conditions, so option
+    # sets with other conditions plan again, while other variants, modes
+    # and tie-breaks of one merge share its plan.  Each input runs a pass.
+    options = [FingerprintOptions(), FingerprintOptions(conditions={"i", "iii"}),
+               FingerprintOptions(mode=COMPONENTWISE, iii_variant=VACUOUS),
+               FingerprintOptions(tie_break=DPRIME_FIRST, conditions={"iii"}, iii_variant=SP),
+               FingerprintOptions(conditions={"iii"}, iii_variant=SO)]
+    merges, plans, _ = _distinct_stages(options, 6)
+    calls = _counted_stages(monkeypatch, "_tau_plan", "_tau_pass")
+    runs = sum(1 for _ in rigidfp.checks._pairs_under(6, options))
+    assert calls == {"_tau_plan": plans, "_tau_pass": runs}
+    assert merges < plans < runs
+
+
 def _shift_traces(max_rank):
     """How many Sp traces the shift suite to max_rank needs: the distinct
     merges of its rigid pairs per theory and rank, and the distinct merges
@@ -228,10 +253,11 @@ def _shift_traces(max_rank):
 
 def _distinct_traces(max_rank):
     """How many deficit verdicts rank-identity to max_rank needs: the
-    distinct Sp traces of its inputs over the whole run, as its memo keys
-    them.  Counted over plain fingerprint runs, which keep no memo."""
-    return len({fingerprint(pair, opts).trace
-                for _, pair in upto(enumerate_rigid_pairs, max_rank)
+    distinct Sp traces of its inputs per theory and rank, as its memo keys
+    them and drops them when the rank changes.  Counted over plain
+    fingerprint runs, which keep no memo."""
+    return len({(theory, pair.rank, fingerprint(pair, opts).trace)
+                for theory, pair in upto(enumerate_rigid_pairs, max_rank)
                 for opts in SUITE_OPTIONS["rank-identity"]})
 
 
@@ -244,7 +270,8 @@ def _walk_key(theory, pair):
 
 def _distinct_walks(max_rank):
     """How many side walks path-equivalence to max_rank needs: the distinct
-    walk keys of its rigid pairs."""
+    walk keys of its rigid pairs.  A key's union fixes its rank, so
+    dropping the walks when the rank changes costs none."""
     return len({_walk_key(theory, pair) for theory, pair in upto(enumerate_rigid_pairs, max_rank)})
 
 
@@ -293,7 +320,7 @@ def test_rank_identity_checks_each_trace_once(monkeypatch):
 
 
 def test_the_pipeline_builds_no_delta(monkeypatch):
-    # tau keeps its own running sum: the pipeline never reads the trace's
+    # tau's plan keeps its own running sum: the pipeline never reads the trace's
     # delta, and rank-identity reads it once per deficit verdict.
     reads = []
     delta = SpTrace.partial_sum_delta
@@ -317,6 +344,29 @@ def test_path_equivalence_walks_each_key_once(monkeypatch):
                                  "rigidfp.checks", "side_fingerprint")
     assert report.ok and report.checked == 1136
     assert calls == _distinct_walks(8) < 568
+
+
+@pytest.mark.parametrize("name, memo", [("rank-identity", "closed"), ("path-equivalence", "walks")])
+def test_pair_memos_keep_one_rank(name, memo):
+    # No Sp trace or walk key repeats across ranks, so each memo is dropped
+    # when the rank changes: after a sweep to rank 8 it holds the keys of
+    # the last theory and rank, D at rank 8, alone.
+    factory, _, _, inputs = SUITES[name]
+    report = SuiteReport(0, [], [])
+    check = factory(8, report)
+    assert rigidfp.checks._sweep(inputs(8), check, report).ok
+    kept = inspect.getclosurevars(check).nonlocals[memo]
+    last = enumerate_rigid_pairs(Theory.D, 8)
+    if memo == "closed":
+        want = {fingerprint(pair, opts).trace for pair in last
+                for opts in SUITE_OPTIONS["rank-identity"]}
+    else:
+        # Outside C the key's third field is a constant: compare the rest.
+        want = {_walk_key(Theory.D, pair)[:2] for pair in last}
+        kept = [key[:2] for key in kept]
+    assert len(kept) == len(want) and set(kept) == want
+    assert 0 < len(kept) < SUITE_STAGES[name, "rigidfp.checks", {
+        "closed": "deficit_closure_ok", "walks": "side_fingerprint"}[memo]](8)
 
 
 def test_the_walk_key_determines_the_walk():
@@ -407,7 +457,7 @@ def test_condition_ii_runs_one_pipeline_per_input(monkeypatch):
     # rank, whose without-(ii) tables reuse it, and one per gapped member
     # (51 of them to rank 4, as the info line says).
     report, runs = _condition_ii_pipeline_runs(monkeypatch, 4)
-    merges, _ = _distinct_stages([FingerprintOptions()], 4)
+    merges, *_ = _distinct_stages([FingerprintOptions()], 4)
     assert "of 51 non-rigid inputs" in report.info[0]
     assert report.checked == 73 and runs == merges + 51 == 78
 
@@ -597,21 +647,28 @@ def _sp_mutant(rule):
     return lambda values: SpTrace(tuple(values), sp_rows(values, rule))
 
 
-def _with_options(change):
-    """A tau_table that evaluates with change(opts, theory) in place of opts."""
-    def mutated(trace, tags, theory, opts):
-        return tau_table(trace, tags, theory, change(opts, theory))
+# tau's rule has two halves: _tau_plan applies (i) and (ii) to the trace,
+# and _tau_pass applies (iii) per input and returns the table.  A tau
+# mutant replaces the half that holds the rule it breaks.
+
+def _plan_without(condition):
+    """A _tau_plan that drops condition, (i) or (ii), from the conditions."""
+    def mutated(trace, conditions):
+        return _tau_plan(trace, conditions - {condition})
     return mutated
 
 
-def _without(condition):
-    return _with_options(lambda o, t: o._replace(conditions=o.conditions - {condition}))
+def _with_options(change):
+    """A _tau_pass that evaluates with change(opts, theory) in place of opts."""
+    def mutated(plan, tags, theory, opts):
+        return _tau_pass(plan, tags, theory, change(opts, theory))
+    return mutated
 
 
 def _tau_plus(keep):
-    """A tau_table that sets tau(m) = +1 on every value m that keep rejects."""
-    def mutated(trace, tags, theory, opts):
-        entries = tau_table(trace, tags, theory, opts).entries
+    """A _tau_pass that sets tau(m) = +1 on every value m that keep rejects."""
+    def mutated(plan, tags, theory, opts):
+        entries = _tau_pass(plan, tags, theory, opts).entries
         return TauTable(tuple(e if keep(e[0]) else (e[0], None) for e in entries))
     return mutated
 
@@ -675,11 +732,12 @@ MUTANTS = {
         sp_map, _sp_mutant(lambda p, v, n, s: v if v > 4 else sp_row(p, v, n, s)), {
         "sp-locality": 12, "parity": 12, "condition-ii": 12, "shift": 3},
         ("shift", 3, r"[BCD] \(.*\): trace shift broken")),
-    "condition-i-dropped": (tau_table, _without("i"), {"condition-ii": 3}),
-    "condition-ii-dropped": (tau_table, _without("ii"), {"condition-ii": 1}),
-    "condition-iii-dropped": (tau_table, _without("iii"), {
+    "condition-i-dropped": (_tau_plan, _plan_without("i"), {"condition-ii": 3}),
+    "condition-ii-dropped": (_tau_plan, _plan_without("ii"), {"condition-ii": 1}),
+    "condition-iii-dropped": (_tau_pass, _with_options(
+        lambda o, t: o._replace(conditions=o.conditions - {"iii"})), {
         "rank-identity": 8, "condition-ii": 18, "path-equivalence": 16}),
-    "so-sp-swapped": (tau_table, _with_options(lambda o, t: o._replace(
+    "so-sp-swapped": (_tau_pass, _with_options(lambda o, t: o._replace(
         iii_variant={SO: SP, SP: SO, VACUOUS: VACUOUS}[o.variant_for(t)])), {
         "rank-identity": 8, "condition-ii": 23, "path-equivalence": 32, "closed-form": 5},
         ("condition-ii", 23, CLOSED_VS_PIPELINE), ("closed-form", 5, CLOSED_VS_PIPELINE)),
@@ -688,12 +746,12 @@ MUTANTS = {
     # read the member's own rows, so each of them sees this fault.
     "datum-parity-flipped": (combine, _datum_flipped, {
         "condition-ii": 23, "path-equivalence": 32, "closed-form": 5}),
-    "all-plus": (tau_table, _tau_plus(lambda m: False), {
+    "all-plus": (_tau_pass, _tau_plus(lambda m: False), {
         "rank-identity": 9, "condition-ii": 40, "shift": 24, "path-equivalence": 22,
         "closed-form": 1}),
     # 7 of its 11 shift failures are one-sided diagnostics; the first is a
     # shifted [alpha;beta].
-    "tau-plus-above-2": (tau_table, _tau_plus(lambda m: m <= 2), {
+    "tau-plus-above-2": (_tau_pass, _tau_plus(lambda m: m <= 2), {
         "rank-identity": 1, "condition-ii": 23, "shift": 11},
         ("shift", 4, r"[BCD] \(.*\): \[[^;]*;[^]]*\] -> \[[^;]*;[^]]*\]")),
     "transpose-reversed": (transpose, lambda p: transpose(p)[::-1], {"structure": 5},

@@ -23,7 +23,7 @@ from rigidfp import (
     tau_table,
 )
 from rigidfp.cli import result_record
-from rigidfp.fingerprint import III_VARIANTS, SO, SP, VACUOUS
+from rigidfp.fingerprint import III_VARIANTS, SO, SP, VACUOUS, _run
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
@@ -471,6 +471,22 @@ class TestKernelsAgainstReference:
                     outcomes[type(out).__name__] += 1
         # The sweep reaches every witness and both extraction outcomes.
         assert set(outcomes) == {None, "i", "ii", "iii", "WeylPair", "ExtractionDiagnostic"}
+
+    @pytest.mark.parametrize("theory", list(Theory))
+    def test_memoized_runs(self, theory):
+        # One _run memo across every member pair to rank 6, every rigid pair
+        # to rank 8, both modes, both tie-breaks and all 32 option sets: a
+        # kept tau plan serves every variant and every merge of its values,
+        # and each run's tau still equals the reference.
+        options = [opts._replace(mode=mode, tie_break=tie)
+                   for mode, tie in product(MODES, TIE_BREAKS) for opts in TAU_OPTIONS]
+        pairs = [*member_pairs(6, (theory,)),
+                 *(pair for _, pair in upto(enumerate_rigid_pairs, 8, (theory,)))]
+        seen = {}
+        for pair in pairs:
+            for opts in options:
+                res = _run(pair, opts, seen)
+                assert res.tau == _ref_tau_table(res.trace, res.tagged, theory, opts), (pair, opts)
 
     @given(unsorted_mu, st.data())
     def test_extraction_on_unsorted_mu(self, mu, data):
