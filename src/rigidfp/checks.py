@@ -211,22 +211,14 @@ def check_rank_identity(max_rank, report):
     A D outcome also has an even number of beta parts: read as a signed
     cycle type, beta lists the negative cycles, and a class of W(D_n) has an
     even number of them.  The deficit verdict reads only the Sp trace, which
-    many inputs share, so the run keeps each distinct trace's verdict.  A
-    trace's box count fixes its rank, so the verdicts are dropped when the
-    rank changes.  A pair's two modes come one after the other, so the
-    rank is read once per pair.
+    many inputs share, so the run keeps each distinct trace's verdict.  C
+    and D inputs of one rank share traces, and the stream runs one theory
+    at a time, so the verdicts are kept for the whole run, not per rank.
     """
     d = Theory.D  # a class lookup, read once per run
-    closed = {}  # Sp trace -> deficit_closure_ok(trace), for one rank
-    last = rank = None
+    closed = {}  # Sp trace -> deficit_closure_ok(trace)
 
     def check(theory, pair, opts, res):
-        nonlocal last, rank
-        if pair is not last:
-            last = pair
-            rank, was = pair.rank, rank
-            if rank != was:
-                closed.clear()
         mode = opts.mode
         ok = closed.get(res.trace)
         if ok is None:
@@ -242,8 +234,8 @@ def check_rank_identity(max_rank, report):
             )
             return None
         total = sum(res.weyl.alpha) + sum(res.weyl.beta)
-        if total != rank:
-            return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {rank}"
+        if total != pair.rank:
+            return f"{_fmt_pair(pair)} [{mode}]: |alpha|+|beta|={total} != {pair.rank}"
         if theory is d and len(res.weyl.beta) % 2:
             return f"{_fmt_pair(pair)} [{mode}]: beta has {len(res.weyl.beta)} parts, odd in D"
 
@@ -436,8 +428,8 @@ def check_path_equivalence(max_rank, report):
         nonlocal last, rank, walked
         if pair is not last:
             last = pair
-            rank, was = pair.rank, rank
-            if rank != was:
+            if pair.rank != rank:
+                rank = pair.rank
                 walks.clear()
             prime, dprime, _ = pair
             key = theory, tuple(sorted(prime + dprime)), theory.paired and frozenset(prime)

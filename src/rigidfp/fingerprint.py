@@ -152,20 +152,21 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     rows (mu_i = 0) are ignored.  Each value enters at its first row, and
     sp_map keeps the rows descending, so the entries come out descending.
     (i) and (ii) read only the trace and (iii) only the merge's datum, so
-    tau is _tau_pass run on the trace's _tau_plan: _run keeps each plan
-    for the inputs that share its trace and conditions.
+    tau is _tau_pass run on the trace's _tau_plan.  _run calls the two
+    halves itself, and with a memo keeps each plan for the inputs that
+    share its trace and conditions.
     """
     return _tau_pass(_tau_plan(trace, opts.conditions), tags, theory, opts)
 
 
-def _tau_plan(trace: SpTrace, conditions) -> tuple[TauTable, list, tuple]:
-    """The trace's half of tau: (table, open rows, trace.mu_values).
+def _tau_plan(trace: SpTrace, conditions) -> tuple[dict, list, tuple]:
+    """The trace's half of tau: (witnesses, open rows, trace.mu_values).
 
-    table holds each even value's witness under (i) and (ii) alone.  The
-    open rows are each row of an even value above the first row where (i)
-    or (ii) fires, if any: only (iii) can fire there, and it would fire
-    first.  One pass keeps the running sum of mu - lambda, the trace's
-    partial_sum_delta, so no delta tuple is built.
+    witnesses maps each even value, in table order, to its witness under
+    (i) and (ii) alone.  The open rows are each row of an even value above
+    the first row where (i) or (ii) fires, if any: only (iii) can fire
+    there, and it would fire first.  One pass keeps the running sum of
+    mu - lambda, the trace's partial_sum_delta, so no delta tuple is built.
     """
     check_i = "i" in conditions
     check_ii = "ii" in conditions
@@ -175,7 +176,7 @@ def _tau_plan(trace: SpTrace, conditions) -> tuple[TauTable, list, tuple]:
     mu = trace.mu_values
     for row, m, lam in zip(count(), mu, trace.lambda_values):
         delta += m - lam
-        if m <= 0 or m % 2 or witnesses.get(m):
+        if m % 2 or m <= 0 or witnesses.get(m):
             continue
         if check_i and m != lam:
             witnesses[m] = "i"
@@ -184,29 +185,27 @@ def _tau_plan(trace: SpTrace, conditions) -> tuple[TauTable, list, tuple]:
         else:
             witnesses[m] = None
             open_rows.append(row)
-    return tuple.__new__(TauTable, (tuple(witnesses.items()),)), open_rows, mu
+    return witnesses, open_rows, mu
 
 
 def _tau_pass(plan, tags: TaggedPartition, theory, opts: FingerprintOptions) -> TauTable:
-    """The input's half of tau: (iii) at the plan's open rows.
+    """The input's half of tau: (iii) at the plan's open rows, then the table.
 
     A value whose datum fires (odd under SO, even under Sp) at one of its
-    open rows gets witness "iii"; every other value keeps the plan's.
+    open rows gets witness "iii"; every other value keeps the plan's.  The
+    plan's witnesses are copied only when (iii) fires.
     """
-    table, open_rows, mu = plan
+    witnesses, open_rows, mu = plan
     variant = opts.variant_for(theory)
-    if not open_rows or "iii" not in opts.conditions or variant == VACUOUS:
-        return table
-    odd_datum = variant == SO
-    prime_odd = tags.prime_odd
-    witnesses = None  # the plan's witnesses, copied when (iii) first fires
-    for row in open_rows:
-        if prime_odd[row] == odd_datum:
-            if witnesses is None:
-                witnesses = dict(table.entries)
-            witnesses[mu[row]] = "iii"
-    if witnesses is None:
-        return table
+    if open_rows and "iii" in opts.conditions and variant != VACUOUS:
+        odd_datum = variant == SO
+        prime_odd = tags.prime_odd
+        fired = None
+        for row in open_rows:
+            if prime_odd[row] == odd_datum:
+                if fired is None:
+                    fired = witnesses = witnesses.copy()
+                witnesses[mu[row]] = "iii"
     return tuple.__new__(TauTable, (tuple(witnesses.items()),))
 
 
@@ -315,8 +314,8 @@ def _run(pair: OperatorPair, opts: FingerprintOptions,
     them each tau plan by opts.conditions; (mu, tau) gives the extraction's
     outcome.  tau's per-input pass reads the merge's prime_odd and opts as
     well, and runs on every call.  So runs under any options may share one
-    seen.  fingerprint passes none: a single run hashes nothing and calls
-    tau_table, both halves at once.
+    seen.  fingerprint passes none, and a single run keeps its one plan in
+    a dict of its own.
     """
     tagged = combine(pair, opts.mode, opts.tie_break)
     values = tagged.values
@@ -330,13 +329,10 @@ def _run(pair: OperatorPair, opts: FingerprintOptions,
         if seen is not None:
             seen[values] = staged
     trace, mu, plans = staged
-    if seen is None:
-        tau = tau_table(trace, tagged, pair.theory, opts)
-    else:
-        plan = plans.get(opts.conditions)
-        if plan is None:
-            plan = plans[opts.conditions] = _tau_plan(trace, opts.conditions)
-        tau = _tau_pass(plan, tagged, pair.theory, opts)
+    plan = plans.get(opts.conditions)
+    if plan is None:
+        plan = plans[opts.conditions] = _tau_plan(trace, opts.conditions)
+    tau = _tau_pass(plan, tagged, pair.theory, opts)
     outcome = seen and seen.get((mu, tau))
     if not outcome:
         outcome = extract_weyl_pair(mu, tau)

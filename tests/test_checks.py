@@ -1,6 +1,6 @@
-import inspect
 import re
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,11 +253,10 @@ def _shift_traces(max_rank):
 
 def _distinct_traces(max_rank):
     """How many deficit verdicts rank-identity to max_rank needs: the
-    distinct Sp traces of its inputs per theory and rank, as its memo keys
-    them and drops them when the rank changes.  Counted over plain
-    fingerprint runs, which keep no memo."""
-    return len({(theory, pair.rank, fingerprint(pair, opts).trace)
-                for theory, pair in upto(enumerate_rigid_pairs, max_rank)
+    distinct Sp traces of its inputs over the whole run, as its memo keys
+    them.  Counted over plain fingerprint runs, which keep no memo."""
+    return len({fingerprint(pair, opts).trace
+                for _, pair in upto(enumerate_rigid_pairs, max_rank)
                 for opts in SUITE_OPTIONS["rank-identity"]})
 
 
@@ -346,27 +345,29 @@ def test_path_equivalence_walks_each_key_once(monkeypatch):
     assert calls == _distinct_walks(8) < 568
 
 
-@pytest.mark.parametrize("name, memo", [("rank-identity", "closed"), ("path-equivalence", "walks")])
-def test_pair_memos_keep_one_rank(name, memo):
-    # No Sp trace or walk key repeats across ranks, so each memo is dropped
-    # when the rank changes: after a sweep to rank 8 it holds the keys of
-    # the last theory and rank, D at rank 8, alone.
-    factory, _, _, inputs = SUITES[name]
+def test_no_walk_outlives_its_rank(monkeypatch):
+    # A walk key's union fixes its rank, so path-equivalence drops its walks
+    # when the rank changes: after a sweep to rank 8, with the run's check
+    # still held, only the walks of the last theory and rank, D at rank 8,
+    # are alive.  Each walk is copied into an object a weak reference can
+    # watch (a BlockResult, a tuple, cannot be watched).
+    made = []
+
+    class Walk:
+        def __init__(self, *pair):
+            walked = side_fingerprint(*pair)
+            self.mu, self.weyl, self.diagnostic = walked.mu, walked.weyl, walked.diagnostic
+            made.append((pair[2], OperatorPair(*pair).rank, weakref.ref(self)))
+
+    monkeypatch.setattr(rigidfp.checks, "side_fingerprint", Walk)
+    factory, _, _, inputs = SUITES["path-equivalence"]
     report = SuiteReport(0, [], [])
     check = factory(8, report)
     assert rigidfp.checks._sweep(inputs(8), check, report).ok
-    kept = inspect.getclosurevars(check).nonlocals[memo]
-    last = enumerate_rigid_pairs(Theory.D, 8)
-    if memo == "closed":
-        want = {fingerprint(pair, opts).trace for pair in last
-                for opts in SUITE_OPTIONS["rank-identity"]}
-    else:
-        # Outside C the key's third field is a constant: compare the rest.
-        want = {_walk_key(Theory.D, pair)[:2] for pair in last}
-        kept = [key[:2] for key in kept]
-    assert len(kept) == len(want) and set(kept) == want
-    assert 0 < len(kept) < SUITE_STAGES[name, "rigidfp.checks", {
-        "closed": "deficit_closure_ok", "walks": "side_fingerprint"}[memo]](8)
+    alive = [(theory, rank) for theory, rank, walk in made if walk() is not None]
+    assert len(made) == _distinct_walks(8)
+    assert set(alive) == {(Theory.D, 8)}
+    assert len(alive) == len({_walk_key(Theory.D, pair) for pair in enumerate_rigid_pairs(Theory.D, 8)})
 
 
 def test_the_walk_key_determines_the_walk():
