@@ -17,7 +17,6 @@ from .closedform import (
 from .fingerprint import (
     DEFAULT_OPTIONS,
     FingerprintOptions,
-    _run,
     fingerprint,
     sp_map,
     tau_table,
@@ -70,17 +69,19 @@ def _upto(enum, theories, max_rank):
 
 
 def _pairs_under(max_rank, options=(DEFAULT_OPTIONS,)):
-    """(theory, pair, opts, res) for each rigid pair to max_rank under each of options.
+    """(theory, pair, opts, res, seen) for each rigid pair to max_rank under each of options.
 
     The pairs come in _upto's order, read from each theory's side lists,
-    built once for every rank.  res is fingerprint(pair, opts), run through
-    fingerprint._run with one memo per theory and rank, so each distinct
-    merge computes its Sp trace and mu once, each distinct (merge,
-    conditions) its tau plan once, and each distinct (mu, tau) its
+    built once for every rank.  seen is the scope of one theory and rank, a
+    new dict for each, and res is fingerprint(pair, opts, seen): each
+    distinct merge computes its Sp trace and mu once, each distinct
+    (merge, conditions) its tau plan once, and each distinct (mu, tau) its
     extraction once; only tau's (iii) pass runs per input.  A pair's
     inputs under each of options come one after the other.  Merges of
     different ranks have different box counts and share no stage, so no
-    memo outlives its rank.
+    scope outlives its rank.  A check keeps what it derives in seen too,
+    under a key whose first item is the function that derived it; a stage
+    key is a values tuple or (mu, tau), so the two never collide.
     """
     for theory in Theory:
         sides = _side_lists(theory, max_rank)
@@ -88,7 +89,7 @@ def _pairs_under(max_rank, options=(DEFAULT_OPTIONS,)):
             seen = {}
             for pair in _rigid_pairs(theory, rank, *sides):
                 for opts in options:
-                    yield theory, pair, opts, _run(pair, opts, seen)
+                    yield theory, pair, opts, fingerprint(pair, opts, seen), seen
 
 
 def _rigid(max_rank):
@@ -211,18 +212,17 @@ def check_rank_identity(max_rank, report):
     A D outcome also has an even number of beta parts: read as a signed
     cycle type, beta lists the negative cycles, and a class of W(D_n) has an
     even number of them.  The deficit verdict reads only the Sp trace, which
-    many inputs share, so the run keeps each distinct trace's verdict.  C
-    and D inputs of one rank share traces, and the stream runs one theory
-    at a time, so the verdicts are kept for the whole run, not per rank.
+    many inputs share, so each distinct trace's verdict is kept in the
+    stream's scope.
     """
     d = Theory.D  # a class lookup, read once per run
-    closed = {}  # Sp trace -> deficit_closure_ok(trace)
 
-    def check(theory, pair, opts, res):
+    def check(theory, pair, opts, res, seen):
         mode = opts.mode
-        ok = closed.get(res.trace)
+        key = deficit_closure_ok, res.trace
+        ok = seen.get(key)
         if ok is None:
-            ok = closed[res.trace] = deficit_closure_ok(res.trace)
+            ok = seen[key] = deficit_closure_ok(res.trace)
         if not ok:
             return f"{_fmt_pair(pair)} [{mode}]: deficit open"
         if res.diagnostic is not None:
@@ -288,7 +288,7 @@ def check_condition_ii(max_rank, report):
         + (f"; e.g. {head}" if hits else "")
     )
 
-    def check(theory, pair, opts, res):
+    def check(theory, pair, opts, res, seen):
         # Same trace, so the same tau table gives the same outcome.
         if res.tau != tau_table(res.trace, res.tagged, theory, _WITHOUT_II):
             return _fmt_pair(pair)
@@ -304,16 +304,14 @@ def check_shift(max_rank, report):
     after the shift; the result-level check accounts for exactly that.  A
     diagnostic shifts too: both sides have one or neither, and each
     unpairable value rises by 2 with the same multiplicity.  The shift keeps
-    which pairs share a merge, so the shifted runs share one memo, as the
-    base runs of a theory and rank do.
+    which pairs share a merge, so the shifted runs share the stream's
+    scope with the base runs.
     """
-    seen = {}
-
-    def check(theory, pair, opts, base):
+    def check(theory, pair, opts, base, seen):
         sides = [tuple(v + 2 for v in side) for side in (pair.lambda_prime, pair.lambda_dprime)]
         # +2 keeps every part's parity, every multiplicity and the box count's
         # parity, so the shifted pair is valid by construction.
-        shifted = _run(_unchecked_pair(*sides, theory), opts, seen)
+        shifted = fingerprint(_unchecked_pair(*sides, theory), opts, seen)
         want_mu = tuple(m + 2 for m in base.trace.mu_values)
         if shifted.trace.mu_values != want_mu:
             return f"{_fmt_pair(pair)}: trace shift broken"
@@ -415,27 +413,23 @@ def check_path_equivalence(max_rank, report):
     is the unipotent closed forms) reads only the pair's two sides, so it
     reads no output of combine, while the pipeline runs under each
     tie-break: a fault in combine's merge shows here.  The walk reads the
-    sorted union of the sides and, in C, which values lambda' holds, so the
-    run keeps one walk per such key, built from the sides alone.  A pair's
-    two tie-breaks come one after the other and share its walk, and a
-    union's box count fixes its rank, so the walks are dropped when the
-    rank changes.
+    sorted union of the sides and, in C, which values lambda' holds, so one
+    walk per such key, built from the sides alone, is kept in the stream's
+    scope.  A pair's two tie-breaks come one after the other and share its
+    walk, so the key is built once per pair.
     """
-    walks = {}  # (theory, sorted union, set of lambda' in C) -> BlockResult, for one rank
-    last = rank = walked = None
+    last = walked = None
 
-    def check(theory, pair, opts, direct):
-        nonlocal last, rank, walked
+    def check(theory, pair, opts, direct, seen):
+        nonlocal last, walked
         if pair is not last:
             last = pair
-            if pair.rank != rank:
-                rank = pair.rank
-                walks.clear()
             prime, dprime, _ = pair
-            key = theory, tuple(sorted(prime + dprime)), theory.paired and frozenset(prime)
-            walked = walks.get(key)
+            key = (side_fingerprint, tuple(sorted(prime + dprime)),
+                   theory.paired and frozenset(prime))
+            walked = seen.get(key)
             if walked is None:
-                walked = walks[key] = side_fingerprint(*pair)
+                walked = seen[key] = side_fingerprint(*pair)
         if not direct.same_outcome(walked):
             return f"{_fmt_pair(pair)} [tie={opts.tie_break}]"
 

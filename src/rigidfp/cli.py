@@ -196,8 +196,9 @@ def cmd_fingerprint(args) -> tuple:
     opts = _options_from_args(args)
     if args.compare:
         items = []
+        seen = {}  # the four runs' one scope: both INTERLEAVE merges share values
         for mode, tie in product(MODES, TIE_BREAKS):
-            res = fingerprint(pair, opts._replace(mode=mode, tie_break=tie))
+            res = fingerprint(pair, opts._replace(mode=mode, tie_break=tie), seen)
             items.append((result_record(res),
                           f"mode={mode} tie-break={tie}: {_outcome_text(res)}"))
     else:
@@ -243,8 +244,9 @@ def cmd_fibers(args) -> tuple:
     for pair in enumerate_rigid_pairs(theory, args.rank):
         firsts.setdefault(_fiber_key(pair), pair)
     groups: dict = {}  # weyl or diagnostic -> (first result, member pairs)
+    seen = {}  # one scope: the pairs are all of one theory and rank, as a stream scope's are
     for pair in firsts.values():
-        res = fingerprint(pair)
+        res = fingerprint(pair, seen=seen)
         groups.setdefault(res.weyl or res.diagnostic, (res, []))[1].append(pair)
     items = []
     for fp in sorted(groups, key=str):

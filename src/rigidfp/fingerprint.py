@@ -152,8 +152,8 @@ def tau_table(trace: SpTrace, tags: TaggedPartition, theory,
     rows (mu_i = 0) are ignored.  Each value enters at its first row, and
     sp_map keeps the rows descending, so the entries come out descending.
     (i) and (ii) read only the trace and (iii) only the merge's datum, so
-    tau is _tau_pass run on the trace's _tau_plan.  _run calls the two
-    halves itself, and with a memo keeps each plan for the inputs that
+    tau is _tau_pass run on the trace's _tau_plan.  fingerprint calls the
+    two halves itself, and with a memo keeps each plan for the inputs that
     share its trace and conditions.
     """
     return _tau_pass(_tau_plan(trace, opts.conditions), tags, theory, opts)
@@ -295,27 +295,18 @@ class FingerprintResult(NamedTuple):
         )
 
 
-def fingerprint(pair: OperatorPair,
-                opts: FingerprintOptions = DEFAULT_OPTIONS) -> FingerprintResult:
+def fingerprint(pair: OperatorPair, opts: FingerprintOptions = DEFAULT_OPTIONS,
+                seen: dict | None = None) -> FingerprintResult:
     """Full pipeline: combine -> Sp -> tau -> [alpha; beta].
 
     Rigidity is not required.  Extraction failures surface as a
-    diagnostic, not an exception.
-    """
-    return _run(pair, opts)
-
-
-def _run(pair: OperatorPair, opts: FingerprintOptions,
-         seen: dict | None = None) -> FingerprintResult:
-    """fingerprint(pair, opts), taking its pure stages from seen where it can.
-
-    seen, if given, keeps each pure stage's output under that stage's full
-    arguments: the merge's values give the Sp trace and mu, and next to
-    them each tau plan by opts.conditions; (mu, tau) gives the extraction's
-    outcome.  tau's per-input pass reads the merge's prime_odd and opts as
-    well, and runs on every call.  So runs under any options may share one
-    seen.  fingerprint passes none, and a single run keeps its one plan in
-    a dict of its own.
+    diagnostic, not an exception.  seen, if given, keeps each pure stage's
+    output under that stage's full arguments: the merge's values give the
+    Sp trace and mu, and next to them each tau plan by opts.conditions;
+    (mu, tau) gives the extraction's outcome.  tau's per-input pass reads
+    the merge's prime_odd and opts as well, and runs on every call.  So
+    runs under any options may share one seen.  With none, a run keeps its
+    one plan in a dict of its own.
     """
     tagged = combine(pair, opts.mode, opts.tie_break)
     values = tagged.values

@@ -18,7 +18,14 @@ Oracles, which import nothing from rigidfp:
     counted the same way;
   - reference_combine: the merge of a pair's sides by one rule for every
     pair, a stable sort of (value, datum) rows or zero-padded index-wise
-    sums; it names the modes and tie-breaks by rigidfp's strings.
+    sums; it names the modes and tie-breaks by rigidfp's strings;
+  - c_collapse: the C-collapse of a partition of even total by the
+    textbook procedure, and c_collapse_by_dominance: the same by its
+    definition, the largest C-partition the partition dominates, found by
+    brute force over partitions_of.  Both are defined by the dominance
+    order, not by rows, so they are a second opinion on every row-rule
+    oracle above (Collingwood and McGovern, Nilpotent Orbits in Semisimple
+    Lie Algebras, 1993, section 6.3).
 
 Sweeps of rigidfp's enumeration, the one home of the tests' input loops:
   - upto: (theory, x) over enum(theory, rank) for every rank to a bound;
@@ -42,7 +49,8 @@ The block lemmas, read off rigidfp's output:
     pairings.
 """
 from bisect import bisect_right
-from itertools import chain, product, takewhile, zip_longest
+from itertools import accumulate, chain, product, takewhile, zip_longest
+from operator import ge
 
 from rigidfp.blocks import decompose_blocks
 from rigidfp.closedform import _walk
@@ -178,6 +186,52 @@ def reference_combine(pair, mode, tie_break):
     rows.sort(key=lambda row: row[0], reverse=True)
     values, prime_odd = zip(*rows) if rows else ((), ())
     return values, mode, prime_odd
+
+
+def is_c_partition(p):
+    """Whether every odd value of p has even multiplicity."""
+    return all(p.count(v) % 2 == 0 for v in set(p) if v % 2)
+
+
+def dominates(p, q):
+    """Whether every partial sum of p is at least q's, the shorter padded with 0."""
+    rows = max(len(p), len(q))
+    sums = [accumulate((*x, *(0,) * (rows - len(x)))) for x in (p, q)]
+    return all(map(ge, *sums))
+
+
+def c_collapse(p):
+    """The C-collapse of p, a partition of even total, by the textbook procedure.
+
+    While some odd value has odd multiplicity, take the largest such q,
+    lower its last row by one and raise the first row below q - 1 by one
+    (a 0 row past the end counts).
+    """
+    rows = [*p, 0]
+    while True:
+        odd = [v for v in set(rows) if v % 2 and rows.count(v) % 2]
+        if not odd:
+            return tuple(v for v in rows if v)
+        q = max(odd)
+        last = len(rows) - 1 - rows[::-1].index(q)
+        rows[last] -= 1
+        below = next(i for i in range(last + 1, len(rows)) if rows[i] < q - 1)
+        rows[below] += 1
+
+
+def c_collapse_by_dominance(p):
+    """The largest C-partition of sum(p) that p dominates, or None if there is none.
+
+    Brute force over partitions_of(sum(p)): keep the C-partitions p
+    dominates, and return the one that dominates all the others.
+    Dominance implies the lexicographic order, so only the lexicographic
+    largest can.
+    """
+    below = [q for q in partitions_of(sum(p)) if is_c_partition(q) and dominates(p, q)]
+    if not below:
+        return None
+    top = max(below)
+    return top if all(dominates(top, q) for q in below) else None
 
 
 def upto(enum, max_rank, theories=tuple(Theory)):

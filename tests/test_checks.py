@@ -216,12 +216,21 @@ def test_a_moved_second_merge_gets_its_own_run(name, field, pad, monkeypatch):
 def test_pair_stream_runs_are_exact(options):
     # Each record the pair stream yields is the pipeline's own result for its
     # input, options and merge included, also where a run shares work, and
-    # under option sets that differ in conditions and iii variant.
+    # under option sets that differ in conditions and iii variant.  The
+    # scope it yields is a new dict exactly where the theory or the rank
+    # changes; the scopes are held, so no two can share an id.
     count = 0
-    for _, pair, opts, res in rigidfp.checks._pairs_under(8, options):
+    scopes, where = [], None
+    for theory, pair, opts, res, seen in rigidfp.checks._pairs_under(8, options):
         count += 1
         assert tuple(res) == tuple(fingerprint(pair, opts))
+        if (theory, pair.rank) != where:
+            where = theory, pair.rank
+            assert type(seen) is dict and all(seen is not kept for kept in scopes)
+            scopes.append(seen)
+        assert seen is scopes[-1]
     assert count == 568 * len(options)
+    assert len(scopes) == 3 * 9
 
 
 def test_each_condition_set_gets_its_own_plan(monkeypatch):
@@ -241,22 +250,22 @@ def test_each_condition_set_gets_its_own_plan(monkeypatch):
 
 def _shift_traces(max_rank):
     """How many Sp traces the shift suite to max_rank needs: the distinct
-    merges of its rigid pairs per theory and rank, and the distinct merges
-    of the shifted pairs over the whole run.  Counted over plain
-    fingerprint runs, which keep no memo."""
-    shifted = {
-        fingerprint(OperatorPair(*(tuple(v + 2 for v in side) for side in pair[:2]),
-                                 theory)).tagged.values
-        for theory, pair in upto(enumerate_rigid_pairs, max_rank)}
-    return _distinct_stages([FingerprintOptions()], max_rank)[0] + len(shifted)
+    merges of its rigid pairs and of their shifted pairs, per theory and
+    rank, as the stream's scope keys them.  Counted over plain fingerprint
+    runs, which keep no memo."""
+    return len({(theory, pair.rank, fingerprint(p).tagged.values)
+                for theory, pair in upto(enumerate_rigid_pairs, max_rank)
+                for p in (pair, OperatorPair(*(tuple(v + 2 for v in side)
+                                               for side in pair[:2]), theory))})
 
 
 def _distinct_traces(max_rank):
     """How many deficit verdicts rank-identity to max_rank needs: the
-    distinct Sp traces of its inputs over the whole run, as its memo keys
-    them.  Counted over plain fingerprint runs, which keep no memo."""
-    return len({fingerprint(pair, opts).trace
-                for _, pair in upto(enumerate_rigid_pairs, max_rank)
+    distinct Sp traces of its inputs per theory and rank, as the stream's
+    scope keys them.  Counted over plain fingerprint runs, which keep no
+    memo."""
+    return len({(theory, pair.rank, fingerprint(pair, opts).trace)
+                for theory, pair in upto(enumerate_rigid_pairs, max_rank)
                 for opts in SUITE_OPTIONS["rank-identity"]})
 
 
@@ -270,7 +279,7 @@ def _walk_key(theory, pair):
 def _distinct_walks(max_rank):
     """How many side walks path-equivalence to max_rank needs: the distinct
     walk keys of its rigid pairs.  A key's union fixes its rank, so
-    dropping the walks when the rank changes costs none."""
+    keeping the walks per theory and rank costs none."""
     return len({_walk_key(theory, pair) for theory, pair in upto(enumerate_rigid_pairs, max_rank)})
 
 
@@ -346,11 +355,12 @@ def test_path_equivalence_walks_each_key_once(monkeypatch):
 
 
 def test_no_walk_outlives_its_rank(monkeypatch):
-    # A walk key's union fixes its rank, so path-equivalence drops its walks
-    # when the rank changes: after a sweep to rank 8, with the run's check
-    # still held, only the walks of the last theory and rank, D at rank 8,
-    # are alive.  Each walk is copied into an object a weak reference can
-    # watch (a BlockResult, a tuple, cannot be watched).
+    # path-equivalence keeps its walks in the stream's scope, so they die
+    # with it: after each input, with the run's check held, only walks of
+    # the input's theory and rank are alive, and all of that scope's walks
+    # made so far are.  After the sweep only the check's last walk is.
+    # Each walk is copied into an object a weak reference can watch (a
+    # BlockResult, a tuple, cannot be watched).
     made = []
 
     class Walk:
@@ -359,15 +369,19 @@ def test_no_walk_outlives_its_rank(monkeypatch):
             self.mu, self.weyl, self.diagnostic = walked.mu, walked.weyl, walked.diagnostic
             made.append((pair[2], OperatorPair(*pair).rank, weakref.ref(self)))
 
+    def alive():
+        return [(theory, rank) for theory, rank, walk in made if walk() is not None]
+
     monkeypatch.setattr(rigidfp.checks, "side_fingerprint", Walk)
     factory, _, _, inputs = SUITES["path-equivalence"]
-    report = SuiteReport(0, [], [])
-    check = factory(8, report)
-    assert rigidfp.checks._sweep(inputs(8), check, report).ok
-    alive = [(theory, rank) for theory, rank, walk in made if walk() is not None]
+    check = factory(8, SuiteReport(0, [], []))
+    for theory, pair, opts, res, seen in inputs(8):
+        assert check(theory, pair, opts, res, seen) is None
+        scope = [(t, r) for t, r, _ in made if (t, r) == (theory, pair.rank)]
+        assert alive() == scope
+    del theory, pair, opts, res, seen
     assert len(made) == _distinct_walks(8)
-    assert set(alive) == {(Theory.D, 8)}
-    assert len(alive) == len({_walk_key(Theory.D, pair) for pair in enumerate_rigid_pairs(Theory.D, 8)})
+    assert alive() == [(Theory.D, 8)]
 
 
 def test_the_walk_key_determines_the_walk():
@@ -382,13 +396,12 @@ def test_the_walk_key_determines_the_walk():
 
 
 def test_shift_runs_one_trace_per_distinct_merge(monkeypatch):
-    # Shifting every row by 2 keeps which pairs share a merge.  At rank 12
-    # the base runs hold 388 distinct merges per theory and rank, and the
-    # 3015 shifted runs 336 in all: 724 Sp traces, where one per shifted
-    # run took 3403.
+    # Shifting every row by 2 keeps which pairs share a merge, so the
+    # shifted runs share the stream's scope: at rank 12, 774 Sp traces for
+    # the 3015 base and 3015 shifted runs.
     report, traces = _stage_calls(monkeypatch, "shift", 12)
     assert report.ok and report.checked == 3015
-    assert traces == _shift_traces(12) == 724
+    assert traces == _shift_traces(12) < 2 * 3015
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -500,11 +513,11 @@ def _patch_everywhere(monkeypatch, attr, original, replacement):
 def _shift_mutant(monkeypatch, change):
     """Apply change to the result of each shifted input of the shift suite.
 
-    The base runs and the shifted runs both go through checks._run; the
-    base pairs are the ones _rigid_pairs built, so every other run is a
-    shifted input.
+    The base runs and the shifted runs both go through checks.fingerprint;
+    the base pairs are the ones _rigid_pairs built, so every other run is
+    a shifted input.
     """
-    rigid_pairs, run = rigidfp.checks._rigid_pairs, rigidfp.checks._run
+    rigid_pairs, run = rigidfp.checks._rigid_pairs, rigidfp.checks.fingerprint
     built = {}  # id -> pair; holding each pair keeps its id from being reused
 
     def listed(*args):
@@ -517,7 +530,7 @@ def _shift_mutant(monkeypatch, change):
         return res if id(pair) in built else change(res)
 
     monkeypatch.setattr(rigidfp.checks, "_rigid_pairs", listed)
-    monkeypatch.setattr(rigidfp.checks, "_run", mutated)
+    monkeypatch.setattr(rigidfp.checks, "fingerprint", mutated)
 
 
 def test_shift_fails_on_one_sided_diagnostic(monkeypatch):

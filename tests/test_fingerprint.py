@@ -23,7 +23,7 @@ from rigidfp import (
     tau_table,
 )
 from rigidfp.cli import result_record
-from rigidfp.fingerprint import III_VARIANTS, SO, SP, VACUOUS, _run
+from rigidfp.fingerprint import III_VARIANTS, SO, SP, VACUOUS
 from rigidfp.partitions import (
     COMPONENTWISE,
     DPRIME_FIRST,
@@ -474,7 +474,7 @@ class TestKernelsAgainstReference:
 
     @pytest.mark.parametrize("theory", list(Theory))
     def test_memoized_runs(self, theory):
-        # One _run memo across every member pair to rank 6, every rigid pair
+        # One fingerprint memo across every member pair to rank 6, every rigid pair
         # to rank 8, both modes, both tie-breaks and all 32 option sets: a
         # kept tau plan serves every variant and every merge of its values,
         # and each run's tau still equals the reference.
@@ -485,7 +485,7 @@ class TestKernelsAgainstReference:
         seen = {}
         for pair in pairs:
             for opts in options:
-                res = _run(pair, opts, seen)
+                res = fingerprint(pair, opts, seen)
                 assert res.tau == _ref_tau_table(res.trace, res.tagged, theory, opts), (pair, opts)
 
     @given(unsorted_mu, st.data())
